@@ -11,10 +11,11 @@ truth, end-to-end throughput stays above 20k samples/s, and peak allocation
 during the run stays bounded by the channels and batch buffers — well under
 half the resident series footprint (the pipeline never copies the day).
 
-The columnar comparison replays the same day through both hot paths: the
-vectorised path must be at least 5× the scalar throughput (it targets and
-typically exceeds 10×) with *zero* relative difference in every alert —
-bit-identical, not approximately equal.
+The columnar comparison replays the same day through the vectorised hot
+path and through the per-sample oracle loops (``_process_scalar``, bound
+onto each detector instance): the hot path must be at least 5× the oracle's
+throughput (it targets and typically exceeds 10×) with *zero* relative
+difference in every alert — bit-identical, not approximately equal.
 """
 
 import json
@@ -55,9 +56,9 @@ def _make_day() -> tuple[TimeSeries, TimeSeries]:
     return power, ci
 
 
-def _run(columnar: bool = False) -> dict:
+def _run() -> dict:
     power, ci = _make_day()
-    pipeline, detector, tracker, advisor = build_monitor(columnar=columnar)
+    pipeline, detector, tracker, advisor = build_monitor()
 
     # Timing pass: the full day, untraced (tracemalloc would dominate the
     # per-sample detector arithmetic and measure the tracer, not the pipeline).
@@ -106,11 +107,14 @@ def _fingerprint(report, detector) -> str:
 
 
 def _run_comparison() -> dict:
-    """The same 1M-sample day through both hot paths, timed."""
+    """The same 1M-sample day through the hot path and the oracle, timed."""
     power, ci = _make_day()
     out: dict = {}
-    for label, columnar in (("scalar", False), ("columnar", True)):
-        pipeline, detector, _, _ = build_monitor(columnar=columnar)
+    for label, oracle in (("scalar", True), ("columnar", False)):
+        pipeline, detector, tracker, _ = build_monitor()
+        if oracle:
+            for processor in (detector, tracker):
+                processor.process = processor._process_scalar
         t0 = time.perf_counter()
         report = pipeline.run(
             series_batches(POWER_STREAM, power, COMPARISON_BATCH),

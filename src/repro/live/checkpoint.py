@@ -8,12 +8,18 @@ Every stateful stage already exposes ``state_dict()`` /
 ``load_state_dict()``; this module is the file format around them.
 
 Checkpoints are JSON: Python's ``json`` round-trips IEEE-754 doubles
-exactly (``repr`` shortest-round-trip) and serialises NaN/±inf natively,
-so a restored pipeline is *bit-identical* to the one that wrote the file —
-the kill-and-resume tests assert exact equality of segment means and alert
+exactly (``repr`` shortest-round-trip) and serialises NaN/±inf natively.
+The one bulk state — each rollup's quantile-sketch ``pending`` and
+``summary`` arrays, up to 16,384 floats — is packed as base64 of
+little-endian float64 rather than a list of floats, which is exact by
+construction and avoids a ``repr`` per float. Either way a restored
+pipeline is *bit-identical* to the one that wrote the file — the
+kill-and-resume tests assert exact equality of segment means and alert
 sequences, not approximate agreement. Writes are atomic (temp file +
 ``os.replace``) so a crash mid-write can never leave a truncated
-checkpoint where a good one used to be.
+checkpoint where a good one used to be; a file torn some other way fails
+to load with a :class:`~repro.errors.CheckpointError`, never a raw
+Python error.
 """
 
 from __future__ import annotations
@@ -49,7 +55,9 @@ __all__ = [
 #: Bump on any incompatible change to the checkpoint payload layout.
 #: v2: WindowedRollup snapshots a MergingQuantileSketch ("sketch") in
 #: place of the former per-quantile P² marker list ("quantiles").
-CHECKPOINT_VERSION = 2
+#: v3: the sketch's "pending" and "summary" arrays are base64 strings of
+#: little-endian float64 in place of JSON float lists.
+CHECKPOINT_VERSION = 3
 
 _ALERT_TYPES: dict[str, type] = {
     cls.__name__: cls

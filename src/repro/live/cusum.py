@@ -41,7 +41,7 @@ from .processors import Processor
 
 __all__ = ["CusumConfig", "Segment", "OnlineCusum"]
 
-#: IEEE-754 double machine epsilon, used to size the columnar scan's
+#: IEEE-754 double machine epsilon, used to size the vector scan's
 #: certified error envelope.
 _EPS = float(np.finfo(float).eps)
 
@@ -51,7 +51,7 @@ def _chain_total(seed: float, values: np.ndarray) -> float:
 
     ``np.add.accumulate`` applies the ufunc strictly sequentially, so this
     is bit-identical to ``for x in values: seed += x`` — unlike ``np.sum``,
-    whose pairwise reduction rounds differently. The columnar path uses it
+    whose pairwise reduction rounds differently. The vector scan uses it
     to fold whole spans into the scalar accumulators without drift.
     """
     if not len(values):
@@ -175,12 +175,12 @@ class OnlineCusum(Processor):
     piecewise-constant segmentation (call sites normally get it via the
     pipeline, which invokes :meth:`finish`).
 
-    With ``columnar=True`` batches are processed by a vectorised scan of
-    the cumulative statistic (see :meth:`_columnar_scan`); only alarm
-    candidates and certification-ambiguous spans fall back to the scalar
-    loop, which remains the parity oracle. Both paths produce bit-identical
-    alerts, segments and ``state_dict`` contents, so checkpoints resume
-    interchangeably across them.
+    Batches are processed by a vectorised scan of the cumulative
+    statistic (see :meth:`_scan`); only alarm candidates and
+    certification-ambiguous spans step through the per-sample recursion.
+    The per-sample loop :meth:`_process_scalar` is kept only as the parity
+    oracle for tests: both produce bit-identical alerts, segments and
+    ``state_dict`` contents.
     """
 
     #: After a non-alarming candidate the statistic hovers near the
@@ -188,14 +188,18 @@ class OnlineCusum(Processor):
     #: re-attempting a vector scan, so hovering costs O(n) not O(n·m).
     _SCALAR_COOLDOWN = 32
 
+    #: Most samples one vector scan covers. The scan workspace is sized by
+    #: this, not by the batch, so a million-sample catch-up slab leaves no
+    #: more resident memory behind than a live 4,096-sample batch.
+    _SCAN_SPAN = 2048
+
     def __init__(
         self,
         stream: str,
         config: CusumConfig | None = None,
-        columnar: bool = False,
     ) -> None:
         """Watch ``stream`` for mean shifts under ``config``."""
-        super().__init__(stream, columnar=columnar)
+        super().__init__(stream)
         self.config = config or CusumConfig()
         self._segment = _Accumulator()
         self._run_high = _Accumulator()  # samples while S⁺ > 0
@@ -207,19 +211,14 @@ class OnlineCusum(Processor):
         self._closed: list[Segment] = []
         self._finished = False
         self.nan_samples = 0
-        # Reusable scan workspace (seeded chain / chain / clamp blocks) —
-        # pure cache, never part of the persisted state.
+        # Reusable scan workspace (seeded chain / chain / clamp blocks of
+        # _SCAN_SPAN + 1 columns) — pure cache, never persisted.
         self._scratch: np.ndarray | None = None
 
     # -- ingest ----------------------------------------------------------------
 
-    def process(self, batch: StreamBatch) -> list[Alert]:
-        """Absorb one batch; return any alarms raised."""
-        if self.columnar:
-            return self._process_columnar(batch)
-        return self._process_scalar(batch)
-
     def _process_scalar(self, batch: StreamBatch) -> list[Alert]:
+        """Per-sample oracle for :meth:`process` (reached only from tests)."""
         alerts: list[Alert] = []
         for time_s, value in zip(batch.times_s.tolist(), batch.values.tolist()):
             if math.isnan(value):
@@ -235,7 +234,7 @@ class OnlineCusum(Processor):
             return
 
         # The per-side deltas are rounded before entering the recursion so
-        # the scalar chain and the columnar cumulative scan share one
+        # the scalar chain and the vectorised cumulative scan share one
         # rounding order (and −fl(z + k) == fl(−z − k) exactly).
         k = self.config.drift_sigma
         z = (value - self._mu) / self._sigma
@@ -258,12 +257,15 @@ class OnlineCusum(Processor):
         elif self._s_low > h:
             self._alarm(time_s, -1, self._s_low, self._run_low, alerts)
 
-    # -- columnar fast path ----------------------------------------------------
+    # -- vectorised hot path ---------------------------------------------------
 
-    def _process_columnar(self, batch: StreamBatch) -> list[Alert]:
-        """Vectorised ingest: bulk warm-up, scanned in-control spans, and a
-        scalar step only at alarm candidates — bit-identical to
-        :meth:`_process_scalar` by construction."""
+    def process(self, batch: StreamBatch) -> list[Alert]:
+        """Absorb one batch; return any alarms raised.
+
+        Bulk warm-up, scanned in-control spans of at most
+        :attr:`_SCAN_SPAN` samples, and a scalar step only at alarm
+        candidates — bit-identical to :meth:`_process_scalar` by
+        construction."""
         alerts: list[Alert] = []
         values = batch.values
         nan_mask = np.isnan(values)
@@ -288,22 +290,22 @@ class OnlineCusum(Processor):
                 self._maybe_arm()
                 continue
             if i >= scalar_until:
-                span, applied = self._columnar_scan(times, values, i, n)
-                if applied:
-                    i += span
-                    if i >= n:
-                        break
-                elif span:
+                hi = min(n, i + self._SCAN_SPAN)
+                span, applied = self._scan(times, values, i, hi)
+                if not applied:
                     # Rare: the scan could not certify where the statistic
                     # last touched zero — replay the span through the
-                    # scalar oracle (correctness never rides on the bound).
+                    # scalar recursion (correctness never rides on the bound).
                     stop = i + span
                     while i < stop:
                         self._ingest(float(times[i]), float(values[i]), alerts)
                         i += 1
                     continue
+                i += span
+                if i == hi:
+                    continue  # no candidate up to the end of this scan
             # The next sample is an alarm candidate (or inside a cooldown
-            # window): take it through the scalar oracle.
+            # window): take it through the scalar recursion.
             n_closed = len(self._closed)
             self._ingest(float(times[i]), float(values[i]), alerts)
             i += 1
@@ -312,10 +314,10 @@ class OnlineCusum(Processor):
                 scalar_until = i + self._SCALAR_COOLDOWN
         return alerts
 
-    def _columnar_scan(
-        self, times: np.ndarray, values: np.ndarray, lo: int, n: int
+    def _scan(
+        self, times: np.ndarray, values: np.ndarray, lo: int, hi: int
     ) -> tuple[int, bool]:
-        """Scan the armed span starting at ``lo`` for the first alarm candidate.
+        """Scan the armed span ``[lo, hi)`` for the first alarm candidate.
 
         The clamped CUSUM recursion ``S_t = max(0, S_{t-1} + d_t)`` equals
         the running chain minus its running minimum (reflected-walk
@@ -332,24 +334,24 @@ class OnlineCusum(Processor):
         cfg = self.config
         k = cfg.drift_sigma
         h = cfg.threshold_sigma
-        m = n - lo
+        m = hi - lo
         # Both sides in one (2, m+1) block — seeds in column 0 — so every
         # accumulate/compare below is a single numpy call, served from one
-        # reusable workspace (three blocks: seeded diffs, chain, clamp).
+        # fixed-size workspace (three blocks: seeded diffs, chain, clamp).
         # Every cell read below is written first, so reuse cannot leak
         # state between scans. Row arithmetic matches the scalar recursion
         # exactly: fl(z - k) for the high side, and -fl(z + k) for the low
         # side (exact negation of the rounded sum, as `_ingest` computes).
         width = m + 1
-        if self._scratch is None or self._scratch.shape[1] < width:
-            self._scratch = np.empty((6, width))
+        if self._scratch is None:
+            self._scratch = np.empty((6, self._SCAN_SPAN + 1))
         seeded = self._scratch[0:2, :width]
         chain_block = self._scratch[2:4, :width]
         clamp_block = self._scratch[4:6, :width]
         seeded[0, 0] = self._s_high
         seeded[1, 0] = self._s_low
         z = seeded[0, 1:]
-        np.subtract(values[lo:n], self._mu, out=z)
+        np.subtract(values[lo:hi], self._mu, out=z)
         z /= self._sigma
         seeded[1, 1:] = z
         # Forward-error envelope for an m-step addition chain (generous:

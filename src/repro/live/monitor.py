@@ -62,19 +62,18 @@ def build_monitor(
     channel_policy: str = "drop_oldest",
     max_samples_per_drain: int | None = None,
     supervisor_config: SupervisorConfig | None = None,
-    columnar: bool = False,
 ) -> tuple[MonitorPipeline, OnlineCusum, RegimeTracker, InterventionAdvisor]:
     """Assemble the standard monitoring pipeline; returns its stages.
 
     With ``supervisor_config`` the pipeline is the fault-tolerant
     :class:`~repro.live.supervisor.SupervisedPipeline`; otherwise the plain
-    strict pipeline. ``columnar=True`` selects the vectorised hot path in
-    every processor — bit-identical alerts, metrics and checkpoints, at a
-    large throughput multiple (see docs/operations.md, "Columnar fast
-    path"). Channel parameters are validated here, up front: an unknown
-    ``channel_policy`` or a non-positive ``channel_capacity_samples``
-    raises :class:`~repro.errors.MonitoringError` immediately rather than
-    on first overflow.
+    strict pipeline. Every processor runs its vectorised hot path, which
+    is bit-identical to the per-sample oracle the tests keep (see
+    docs/operations.md, "Hot path and scalar oracle"). Channel parameters
+    are validated here, up front: an unknown ``channel_policy`` or a
+    non-positive ``channel_capacity_samples`` raises
+    :class:`~repro.errors.MonitoringError` immediately rather than on
+    first overflow.
     """
     detector = OnlineCusum(POWER_STREAM, cusum_config)
     tracker = RegimeTracker(CI_STREAM, tracker_config)
@@ -84,7 +83,6 @@ def build_monitor(
         channel_policy=channel_policy,
         max_samples_per_drain=max_samples_per_drain,
         sinks=sinks,
-        columnar=columnar,
     )
     if supervisor_config is not None:
         pipeline: MonitorPipeline = SupervisedPipeline(
@@ -291,14 +289,6 @@ def monitor_main(argv: list[str] | None = None) -> int:
         help="rollup window size, hours (default: 24)",
     )
     parser.add_argument(
-        "--columnar",
-        action="store_true",
-        help=(
-            "use the vectorised hot path (bit-identical output, "
-            "several times faster)"
-        ),
-    )
-    parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress the live alert feed, print only the summary",
@@ -351,35 +341,37 @@ def monitor_main(argv: list[str] | None = None) -> int:
         else:
             faults = [s.strip() for s in args.inject_faults.split(",") if s.strip()]
     supervised = bool(args.supervised or faults or args.checkpoint)
-    supervisor_config = (
-        SupervisorConfig(
-            checkpoint_path=args.checkpoint,
-            checkpoint_every_s=args.checkpoint_every_hours * SECONDS_PER_HOUR,
-        )
-        if supervised
-        else None
-    )
-
-    scenario = build_scenario(args.scenario, args.days, args.seed)
     sinks = () if args.quiet else (TextAlertSink(sys.stdout),)
-    outcome = run_monitor(
-        scenario,
-        faults=faults,
-        fault_seed=args.fault_seed,
-        resume_from=args.checkpoint if args.resume else None,
-        cusum_config=CusumConfig(
-            threshold_sigma=args.threshold,
-            drift_sigma=args.drift,
-            warmup_samples=args.warmup,
-        ),
-        tracker_config=RegimeTrackerConfig(
-            hysteresis_g_per_kwh=args.hysteresis, min_dwell_samples=args.dwell
-        ),
-        rollup_window_s=args.window_hours * SECONDS_PER_HOUR,
-        sinks=sinks,
-        supervisor_config=supervisor_config,
-        columnar=args.columnar,
-    )
+    try:
+        supervisor_config = (
+            SupervisorConfig(
+                checkpoint_path=args.checkpoint,
+                checkpoint_every_s=args.checkpoint_every_hours * SECONDS_PER_HOUR,
+            )
+            if supervised
+            else None
+        )
+        scenario = build_scenario(args.scenario, args.days, args.seed)
+        outcome = run_monitor(
+            scenario,
+            faults=faults,
+            fault_seed=args.fault_seed,
+            resume_from=args.checkpoint if args.resume else None,
+            cusum_config=CusumConfig(
+                threshold_sigma=args.threshold,
+                drift_sigma=args.drift,
+                warmup_samples=args.warmup,
+            ),
+            tracker_config=RegimeTrackerConfig(
+                hysteresis_g_per_kwh=args.hysteresis, min_dwell_samples=args.dwell
+            ),
+            rollup_window_s=args.window_hours * SECONDS_PER_HOUR,
+            sinks=sinks,
+            supervisor_config=supervisor_config,
+        )
+    except MonitoringError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         print()
     print(_summary_table(outcome))

@@ -160,7 +160,6 @@ class MonitorPipeline:
         channel_policy: str = "drop_oldest",
         max_samples_per_drain: int | None = None,
         sinks: Iterable[AlertSink] = (),
-        columnar: bool = False,
     ) -> None:
         """Create an empty pipeline; attach processors before :meth:`run`.
 
@@ -170,11 +169,6 @@ class MonitorPipeline:
         than the remaining budget waits for a later cycle. A finite cap
         therefore models a consumer slower than ingest — channels fill, the
         overflow policy sheds, and the shed counts surface in the metrics.
-
-        ``columnar=True`` switches every attached processor to its
-        vectorised batch path; alerts, metrics and checkpoints are
-        bit-identical to the scalar pipeline's (see docs/operations.md,
-        "Columnar fast path").
         """
         # Channel parameters are validated here, up front, rather than on
         # first overflow deep inside the channel.
@@ -197,21 +191,14 @@ class MonitorPipeline:
         self._capacity = channel_capacity_samples
         self._policy = channel_policy
         self._drain_budget = max_samples_per_drain
-        self.columnar = bool(columnar)
         self._alerts: list[Alert] = []
         self.metrics = PipelineMetrics()
 
     # -- wiring ----------------------------------------------------------------
 
     def add_processor(self, processor: Processor) -> "MonitorPipeline":
-        """Subscribe a processor to its stream; returns ``self`` for chaining.
-
-        A columnar pipeline flips each attached processor onto its
-        vectorised path (processors default to scalar).
-        """
+        """Subscribe a processor to its stream; returns ``self`` for chaining."""
         stream = processor.stream
-        if self.columnar:
-            processor.columnar = True
         if stream not in self._channels:
             self._channels[stream] = BoundedChannel(
                 name=stream,

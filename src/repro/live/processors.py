@@ -23,15 +23,9 @@ __all__ = ["Processor", "WindowedRollup"]
 class Processor:
     """Base class: consume batches of one stream, emit alerts."""
 
-    def __init__(self, stream: str, columnar: bool = False) -> None:
-        """Subscribe to ``stream``.
-
-        ``columnar`` selects the vectorised batch path in processors that
-        implement one; the scalar path is retained as the parity oracle
-        and both produce bit-identical alerts and ``state_dict`` contents.
-        """
+    def __init__(self, stream: str) -> None:
+        """Subscribe to ``stream``."""
         self.stream = stream
-        self.columnar = bool(columnar)
 
     def process(self, batch: StreamBatch) -> list[Alert]:
         """Absorb one batch; return any alerts it triggered."""
@@ -70,11 +64,10 @@ class WindowedRollup(Processor):
     never emits an empty final window (regression-pinned in
     ``tests/live/test_rollup_boundaries.py``).
 
-    The bucketing below is columnar by construction (NumPy window
+    The bucketing below is vectorised by construction (NumPy window
     bucketing over whole batches) and both accumulators are
-    chunking-invariant, so the inherited ``columnar`` flag changes
-    nothing here: scalar and columnar pipelines share this single
-    implementation and agree bit-for-bit.
+    chunking-invariant, so the result is a pure function of the sample
+    sequence whatever the batch sizes.
     """
 
     def __init__(
@@ -82,10 +75,9 @@ class WindowedRollup(Processor):
         stream: str,
         window_s: float = SECONDS_PER_DAY,
         quantiles: tuple[float, ...] = (0.05, 0.5, 0.95),
-        columnar: bool = False,
     ) -> None:
         """Roll ``stream`` up into ``window_s`` tumbling windows."""
-        super().__init__(stream, columnar=columnar)
+        super().__init__(stream)
         if window_s <= 0:
             raise MonitoringError(f"window_s must be positive, got {window_s}")
         self.window_s = float(window_s)

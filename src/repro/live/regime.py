@@ -64,11 +64,11 @@ class RegimeTrackerConfig:
 class RegimeTracker(Processor):
     """Tracks the §2 regime of a live CI stream without boundary flapping.
 
-    With ``columnar=True`` each batch is classified in one vectorised pass
-    (the same ``< low`` / ``≤ high`` / ``> high`` rule as
-    :func:`~repro.core.regimes.classify_ci`) and hysteresis plus debounce
-    are applied on the run-length-encoded regime sequence; the per-sample
-    loop remains the parity oracle and both paths commit bit-identical
+    Each batch is classified in one vectorised pass (the same ``< low`` /
+    ``≤ high`` / ``> high`` rule as :func:`~repro.core.regimes.classify_ci`)
+    and hysteresis plus debounce are applied on the run-length-encoded
+    regime sequence. The per-sample loop :meth:`_process_scalar` is kept
+    only as the parity oracle for tests: both commit bit-identical
     transitions and ``state_dict`` contents.
     """
 
@@ -79,10 +79,9 @@ class RegimeTracker(Processor):
         self,
         stream: str,
         config: RegimeTrackerConfig | None = None,
-        columnar: bool = False,
     ) -> None:
         """Track regimes on ``stream`` under ``config``."""
-        super().__init__(stream, columnar=columnar)
+        super().__init__(stream)
         self.config = config or RegimeTrackerConfig()
         self.current: Regime | None = None
         self._pending_regime: Regime | None = None
@@ -102,13 +101,8 @@ class RegimeTracker(Processor):
             return low - h, high - h
         return low - h, high + h
 
-    def process(self, batch: StreamBatch) -> list[Alert]:
-        """Absorb CI samples; return committed regime transitions."""
-        if self.columnar:
-            return self._process_columnar(batch)
-        return self._process_scalar(batch)
-
     def _process_scalar(self, batch: StreamBatch) -> list[Alert]:
+        """Per-sample oracle for :meth:`process` (reached only from tests)."""
         alerts: list[Alert] = []
         cfg = self.config
         for time_s, ci in zip(batch.times_s.tolist(), batch.values.tolist()):
@@ -145,12 +139,14 @@ class RegimeTracker(Processor):
                 self._pending_count = 0
         return alerts
 
-    # -- columnar fast path ----------------------------------------------------
+    # -- vectorised hot path ---------------------------------------------------
 
-    def _process_columnar(self, batch: StreamBatch) -> list[Alert]:
-        """Vectorised ingest: classify the batch in one pass, then walk the
-        run-length-encoded candidate sequence — bit-identical to
-        :meth:`_process_scalar` by construction."""
+    def process(self, batch: StreamBatch) -> list[Alert]:
+        """Absorb CI samples; return committed regime transitions.
+
+        Classifies the batch in one pass, then walks the run-length-encoded
+        candidate sequence — bit-identical to :meth:`_process_scalar` by
+        construction."""
         alerts: list[Alert] = []
         cfg = self.config
         values = batch.values
@@ -177,10 +173,10 @@ class RegimeTracker(Processor):
                 alerts.append(self._commit(None, self.current, float(times[i]), ci))
                 i += 1
                 continue
-            i = self._columnar_span(times, values, i, n, alerts)
+            i = self._dwell_span(times, values, i, n, alerts)
         return alerts
 
-    def _columnar_span(
+    def _dwell_span(
         self,
         times: np.ndarray,
         values: np.ndarray,

@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..errors import CheckpointError, MonitoringError
+from ..errors import CheckpointError, HpcemError, MonitoringError
 from .alerts import DataGapAlert, DeadLetterAlert, DegradedModeAlert, ProcessorCrashAlert
 from .checkpoint import alert_from_dict, alert_to_dict, load_checkpoint, save_checkpoint
 from .events import StreamBatch, merge_batches
@@ -50,6 +51,21 @@ from .pipeline import MonitorPipeline, PipelineMetrics
 from .processors import Processor
 
 __all__ = ["SupervisorConfig", "DeadLetterStore", "SupervisedPipeline"]
+
+
+@contextmanager
+def _restoring(component: str) -> Iterator[None]:
+    """Re-raise what a torn-but-parseable checkpoint component raises on
+    restore — a missing key, a value of the wrong type or shape, or the
+    component's own validation error — as a :class:`CheckpointError`
+    naming the component."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, HpcemError) as exc:
+        raise CheckpointError(
+            f"checkpoint component {component!r} is malformed: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -485,41 +501,55 @@ class SupervisedPipeline(MonitorPipeline):
         :meth:`~repro.live.pipeline.MonitorPipeline.run` over the *same
         deterministic sources* skips the already-processed prefix and
         continues bit-identically with the interrupted run.
+
+        A torn payload that still parses — a component missing a key or
+        holding a value of the wrong type, an undecodable packed array, a
+        bad RNG state — raises :class:`~repro.errors.CheckpointError`
+        naming the component. The pipeline may then be partly restored and
+        must be discarded.
         """
         current = [
             (stream, type(processor).__name__, processor)
             for stream, group in self._processors.items()
             for processor in group
         ]
-        recorded = payload["processors"]
-        if [(s, t) for s, t, _ in current] != [
-            (p["stream"], p["type"]) for p in recorded
-        ]:
+        with _restoring("processors"):
+            recorded = [(p["stream"], p["type"], p["state"]) for p in payload["processors"]]
+        if [(s, t) for s, t, _ in current] != [(s, t) for s, t, _ in recorded]:
             raise CheckpointError(
                 "checkpoint does not match this pipeline's processors: "
-                f"expected {[(p['stream'], p['type']) for p in recorded]}, "
+                f"expected {[(s, t) for s, t, _ in recorded]}, "
                 f"assembled {[(s, t) for s, t, _ in current]}"
             )
-        for (_, _, processor), record in zip(current, recorded):
-            processor.load_state_dict(record["state"])
-        if (payload["advisor"] is None) != (self._advisor is None):
+        for (_, _, processor), (_, _, state) in zip(current, recorded):
+            with _restoring(f"processor {self._processor_key(processor)}"):
+                processor.load_state_dict(state)
+        with _restoring("advisor"):
+            advisor_state = payload["advisor"]
+        if (advisor_state is None) != (self._advisor is None):
             raise CheckpointError(
                 "checkpoint and pipeline disagree about having an advisor"
             )
         if self._advisor is not None:
-            self._advisor.load_state_dict(payload["advisor"])
-        self.metrics = PipelineMetrics.restore(payload["metrics"])
-        self._alerts = [alert_from_dict(d) for d in payload["alerts"]]
-        self.dead_letters.load_state_dict(payload["dead_letters"])
-        self._admit_watermark = dict(payload["admit_watermark"])
-        self._last_seen = dict(payload["last_seen"])
-        self._stale = set(payload["stale"])
-        self._retry_at = dict(payload["retry_at"])
-        self._quarantined = set(payload["quarantined"])
-        # lint: allow-unseeded -- placeholder generator; exact state restored below
-        self._rng = np.random.default_rng()
-        self._rng.bit_generator.state = payload["rng_state"]
-        self._last_checkpoint_s = payload["last_checkpoint_s"]
+            with _restoring("advisor"):
+                self._advisor.load_state_dict(advisor_state)
+        with _restoring("metrics"):
+            self.metrics = PipelineMetrics.restore(payload["metrics"])
+        with _restoring("alerts"):
+            self._alerts = [alert_from_dict(d) for d in payload["alerts"]]
+        with _restoring("dead_letters"):
+            self.dead_letters.load_state_dict(payload["dead_letters"])
+        with _restoring("supervision state"):
+            self._admit_watermark = dict(payload["admit_watermark"])
+            self._last_seen = dict(payload["last_seen"])
+            self._stale = set(payload["stale"])
+            self._retry_at = dict(payload["retry_at"])
+            self._quarantined = set(payload["quarantined"])
+            self._last_checkpoint_s = payload["last_checkpoint_s"]
+        with _restoring("rng_state"):
+            # lint: allow-unseeded -- placeholder generator; exact state restored below
+            self._rng = np.random.default_rng()
+            self._rng.bit_generator.state = payload["rng_state"]
         # Fresh channels restart at zero; carry the pre-resume counters.
         self._dropped_baseline = dict(self.metrics.samples_dropped)
         self._hwm_baseline = dict(self.metrics.channel_high_watermarks)

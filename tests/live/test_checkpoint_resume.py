@@ -3,8 +3,11 @@ file error paths, pipeline snapshot validation, and the acceptance
 property — a killed-and-resumed monitor is bit-identical to one that was
 never interrupted."""
 
+import base64
+import copy
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from repro.live.checkpoint import (
 )
 from repro.live.cusum import OnlineCusum
 from repro.live.events import CI_STREAM, POWER_STREAM, StreamBatch
-from repro.live.monitor import build_monitor
+from repro.live.monitor import build_monitor, monitor_main
 from repro.live.processors import WindowedRollup
 from repro.live.regime import RegimeTracker
 from repro.live.replay import build_scenario, scenario_sources
@@ -191,6 +194,14 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
+    def test_v2_checkpoint_rejected(self, tmp_path):
+        """v2 stored the sketch arrays as float lists; v3 packs them."""
+        path = tmp_path / "v2.ckpt"
+        sketch = {"n_valid": 2, "pending": [3220.0, 3221.5], "summary": []}
+        path.write_text(json.dumps({"version": 2, "payload": {"sketch": sketch}}))
+        with pytest.raises(CheckpointError, match="has version 2; this build reads"):
+            load_checkpoint(path)
+
     def test_missing_payload_rejected(self, tmp_path):
         path = tmp_path / "empty.ckpt"
         path.write_text(json.dumps({"version": CHECKPOINT_VERSION}))
@@ -325,3 +336,102 @@ class TestKillAndResume:
         full_state.pop("checkpoints_written")
         assert resumed_state == full_state
         assert report.metrics.reconciles()
+
+
+@pytest.fixture(scope="module")
+def mid_run_payload(tmp_path_factory):
+    """The checkpoint a killed fig2 run left behind, with rollup windows
+    open (non-empty packed sketch arrays) and the CUSUM armed."""
+    ckpt = tmp_path_factory.mktemp("mid-run") / "monitor.ckpt"
+    cfg = SupervisorConfig(checkpoint_path=ckpt, checkpoint_every_s=2 * 86400.0)
+    victim, *_ = build_monitor(supervisor_config=cfg)
+    power, ci = scenario_sources(build_scenario("fig2", duration_days=30.0), 256)
+    with pytest.raises(Killed):
+        victim.run(kill_after(power, 7), ci)
+    return load_checkpoint(ckpt)
+
+
+def drop_last_float(packed):
+    """A packed array one whole float shorter: still valid base64."""
+    return base64.b64encode(base64.b64decode(packed)[:-8]).decode("ascii")
+
+
+def set_pending(value):
+    def tear(payload):
+        sketch = payload["processors"][1]["state"]["sketch"]
+        sketch["pending"] = value(sketch["pending"])
+
+    return tear
+
+
+class TestTornCheckpoint:
+    """A checkpoint that passes the version check but is torn inside fails
+    to load with a CheckpointError naming the broken component."""
+
+    POWER_CUSUM = f"processor {POWER_STREAM}:OnlineCusum"
+    POWER_ROLLUP = f"processor {POWER_STREAM}:WindowedRollup"
+
+    def resume(self, tmp_path, payload):
+        path = tmp_path / "torn.ckpt"
+        save_checkpoint(path, payload)
+        pipeline, *_ = build_monitor(supervisor_config=SupervisorConfig())
+        pipeline.resume_from(path)
+
+    def test_intact_payload_loads(self, tmp_path, mid_run_payload):
+        sketch = mid_run_payload["processors"][1]["state"]["sketch"]
+        assert sketch["pending"], "the fixture must leave a rollup window open"
+        self.resume(tmp_path, mid_run_payload)
+
+    @pytest.mark.parametrize(
+        "tear,component,cause",
+        [
+            (
+                lambda p: p["processors"][0]["state"].pop("mu"),
+                POWER_CUSUM,
+                "KeyError: 'mu'",
+            ),
+            (set_pending(lambda _: "not base64!"), POWER_ROLLUP, "'pending'"),
+            (
+                set_pending(lambda packed: packed[: len(packed) // 2]),
+                POWER_ROLLUP,
+                "TelemetryError",
+            ),
+            (set_pending(drop_last_float), POWER_ROLLUP, "inconsistent"),
+            (
+                lambda p: p["metrics"].pop("samples_in"),
+                "metrics",
+                "KeyError: 'samples_in'",
+            ),
+            (
+                lambda p: p["rng_state"].update(bit_generator="MT19937"),
+                "rng_state",
+                "PCG64",
+            ),
+        ],
+        ids=[
+            "processor-key-missing",
+            "pending-not-base64",
+            "pending-cut-mid-text",
+            "pending-truncated-by-one-float",
+            "metrics-key-missing",
+            "rng-state-wrong-generator",
+        ],
+    )
+    def test_names_the_component(self, tmp_path, mid_run_payload, tear, component, cause):
+        payload = copy.deepcopy(mid_run_payload)
+        tear(payload)
+        with pytest.raises(CheckpointError) as info:
+            self.resume(tmp_path, payload)
+        message = str(info.value)
+        assert re.search(f"component '{re.escape(component)}' is malformed", message)
+        assert cause in message
+
+
+class TestMonitorCliErrors:
+    def test_resume_from_missing_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.ckpt"
+        argv = ["--scenario", "fig2", "--days", "2", "--quiet"]
+        code = monitor_main([*argv, "--checkpoint", str(missing), "--resume"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read checkpoint")

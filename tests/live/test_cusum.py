@@ -164,3 +164,21 @@ class TestDetection:
         alerts = feed(detector, times, values)
         assert len(alerts) >= 1
         assert alerts[0].direction == -1
+
+
+class TestScanWorkspace:
+    def test_bounded_after_million_sample_batch(self, rng):
+        """A catch-up slab leaves no batch-sized workspace behind: the scan
+        covers at most ``_SCAN_SPAN`` samples at a time."""
+        n = 1_000_000
+        times = np.arange(float(n))
+        values = 3220.0 + 32.0 * rng.standard_normal(n)
+        values[n // 2 :] -= 210.0
+        detector = OnlineCusum(POWER_STREAM)
+        alerts = detector.process(StreamBatch(POWER_STREAM, times, values))
+        assert len(alerts) >= 1  # the step alarms inside the slab
+        bound = 6 * (OnlineCusum._SCAN_SPAN + 1) * values.itemsize
+        assert detector._scratch.nbytes <= bound
+        workspace = detector._scratch
+        feed(detector, times[-4096:] + n, values[-4096:], chunk=4096)
+        assert detector._scratch is workspace  # reused, never regrown

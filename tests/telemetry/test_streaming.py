@@ -297,6 +297,47 @@ class TestMergingQuantileSketch:
         assert resumed.state_dict() == sketch.state_dict()
         assert resumed.result(0.5) == sketch.result(0.5)
 
+    #: Values a decimal float round-trip is most likely to mangle: signed
+    #: zero, subnormals, and the largest finite magnitudes.
+    EXTREMES = [-0.0, 5e-324, -5e-324, 1e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+
+    @pytest.mark.parametrize(
+        "n_values,fill,folded",
+        [(0, 0, False), (5, 5, False), (64, 0, True), (69, 5, True)],
+        ids=["empty", "part-filled", "exactly-full-then-folded", "folded-and-part-filled"],
+    )
+    def test_packed_state_roundtrip_is_bit_exact(self, n_values, fill, folded):
+        import json
+
+        values = np.resize(np.array(self.EXTREMES), n_values)  # cycles the extremes
+        sketch = MergingQuantileSketch(block_size=64, summary_size=8).update(values)
+        assert (sketch._fill, len(sketch._summary) > 0) == (fill, folded)
+        state = json.loads(json.dumps(sketch.state_dict()))
+        assert isinstance(state["pending"], str) and isinstance(state["summary"], str)
+        resumed = MergingQuantileSketch.restore(state)
+        # Packed strings compare equal only if every bit of every float does.
+        assert resumed.state_dict() == sketch.state_dict()
+        pending = sketch._buffer[:fill] if fill else np.empty(0)
+        resumed_pending = resumed._buffer[:fill] if fill else np.empty(0)
+        assert resumed_pending.tobytes() == pending.tobytes()
+        assert resumed._summary.tobytes() == sketch._summary.tobytes()
+        more = np.linspace(-1.0, 1.0, 100)
+        sketch.update(more)
+        resumed.update(more)
+        assert resumed.state_dict() == sketch.state_dict()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("pending", "***"), ("pending", [1.0, 2.0]), ("summary", "AAAA")],
+        ids=["not-base64", "v2-float-list", "partial-float"],
+    )
+    def test_malformed_packed_state_rejected(self, field, value):
+        sketch = MergingQuantileSketch(block_size=64, summary_size=8).update(np.arange(70.0))
+        state = sketch.state_dict()
+        state[field] = value
+        with pytest.raises(TelemetryError, match=field):
+            MergingQuantileSketch.restore(state)
+
 
 class TestChunkedSeriesReader:
     def test_series_chunks_reconstruct(self):
