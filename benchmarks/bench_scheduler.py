@@ -165,10 +165,34 @@ def test_malleable_scheduler_at_scale(once):
 # hold (delivered + wasted node-hours reconcile against the trace), the
 # measured mean unavailability lands within 2x of the two-state Markov
 # steady state MTTR/(MTBF+MTTR), and both a seeded rerun and a mid-fault
-# kill/resume stay byte-identical.
+# kill/resume stay byte-identical — for the malleable run and, on the same
+# event loop and fault path, for rigid EASY backfill.
 
 MTBF_HOURS = 4380.0
 MTTR_HOURS = 12.0
+
+
+def _identical(a, b) -> bool:
+    return (
+        _trace_bytes(a.trace) == _trace_bytes(b.trace)
+        and a.records == b.records
+        and a.faults == b.faults
+    )
+
+
+def _rerun_and_resume(new_simulation, reference) -> tuple[bool, bool]:
+    """Seeded-rerun and mid-fault kill/resume byte-identity against
+    ``reference``; ``new_simulation()`` builds a fresh run of the trace."""
+    rerun_identical = _identical(new_simulation().run_to_completion(), reference)
+    # Kill mid-trace while faults are in flight, JSON round-trip, resume.
+    sim = new_simulation()
+    for _ in range(3 * N_JOBS // 2):
+        if not sim.step():
+            break
+    snapshot = json.loads(json.dumps(sim.state_dict()))
+    resumed_sim = new_simulation()
+    resumed_sim.load_state_dict(snapshot)
+    return rerun_identical, _identical(resumed_sim.run_to_completion(), reference)
 
 
 def _run_faulted() -> dict:
@@ -188,32 +212,26 @@ def _run_faulted() -> dict:
     t0 = time.perf_counter()
     faulted = scheduler.run(jobs, t_end_s)
     t_faulted = time.perf_counter() - t0
-
-    rerun = scheduler.run(jobs, t_end_s)
-    rerun_identical = (
-        _trace_bytes(rerun.trace) == _trace_bytes(faulted.trace)
-        and rerun.records == faulted.records
-        and rerun.faults == faulted.faults
+    rerun_identical, resume_identical = _rerun_and_resume(
+        lambda: scheduler.simulation(jobs, t_end_s), faulted
     )
 
-    # Kill mid-trace while faults are in flight, JSON round-trip, resume.
-    sim = scheduler.simulation(jobs, t_end_s)
-    for _ in range(3 * N_JOBS // 2):
-        if not sim.step():
-            break
-    snapshot = json.loads(json.dumps(sim.state_dict()))
-    resumed_sim = scheduler.simulation(jobs, t_end_s)
-    resumed_sim.load_state_dict(snapshot)
-    resumed = resumed_sim.run_to_completion()
-    resume_identical = (
-        _trace_bytes(resumed.trace) == _trace_bytes(faulted.trace)
-        and resumed.records == faulted.records
-        and resumed.faults == faulted.faults
+    rigid_scheduler = BackfillScheduler(N_NODES, fault_config=fault_config)
+    t0 = time.perf_counter()
+    rigid = rigid_scheduler.run(jobs, t_end_s, environment)
+    t_rigid = time.perf_counter() - t0
+    rigid_rerun_identical, rigid_resume_identical = _rerun_and_resume(
+        lambda: rigid_scheduler.simulation(jobs, t_end_s, environment), rigid
     )
 
     span_s = faulted.t_end_s - faulted.t_start_s
     return {
         "t_faulted": t_faulted,
+        "t_rigid": t_rigid,
+        "rigid_faults": rigid.faults,
+        "rigid_reconciles": rigid.reconciles(),
+        "rigid_rerun_identical": rigid_rerun_identical,
+        "rigid_resume_identical": rigid_resume_identical,
         "span_days": span_s / 86400.0,
         "faults": faulted.faults,
         "measured_unavailability": faulted.faults.mean_unavailability(
@@ -230,7 +248,7 @@ def _run_faulted() -> dict:
 
 def test_faulted_scheduler_at_scale(once):
     r = once(_run_faulted)
-    acct = r["faults"]
+    acct, rigid_acct = r["faults"], r["rigid_faults"]
     rows = [
         ["Fault model", f"MTBF {MTBF_HOURS:g} h, MTTR {MTTR_HOURS:g} h, seed {SEED}"],
         ["Faulted run", f"{r['t_faulted']:.1f} s over {r['span_days']:.0f} days"],
@@ -241,6 +259,10 @@ def test_faulted_scheduler_at_scale(once):
         ["Conservation reconciles", str(r["reconciles"])],
         ["Seeded rerun byte-identical", str(r["rerun_identical"])],
         ["Mid-fault kill/resume byte-identical", str(r["resume_identical"])],
+        ["Rigid faulted run", f"{r['t_rigid']:.1f} s, {rigid_acct.n_failures:,} failures, {rigid_acct.n_job_kills:,} job kills, {rigid_acct.wasted_node_hours:,.0f} wasted node-h"],
+        ["Rigid conservation reconciles", str(r["rigid_reconciles"])],
+        ["Rigid seeded rerun byte-identical", str(r["rigid_rerun_identical"])],
+        ["Rigid mid-fault kill/resume byte-identical", str(r["rigid_resume_identical"])],
     ]
     print()
     print(render_table(["Quantity", "Value"], rows, title="Scheduling under injected faults"))
@@ -250,3 +272,7 @@ def test_faulted_scheduler_at_scale(once):
     assert r["steady_state"] / 2.0 <= r["measured_unavailability"] <= r["steady_state"] * 2.0
     assert r["rerun_identical"]
     assert r["resume_identical"]
+    assert rigid_acct.n_failures > 0 and rigid_acct.n_job_kills > 0
+    assert r["rigid_reconciles"]
+    assert r["rigid_rerun_identical"]
+    assert r["rigid_resume_identical"]

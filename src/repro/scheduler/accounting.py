@@ -21,6 +21,7 @@ from ..workload.jobs import JobRecord
 
 if TYPE_CHECKING:  # telemetry.recorder imports this module — keep type-only
     from ..telemetry.series import TimeSeries
+    from .malleable import ElasticRecord, MalleableSimulationResult
 
 __all__ = [
     "PowerTrace",
@@ -29,6 +30,7 @@ __all__ = [
     "SimulationResult",
     "trace_emissions_tco2e",
     "bounded_stretches",
+    "reconciles",
 ]
 
 
@@ -202,8 +204,45 @@ class FaultAccounting:
         return self.drained_node_seconds / (n_nodes * span_s)
 
 
+class _RunMetrics:
+    """Metrics shared by :class:`SimulationResult` and
+    :class:`~repro.scheduler.malleable.MalleableSimulationResult`."""
+
+    n_nodes: int
+    records: list
+    trace: PowerTrace
+
+    def mean_utilisation(self) -> float:
+        """Time-weighted mean node utilisation over the span."""
+        return self.trace.mean_busy_nodes() / self.n_nodes
+
+    def total_energy_kwh(self) -> float:
+        """Busy-node energy integrated over the span, kWh."""
+        return self.trace.energy_j() / JOULES_PER_KWH
+
+    def emissions_tco2e(self, ci: TimeSeries) -> float:
+        """Scope-2 emissions of the run against a carbon-intensity series."""
+        return trace_emissions_tco2e(self.trace, ci)
+
+    def mean_bounded_stretch(self, tau_s: float = 600.0) -> float:
+        """Mean bounded slowdown of completed attempts (1.0 when none ran)."""
+        completed = [r for r in self.records if not r.interrupted]
+        stretches = bounded_stretches(completed, tau_s)
+        if len(stretches) == 0:
+            return 1.0
+        return float(np.mean(stretches))
+
+    def p95_bounded_stretch(self, tau_s: float = 600.0) -> float:
+        """95th-percentile bounded slowdown of completed attempts (1.0 when none ran)."""
+        completed = [r for r in self.records if not r.interrupted]
+        stretches = bounded_stretches(completed, tau_s)
+        if len(stretches) == 0:
+            return 1.0
+        return float(np.quantile(stretches, 0.95))
+
+
 @dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(_RunMetrics):
     """Everything a scheduler run produced."""
 
     n_nodes: int
@@ -223,50 +262,12 @@ class SimulationResult:
         return self.t_end_s - self.t_start_s
 
     def reconciles(self, rel_tol: float = 1e-6) -> bool:
-        """Conservation identities of the run.
-
-        Checks (1) job conservation — submitted == completed +
-        terminally-failed + running-at-horizon + still-queued; (2) node-hour
-        conservation — the trace's busy integral equals delivered plus
-        wasted record node-seconds; (3) the wasted column matches the
-        interrupted records; and (4) busy plus drained capacity never
-        exceeds the facility's node-seconds over the span. Float identities
-        use a relative tolerance (the two sides group the same rectangle
-        areas differently).
-        """
-        jobs_ok = self.n_jobs == (
-            self.n_completed
-            + self.faults.n_failed_terminal
-            + self.n_running_at_end
-            + self.n_unstarted
-        )
-        delivered = sum(r.node_seconds for r in self.records if not r.interrupted)
-        wasted = sum(r.node_seconds for r in self.records if r.interrupted)
-        busy = self.trace.node_seconds()
-        abs_tol = 1e-6 * max(1.0, self.span_s)
-        hours_ok = math.isclose(
-            delivered + wasted, busy, rel_tol=rel_tol, abs_tol=abs_tol
-        )
-        wasted_ok = math.isclose(
-            wasted, self.faults.wasted_node_seconds, rel_tol=rel_tol, abs_tol=abs_tol
-        )
-        capacity = self.n_nodes * self.span_s
-        capacity_ok = (
-            busy + self.faults.drained_node_seconds <= capacity * (1 + rel_tol) + abs_tol
-        )
-        return jobs_ok and hours_ok and wasted_ok and capacity_ok
-
-    def mean_utilisation(self) -> float:
-        """Time-weighted mean node utilisation over the span."""
-        return self.trace.mean_busy_nodes() / self.n_nodes
+        """Conservation identities of the run (see :func:`reconciles`)."""
+        return reconciles(self, self.n_unstarted, rel_tol)
 
     def total_node_hours(self) -> float:
         """Node-hours delivered to jobs within the span (wasted burn excluded)."""
         return sum(r.node_hours for r in self.records if not r.interrupted)
-
-    def total_energy_kwh(self) -> float:
-        """Busy-node energy integrated over the span, kWh."""
-        return self.trace.energy_j() / JOULES_PER_KWH
 
     def mean_wait_s(self) -> float:
         """Mean queue wait of completed attempts, seconds (0 when none)."""
@@ -296,26 +297,6 @@ class SimulationResult:
         if busy_nodes == 0:
             return 0.0
         return self.trace.mean_busy_power_w() / busy_nodes
-
-    def emissions_tco2e(self, ci: TimeSeries) -> float:
-        """Scope-2 emissions of the run against a carbon-intensity series."""
-        return trace_emissions_tco2e(self.trace, ci)
-
-    def mean_bounded_stretch(self, tau_s: float = 600.0) -> float:
-        """Mean bounded slowdown of started jobs (1.0 when none ran)."""
-        completed = [r for r in self.records if not r.interrupted]
-        stretches = bounded_stretches(completed, tau_s)
-        if len(stretches) == 0:
-            return 1.0
-        return float(np.mean(stretches))
-
-    def p95_bounded_stretch(self, tau_s: float = 600.0) -> float:
-        """95th-percentile bounded slowdown of started jobs (1.0 when none ran)."""
-        completed = [r for r in self.records if not r.interrupted]
-        stretches = bounded_stretches(completed, tau_s)
-        if len(stretches) == 0:
-            return 1.0
-        return float(np.quantile(stretches, 0.95))
 
 
 def trace_emissions_tco2e(trace: PowerTrace, ci: TimeSeries) -> float:
@@ -347,7 +328,9 @@ def trace_emissions_tco2e(trace: PowerTrace, ci: TimeSeries) -> float:
     return float(g_to_tonnes(np.sum(grams)))
 
 
-def bounded_stretches(records: list[JobRecord], tau_s: float = 600.0) -> np.ndarray:
+def bounded_stretches(
+    records: list[JobRecord] | list[ElasticRecord], tau_s: float = 600.0
+) -> np.ndarray:
     """Bounded slowdown ``max(1, (wait + run) / max(run, tau))`` per record.
 
     The ``tau_s`` floor (10 min, the conventional choice) stops very short
@@ -358,3 +341,44 @@ def bounded_stretches(records: list[JobRecord], tau_s: float = 600.0) -> np.ndar
     waits_s = np.array([r.wait_s for r in records], dtype=float)
     runs_s = np.array([r.runtime_s for r in records], dtype=float)
     return np.maximum(1.0, (waits_s + runs_s) / np.maximum(runs_s, tau_s))
+
+
+def reconciles(
+    result: SimulationResult | MalleableSimulationResult,
+    n_queued: int,
+    rel_tol: float = 1e-6,
+) -> bool:
+    """Conservation identities of a scheduler run, for either result type.
+
+    Checks (1) job conservation — submitted == completed +
+    terminally-failed + running-at-horizon + ``n_queued`` (still waiting or
+    awaiting release); (2) node-hour conservation — the trace's busy
+    integral equals delivered plus wasted record node-seconds; (3) the
+    wasted column matches the interrupted records; and (4) busy plus
+    drained capacity never exceeds the facility's node-seconds over the
+    span. Float identities use a relative tolerance (the two sides group
+    the same rectangle areas differently).
+    """
+    faults = result.faults
+    jobs_ok = result.n_jobs == (
+        result.n_completed
+        + faults.n_failed_terminal
+        + result.n_running_at_end
+        + n_queued
+    )
+    delivered = sum(r.node_seconds for r in result.records if not r.interrupted)
+    wasted = sum(r.node_seconds for r in result.records if r.interrupted)
+    busy = result.trace.node_seconds()
+    span_s = result.t_end_s - result.t_start_s
+    abs_tol = 1e-6 * max(1.0, span_s)
+    hours_ok = math.isclose(
+        delivered + wasted, busy, rel_tol=rel_tol, abs_tol=abs_tol
+    )
+    wasted_ok = math.isclose(
+        wasted, faults.wasted_node_seconds, rel_tol=rel_tol, abs_tol=abs_tol
+    )
+    capacity = result.n_nodes * span_s
+    capacity_ok = (
+        busy + faults.drained_node_seconds <= capacity * (1 + rel_tol) + abs_tol
+    )
+    return jobs_ok and hours_ok and wasted_ok and capacity_ok

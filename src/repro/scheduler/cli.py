@@ -16,7 +16,8 @@ schedulers (kills, requeues, wasted node-hours), and
 ``--inject-feed-outages`` additionally degrades the malleable scheduler's
 forecast feed. Under ``--check`` with faults on, the gates extend to the
 full conservation identities (delivered + wasted node-hours reconcile
-against the trace) and a mid-simulation kill/resume byte-identity replay.
+against the trace) and a mid-simulation kill/resume byte-identity replay
+of both the rigid and the malleable run.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -34,8 +36,14 @@ from ..node import build_node_model
 from ..units import SECONDS_PER_DAY
 from ..workload.generator import JobStreamConfig, JobStreamGenerator
 from ..workload.mix import archer2_mix
-from .backfill import StaticEnvironment
-from .malleable import MalleableScheduler, compare_rigid_malleable
+from .accounting import SimulationResult
+from .backfill import BackfillScheduler, StaticEnvironment
+from .malleable import (
+    MalleableScheduler,
+    MalleableSimulation,
+    MalleableSimulationResult,
+    compare_rigid_malleable,
+)
 
 __all__ = ["build_sched_parser", "sched_main"]
 
@@ -150,6 +158,28 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
 
 def _format_row(label: str, rigid: str, malleable: str) -> str:
     return f"{label:<28}{rigid:>16}{malleable:>16}"
+
+
+def _resume_replays(
+    new_simulation: Callable[[], MalleableSimulation],
+    result: SimulationResult | MalleableSimulationResult,
+) -> bool:
+    """Kill a fresh run mid-trace, round-trip its snapshot through JSON and
+    resume it in another: the replay must match ``result`` byte for byte."""
+    sim = new_simulation()
+    for _ in range(max(1, (result.n_jobs * 3) // 2)):
+        if not sim.step():
+            break
+    snapshot = json.loads(json.dumps(sim.state_dict()))
+    resumed = new_simulation()
+    resumed.load_state_dict(snapshot)
+    replay = resumed.run_to_completion()
+    return (
+        replay.records == result.records
+        and replay.faults == result.faults
+        and replay.trace.times_s.tobytes() == result.trace.times_s.tobytes()
+        and replay.trace.busy_power_w.tobytes() == result.trace.busy_power_w.tobytes()
+    )
 
 
 def sched_main(argv: list[str], prog: str = "repro sched") -> int:
@@ -312,7 +342,8 @@ def sched_main(argv: list[str], prog: str = "repro sched") -> int:
                 "identity broke"
             )
         if fault_config is not None:
-            scheduler = MalleableScheduler(
+            rigid_scheduler = BackfillScheduler(args.nodes, fault_config=fault_config)
+            malleable_scheduler = MalleableScheduler(
                 args.nodes,
                 environment,
                 ci,
@@ -324,26 +355,12 @@ def sched_main(argv: list[str], prog: str = "repro sched") -> int:
                 feed=feed,
                 stale_after_s=args.stale_after_hours * 3600.0,
             )
-            sim = scheduler.simulation(jobs, t_end_s)
-            for _ in range(max(1, (malleable.n_jobs * 3) // 2)):
-                if not sim.step():
-                    break
-            snapshot = json.loads(json.dumps(sim.state_dict()))
-            resumed = scheduler.simulation(jobs, t_end_s)
-            resumed.load_state_dict(snapshot)
-            replay = resumed.run_to_completion()
-            identical = (
-                replay.records == malleable.records
-                and replay.faults == malleable.faults
-                and replay.trace.times_s.tobytes()
-                == malleable.trace.times_s.tobytes()
-                and replay.trace.busy_power_w.tobytes()
-                == malleable.trace.busy_power_w.tobytes()
-            )
-            if not identical:
-                failures.append(
-                    "kill/resume replay under faults not byte-identical"
-                )
+            for label, result, new_simulation in (
+                ("rigid", rigid, lambda: rigid_scheduler.simulation(jobs, t_end_s, environment)),
+                ("malleable", malleable, lambda: malleable_scheduler.simulation(jobs, t_end_s)),
+            ):
+                if not _resume_replays(new_simulation, result):
+                    failures.append(f"{label} kill/resume replay under faults not byte-identical")
         for failure in failures:
             print(f"CHECK FAILED: {failure}", file=sys.stderr)
         if failures:

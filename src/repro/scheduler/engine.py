@@ -2,9 +2,9 @@
 
 A tiny, dependency-free event engine: a binary-heap event queue with stable
 FIFO ordering for simultaneous events, and a monotonic clock guard. The
-batch scheduler (:mod:`repro.scheduler.backfill`) drives all simulation from
-this queue; keeping it generic also lets tests exercise the DES invariants in
-isolation.
+scheduler event loop (:class:`repro.scheduler.malleable.MalleableSimulation`,
+which rigid EASY backfill runs too) drives all simulation from this queue;
+keeping it generic also lets tests exercise the DES invariants in isolation.
 """
 
 from __future__ import annotations

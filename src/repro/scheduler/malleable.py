@@ -28,6 +28,10 @@ trace builder, run-state vectors and the RNG bit-generator state. Killing a
 simulation mid-trace, reloading the snapshot and running to completion
 produces byte-identical results to an uninterrupted run.
 
+:class:`MalleableSimulation` is the package's one event loop and fault path;
+rigid EASY backfill (:class:`~repro.scheduler.backfill.BackfillScheduler`)
+runs it under the rigid policy of :class:`RigidSimulation`.
+
 The regime boundaries default to the paper's 30/100 gCO₂/kWh (the same
 values as ``repro.core.regimes``; kept as literals here so the scheduler
 substrate does not import the core layer, which imports it back).
@@ -36,25 +40,36 @@ substrate does not import the core layer, which imports it back).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from typing import Any
 
 import numpy as np
 
 from ..errors import SchedulingError
 from ..facility.failures import FaultConfig
 from ..grid.forecast import ForecastFeed, ForecastIndex
+from ..node.pstates import FrequencySetting
 from ..telemetry.series import TimeSeries
-from ..units import JOULES_PER_KWH
-from ..workload.jobs import Job
+from ..workload.jobs import Job, JobRecord
 from .accounting import (
     FaultAccounting,
     PowerTrace,
     SimulationResult,
     TraceBuilder,
+    _RunMetrics,
+    reconciles,
     trace_emissions_tco2e,
 )
-from .backfill import BackfillScheduler, ResolvedExecution, StaticEnvironment, validate_jobs
+from .backfill import (
+    BackfillScheduler,
+    ExecutionEnvironment,
+    ResolvedExecution,
+    StaticEnvironment,
+    validate_jobs,
+)
 from .engine import Event, EventKind, EventQueue
 from .partition import NodePool
 from .shapes import JobShape
@@ -136,39 +151,13 @@ class ElasticRecord:
         return self.start_time_s - self.submit_time_s
 
 
-def _record_to_list(record: ElasticRecord) -> list:
-    return [
-        record.job_id,
-        record.submit_time_s,
-        record.start_time_s,
-        record.end_time_s,
-        record.setting,
-        record.effective_ghz,
-        record.node_seconds,
-        record.energy_j,
-        record.truncated,
-        record.interrupted,
-    ]
-
-
-def _record_from_list(raw: list) -> ElasticRecord:
-    return ElasticRecord(
-        job_id=int(raw[0]),
-        submit_time_s=float(raw[1]),
-        start_time_s=float(raw[2]),
-        end_time_s=float(raw[3]),
-        setting=str(raw[4]),
-        effective_ghz=float(raw[5]),
-        node_seconds=float(raw[6]),
-        energy_j=float(raw[7]),
-        truncated=bool(raw[8]),
-        interrupted=bool(raw[9]) if len(raw) > 9 else False,
-    )
-
-
-@dataclass
+@dataclass(slots=True)
 class _ElasticRun:
-    """Book-keeping for one in-flight (possibly reshaped) job."""
+    """Book-keeping for one in-flight (possibly reshaped) job.
+
+    ``end_s`` is the time of the run's pending JOB_END event (set at start
+    and at every reallocation), so a reservation's shadow time is exact.
+    """
 
     job_id: int
     alloc: int
@@ -178,10 +167,11 @@ class _ElasticRun:
     start_s: float
     preferred_runtime_s: float
     node_power_w: float
-    setting: str
+    setting: FrequencySetting
     effective_ghz: float
     node_seconds: float
     priority: float
+    end_s: float
 
 
 def _run_to_list(run: _ElasticRun) -> list:
@@ -194,10 +184,11 @@ def _run_to_list(run: _ElasticRun) -> list:
         run.start_s,
         run.preferred_runtime_s,
         run.node_power_w,
-        run.setting,
+        run.setting.value,
         run.effective_ghz,
         run.node_seconds,
         run.priority,
+        run.end_s,
     ]
 
 
@@ -211,15 +202,16 @@ def _run_from_list(raw: list) -> _ElasticRun:
         start_s=float(raw[5]),
         preferred_runtime_s=float(raw[6]),
         node_power_w=float(raw[7]),
-        setting=str(raw[8]),
+        setting=FrequencySetting(raw[8]),
         effective_ghz=float(raw[9]),
         node_seconds=float(raw[10]),
         priority=float(raw[11]),
+        end_s=float(raw[12]),
     )
 
 
 @dataclass(frozen=True)
-class MalleableSimulationResult:
+class MalleableSimulationResult(_RunMetrics):
     """Everything a malleable run produced, plus reshape/shift counters."""
 
     n_nodes: int
@@ -237,77 +229,16 @@ class MalleableSimulationResult:
     faults: FaultAccounting = field(default_factory=FaultAccounting)
 
     def reconciles(self, rel_tol: float = 1e-6) -> bool:
-        """Conservation identities of the run.
-
-        Job conservation — submitted == completed + terminally-failed +
-        running-at-horizon + still-queued — plus node-hour conservation:
-        the trace's busy integral must equal delivered plus wasted record
-        node-seconds, the wasted column must match the interrupted records,
-        and busy plus drained capacity must fit inside the facility's
-        node-seconds over the span. Float identities use a relative
-        tolerance (both sides sum the same rectangle areas in different
-        groupings).
-        """
-        jobs_ok = self.n_jobs == (
-            self.n_completed
-            + self.faults.n_failed_terminal
-            + self.n_running_at_end
-            + self.n_queued_at_end
-        )
-        delivered = sum(r.node_seconds for r in self.records if not r.interrupted)
-        wasted = sum(r.node_seconds for r in self.records if r.interrupted)
-        busy = self.trace.node_seconds()
-        span = self.t_end_s - self.t_start_s
-        abs_tol = 1e-6 * max(1.0, span)
-        hours_ok = math.isclose(
-            delivered + wasted, busy, rel_tol=rel_tol, abs_tol=abs_tol
-        )
-        wasted_ok = math.isclose(
-            wasted, self.faults.wasted_node_seconds, rel_tol=rel_tol, abs_tol=abs_tol
-        )
-        capacity = self.n_nodes * span
-        capacity_ok = (
-            busy + self.faults.drained_node_seconds <= capacity * (1 + rel_tol) + abs_tol
-        )
-        return jobs_ok and hours_ok and wasted_ok and capacity_ok
-
-    def total_energy_kwh(self) -> float:
-        """Busy-node energy integrated over the span, kWh."""
-        return self.trace.energy_j() / JOULES_PER_KWH
-
-    def emissions_tco2e(self, ci: TimeSeries) -> float:
-        """Scope-2 emissions of the run against a carbon-intensity series."""
-        return trace_emissions_tco2e(self.trace, ci)
-
-    def mean_utilisation(self) -> float:
-        """Time-weighted mean node utilisation over the span."""
-        return self.trace.mean_busy_nodes() / self.n_nodes
-
-    def _stretches(self, tau_s: float) -> np.ndarray:
-        completed = [r for r in self.records if not r.interrupted]
-        if not completed:
-            return np.empty(0, dtype=float)
-        waits_s = np.array([r.wait_s for r in completed], dtype=float)
-        runs_s = np.array([r.runtime_s for r in completed], dtype=float)
-        return np.maximum(1.0, (waits_s + runs_s) / np.maximum(runs_s, tau_s))
-
-    def mean_bounded_stretch(self, tau_s: float = 600.0) -> float:
-        """Mean bounded slowdown of placed jobs (1.0 when none ran)."""
-        stretches = self._stretches(tau_s)
-        if len(stretches) == 0:
-            return 1.0
-        return float(np.mean(stretches))
-
-    def p95_bounded_stretch(self, tau_s: float = 600.0) -> float:
-        """95th-percentile bounded slowdown of placed jobs (1.0 when none ran)."""
-        stretches = self._stretches(tau_s)
-        if len(stretches) == 0:
-            return 1.0
-        return float(np.quantile(stretches, 0.95))
+        """Conservation identities of the run (see :func:`accounting.reconciles`)."""
+        return reconciles(self, self.n_queued_at_end, rel_tol)
 
 
 class MalleableSimulation:
-    """One checkpointable malleable-scheduling run over a fixed job set.
+    """One checkpointable scheduling run over a fixed job set.
+
+    The one event loop: submission, EASY backfill, node faults and
+    checkpointing, under the carbon-aware malleable policy;
+    :class:`RigidSimulation` swaps in the rigid EASY policy.
 
     The job list is *not* part of the checkpoint (it can be regenerated
     from its seed); everything else — queue, pool, waiting order, run
@@ -322,25 +253,55 @@ class MalleableSimulation:
         t_end_s: float,
         t_start_s: float = 0.0,
     ) -> None:
+        self._carbon = scheduler  # the carbon-aware policy's knobs and forecast
+        self._environment: ExecutionEnvironment = scheduler.environment
+        self._rng: np.random.Generator | None = np.random.default_rng(scheduler.seed)
+        tick_s = scheduler.carbon_tick_interval_s
+        self._setup(scheduler, jobs, t_end_s, t_start_s, elastic=True, tick_interval_s=tick_s)
+
+    def _setup(
+        self,
+        scheduler: "MalleableScheduler | BackfillScheduler",
+        jobs: list[Job],
+        t_end_s: float,
+        t_start_s: float,
+        elastic: bool,
+        tick_interval_s: float | None,
+    ) -> None:
+        """Initial state and events: ``elastic`` keeps jobs' elastic envelopes;
+        ``tick_interval_s`` paces carbon ticks (None: none)."""
         if t_end_s <= t_start_s:
             raise SchedulingError("t_end_s must exceed t_start_s")
         self.scheduler = scheduler
         self.t_start_s = t_start_s
         self.t_end_s = t_end_s
         available = scheduler.n_nodes - scheduler.offline_nodes
-        validate_jobs(jobs, available, scheduler.offline_nodes, elastic=True)
+        validate_jobs(jobs, available, scheduler.offline_nodes, elastic=elastic)
         self._jobs = {job.job_id: job for job in jobs}
-        if len(self._jobs) != len(jobs):
-            raise SchedulingError("job ids must be unique")
-        self._shapes = {job.job_id: JobShape.from_job(job) for job in jobs}
+        self._shapes: dict[int, JobShape] = {}
+        widths: dict[int, JobShape] = {}
+        for job in jobs:
+            if elastic and job.is_elastic:
+                shape = JobShape.from_job(job)
+            else:  # held at its requested width: one shape per width
+                shape = widths.get(job.n_nodes)
+                if shape is None:
+                    shape = widths[job.n_nodes] = replace(
+                        JobShape.from_job(job),
+                        min_nodes=job.n_nodes,
+                        max_nodes=job.n_nodes,
+                    )
+            self._shapes[job.job_id] = shape
 
         self._pool = NodePool(available)
         self._queue = EventQueue()
         self._waiting: deque[int] = deque()
         self._running: dict[int, _ElasticRun] = {}
-        self._records: list[ElasticRecord] = []
+        # (end_s, job_id) of every running job, sorted: the reservation
+        # walk order. Derived from ``_running``, so never checkpointed.
+        self._by_end: list[tuple[float, int]] = []
+        self._records: list = []
         self._trace = TraceBuilder(t_start_s)
-        self._rng = np.random.default_rng(scheduler.seed)
         self._busy_power_w = 0.0
         self._done = False
 
@@ -380,9 +341,10 @@ class MalleableSimulation:
                 self.n_jobs += 1
         self._n_submits_remaining = self.n_jobs
         self._queue.push(Event(t_end_s, EventKind.SIM_END))
-        first_tick_s = t_start_s + scheduler.carbon_tick_interval_s
-        if first_tick_s < t_end_s:
-            self._queue.push(Event(first_tick_s, EventKind.CARBON_TICK))
+        if tick_interval_s is not None and t_start_s + tick_interval_s < t_end_s:
+            self._queue.push(
+                Event(t_start_s + tick_interval_s, EventKind.CARBON_TICK)
+            )
         if faults is not None:
             self._schedule_next_failure(t_start_s)
         self._record_trace(t_start_s)
@@ -402,11 +364,81 @@ class MalleableSimulation:
             run.node_seconds += dt_s * run.alloc
             run.last_update_s = now_s
 
-    def _end_estimate_s(self, run: _ElasticRun) -> float:
-        shape = self._shapes[run.job_id]
-        rate = shape.rate_per_s(run.alloc, run.preferred_runtime_s)
-        remaining = max(0.0, 1.0 - run.progress)
-        return run.last_update_s + remaining / rate
+    def _release_run(self, run: _ElasticRun, now_s: float) -> None:
+        """Take an ended or killed run off the machine."""
+        del self._running[run.job_id]
+        del self._by_end[bisect_left(self._by_end, (run.end_s, run.job_id))]
+        self._pool.release(run.alloc)
+        self._busy_power_w -= run.node_power_w * run.alloc
+        if abs(self._busy_power_w) < 1e-6:
+            self._busy_power_w = 0.0
+        self._record_trace(now_s)
+
+    # -- policy: records and restarts ----------------------------------------
+
+    def _add_record(
+        self,
+        run: _ElasticRun,
+        end_s: float,
+        truncated: bool = False,
+        interrupted: bool = False,
+    ) -> None:
+        self._advance(run, end_s)
+        self._records.append(
+            ElasticRecord(
+                job_id=run.job_id,
+                submit_time_s=self._jobs[run.job_id].submit_time_s,
+                start_time_s=run.start_s,
+                end_time_s=end_s,
+                setting=run.setting.value,
+                effective_ghz=run.effective_ghz,
+                node_seconds=run.node_seconds,
+                energy_j=run.node_power_w * run.node_seconds,
+                truncated=truncated,
+                interrupted=interrupted,
+            )
+        )
+
+    @staticmethod
+    def _record_state(record: Any) -> list:
+        return [
+            record.job_id,
+            record.submit_time_s,
+            record.start_time_s,
+            record.end_time_s,
+            record.setting,
+            record.effective_ghz,
+            record.node_seconds,
+            record.energy_j,
+            record.truncated,
+            record.interrupted,
+        ]
+
+    def _load_record(self, raw: list) -> Any:
+        return ElasticRecord(
+            job_id=int(raw[0]),
+            submit_time_s=float(raw[1]),
+            start_time_s=float(raw[2]),
+            end_time_s=float(raw[3]),
+            setting=str(raw[4]),
+            effective_ghz=float(raw[5]),
+            node_seconds=float(raw[6]),
+            energy_j=float(raw[7]),
+            truncated=bool(raw[8]),
+            interrupted=bool(raw[9]) if len(raw) > 9 else False,
+        )
+
+    def _restart_progress(self, run: _ElasticRun) -> float:
+        """Progress a killed run's next attempt resumes from: its last whole
+        checkpoint, less the recovery overhead (0.0 without checkpoints)."""
+        faults = self.scheduler.fault_config
+        assert faults is not None
+        if faults.checkpoint_interval_s <= 0:
+            return 0.0
+        ckpt_frac = faults.checkpoint_interval_s / run.preferred_runtime_s
+        overhead_frac = faults.checkpoint_overhead_s / run.preferred_runtime_s
+        kept = math.floor(run.progress / ckpt_frac) * ckpt_frac - overhead_frac
+        return min(kept, run.progress) if kept > 0.0 else 0.0
 
     # -- fault injection -----------------------------------------------------
 
@@ -438,41 +470,19 @@ class MalleableSimulation:
         faults = self.scheduler.fault_config
         assert faults is not None and self._fault_rng is not None
         self._advance(run, now_s)
-        job = self._jobs[run.job_id]
-        self._records.append(
-            ElasticRecord(
-                job_id=run.job_id,
-                submit_time_s=job.submit_time_s,
-                start_time_s=run.start_s,
-                end_time_s=now_s,
-                setting=run.setting,
-                effective_ghz=run.effective_ghz,
-                node_seconds=run.node_seconds,
-                energy_j=run.node_power_w * run.node_seconds,
-                truncated=False,
-                interrupted=True,
-            )
-        )
+        self._add_record(run, now_s, interrupted=True)
         # The whole attempt's burn is charged as wasted: the restart's own
         # occupancy is accounted by its own record, and checkpoint retention
         # shows up as *less* re-execution, not as reclaimed burn.
         self._wasted_node_seconds += run.node_seconds
         self._wasted_energy_j += run.node_power_w * run.node_seconds
-        del self._running[run.job_id]
-        self._pool.release(run.alloc)
-        self._busy_power_w -= run.node_power_w * run.alloc
-        if abs(self._busy_power_w) < 1e-6:
-            self._busy_power_w = 0.0
-        self._record_trace(now_s)
+        self._release_run(run, now_s)
         # End events of this attempt (generations <= current) must never
         # finish a requeued attempt, so the next attempt starts above them.
         self._next_gen[run.job_id] = run.generation + 1
-        if faults.checkpoint_interval_s > 0:
-            ckpt_frac = faults.checkpoint_interval_s / run.preferred_runtime_s
-            overhead_frac = faults.checkpoint_overhead_s / run.preferred_runtime_s
-            kept = math.floor(run.progress / ckpt_frac) * ckpt_frac - overhead_frac
-            if kept > 0.0:
-                self._retained[run.job_id] = min(kept, run.progress)
+        kept = self._restart_progress(run)
+        if kept > 0.0:
+            self._retained[run.job_id] = kept
         self._n_job_kills += 1
         attempt = self._attempts.get(run.job_id, 0) + 1
         self._attempts[run.job_id] = attempt
@@ -517,75 +527,78 @@ class MalleableSimulation:
         self._pool.restore(1)
         self._schedule_next_failure(now_s)
 
-    # -- forecast-feed degradation --------------------------------------------
+    # -- policy: carbon-aware placement --------------------------------------
 
-    def _planning_ci(self, now_s: float) -> float:
-        """The CI the scheduler *sees*: held at the feed's last refresh."""
-        feed = self.scheduler.feed
+    def _carbon_state(self, now_s: float) -> tuple[float | None, bool]:
+        """``(ci, degraded)`` at ``now_s``: the CI the scheduler plans against,
+        or None (carbon-blind, rigid intent) while the feed is ``degraded`` —
+        stale past ``stale_after_s``."""
+        sched = self._carbon
+        feed = sched.feed
         if feed is None:
-            return self.scheduler.forecast.ci_at(now_s)
-        return feed.ci_at(now_s)
+            return sched.forecast.ci_at(now_s), False
+        if feed.is_stale(now_s, sched.stale_after_s):
+            return None, True
+        return feed.ci_at(now_s), False
 
-    def _degraded(self, now_s: float) -> bool:
-        """Whether feed staleness has passed the degradation threshold."""
-        feed = self.scheduler.feed
-        return feed is not None and feed.is_stale(now_s, self.scheduler.stale_after_s)
-
-    def _choose_alloc(
-        self, shape: JobShape, ci_g_per_kwh: float, degraded: bool = False
-    ) -> int:
+    def _choose_alloc(self, shape: JobShape, ci_g_per_kwh: float | None) -> int:
         """Target allocation under the current carbon regime.
 
         High-carbon periods get the narrowest legal shape; otherwise — and
-        always when the forecast feed is too stale to trust (``degraded``,
-        the rigid-placement fallback) — the preferred one, capped at the
-        in-service pool so an oversize preference still admits (validation
-        guarantees the minimum fits a healthy machine).
+        always when placement is carbon-blind — the preferred one, capped at
+        the in-service pool so an oversize preference still admits
+        (validation guarantees the minimum fits a healthy machine).
         """
-        if not degraded and ci_g_per_kwh > self.scheduler.high_g_per_kwh:
+        if shape.min_nodes == shape.max_nodes:
+            return shape.min_nodes  # a rigid shape has one legal allocation
+        if ci_g_per_kwh is not None and ci_g_per_kwh > self._carbon.high_g_per_kwh:
             target = shape.min_nodes
         else:
             target = shape.preferred_nodes
         return max(shape.min_nodes, min(target, self._pool.up_nodes))
+
+    def _resolve(
+        self, job: Job, now_s: float, ci_g_per_kwh: float | None
+    ) -> ResolvedExecution:
+        """Execution of ``job`` starting now, carbon-aware unless ``ci`` is None."""
+        if ci_g_per_kwh is None:
+            return self._environment.resolve(job, now_s)
+        return self._carbon.environment.resolve_at_ci(job, now_s, ci_g_per_kwh)
 
     def _start_job(
         self,
         job: Job,
         alloc: int,
         now_s: float,
-        ci_g_per_kwh: float,
+        resolved: ResolvedExecution,
         degraded: bool = False,
     ) -> None:
         if degraded:
-            # Feed too stale to trust: static frequency policy (carbon-blind).
-            resolved = self.scheduler.environment.resolve(job, now_s)
             self._n_degraded_starts += 1
-        else:
-            resolved = self.scheduler.environment.resolve_at_ci(
-                job, now_s, ci_g_per_kwh
-            )
         shape = self._shapes[job.job_id]
         self._pool.allocate(alloc)
         self._busy_power_w += resolved.node_power_w * alloc
         progress0 = self._retained.pop(job.job_id, 0.0)
         generation0 = self._next_gen.get(job.job_id, 0)
+        end_s = now_s + resolved.runtime_s * shape.stretch(alloc) * (1.0 - progress0)
         run = _ElasticRun(
-            job_id=job.job_id,
-            alloc=alloc,
-            progress=progress0,
-            last_update_s=now_s,
-            generation=generation0,
-            start_s=now_s,
-            preferred_runtime_s=resolved.runtime_s,
-            node_power_w=resolved.node_power_w,
-            setting=resolved.setting.value,
-            effective_ghz=resolved.effective_ghz,
-            node_seconds=0.0,
-            priority=float(self._rng.random()),
+            job.job_id,
+            alloc,
+            progress0,
+            now_s,  # last_update_s
+            generation0,
+            now_s,  # start_s
+            resolved.runtime_s,
+            resolved.node_power_w,
+            resolved.setting,
+            resolved.effective_ghz,
+            0.0,  # node_seconds
+            float(self._rng.random()) if self._rng is not None else 0.0,
+            end_s,
         )
         self._running[job.job_id] = run
+        insort(self._by_end, (end_s, job.job_id))
         self._record_trace(now_s)
-        end_s = now_s + resolved.runtime_s * shape.stretch(alloc) * (1.0 - progress0)
         if end_s <= self.t_end_s:
             self._queue.push(
                 Event(end_s, EventKind.JOB_END, (job.job_id, generation0))
@@ -603,37 +616,26 @@ class MalleableSimulation:
         self._busy_power_w += run.node_power_w * delta
         if abs(self._busy_power_w) < 1e-6:
             self._busy_power_w = 0.0
+        del self._by_end[bisect_left(self._by_end, (run.end_s, run.job_id))]
         run.alloc = new_alloc
         run.generation += 1
         self._record_trace(now_s)
-        end_s = self._end_estimate_s(run)
-        if end_s <= self.t_end_s:
+        rate = self._shapes[run.job_id].rate_per_s(run.alloc, run.preferred_runtime_s)
+        run.end_s = run.last_update_s + max(0.0, 1.0 - run.progress) / rate
+        insort(self._by_end, (run.end_s, run.job_id))
+        if run.end_s <= self.t_end_s:
             self._queue.push(
-                Event(end_s, EventKind.JOB_END, (run.job_id, run.generation))
+                Event(run.end_s, EventKind.JOB_END, (run.job_id, run.generation))
             )
-
-    def _finish_run(self, run: _ElasticRun, end_s: float, truncated: bool) -> None:
-        self._advance(run, end_s)
-        job = self._jobs[run.job_id]
-        self._records.append(
-            ElasticRecord(
-                job_id=run.job_id,
-                submit_time_s=job.submit_time_s,
-                start_time_s=run.start_s,
-                end_time_s=end_s,
-                setting=run.setting,
-                effective_ghz=run.effective_ghz,
-                node_seconds=run.node_seconds,
-                energy_j=run.node_power_w * run.node_seconds,
-                truncated=truncated,
-            )
-        )
 
     def _on_submit(self, job: Job, now_s: float) -> None:
         self._n_submits_remaining -= 1
-        index = self.scheduler.forecast
         latest_s = min(now_s + job.shift_slack_s, self.t_end_s)
-        if job.shift_slack_s > 0 and latest_s > now_s and not self._degraded(now_s):
+        if (
+            latest_s > now_s  # the job declares slack inside the horizon
+            and self._carbon_state(now_s)[0] is not None
+        ):
+            index = self._carbon.forecast
             duration_s = job.reference_runtime_s
             window = index.greenest_window(duration_s, now_s, latest_s)
             now_mean = index.window_mean(now_s, now_s + duration_s)
@@ -650,14 +652,9 @@ class MalleableSimulation:
         job_id, generation = payload
         run = self._running.get(job_id)
         if run is None or run.generation != generation:
-            return  # stale end event from before a reallocation
-        self._finish_run(run, now_s, truncated=False)
-        del self._running[job_id]
-        self._pool.release(run.alloc)
-        self._busy_power_w -= run.node_power_w * run.alloc
-        if abs(self._busy_power_w) < 1e-6:
-            self._busy_power_w = 0.0
-        self._record_trace(now_s)
+            return  # stale end event from before a reallocation or a kill
+        self._add_record(run, now_s)
+        self._release_run(run, now_s)
         self._n_completed += 1
 
     def _reshape_order(self) -> list[_ElasticRun]:
@@ -668,12 +665,11 @@ class MalleableSimulation:
         )
 
     def _on_tick(self, now_s: float) -> None:
-        sched = self.scheduler
-        degraded = self._degraded(now_s)
+        sched = self._carbon
+        ci, degraded = self._carbon_state(now_s)
         if degraded:
             self._n_degraded_ticks += 1
-        ci = self._planning_ci(now_s)
-        if not degraded and ci > sched.high_g_per_kwh:
+        if ci is not None and ci > sched.high_g_per_kwh:
             for run in self._reshape_order():
                 shape = self._shapes[run.job_id]
                 if shape.is_elastic and run.alloc > shape.min_nodes:
@@ -699,19 +695,22 @@ class MalleableSimulation:
         if work_left and next_tick_s < self.t_end_s:
             self._queue.push(Event(next_tick_s, EventKind.CARBON_TICK))
 
+    # -- EASY backfill -------------------------------------------------------
+
     def _reservation(self, need: int, now_s: float) -> tuple[float, int]:
-        """EASY reservation under predicted (progress-model) end times."""
+        """EASY reservation for a queue head needing ``need`` nodes.
+
+        Returns ``(shadow_s, spare)``: the pending end of the run, in
+        (end, job id) order, that frees enough nodes, and the nodes beyond
+        ``need`` free then (backfill on those cannot delay the head).
+        """
         if self._pool.fits(need):
             return now_s, self._pool.free - need
         available = self._pool.free
-        runs = sorted(
-            self._running.values(),
-            key=lambda r: (self._end_estimate_s(r), r.job_id),
-        )
-        for run in runs:
-            available += run.alloc
+        for end_s, job_id in self._by_end:
+            available += self._running[job_id].alloc
             if available >= need:
-                return self._end_estimate_s(run), available - need
+                return end_s, available - need
         if self.scheduler.fault_config is not None:
             # Drained capacity can temporarily block a head that passed
             # admission; let backfill run freely until a repair lands.
@@ -722,59 +721,50 @@ class MalleableSimulation:
         )
 
     def _schedule_pass(self, now_s: float) -> None:
-        degraded = self._degraded(now_s)
-        ci = self._planning_ci(now_s)
+        waiting = self._waiting
+        if not waiting:
+            return
+        ci, degraded = self._carbon_state(now_s)
+        pool = self._pool
+        shapes = self._shapes
         # FCFS phase with moldable squeeze: the head starts at its regime
         # target, narrowed toward its minimum shape if that is what fits.
-        while self._waiting:
-            shape = self._shapes[self._waiting[0]]
-            alloc = self._choose_alloc(shape, ci, degraded)
-            if not self._pool.fits(alloc):
-                alloc = min(alloc, self._pool.free)
-                if alloc < shape.min_nodes:
-                    break
-            job = self._jobs[self._waiting.popleft()]
-            self._start_job(job, alloc, now_s, ci, degraded)
-        if not self._waiting:
+        while waiting:
+            shape = shapes[waiting[0]]
+            free = pool.free
+            if shape.min_nodes > free:
+                break
+            alloc = min(self._choose_alloc(shape, ci), free)
+            job = self._jobs[waiting.popleft()]
+            self._start_job(job, alloc, now_s, self._resolve(job, now_s, ci), degraded)
+        if not waiting:
             return
         # EASY backfill phase: reserve for the head, fill around it.
-        head_shape = self._shapes[self._waiting[0]]
-        head_need = self._choose_alloc(head_shape, ci, degraded)
+        head_need = self._choose_alloc(shapes[waiting[0]], ci)
         shadow_s, spare = self._reservation(head_need, now_s)
         started: set[int] = set()
-        depth = 0
-        items = list(self._waiting)
-        for job_id in items[1:]:
-            if depth >= self.scheduler.backfill_depth:
-                break
-            depth += 1
-            shape = self._shapes[job_id]
-            alloc = self._choose_alloc(shape, ci, degraded)
-            if not self._pool.fits(alloc):
-                alloc = min(alloc, self._pool.free)
-                if alloc < shape.min_nodes:
-                    continue
+        for job_id in islice(waiting, 1, 1 + self.scheduler.backfill_depth):
+            shape = shapes[job_id]
+            free = pool.free
+            if shape.min_nodes > free:
+                continue
+            alloc = min(self._choose_alloc(shape, ci), free)
             job = self._jobs[job_id]
-            if degraded:
-                resolved = self.scheduler.environment.resolve(job, now_s)
-            else:
-                resolved = self.scheduler.environment.resolve_at_ci(job, now_s, ci)
+            resolved = self._resolve(job, now_s, ci)
             runtime_s = resolved.runtime_s * shape.stretch(alloc)
             ends_before_shadow = now_s + runtime_s <= shadow_s
             within_spare = alloc <= spare
             if ends_before_shadow or within_spare:
-                self._start_job(job, alloc, now_s, ci, degraded)
+                self._start_job(job, alloc, now_s, resolved, degraded)
                 if within_spare and not ends_before_shadow:
                     spare -= alloc
                 started.add(job_id)
         if started:
-            remaining = [j for j in items if j not in started]
-            self._waiting.clear()
-            self._waiting.extend(remaining)
+            self._waiting = deque(j for j in waiting if j not in started)
 
     def _finalize(self) -> None:
         for run in sorted(self._running.values(), key=lambda r: r.job_id):
-            self._finish_run(run, self.t_end_s, truncated=True)
+            self._add_record(run, self.t_end_s, truncated=True)
         self._integrate_drain(self.t_end_s)
         self._done = True
 
@@ -810,29 +800,25 @@ class MalleableSimulation:
         self._schedule_pass(now_s)
         return True
 
-    def run_to_completion(self) -> MalleableSimulationResult:
-        """Drive the event loop to the end and assemble the result."""
+    def run_to_completion(self) -> Any:
+        """Drive the event loop to the end and assemble the :meth:`result`."""
         while self.step():
             pass
         return self.result()
 
-    def result(self) -> MalleableSimulationResult:
-        """The finished run's result (only valid once ``done``)."""
+    def _result_fields(self) -> dict[str, Any]:
+        """The fields both result types share (only valid once ``done``)."""
         if not self._done:
             raise SchedulingError("simulation has not finished")
-        return MalleableSimulationResult(
+        return dict(
             n_nodes=self.scheduler.n_nodes,
             t_start_s=self.t_start_s,
             t_end_s=self.t_end_s,
             records=list(self._records),
+            trace=self._trace.build(self.t_end_s),
             n_jobs=self.n_jobs,
             n_completed=self._n_completed,
             n_running_at_end=len(self._running),
-            n_queued_at_end=len(self._waiting) + self._n_pending_release,
-            n_shifted=self.n_shifted,
-            n_shrinks=self.n_shrinks,
-            n_grows=self.n_grows,
-            trace=self._trace.build(self.t_end_s),
             faults=FaultAccounting(
                 n_failures=self._n_failures,
                 n_job_kills=self._n_job_kills,
@@ -844,6 +830,16 @@ class MalleableSimulation:
                 n_degraded_ticks=self._n_degraded_ticks,
                 n_degraded_starts=self._n_degraded_starts,
             ),
+        )
+
+    def result(self) -> MalleableSimulationResult:
+        """The finished run's result (only valid once ``done``)."""
+        return MalleableSimulationResult(
+            **self._result_fields(),
+            n_queued_at_end=len(self._waiting) + self._n_pending_release,
+            n_shifted=self.n_shifted,
+            n_shrinks=self.n_shrinks,
+            n_grows=self.n_grows,
         )
 
     # -- checkpointing -------------------------------------------------------
@@ -860,8 +856,8 @@ class MalleableSimulation:
             "trace": self._trace.state_dict(),
             "waiting": list(self._waiting),
             "running": running,
-            "records": [_record_to_list(r) for r in self._records],
-            "rng": self._rng.bit_generator.state,
+            "records": [self._record_state(r) for r in self._records],
+            "rng": self._rng.bit_generator.state if self._rng is not None else None,
             "busy_power_w": self._busy_power_w,
             "done": self._done,
             "n_jobs": self.n_jobs,
@@ -905,8 +901,10 @@ class MalleableSimulation:
             run.job_id: run
             for run in (_run_from_list(raw) for raw in state["running"])
         }
-        self._records = [_record_from_list(raw) for raw in state["records"]]
-        self._rng.bit_generator.state = state["rng"]
+        self._by_end = sorted((run.end_s, run.job_id) for run in self._running.values())
+        self._records = [self._load_record(raw) for raw in state["records"]]
+        if self._rng is not None:
+            self._rng.bit_generator.state = state["rng"]
         self._busy_power_w = float(state["busy_power_w"])
         self._done = bool(state["done"])
         self.n_jobs = int(state["n_jobs"])
@@ -940,6 +938,87 @@ class MalleableSimulation:
         self._wasted_energy_j = float(state.get("wasted_energy_j", 0.0))
         self._n_degraded_ticks = int(state.get("n_degraded_ticks", 0))
         self._n_degraded_starts = int(state.get("n_degraded_starts", 0))
+
+
+class RigidSimulation(MalleableSimulation):
+    """Rigid EASY backfill as a policy of the shared event loop.
+
+    Every job runs at its requested ``n_nodes`` under the caller's (possibly
+    time-varying) environment; elastic shapes and start slack are ignored,
+    there are no carbon ticks, and killed attempts restart from zero.
+    Records are :class:`~repro.workload.jobs.JobRecord` in a
+    :class:`SimulationResult`.
+    """
+
+    def __init__(
+        self,
+        scheduler: BackfillScheduler,
+        jobs: list[Job],
+        t_end_s: float,
+        environment: ExecutionEnvironment,
+        t_start_s: float = 0.0,
+    ) -> None:
+        self._environment = environment
+        self._rng = None  # rigid runs never reshape, so draw no tie-breaks
+        self._setup(scheduler, jobs, t_end_s, t_start_s, elastic=False, tick_interval_s=None)
+
+    def _carbon_state(self, now_s: float) -> tuple[float | None, bool]:
+        """No carbon signal: placement is always carbon-blind, never degraded."""
+        return None, False
+
+    def _restart_progress(self, run: _ElasticRun) -> float:
+        """Rigid jobs keep no checkpoints: every attempt starts from zero."""
+        return 0.0
+
+    def _add_record(
+        self,
+        run: _ElasticRun,
+        end_s: float,
+        truncated: bool = False,
+        interrupted: bool = False,
+    ) -> None:
+        if end_s > run.start_s:  # an attempt killed as it started left no record
+            self._records.append(
+                JobRecord(
+                    job=self._jobs[run.job_id],
+                    start_time_s=run.start_s,
+                    end_time_s=end_s,
+                    setting=run.setting,
+                    effective_ghz=run.effective_ghz,
+                    node_power_w=run.node_power_w,
+                    interrupted=interrupted,
+                )
+            )
+
+    @staticmethod
+    def _record_state(record: JobRecord) -> list:
+        return [
+            record.job.job_id,
+            record.start_time_s,
+            record.end_time_s,
+            record.setting.value,
+            record.effective_ghz,
+            record.node_power_w,
+            record.interrupted,
+        ]
+
+    def _load_record(self, raw: list) -> JobRecord:
+        return JobRecord(
+            job=self._jobs[int(raw[0])],
+            start_time_s=float(raw[1]),
+            end_time_s=float(raw[2]),
+            setting=FrequencySetting(raw[3]),
+            effective_ghz=float(raw[4]),
+            node_power_w=float(raw[5]),
+            interrupted=bool(raw[6]),
+        )
+
+    def result(self) -> SimulationResult:  # type: ignore[override]
+        """The finished run's result (only valid once ``done``)."""
+        return SimulationResult(
+            **self._result_fields(),
+            n_unstarted=len(self._waiting) + self._n_pending_release,
+        )
 
 
 class MalleableScheduler:

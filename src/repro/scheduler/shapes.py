@@ -52,6 +52,14 @@ def _relative_time(
     return t(n_nodes) / t(preferred_nodes)
 
 
+@lru_cache(maxsize=64)
+def _unit_scaling(serial_fraction: float, comm_coefficient: float) -> StrongScalingModel:
+    """The unit-``t1_s`` scaling law :meth:`JobShape.from_job` shares across jobs."""
+    return StrongScalingModel(
+        t1_s=1.0, serial_fraction=serial_fraction, comm_coefficient=comm_coefficient
+    )
+
+
 @dataclass(frozen=True)
 class JobShape:
     """The allocation envelope and scaling behaviour of one job.
@@ -94,11 +102,7 @@ class JobShape:
             min_nodes=min_nodes,
             max_nodes=max_nodes,
             preferred_nodes=job.n_nodes,
-            scaling=StrongScalingModel(
-                t1_s=1.0,
-                serial_fraction=serial_fraction,
-                comm_coefficient=comm_coefficient,
-            ),
+            scaling=_unit_scaling(serial_fraction, comm_coefficient),
         )
 
     @property
@@ -116,13 +120,13 @@ class JobShape:
         Exactly 1.0 at ``preferred_nodes`` (same expression evaluated at the
         same point — no float residue), above 1.0 when shrunk below it.
         """
+        if n_nodes == self.preferred_nodes:
+            return 1.0
         if not self.min_nodes <= n_nodes <= self.max_nodes:
             raise ConfigurationError(
                 f"job {self.job_id}: allocation {n_nodes} outside "
                 f"[{self.min_nodes}, {self.max_nodes}]"
             )
-        if n_nodes == self.preferred_nodes:
-            return 1.0
         return _relative_time(
             self.scaling.serial_fraction,
             self.scaling.comm_coefficient,

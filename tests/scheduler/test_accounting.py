@@ -1,10 +1,20 @@
 """Power trace and simulation accounting tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.errors import SchedulingError
+from repro.facility.failures import FailureModel, FaultConfig
+from repro.node.calibration import build_node_model
 from repro.scheduler.accounting import PowerTrace, TraceBuilder
+from repro.scheduler.backfill import BackfillScheduler, StaticEnvironment
+from repro.scheduler.malleable import MalleableScheduler
+from repro.telemetry.series import TimeSeries
+from repro.units import SECONDS_PER_DAY
+from repro.workload.generator import JobStreamConfig, JobStreamGenerator
+from repro.workload.mix import archer2_mix
 
 
 def step_trace():
@@ -92,3 +102,67 @@ class TestTraceBuilder:
         trace = TraceBuilder(2.0).build(10.0)
         assert trace.mean_busy_power_w() == 0.0
         assert trace.t_start_s == 2.0
+
+
+class TestReconciles:
+    """Both result types share one conservation check, which must fail on
+    each broken identity, not only pass on a sound run."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        config = JobStreamConfig(
+            n_facility_nodes=64,
+            offered_load=0.9,
+            mean_runtime_s=4 * 3600.0,
+            max_job_nodes=32,
+            malleable_fraction=0.5,
+        )
+        jobs = JobStreamGenerator(
+            archer2_mix(), config, np.random.default_rng(5)
+        ).generate_until(3 * SECONDS_PER_DAY)
+        env = StaticEnvironment(node_model=build_node_model())
+        faults = FaultConfig(
+            model=FailureModel(mtbf_hours=200.0, mttr_hours=6.0), seed=1
+        )
+        ci = TimeSeries(np.array([0.0]), np.array([150.0]), "ci")
+        t_end = 2 * SECONDS_PER_DAY  # jobs still running and queued at the end
+        return (
+            BackfillScheduler(64, fault_config=faults).run(jobs, t_end, env),
+            MalleableScheduler(64, env, ci, fault_config=faults).run(jobs, t_end),
+        )
+
+    def broken(self, result, longer_record):
+        """One copy of ``result`` per broken identity."""
+        acct = result.faults
+        return {
+            "jobs": replace(result, n_jobs=result.n_jobs + 1),
+            "node-hours": replace(
+                result, records=[longer_record, *result.records[1:]]
+            ),
+            "wasted": replace(
+                result,
+                faults=replace(acct, wasted_node_seconds=acct.wasted_node_seconds + 3600.0),
+            ),
+            "capacity": replace(
+                result,
+                faults=replace(acct, drained_node_seconds=64 * 5 * SECONDS_PER_DAY),
+            ),
+        }
+
+    def test_rigid_result(self, runs):
+        rigid = runs[0]
+        assert rigid.faults.n_job_kills > 0 and rigid.n_unstarted > 0
+        assert rigid.reconciles()
+        first = rigid.records[0]
+        longer = replace(first, end_time_s=first.end_time_s + 3600.0)
+        for name, result in self.broken(rigid, longer).items():
+            assert not result.reconciles(), name
+
+    def test_malleable_result(self, runs):
+        malleable = runs[1]
+        assert malleable.faults.n_job_kills > 0 and malleable.n_queued_at_end > 0
+        assert malleable.reconciles()
+        first = malleable.records[0]
+        longer = replace(first, node_seconds=first.node_seconds + 3600.0)
+        for name, result in self.broken(malleable, longer).items():
+            assert not result.reconciles(), name

@@ -1,10 +1,13 @@
 """Job admission and input-validation tests (errors must name the job)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SchedulingError, UnitError
 from repro.scheduler.backfill import BackfillScheduler, StaticEnvironment, validate_jobs
+from repro.scheduler.malleable import MalleableScheduler
 from repro.node.calibration import build_node_model
+from repro.telemetry.series import TimeSeries
 from repro.workload.applications import full_catalogue
 from repro.workload.jobs import Job
 
@@ -91,3 +94,14 @@ class TestValidateJobs:
             BackfillScheduler(16, offline_nodes=4).run(
                 [make_job(n_nodes=16)], 10_000.0, env
             )
+
+    def test_duplicate_job_ids_rejected_naming_the_id(self):
+        """A repeated id would overwrite the first job's run and strand its
+        nodes; both schedulers refuse the trace at admission instead."""
+        env = StaticEnvironment(node_model=build_node_model())
+        jobs = [make_job(1, n_nodes=4), make_job(1, n_nodes=4), make_job(2, n_nodes=8)]
+        with pytest.raises(SchedulingError, match="job 1: duplicate job id"):
+            BackfillScheduler(16).run(jobs, 10_000.0, env)
+        ci = TimeSeries(np.array([0.0]), np.array([65.0]), "ci")
+        with pytest.raises(SchedulingError, match="job 1: duplicate job id"):
+            MalleableScheduler(16, env, ci).run(jobs, 10_000.0)

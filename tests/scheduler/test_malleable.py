@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.facility.failures import FailureModel, FaultConfig
 from repro.node.calibration import build_node_model
 from repro.scheduler.backfill import BackfillScheduler, StaticEnvironment
 from repro.scheduler.malleable import (
@@ -49,24 +50,47 @@ def make_job(job_id, n_nodes, submit, runtime, min_nodes=None, max_nodes=None, s
 
 class TestRigidParity:
     def test_rigid_trace_on_inelastic_workload(self, env):
-        """With no elastic jobs, no slack and balanced CI, the malleable
-        scheduler reduces to EASY backfill: identical starts and energy."""
-        jobs = [
-            make_job(0, 12, 0.0, 10_000.0),
-            make_job(1, 16, 10.0, 3600.0),
-            make_job(2, 4, 20.0, 1000.0),
-            make_job(3, 8, 30.0, 2000.0),
-        ]
-        t_end = 2 * SECONDS_PER_DAY
-        ci = flat_ci(65.0)
-        rigid = BackfillScheduler(16).run(jobs, t_end, env)
-        malleable = MalleableScheduler(16, env, ci).run(jobs, t_end)
-        rigid_starts = {r.job.job_id: r.start_time_s for r in rigid.records}
-        malleable_starts = {r.job_id: r.start_time_s for r in malleable.records}
-        assert malleable_starts == rigid_starts
-        assert malleable.total_energy_kwh() == pytest.approx(
-            rigid.total_energy_kwh(), rel=1e-12
+        """With no elastic jobs, no slack and flat CI, the malleable
+        scheduler reduces to EASY backfill exactly — under node faults too:
+        byte-equal traces, equal fault accounting, equal records."""
+        config = JobStreamConfig(
+            n_facility_nodes=128,
+            offered_load=0.9,
+            mean_runtime_s=3600.0,
+            max_job_nodes=32,
         )
+        gen = JobStreamGenerator(archer2_mix(), config, np.random.default_rng(13))
+        jobs = gen.generate(3000)
+        assert not any(j.is_elastic or j.shift_slack_s > 0 for j in jobs)
+        t_end = jobs[-1].submit_time_s + 6 * 3600.0
+        faults = FaultConfig(
+            model=FailureModel(mtbf_hours=200.0, mttr_hours=6.0), seed=3
+        )
+        rigid = BackfillScheduler(128, fault_config=faults).run(jobs, t_end, env)
+        malleable = MalleableScheduler(
+            128, env, flat_ci(65.0, t_end + SECONDS_PER_DAY), fault_config=faults
+        ).run(jobs, t_end)
+
+        assert rigid.faults.n_job_kills > 100
+        assert rigid.faults == malleable.faults
+        for name in ("times_s", "busy_power_w", "busy_nodes"):
+            assert (
+                getattr(rigid.trace, name).tobytes()
+                == getattr(malleable.trace, name).tobytes()
+            )
+        assert sorted(
+            (r.job.job_id, r.start_time_s, r.end_time_s, r.interrupted)
+            for r in rigid.records
+        ) == sorted(
+            (r.job_id, r.start_time_s, r.end_time_s, r.interrupted)
+            for r in malleable.records
+        )
+        assert (rigid.n_jobs, rigid.n_completed, rigid.n_running_at_end) == (
+            malleable.n_jobs,
+            malleable.n_completed,
+            malleable.n_running_at_end,
+        )
+        assert rigid.n_unstarted == malleable.n_queued_at_end
 
 
 class TestCarbonBehaviour:

@@ -11,6 +11,12 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.interventions import (
+    BiosDeterminismChange,
+    InterventionSchedule,
+    OperatingState,
+    ScheduledEnvironment,
+)
 from repro.errors import ConfigurationError, SchedulingError, UnitError
 from repro.facility.failures import FailureModel, FaultConfig
 from repro.grid.forecast import FeedOutage, ForecastFeed, ForecastIndex
@@ -153,6 +159,18 @@ class TestConservation:
         assert result.faults.n_job_kills > 0
         assert result.reconciles()
 
+    def test_rigid_restarts_from_zero(self, env, jobs):
+        """Rigid jobs keep no checkpoints: a checkpoint interval changes
+        nothing, every requeued attempt starts over."""
+        plain = BackfillScheduler(64, fault_config=FAULTS).run(jobs, T_END, env)
+        cfg = FaultConfig(
+            model=FAULTS.model, seed=FAULTS.seed, checkpoint_interval_s=1800.0
+        )
+        checkpointed = BackfillScheduler(64, fault_config=cfg).run(jobs, T_END, env)
+        assert plain.faults.n_retries > 0
+        assert checkpointed.records == plain.records
+        assert checkpointed.faults == plain.faults
+
     def test_reconciles_with_checkpoint_restart(self, env, ci, jobs):
         cfg = FaultConfig(
             model=FAULTS.model, seed=FAULTS.seed, checkpoint_interval_s=1800.0
@@ -277,6 +295,59 @@ class TestKillResumeUnderFaults:
         plain = MalleableScheduler(64, env, ci, seed=5).simulation(jobs, T_END)
         with pytest.raises(SchedulingError, match="fault"):
             plain.load_state_dict(snapshot)
+
+
+class TestRigidKillResume:
+    """Rigid runs use the shared loop's checkpoints: a snapshot taken
+    mid-trace under faults, JSON round-tripped, resumes byte-identically."""
+
+    def resume(self, sched, jobs, env, cut):
+        sim = sched.simulation(jobs, T_END, env)
+        for _ in range(cut):
+            sim.step()
+        snapshot = json.loads(json.dumps(sim.state_dict()))
+        resumed = sched.simulation(jobs, T_END, env)
+        resumed.load_state_dict(snapshot)
+        return snapshot, resumed.run_to_completion()
+
+    def assert_identical(self, a, b):
+        assert a.records == b.records
+        assert a.faults == b.faults
+        assert a.trace.times_s.tobytes() == b.trace.times_s.tobytes()
+        assert a.trace.busy_power_w.tobytes() == b.trace.busy_power_w.tobytes()
+        assert a.trace.busy_nodes.tobytes() == b.trace.busy_nodes.tobytes()
+        assert (a.n_jobs, a.n_completed, a.n_running_at_end, a.n_unstarted) == (
+            b.n_jobs,
+            b.n_completed,
+            b.n_running_at_end,
+            b.n_unstarted,
+        )
+
+    def test_resume_with_static_environment(self, env, jobs):
+        sched = BackfillScheduler(64, fault_config=FAULTS)
+        reference = sched.run(jobs, T_END, env)
+        assert reference.faults.n_job_kills > 0
+        _, resumed = self.resume(sched, jobs, env, cut=100)
+        self.assert_identical(resumed, reference)
+
+    def test_resume_before_an_intervention(self, jobs):
+        """The BIOS change lands after the snapshot, so the resumed run
+        must resolve post-change jobs through the caller's environment."""
+        change_s = 3 * SECONDS_PER_DAY
+        env = ScheduledEnvironment(
+            node_model=build_node_model(),
+            schedule=InterventionSchedule(
+                OperatingState(), [BiosDeterminismChange(time_s=change_s)]
+            ),
+        )
+        sched = BackfillScheduler(64, fault_config=FAULTS)
+        reference = sched.run(jobs, T_END, env)
+        snapshot, resumed = self.resume(sched, jobs, env, cut=100)
+        assert snapshot["queue"]["last_popped_s"] < change_s
+        assert any(r.start_time_s >= change_s for r in reference.records)
+        before, after = (env.resolve(jobs[0], t).node_power_w for t in (0.0, change_s))
+        assert before != after  # lint: exact-float
+        self.assert_identical(resumed, reference)
 
 
 class TestForecastDegradation:
