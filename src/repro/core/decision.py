@@ -15,12 +15,13 @@ Performance Determinism at a 2.0 GHz default — which the test suite asserts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..node.app_energy import compare_points, evaluate_app
+from ..node.app_energy import AppRunPoint, compare_points, evaluate_apps
 from ..node.determinism import DeterminismMode
 from ..node.node_power import NodePowerModel
 from ..workload.mix import WorkloadMix
@@ -48,8 +49,8 @@ class Priorities:
             self.cost,
             self.performance,
         )
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ConfigurationError("priority weights must be non-negative, sum > 0")
+        if not all(math.isfinite(w) and w >= 0 for w in weights) or sum(weights) <= 0:
+            raise ConfigurationError("priority weights must be finite, non-negative, sum > 0")
         if not 0.0 <= self.min_performance_ratio <= 1.0:
             raise ConfigurationError("min_performance_ratio must be in [0, 1]")
 
@@ -81,7 +82,11 @@ class OperatingPointScore:
 
 
 class DecisionEngine:
-    """Scores operating configurations against priorities for a workload mix."""
+    """Scores operating configurations against priorities for a workload mix.
+
+    Each distinct operating configuration, the baseline included, is
+    evaluated across the whole mix at most once per engine.
+    """
 
     def __init__(
         self,
@@ -98,6 +103,7 @@ class DecisionEngine:
         self.emissions_model = emissions_model
         self.ci_g_per_kwh = ci_g_per_kwh
         self.baseline = baseline
+        self._runs: dict[OperatingConfig, list[AppRunPoint]] = {}
 
     def candidates(self) -> list[OperatingConfig]:
         """Every frequency setting × determinism mode the node exposes."""
@@ -108,15 +114,23 @@ class DecisionEngine:
             for setting in settings
         ]
 
+    def _runs_at(self, config: OperatingConfig) -> list[AppRunPoint]:
+        """Every mix app at ``config``, in mix order."""
+        if config not in self._runs:
+            self._runs[config] = evaluate_apps(
+                self.mix.apps, config.setting, config.mode, self.node_model
+            )
+        return self._runs[config]
+
     def _mix_ratios(self, config: OperatingConfig) -> tuple[float, float]:
         """Mix-weighted (perf ratio, energy ratio) of ``config`` vs baseline."""
         perf = 0.0
         energy = 0.0
-        for app, weight in zip(self.mix.apps, self.mix.weights):
-            base = evaluate_app(
-                app, self.baseline.setting, self.baseline.mode, self.node_model
-            )
-            cand = evaluate_app(app, config.setting, config.mode, self.node_model)
+        # A sequential sum on purpose: np.dot/np.sum would reorder the
+        # additions and change the last bits of the answer.
+        for weight, cand, base in zip(
+            self.mix.weights, self._runs_at(config), self._runs_at(self.baseline)
+        ):
             pair = compare_points(cand, base)
             perf += weight * pair.perf_ratio
             energy += weight * pair.energy_ratio

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..node.app_energy import compare_points, evaluate_app
+from ..node.app_energy import compare_points, evaluate_apps
 from ..node.determinism import DeterminismMode
 from ..node.node_power import NodePowerModel
 from ..node.pstates import FrequencySetting
@@ -86,17 +86,7 @@ def compare_app(
     node_model: NodePowerModel,
 ) -> BenchmarkComparison:
     """Perf/energy ratios of one app between two operating configurations."""
-    base_run = evaluate_app(app, baseline.setting, baseline.mode, node_model)
-    cand_run = evaluate_app(app, candidate.setting, candidate.mode, node_model)
-    pair = compare_points(cand_run, base_run)
-    return BenchmarkComparison(
-        app_name=app.name,
-        nodes=app.typical_nodes,
-        perf_ratio=pair.perf_ratio,
-        energy_ratio=pair.energy_ratio,
-        paper_perf_ratio=app.paper_perf_ratio,
-        paper_energy_ratio=app.paper_energy_ratio,
-    )
+    return comparison_table({app.name: app}, candidate, baseline, node_model)[0]
 
 
 def comparison_table(
@@ -105,10 +95,27 @@ def comparison_table(
     baseline: OperatingConfig,
     node_model: NodePowerModel,
 ) -> list[BenchmarkComparison]:
-    """Rows for every app, in catalogue order (a full Table 3/4)."""
-    return [
-        compare_app(app, candidate, baseline, node_model) for app in apps.values()
-    ]
+    """Rows for every app, in catalogue order (a full Table 3/4).
+
+    Baseline and candidate are each evaluated once across all apps.
+    """
+    profiles = list(apps.values())
+    base_runs = evaluate_apps(profiles, baseline.setting, baseline.mode, node_model)
+    cand_runs = evaluate_apps(profiles, candidate.setting, candidate.mode, node_model)
+    rows = []
+    for app, cand_run, base_run in zip(profiles, cand_runs, base_runs):
+        pair = compare_points(cand_run, base_run)
+        rows.append(
+            BenchmarkComparison(
+                app_name=app.name,
+                nodes=app.typical_nodes,
+                perf_ratio=pair.perf_ratio,
+                energy_ratio=pair.energy_ratio,
+                paper_perf_ratio=app.paper_perf_ratio,
+                paper_energy_ratio=app.paper_energy_ratio,
+            )
+        )
+    return rows
 
 
 # -- scalar metrics ------------------------------------------------------------

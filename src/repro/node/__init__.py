@@ -6,7 +6,7 @@ change (§4.1) and the 2.0 GHz frequency cap (§4.2) — act through the same
 mechanisms they do on the real hardware.
 """
 
-from .app_energy import AppRunPoint, RatioPair, compare_points, evaluate_app
+from .app_energy import AppRunPoint, RatioPair, compare_points, evaluate_app, evaluate_apps
 from .calibration import (
     CalibrationResult,
     LOADED_NODE_ANCHOR_W,
@@ -43,6 +43,7 @@ __all__ = [
     "AppRunPoint",
     "RatioPair",
     "evaluate_app",
+    "evaluate_apps",
     "compare_points",
     "CalibrationResult",
     "LOADED_NODE_ANCHOR_W",

@@ -3,13 +3,16 @@
 This is the junction between the workload substrate (roofline execution
 models) and the node substrate (DVFS power model). Everything the paper's
 Tables 3 and 4 report — performance ratios and energy ratios between
-operating points — reduces to two calls of :func:`evaluate_app` and one
-:func:`compare_points`.
+operating points — reduces to two calls of :func:`evaluate_apps` and one
+:func:`compare_points` per app.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, cast
+
+import numpy as np
 
 from ..workload.applications import AppProfile
 from .cpu import OperatingPoint
@@ -17,7 +20,7 @@ from .determinism import DeterminismMode
 from .node_power import NodePowerModel
 from .pstates import FrequencySetting
 
-__all__ = ["AppRunPoint", "RatioPair", "evaluate_app", "compare_points"]
+__all__ = ["AppRunPoint", "RatioPair", "evaluate_app", "evaluate_apps", "compare_points"]
 
 
 @dataclass(frozen=True)
@@ -53,6 +56,36 @@ class RatioPair:
         return self.energy_ratio * self.perf_ratio
 
 
+def evaluate_apps(
+    apps: Iterable[AppProfile],
+    setting: FrequencySetting,
+    mode: DeterminismMode,
+    node_model: NodePowerModel,
+) -> list[AppRunPoint]:
+    """Resolve every app's wall-time stretch and node power at one operating point.
+
+    The point is resolved once and every app's busy-node power comes from
+    one array :meth:`NodePowerModel.busy_power_w` call. Each element is the
+    same float64 arithmetic, in the same order, as a scalar call for that
+    app alone.
+    """
+    apps = tuple(apps)
+    point = node_model.cpu.operating_point(setting, mode)
+    profiles = [app.roofline.at(point.effective_ghz) for app in apps]
+    compute = np.array([profile.compute_activity for profile in profiles])
+    memory = np.array([profile.memory_activity for profile in profiles])
+    power = cast(np.ndarray, node_model.busy_power_w(point, compute, memory))
+    return [
+        AppRunPoint(
+            app_name=app.name,
+            point=point,
+            time_ratio=profile.time_ratio,
+            node_power_w=float(watts),
+        )
+        for app, profile, watts in zip(apps, profiles, power)
+    ]
+
+
 def evaluate_app(
     app: AppProfile,
     setting: FrequencySetting,
@@ -60,17 +93,7 @@ def evaluate_app(
     node_model: NodePowerModel,
 ) -> AppRunPoint:
     """Resolve an app's wall-time stretch and node power at an operating point."""
-    point = node_model.cpu.operating_point(setting, mode)
-    profile = app.roofline.at(point.effective_ghz)
-    power = node_model.busy_power_w(
-        point, profile.compute_activity, profile.memory_activity
-    )
-    return AppRunPoint(
-        app_name=app.name,
-        point=point,
-        time_ratio=profile.time_ratio,
-        node_power_w=float(power),
-    )
+    return evaluate_apps((app,), setting, mode, node_model)[0]
 
 
 def compare_points(candidate: AppRunPoint, baseline: AppRunPoint) -> RatioPair:

@@ -2,7 +2,8 @@
 
 :class:`FacilityCore` owns what used to live inside
 :class:`repro.api.FacilitySession` — the calibrated node model, the
-in-memory :class:`~repro.engine.cache.LRUCache` and the optional on-disk
+ARCHER2 workload mix and application catalogue, the in-memory
+:class:`~repro.engine.cache.LRUCache` and the optional on-disk
 :class:`~repro.engine.cache.SweepStore` — and exposes the paper's §2–§5
 questions as *stateless* methods over an explicit :class:`SessionParams`.
 
@@ -44,6 +45,8 @@ from ..grid.trajectory import lifetime_average_ci
 from ..node.calibration import build_node_model
 from ..node.determinism import DeterminismMode
 from ..node.pstates import FrequencySetting
+from ..workload.applications import full_catalogue, paper_curated_apps
+from ..workload.mix import archer2_mix
 
 __all__ = ["SessionParams", "FacilityCore"]
 
@@ -157,6 +160,8 @@ class FacilityCore:
         if store is not None and cache_dir is not None:
             raise ConfigurationError("pass either store or cache_dir, not both")
         self.node_model = build_node_model()
+        self.mix = archer2_mix()
+        self.catalogue = full_catalogue()
         self.memory_cache = memory_cache if memory_cache is not None else LRUCache()
         self.store = store if store is not None else (
             SweepStore(cache_dir) if cache_dir is not None else None
@@ -244,20 +249,17 @@ class FacilityCore:
         app_name: str | None = None,
     ) -> list[BenchmarkComparison]:
         """Tables 3/4-style perf/energy ratios of ``candidate`` vs ``baseline``."""
-        from ..workload.applications import full_catalogue, paper_curated_apps
-
         baseline = baseline or params.config
-        catalogue = full_catalogue()
         if app_name is not None:
             try:
-                app = catalogue[app_name]
+                app = self.catalogue[app_name]
             except KeyError:
                 raise ConfigurationError(
-                    f"unknown app {app_name!r}; choose from {sorted(catalogue)}"
+                    f"unknown app {app_name!r}; choose from {sorted(self.catalogue)}"
                 ) from None
             return [compare_app(app, candidate, baseline, self.node_model)]
         curated = {
-            name: app for name, app in catalogue.items() if name in paper_curated_apps()
+            name: app for name, app in self.catalogue.items() if name in paper_curated_apps()
         }
         return comparison_table(curated, candidate, baseline, self.node_model)
 
@@ -267,10 +269,8 @@ class FacilityCore:
         self, params: SessionParams, priorities: Priorities = ARCHER2_WINTER_2022
     ) -> OperatingPointScore:
         """Recommended operating point for the declared §5 priorities."""
-        from ..workload.mix import archer2_mix
-
         engine = DecisionEngine(
-            mix=archer2_mix(),
+            mix=self.mix,
             node_model=self.node_model,
             emissions_model=self.emissions_model(params),
             ci_g_per_kwh=self.mean_ci_g_per_kwh(params),

@@ -12,6 +12,8 @@ the formatter.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Mapping
 
 from ..core.decision import ARCHER2_WINTER_2022, OperatingPointScore, Priorities
@@ -131,7 +133,19 @@ class ServiceRouter:
     def _classify_regime(self, params: Mapping) -> dict:
         session = SessionParams.from_mapping(params)
         ci = params.get("at_ci_g_per_kwh")
-        ci = float(ci) if ci is not None else self.core.mean_ci_g_per_kwh(session)
+        if ci is None:
+            ci = self.core.mean_ci_g_per_kwh(session)
+        elif (
+            isinstance(ci, bool)
+            or not isinstance(ci, Real)
+            or not math.isfinite(ci)
+            or ci < 0
+        ):
+            raise ConfigurationError(
+                f"at_ci_g_per_kwh must be a finite, non-negative number, got {ci!r}"
+            )
+        else:
+            ci = float(ci)
         return payload_regime(
             self.core.classify_regime(session, ci),
             self.core.optimisation_target(session, ci),
@@ -150,10 +164,11 @@ class ServiceRouter:
             if "baseline" in params
             else None
         )
+        app_name = params.get("app_name")
+        if app_name is not None and not isinstance(app_name, str):
+            raise ConfigurationError(f"app_name must be a string, got {app_name!r}")
         return payload_efficiency(
-            self.core.efficiency(
-                session, candidate, baseline, params.get("app_name")
-            )
+            self.core.efficiency(session, candidate, baseline, app_name)
         )
 
     def _advise(self, params: Mapping) -> dict:
@@ -197,7 +212,6 @@ class ServiceRouter:
         from ..scheduler.malleable import compare_rigid_malleable
         from ..units import SECONDS_PER_DAY
         from ..workload.generator import JobStreamConfig, JobStreamGenerator
-        from ..workload.mix import archer2_mix
 
         days = float(params.get("days", 1.0))
         nodes = int(params.get("nodes", 128))
@@ -220,7 +234,7 @@ class ServiceRouter:
             malleable_fraction=float(params.get("malleable_fraction", 0.5)),
             shift_slack_mean_s=float(params.get("slack_hours", 2.0)) * 3600.0,
         )
-        jobs = JobStreamGenerator(archer2_mix(), config, rng).generate_until(
+        jobs = JobStreamGenerator(self.core.mix, config, rng).generate_until(
             t_end_s * 0.9
         )
         ci_model = CarbonIntensityModel.from_scenario(scenario)

@@ -13,6 +13,7 @@ from repro.core.interventions import (
     OperatingState,
 )
 from repro.facility.archer2 import archer2_inventory, scaled_inventory
+from repro.node.app_energy import AppRunPoint
 from repro.node.calibration import build_node_model
 from repro.node.determinism import DeterminismMode
 from repro.scheduler.frequency_policy import FrequencyPolicy
@@ -50,6 +51,27 @@ def small_inventory():
 def mix():
     """The default ARCHER2 workload mix."""
     return archer2_mix()
+
+
+def _per_app_run(app, setting, mode, node_model) -> AppRunPoint:
+    point = node_model.cpu.operating_point(setting, mode)
+    profile = app.roofline.at(point.effective_ghz)
+    power = node_model.busy_power_w(
+        point, profile.compute_activity, profile.memory_activity
+    )
+    return AppRunPoint(
+        app_name=app.name,
+        point=point,
+        time_ratio=profile.time_ratio,
+        node_power_w=float(power),
+    )
+
+
+@pytest.fixture(scope="session")
+def per_app_run():
+    """Reference for ``evaluate_apps``: one app at one operating point, via
+    its roofline profile and one scalar ``busy_power_w`` call."""
+    return _per_app_run
 
 
 def _small_campaign_config(

@@ -7,10 +7,11 @@ from repro.core.decision import (
     DecisionEngine,
     Priorities,
 )
-from repro.core.efficiency import BASELINE_CONFIG
+from repro.core.efficiency import BASELINE_CONFIG, OperatingConfig
 from repro.core.emissions import EmbodiedProfile, EmissionsModel
 from repro.core.reporting import format_kw, format_ratio, render_table, series_to_csv
 from repro.errors import ConfigurationError
+from repro.node.app_energy import compare_points
 from repro.node.determinism import DeterminismMode
 from repro.node.pstates import FrequencySetting
 
@@ -83,6 +84,65 @@ class TestDecisionEngine:
             Priorities(
                 energy_efficiency=0.0, emissions_efficiency=0.0, cost=0.0, performance=0.0
             )
+        for weight in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigurationError):
+                Priorities(energy_efficiency=weight)
+            with pytest.raises(ConfigurationError):
+                Priorities(performance=weight)
+
+
+class PerAppLoopEngine(DecisionEngine):
+    """Reference: the engine before batching, which resolved the baseline
+    and the candidate again for every app of every scored candidate."""
+
+    def __init__(self, *args, run, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.run = run
+
+    def _mix_ratios(self, config):
+        perf = 0.0
+        energy = 0.0
+        for app, weight in zip(self.mix.apps, self.mix.weights):
+            base = self.run(app, self.baseline.setting, self.baseline.mode, self.node_model)
+            cand = self.run(app, config.setting, config.mode, self.node_model)
+            pair = compare_points(cand, base)
+            perf += weight * pair.perf_ratio
+            energy += weight * pair.energy_ratio
+        return perf, energy
+
+
+PRIORITY_SETS = (
+    ARCHER2_WINTER_2022,
+    Priorities(),
+    Priorities(energy_efficiency=0.0, emissions_efficiency=0.0, cost=0.0, performance=1.0),
+    Priorities(energy_efficiency=10.0, performance=0.1, min_performance_ratio=0.0),
+)
+
+
+class TestBatchedEngineParity:
+    """Scores, rankings and recommendations equal the per-app loop's, bit for bit."""
+
+    @pytest.mark.parametrize("ci", [5.0, 25.0, 55.0, 190.0, 300.0])
+    @pytest.mark.parametrize(
+        "baseline",
+        [OperatingConfig(s, m) for m in DeterminismMode for s in FrequencySetting],
+        ids=OperatingConfig.label,
+    )
+    def test_equals_per_app_loop(self, baseline, ci, node_model, mix, per_app_run):
+        args = dict(
+            mix=mix,
+            node_model=node_model,
+            emissions_model=EmissionsModel(embodied=EmbodiedProfile(), mean_power_kw=3500.0),
+            ci_g_per_kwh=ci,
+            baseline=baseline,
+        )
+        engine = DecisionEngine(**args)
+        reference = PerAppLoopEngine(**args, run=per_app_run)
+        for priorities in PRIORITY_SETS:
+            for config in engine.candidates():
+                assert engine.score(config, priorities) == reference.score(config, priorities)
+            assert engine.ranking(priorities) == reference.ranking(priorities)
+            assert engine.recommend(priorities) == reference.recommend(priorities)
 
 
 class TestReporting:

@@ -6,6 +6,8 @@ from repro.core.efficiency import (
     BASELINE_CONFIG,
     POST_BIOS_CONFIG,
     POST_FREQ_CONFIG,
+    BenchmarkComparison,
+    OperatingConfig,
     compare_app,
     comparison_table,
     energy_to_solution_kwh,
@@ -13,7 +15,12 @@ from repro.core.efficiency import (
     output_per_nodeh,
 )
 from repro.errors import ConfigurationError
-from repro.workload.applications import paper_frequency_benchmarks
+from repro.node.app_energy import compare_points
+from repro.node.determinism import DeterminismMode
+from repro.node.pstates import FrequencySetting
+from repro.workload.applications import full_catalogue, paper_frequency_benchmarks
+
+CONFIGS = [OperatingConfig(s, m) for m in DeterminismMode for s in FrequencySetting]
 
 
 class TestScalarMetrics:
@@ -79,3 +86,32 @@ class TestComparisons:
         row = compare_app(app, BASELINE_CONFIG, BASELINE_CONFIG, node_model)
         assert row.perf_ratio == pytest.approx(1.0)
         assert row.energy_ratio == pytest.approx(1.0)
+
+
+class TestBatchedTableParity:
+    """Rows equal the per-app loop's, which evaluated both points per app."""
+
+    @pytest.mark.parametrize("baseline", CONFIGS, ids=OperatingConfig.label)
+    def test_equals_per_app_loop(self, baseline, node_model, per_app_run):
+        apps = full_catalogue()
+        for candidate in CONFIGS:
+            expected = []
+            for app in apps.values():
+                pair = compare_points(
+                    per_app_run(app, candidate.setting, candidate.mode, node_model),
+                    per_app_run(app, baseline.setting, baseline.mode, node_model),
+                )
+                expected.append(
+                    BenchmarkComparison(
+                        app_name=app.name,
+                        nodes=app.typical_nodes,
+                        perf_ratio=pair.perf_ratio,
+                        energy_ratio=pair.energy_ratio,
+                        paper_perf_ratio=app.paper_perf_ratio,
+                        paper_energy_ratio=app.paper_energy_ratio,
+                    )
+                )
+            assert comparison_table(apps, candidate, baseline, node_model) == expected
+            assert [
+                compare_app(app, candidate, baseline, node_model) for app in apps.values()
+            ] == expected

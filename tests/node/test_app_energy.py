@@ -2,13 +2,28 @@
 
 import pytest
 
-from repro.node.app_energy import compare_points, evaluate_app
-from repro.node.determinism import DeterminismMode
+from repro.node.app_energy import compare_points, evaluate_app, evaluate_apps
+from repro.node.calibration import build_node_model
+from repro.node.determinism import DeterminismMode, DeterminismModel
+from repro.node.node_power import NodePowerConstants
 from repro.node.pstates import FrequencySetting
 from repro.workload.applications import (
+    full_catalogue,
     paper_bios_benchmarks,
     paper_frequency_benchmarks,
 )
+
+#: The default calibration, and one with every power constant and both
+#: determinism derates moved off their defaults.
+NODE_MODELS = {
+    "default": build_node_model(),
+    "refitted": build_node_model(
+        NodePowerConstants(
+            idle_w=215.0, cpu_dynamic_w=437.5, memory_dynamic_w=61.3, stall_activity=0.41
+        ),
+        DeterminismModel(performance_power_derate=0.83, performance_boost_derate=0.97),
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +53,19 @@ class TestEvaluateApp:
                     app, setting, DeterminismMode.PERFORMANCE, node_model
                 )
                 assert node_model.idle_power_w < run.node_power_w <= node_model.max_power_w()
+
+
+class TestEvaluateAppsParity:
+    """The batched evaluation is elementwise the per-app one, bit for bit."""
+
+    @pytest.mark.parametrize("model", list(NODE_MODELS.values()), ids=list(NODE_MODELS))
+    @pytest.mark.parametrize("mode", list(DeterminismMode), ids=lambda m: m.name)
+    @pytest.mark.parametrize("setting", list(FrequencySetting), ids=lambda s: s.name)
+    def test_equals_per_app_oracle(self, model, mode, setting, per_app_run):
+        apps = list(full_catalogue().values())
+        expected = [per_app_run(app, setting, mode, model) for app in apps]
+        assert evaluate_apps(apps, setting, mode, model) == expected
+        assert [evaluate_app(app, setting, mode, model) for app in apps] == expected
 
 
 class TestComparePoints:

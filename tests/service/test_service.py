@@ -7,11 +7,13 @@ import pytest
 
 from repro.api import FacilitySession
 from repro.errors import ConfigurationError, ServiceError
+from repro.node.node_power import NodePowerModel
 from repro.service import (
     AdmissionController,
     FacilityCore,
     FacilityService,
     ServiceRequest,
+    SessionParams,
 )
 from repro.service.envelope import PROTOCOL_VERSION
 from repro.service.router import payload_sweep
@@ -173,6 +175,43 @@ class TestErrorsAndAdmission:
 
         run(main())
 
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            ("classify_regime", {"at_ci_g_per_kwh": float("nan")}),
+            ("classify_regime", {"at_ci_g_per_kwh": float("inf")}),
+            ("classify_regime", {"at_ci_g_per_kwh": -5.0}),
+            ("classify_regime", {"at_ci_g_per_kwh": "abc"}),
+            ("classify_regime", {"at_ci_g_per_kwh": True}),
+            ("efficiency", {"app_name": ["x"]}),
+            ("efficiency", {"app_name": 7}),
+            ("advise", {"priorities": {"energy_efficiency": float("nan")}}),
+            ("advise", {"priorities": {"cost": float("inf")}}),
+        ],
+        ids=[
+            "ci-nan",
+            "ci-inf",
+            "ci-negative",
+            "ci-string",
+            "ci-bool",
+            "app-list",
+            "app-int",
+            "priority-nan",
+            "priority-inf",
+        ],
+    )
+    def test_malformed_params_are_bad_requests(self, method, params):
+        async def main():
+            service = open_service()
+            response = await service.call(method, params)
+            assert not response.ok
+            assert response.error["code"] == "bad-request"
+            assert response.error["type"] == "ConfigurationError"
+            assert service.metrics.failures_by_code == {"bad-request": 1}
+            assert service.metrics.reconciles()
+
+        run(main())
+
     def test_wrong_envelope_version_fails_without_dispatch(self):
         async def main():
             service = open_service()
@@ -231,6 +270,27 @@ class TestErrorsAndAdmission:
     def test_core_and_cache_dir_are_exclusive(self):
         with pytest.raises(ConfigurationError):
             FacilityService(core=FacilityCore(), cache_dir="/tmp/x")
+
+
+class TestPointEvaluationCount:
+    """Each operating point is evaluated across all apps in one array call."""
+
+    def test_busy_power_calls_per_request(self, monkeypatch):
+        calls = []
+        busy_power_w = NodePowerModel.busy_power_w
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return busy_power_w(self, *args, **kwargs)
+
+        monkeypatch.setattr(NodePowerModel, "busy_power_w", counting)
+        core = FacilityCore()
+        core.advise(SessionParams())
+        # Six candidates, the baseline among them, plus the emissions point.
+        assert len(calls) <= 7
+        calls.clear()
+        core.efficiency(SessionParams())
+        assert len(calls) == 2  # baseline and candidate, across all curated apps
 
 
 class TestStatePersistence:
