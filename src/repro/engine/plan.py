@@ -370,8 +370,16 @@ class SweepSpec:
 
     @property
     def spec_hash(self) -> str:
-        """SHA-256 content address of the canonical form."""
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        """SHA-256 content address of the canonical form.
+
+        Computed on first read and kept on the instance: the spec is frozen,
+        and a sweep reads its hash once per chunk access.
+        """
+        digest: str | None = self.__dict__.get("_spec_hash")
+        if digest is None:
+            digest = hashlib.sha256(self.canonical_json().encode()).hexdigest()
+            object.__setattr__(self, "_spec_hash", digest)
+        return digest
 
     @classmethod
     def from_canonical(cls, data: dict) -> "SweepSpec":

@@ -43,7 +43,7 @@ class TestRunResumeRoundTrip:
         assert sweep_main(["run", *args, "--export", str(out1)]) == 0
 
         # Simulate a kill: throw away some completed chunks.
-        chunks = sorted(cache.glob(f"{spec.spec_hash}-*/rows-*.npz"))
+        chunks = sorted(cache.glob(f"{spec.spec_hash}-*/rows-*.cols"))
         assert len(chunks) == 5
         for chunk in chunks[:2]:
             chunk.unlink()

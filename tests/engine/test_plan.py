@@ -1,10 +1,13 @@
 """SweepSpec: canonical serialisation, hashing, grid semantics, validation."""
 
 import dataclasses
+import pickle
 
 import pytest
 
+from repro.engine.cache import LRUCache, SweepStore
 from repro.engine.plan import CIScenario, SweepSpec, default_ci_scenarios
+from repro.engine.runner import run_sweep
 from repro.errors import ConfigurationError, HpcemError
 from repro.node.determinism import DeterminismMode
 from repro.node.pstates import FrequencySetting
@@ -106,6 +109,51 @@ class TestHashing:
     )
     def test_every_field_change_changes_hash(self, overrides):
         assert small_spec().spec_hash != small_spec(**overrides).spec_hash
+
+    def test_hash_is_a_plain_property(self):
+        assert type(SweepSpec.__dict__["spec_hash"]) is property
+
+    def test_sweep_serialises_the_spec_at_most_twice(self, tmp_path, monkeypatch):
+        """The digest is computed once per spec object: a cold 64-chunk run
+        serialises the spec for the hash and for ``spec.json`` only, and a
+        warm run of the same object not at all."""
+        calls = []
+        canonical_json = SweepSpec.canonical_json
+
+        def counting(spec):
+            calls.append(spec)
+            return canonical_json(spec)
+
+        monkeypatch.setattr(SweepSpec, "canonical_json", counting)
+        spec = small_spec(node_counts=tuple(range(1000, 1008)))
+        cold = run_sweep(
+            spec, chunk_size=1, store=SweepStore(tmp_path), memory_cache=LRUCache()
+        )
+        assert cold.meta.computed_chunks == 64
+        assert len(calls) <= 2
+        calls.clear()
+        warm = run_sweep(
+            spec, chunk_size=1, store=SweepStore(tmp_path), memory_cache=LRUCache()
+        )
+        assert warm.meta.disk_hits == 64
+        assert calls == []
+
+    def test_replace_with_a_changed_field_rehashes(self):
+        spec = small_spec()
+        before = spec.spec_hash
+        changed = dataclasses.replace(spec, utilisations=(0.75,))
+        assert changed.spec_hash != before
+        assert changed.spec_hash == small_spec(utilisations=(0.75,)).spec_hash
+        assert spec.spec_hash == before
+
+    @pytest.mark.parametrize("hashed_before_pickling", [False, True])
+    def test_pickled_spec_keeps_its_digest(self, hashed_before_pickling):
+        spec = small_spec()
+        if hashed_before_pickling:
+            assert spec.spec_hash
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec
+        assert clone.spec_hash == small_spec().spec_hash
 
     def test_default_spec_fields_all_covered_by_canonical_form(self):
         """New spec fields must not silently escape the cache key."""
