@@ -1,6 +1,4 @@
-"""Measurement analysis: baselines, change points, ratios, scenarios."""
-
-import warnings
+"""Measurement analysis: baselines, change points, ratios, bootstrap intervals."""
 
 from .baseline import BaselineStats, compare_to_inventory, summarise, summarise_streaming
 from .autocorrelation import (
@@ -20,15 +18,6 @@ from .changepoint import (
     segment_means_streaming,
 )
 from .ratios import RatioEstimate, paired_ratio, ratio_of_means
-
-# Scenario helpers moved to repro.engine.scenarios; resolved lazily here so
-# the deprecation warning fires only when the old names are actually used.
-_MOVED_TO_ENGINE = (
-    "ScenarioPoint",
-    "ci_sweep",
-    "lifetime_sensitivity",
-    "regime_boundaries_map",
-)
 
 __all__ = [
     "BaselineStats",
@@ -52,22 +41,5 @@ __all__ = [
     "RatioEstimate",
     "ratio_of_means",
     "paired_ratio",
-    "ScenarioPoint",
-    "ci_sweep",
-    "lifetime_sensitivity",
-    "regime_boundaries_map",
 ]
 
-
-def __getattr__(name: str):
-    if name in _MOVED_TO_ENGINE:
-        warnings.warn(
-            f"repro.analysis.{name} moved to repro.engine.scenarios; "
-            "this alias will be removed in a future release",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..engine import scenarios
-
-        return getattr(scenarios, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

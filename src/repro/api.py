@@ -40,7 +40,6 @@ many sessions in one process::
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -158,28 +157,6 @@ class FacilitySession:
     def store(self):
         """The on-disk sweep store, or ``None`` (owned by the core)."""
         return self._core.store
-
-    # -- internals (deprecated shims) ---------------------------------------
-
-    def _point_spec(self, config: OperatingConfig | None) -> SweepSpec:
-        """Deprecated: use ``session.core.point_spec(session.params, config)``."""
-        warnings.warn(
-            "FacilitySession._point_spec is deprecated; use "
-            "session.core.point_spec(session.params, config)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._core.point_spec(self._params, config)
-
-    def _evaluate(self, config: OperatingConfig | None) -> dict[str, float]:
-        """Deprecated: use ``session.core.evaluate_point(session.params, config)``."""
-        warnings.warn(
-            "FacilitySession._evaluate is deprecated; use "
-            "session.core.evaluate_point(session.params, config)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._core.evaluate_point(self._params, config)
 
     # -- §2: emissions and regimes -----------------------------------------
 

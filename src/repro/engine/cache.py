@@ -5,20 +5,16 @@ Two layers, both keyed by the spec's content hash and the engine version:
 * :class:`LRUCache` — a bounded in-memory map for whole assembled sweeps, so
   repeated ``sweep()`` calls inside one session are near-free.
 * :class:`SweepStore` — a directory of per-chunk ``.cols`` files under
-  ``<root>/<spec_hash>-v<ENGINE_VERSION>/``. Chunks are written atomically
-  (temp file + ``os.replace``), so concurrent writers cannot corrupt an
-  entry — the last complete write wins, and since evaluation is
+  ``<root>/<spec_hash>-v<ENGINE_VERSION>/``. Chunks are written with
+  :func:`repro.framing.atomic_write`, so concurrent writers cannot corrupt
+  an entry — the last complete write wins, and since evaluation is
   deterministic every writer produces identical bytes anyway. A chunk file
   that fails any check on read is treated as a miss and deleted.
 
-A chunk file is one checksummed frame::
-
-    magic   8 bytes   b"RSWPCOL1"
-    crc     uint32 LE CRC-32 of every byte after this field
-    hlen    uint32 LE length of the header that follows
-    header  hlen bytes of JSON {"rows": n, "columns": [[name, dtype.str], ...]},
-            space-padded so the body starts at a multiple of 64 bytes
-    body    each column's n raw values, in header order, nothing between
+A chunk file is one :mod:`repro.framing` frame with magic ``b"RSWPCOL1"``.
+Its header is the JSON ``{"rows": n, "columns": [[name, dtype.str], ...]}``
+and its body holds each column's n raw values, in header order, nothing
+between.
 
 Only numeric dtypes (kinds ``b``/``i``/``u``/``f``) are written or read, so
 loading a chunk can never unpickle anything; the arrays come back as
@@ -33,28 +29,20 @@ existing entry.
 from __future__ import annotations
 
 import json
-import os
-import struct
-import tempfile
-import zlib
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..framing import atomic_write, frame, unframe
 from .plan import ENGINE_VERSION, SweepSpec
 
 __all__ = ["LRUCache", "SweepStore"]
 
 _CHUNK_SUFFIX = ".cols"
 _MAGIC = b"RSWPCOL1"
-#: Fixed prefix of a chunk file: magic, CRC-32, header length.
-_PREFIX = struct.Struct("<8sII")
-#: The checksum covers every byte after the magic and the CRC field itself.
-_CRC_START = len(_MAGIC) + 4
-_BODY_ALIGN = 64
 #: dtype kinds a chunk column may have: bool, signed, unsigned, float.
 _NUMERIC_KINDS = "biuf"
 
@@ -101,41 +89,6 @@ class LRUCache:
         self._entries.clear()
 
 
-def _atomic_write(path: Path, buffers: Iterable) -> None:
-    """Publish the concatenated ``buffers`` as ``path`` via a temp file.
-
-    The temp file sits beside ``path`` and is moved over it with
-    ``os.replace``, so readers see the old file or the whole new one, never
-    a partial write. If writing fails, the temp file is removed and the
-    error propagates unchanged.
-    """
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            for buf in buffers:
-                fh.write(buf)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def _frame(header: dict, body: Iterable) -> list:
-    """The buffers of one chunk file: prefix, padded JSON header, ``body``."""
-    text = json.dumps(header, separators=(",", ":")).encode()
-    text += b" " * (-(_PREFIX.size + len(text)) % _BODY_ALIGN)
-    checked = [struct.pack("<I", len(text)), text, *body]
-    crc = 0
-    for buf in checked:
-        crc = zlib.crc32(buf, crc)
-    return [_MAGIC, struct.pack("<I", crc), *checked]
-
-
 def _encode_chunk(rows: int, columns: Mapping[str, np.ndarray]) -> list:
     """The buffers of the chunk file holding ``columns``."""
     arrays = {name: np.ascontiguousarray(col) for name, col in columns.items()}
@@ -149,23 +102,16 @@ def _encode_chunk(rows: int, columns: Mapping[str, np.ndarray]) -> list:
         "rows": rows,
         "columns": [[name, arr.dtype.str] for name, arr in arrays.items()],
     }
-    return _frame(header, arrays.values())
+    return frame(_MAGIC, json.dumps(header, separators=(",", ":")), arrays.values())
 
 
 def _decode_chunk(
     data: bytes, rows: int, expected_columns: tuple[str, ...]
 ) -> dict[str, np.ndarray]:
     """Read-only column views of a chunk file's bytes; ValueError if any check fails."""
-    if len(data) < _PREFIX.size or not data.startswith(_MAGIC):
-        raise ValueError("not a chunk file")
-    _, crc, hlen = _PREFIX.unpack_from(data)
-    start = _PREFIX.size + hlen
-    if start > len(data):
-        raise ValueError("header runs past the end of the file")
-    if zlib.crc32(memoryview(data)[_CRC_START:]) != crc:
-        raise ValueError("checksum mismatch")
+    text, body = unframe(data, _MAGIC)
     try:
-        header = json.loads(data[_PREFIX.size : start])
+        header = json.loads(text)
         header_rows = header["rows"]
         layout = [(name, np.dtype(code)) for name, code in header["columns"]]
         names = {name for name, _ in layout}
@@ -177,11 +123,12 @@ def _decode_chunk(
         raise ValueError("column set mismatch")
     if any(dtype.kind not in _NUMERIC_KINDS for _, dtype in layout):
         raise ValueError("non-numeric column")
-    if start + rows * sum(dtype.itemsize for _, dtype in layout) != len(data):
+    if rows * sum(dtype.itemsize for _, dtype in layout) != len(body):
         raise ValueError("body length mismatch")
     columns = {}
+    start = 0
     for name, dtype in layout:
-        columns[name] = np.frombuffer(data, dtype, rows, start)
+        columns[name] = np.frombuffer(body, dtype, rows, start)
         start += rows * dtype.itemsize
     return {name: columns[name] for name in expected_columns}
 
@@ -239,12 +186,12 @@ class SweepStore:
         entry.mkdir(parents=True, exist_ok=True)
         meta = entry / "spec.json"
         if not meta.exists():
-            _atomic_write(meta, [spec.canonical_json().encode()])
+            atomic_write(meta, [spec.canonical_json().encode()])
         target = self.chunk_path(spec.spec_hash, lo, hi)
         if not overwrite and target.is_file():
             self.skipped_writes += 1
             return target
-        _atomic_write(target, _encode_chunk(hi - lo, columns))
+        atomic_write(target, _encode_chunk(hi - lo, columns))
         return target
 
     def get_chunk(

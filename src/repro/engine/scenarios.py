@@ -6,8 +6,7 @@ posture is — the quantitative backing for the paper's qualitative §2
 discussion and the R1 bench.
 
 These are the one-dimensional companions to the full grid engine
-(:mod:`repro.engine.plan` / :mod:`repro.engine.runner`); they moved here
-from ``repro.analysis.scenarios``, which remains as a deprecated alias.
+(:mod:`repro.engine.plan` / :mod:`repro.engine.runner`).
 """
 
 from __future__ import annotations

@@ -7,30 +7,31 @@ rollup windows, advisor dedup state, metrics and the full alert history.
 Every stateful stage already exposes ``state_dict()`` /
 ``load_state_dict()``; this module is the file format around them.
 
-Checkpoints are JSON: Python's ``json`` round-trips IEEE-754 doubles
-exactly (``repr`` shortest-round-trip) and serialises NaN/±inf natively.
-The one bulk state — each rollup's quantile-sketch ``pending`` and
-``summary`` arrays, up to 16,384 floats — is packed as base64 of
-little-endian float64 rather than a list of floats, which is exact by
-construction and avoids a ``repr`` per float. Either way a restored
+A checkpoint (version 4) is one :mod:`repro.framing` frame with magic
+``b"RMONCKPT"`` and the JSON header ``{"version": 4, "payload": …}``.
+Every ``bytes`` value in the payload — each rollup's quantile-sketch
+``pending`` and ``summary`` arrays of little-endian float64 — is stored
+raw in the body and referenced from the header as
+``{"$section": [offset, length]}``. Python's ``json`` round-trips
+IEEE-754 doubles exactly and writes NaN/±inf natively, so a restored
 pipeline is *bit-identical* to the one that wrote the file — the
 kill-and-resume tests assert exact equality of segment means and alert
-sequences, not approximate agreement. Writes are atomic (temp file +
-``os.replace``) so a crash mid-write can never leave a truncated
-checkpoint where a good one used to be; a file torn some other way fails
-to load with a :class:`~repro.errors.CheckpointError`, never a raw
-Python error.
+sequences, not approximate agreement. Writes are atomic
+(:func:`repro.framing.atomic_write`); a file that fails any check on read
+— torn, bit-flipped, forged or an older JSON checkpoint — raises a
+:class:`~repro.errors.CheckpointError` naming the file and the check,
+never a raw Python error.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from pathlib import Path
 
 from ..core.regimes import OptimisationTarget, Regime
 from ..errors import CheckpointError
+from ..framing import atomic_write, frame, unframe
 from .alerts import (
     AdviceAlert,
     Alert,
@@ -57,7 +58,11 @@ __all__ = [
 #: place of the former per-quantile P² marker list ("quantiles").
 #: v3: the sketch's "pending" and "summary" arrays are base64 strings of
 #: little-endian float64 in place of JSON float lists.
-CHECKPOINT_VERSION = 3
+#: v4: one checksummed frame; ``bytes`` values are raw body sections.
+CHECKPOINT_VERSION = 4
+
+_MAGIC = b"RMONCKPT"
+_SECTION = "$section"
 
 _ALERT_TYPES: dict[str, type] = {
     cls.__name__: cls
@@ -125,23 +130,34 @@ def alert_from_dict(payload: dict) -> Alert:
 
 
 def save_checkpoint(path: str | Path, payload: dict) -> None:
-    """Write a checkpoint atomically (temp file in place, then rename).
+    """Write a checkpoint atomically (unique temp file, then rename).
 
     The version header is added here; ``payload`` is whatever the
-    supervisor's ``checkpoint()`` assembled. Raises
+    supervisor's ``checkpoint()`` assembled: JSON values plus ``bytes``,
+    which are stored raw as body sections. Raises
     :class:`~repro.errors.CheckpointError` if the payload cannot be
-    serialised or the file cannot be written.
+    serialised or the file cannot be written; a failed write leaves any
+    previous checkpoint at ``path`` untouched and no temp file behind.
     """
     path = Path(path)
+    sections: list[bytes] = []
+    offset = 0
+
+    def section(value):
+        nonlocal offset
+        if not isinstance(value, bytes):
+            raise TypeError(f"{type(value).__name__} values cannot be stored")
+        sections.append(value)
+        offset += len(value)
+        return {_SECTION: [offset - len(value), len(value)]}
+
     document = {"version": CHECKPOINT_VERSION, "payload": payload}
     try:
-        text = json.dumps(document)
+        header = json.dumps(document, separators=(",", ":"), default=section)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint payload is not serialisable: {exc}") from exc
-    tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        atomic_write(path, frame(_MAGIC, header, sections))
     except OSError as exc:
         raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
 
@@ -149,18 +165,36 @@ def save_checkpoint(path: str | Path, payload: dict) -> None:
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint written by :func:`save_checkpoint`; returns the payload.
 
-    Raises :class:`~repro.errors.CheckpointError` on a missing/unreadable
-    file, malformed JSON, or a version this code does not understand.
+    Raises :class:`~repro.errors.CheckpointError` naming the file and the
+    failed check on a missing/unreadable file, a wrong magic or checksum,
+    a malformed header, a version this code does not read, or a section
+    reference outside the body.
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     try:
-        document = json.loads(text)
+        header, body = unframe(data, _MAGIC)
     except ValueError as exc:
-        raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
+        raise CheckpointError(
+            f"checkpoint {path} is not a readable version-{CHECKPOINT_VERSION} "
+            f"checkpoint: {exc}"
+        ) from exc
+
+    def section(obj: dict):
+        if _SECTION not in obj:
+            return obj
+        offset, length = obj[_SECTION]
+        if not 0 <= offset <= offset + length <= len(body):
+            raise ValueError(f"section {obj[_SECTION]} runs past the {len(body)}-byte body")
+        return bytes(body[offset : offset + length])
+
+    try:
+        document = json.loads(header, object_hook=section)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {path} has a malformed header: {exc}") from exc
     if not isinstance(document, dict) or "version" not in document:
         raise CheckpointError(f"checkpoint {path} has no version header")
     version = document["version"]

@@ -36,7 +36,7 @@ class Processor:
         return []
 
     def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of incremental state (stateless: empty).
+        """Snapshot of incremental state: JSON values plus ``bytes`` (stateless: empty).
 
         Stateful subclasses override this together with
         :meth:`load_state_dict` so the supervisor can checkpoint a running

@@ -82,9 +82,11 @@ class SupervisorConfig:
 
     ``staleness_timeout_s`` is how far the global watermark may advance past
     a stream's last sample before the watchdog declares a data gap.
-    ``checkpoint_path`` enables periodic checkpoints roughly every
-    ``checkpoint_every_s`` of stream time (written only when all channels
-    are drained, so the snapshot is at a clean batch boundary).
+    ``checkpoint_path``, a file in an existing directory (checked here, so
+    a bad path fails before any data is ingested), enables periodic
+    checkpoints roughly every ``checkpoint_every_s`` of stream time
+    (written only when all channels are drained, so the snapshot is at a
+    clean batch boundary).
     """
 
     max_restarts: int = 3
@@ -115,6 +117,12 @@ class SupervisorConfig:
             raise MonitoringError("checkpoint_every_s must be positive")
         if self.dead_letter_capacity < 1:
             raise MonitoringError("dead_letter_capacity must be at least 1")
+        if self.checkpoint_path is not None:
+            path = Path(self.checkpoint_path)
+            if path.is_dir() or not path.parent.is_dir():
+                raise MonitoringError(
+                    f"checkpoint_path {path} must name a file in an existing directory"
+                )
 
 
 class DeadLetterStore:
@@ -459,7 +467,9 @@ class SupervisedPipeline(MonitorPipeline):
         self._last_checkpoint_s = now_s
 
     def checkpoint(self) -> dict:
-        """Snapshot the complete pipeline state as a JSON-serialisable dict.
+        """Snapshot the complete pipeline state: JSON values plus the rollup
+        sketches' float64 ``bytes``, which
+        :func:`~repro.live.checkpoint.save_checkpoint` stores as raw sections.
 
         Requires all channels drained (checkpoints are taken at clean batch
         boundaries); raises :class:`~repro.errors.CheckpointError` otherwise.
@@ -503,10 +513,10 @@ class SupervisedPipeline(MonitorPipeline):
         continues bit-identically with the interrupted run.
 
         A torn payload that still parses — a component missing a key or
-        holding a value of the wrong type, an undecodable packed array, a
-        bad RNG state — raises :class:`~repro.errors.CheckpointError`
-        naming the component. The pipeline may then be partly restored and
-        must be discarded.
+        holding a value of the wrong type, a sketch array that is not whole
+        float64 bytes, a bad RNG state — raises
+        :class:`~repro.errors.CheckpointError` naming the component. The
+        pipeline may then be partly restored and must be discarded.
         """
         current = [
             (stream, type(processor).__name__, processor)

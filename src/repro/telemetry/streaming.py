@@ -25,7 +25,6 @@ months-long series never needs to be fully resident.
 
 from __future__ import annotations
 
-import base64
 import csv
 import math
 from pathlib import Path
@@ -457,25 +456,6 @@ class P2Quantile:
         return out
 
 
-def _pack_floats(values) -> str:
-    """Base64 of ``values`` as little-endian float64 (exact by construction)."""
-    raw = np.asarray(values, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode("ascii")
-
-
-def _unpack_floats(text: str, name: str) -> np.ndarray:
-    """Decode :func:`_pack_floats` output; malformed text raises TelemetryError."""
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except (TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise TelemetryError(f"sketch {name!r} is not packed float64: {exc}") from exc
-    if len(raw) % 8:
-        raise TelemetryError(
-            f"sketch {name!r} holds {len(raw)} bytes, not whole float64 values"
-        )
-    return np.frombuffer(raw, dtype="<f8").astype(float)
-
-
 class MergingQuantileSketch:
     """Deterministic block-merging quantile summary over a value stream.
 
@@ -603,19 +583,20 @@ class MergingQuantileSketch:
     # -- persistence -----------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of the sketch (see ``restore``).
+        """Snapshot of the sketch (see ``restore``): JSON values plus bytes.
 
-        The ``pending`` and ``summary`` arrays are packed as base64 of
-        little-endian float64 — one C-speed encode instead of a ``repr``
-        per float, and exact by construction.
+        The ``pending`` and ``summary`` arrays are ``bytes`` of
+        little-endian float64 — exact by construction. A monitor
+        checkpoint stores them raw as body sections; on their own the
+        snapshot is not ``json.dumps``-able.
         """
         pending = self._buffer[: self._fill] if self._buffer is not None else ()
         return {
             "block_size": self.block_size,
             "summary_size": self.summary_size,
             "n_valid": self._n_valid,
-            "pending": _pack_floats(pending),
-            "summary": _pack_floats(self._summary),
+            "pending": np.asarray(pending, dtype="<f8").tobytes(),
+            "summary": np.asarray(self._summary, dtype="<f8").tobytes(),
             "summary_weight": self._weight,
         }
 
@@ -623,15 +604,19 @@ class MergingQuantileSketch:
         """Overwrite the sketch in place from a :meth:`state_dict` snapshot.
 
         The round-trip is bit-exact, so a restored sketch continues
-        bit-identically. A packed array that does not decode, or whose
-        length disagrees with ``n_valid`` (a truncated snapshot), raises
-        :class:`~repro.errors.TelemetryError`.
+        bit-identically. An array that is not bytes of whole float64
+        values, or whose length disagrees with ``n_valid`` (a truncated
+        snapshot), raises :class:`~repro.errors.TelemetryError`.
         """
         block_size = int(state["block_size"])
         summary_size = int(state["summary_size"])
         n_valid = int(state["n_valid"])
-        pending = _unpack_floats(state["pending"], "pending")
-        summary = _unpack_floats(state["summary"], "summary")
+        packed = {"pending": state["pending"], "summary": state["summary"]}
+        for name, raw in packed.items():
+            if not isinstance(raw, bytes) or len(raw) % 8:
+                raise TelemetryError(f"sketch {name!r} is not bytes of whole float64 values")
+        pending = np.frombuffer(packed["pending"], dtype="<f8").astype(float)
+        summary = np.frombuffer(packed["summary"], dtype="<f8").astype(float)
         # Folds happen at exact multiples of block_size, each leaving a
         # summary of exactly summary_size points.
         folded = n_valid >= block_size

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.scenarios import (
+from repro.engine.scenarios import (
     ci_sweep,
     lifetime_sensitivity,
     regime_boundaries_map,

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import errno
+import json
 import os
 import threading
 
@@ -13,6 +14,7 @@ from repro.engine.cache import LRUCache, SweepStore
 from repro.engine.plan import CIScenario, SweepSpec
 from repro.engine.runner import COLUMNS, run_sweep
 from repro.errors import ConfigurationError
+from repro.framing import PREFIX, frame
 from repro.node.determinism import DeterminismMode
 from repro.node.pstates import FrequencySetting
 
@@ -35,11 +37,16 @@ ROWS = 4
 
 
 def _header_end(data: bytes) -> int:
-    return cache_module._PREFIX.size + cache_module._PREFIX.unpack_from(data)[2]
+    return PREFIX.size + PREFIX.unpack_from(data)[2]
 
 
 def _flip_bit(data: bytes, index: int) -> bytes:
     return data[:index] + bytes([data[index] ^ 0x10]) + data[index + 1 :]
+
+
+def _framed(header, body) -> bytes:
+    """A chunk file with a valid checksum holding ``header`` and ``body``."""
+    return b"".join(frame(cache_module._MAGIC, json.dumps(header, separators=(",", ":")), body))
 
 
 def _forge(columns, codes=None) -> bytes:
@@ -52,23 +59,23 @@ def _forge(columns, codes=None) -> bytes:
             [name, codes.get(name, arr.dtype.str)] for name, arr in columns.items()
         ],
     }
-    return b"".join(cache_module._frame(header, columns.values()))
+    return _framed(header, columns.values())
 
 
 def _past_eof(data: bytes) -> bytes:
-    magic, crc, _ = cache_module._PREFIX.unpack_from(data)
-    return cache_module._PREFIX.pack(magic, crc, len(data)) + data[cache_module._PREFIX.size :]
+    magic, crc, _ = PREFIX.unpack_from(data)
+    return PREFIX.pack(magic, crc, len(data)) + data[PREFIX.size :]
 
 
 #: Ways a chunk file can be torn or damaged, each a function of the file's
 #: bytes and the chunk's true columns.
 DAMAGE = {
     "truncated-in-magic": lambda data, cols: data[:5],
-    "truncated-in-header": lambda data, cols: data[: cache_module._PREFIX.size + 10],
+    "truncated-in-header": lambda data, cols: data[: PREFIX.size + 10],
     "truncated-mid-column": lambda data, cols: data[: _header_end(data) + ROWS * 8 + 5],
     "one-byte-short": lambda data, cols: data[:-1],
     "one-byte-appended": lambda data, cols: data + b"\0",
-    "bit-flipped-in-header": lambda data, cols: _flip_bit(data, cache_module._PREFIX.size + 3),
+    "bit-flipped-in-header": lambda data, cols: _flip_bit(data, PREFIX.size + 3),
     "bit-flipped-in-column": lambda data, cols: _flip_bit(data, len(data) - 3),
     "wrong-magic": lambda data, cols: b"PK\x03\x04" + data[4:],
     "header-length-past-eof": lambda data, cols: _past_eof(data),
@@ -80,9 +87,7 @@ DAMAGE = {
     "column-one-row-short": lambda data, cols: _forge(
         {**cols, "utilisation": cols["utilisation"][:-1]}
     ),
-    "header-not-a-mapping": lambda data, cols: b"".join(
-        cache_module._frame(["rows", ROWS], cols.values())
-    ),
+    "header-not-a-mapping": lambda data, cols: _framed(["rows", ROWS], cols.values()),
 }
 
 

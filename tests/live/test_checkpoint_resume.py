@@ -1,19 +1,27 @@
 """Checkpoint/resume tests: alert serialisation round-trips, checkpoint
-file error paths, pipeline snapshot validation, and the acceptance
-property — a killed-and-resumed monitor is bit-identical to one that was
-never interrupted."""
+file error paths, damaged files and crash points, pipeline snapshot
+validation, and the acceptance property — a killed-and-resumed monitor is
+bit-identical to one that was never interrupted."""
 
-import base64
+import concurrent.futures
 import copy
+import errno
 import json
 import math
+import os
 import re
+import stat
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core.regimes import OptimisationTarget, Regime
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, MonitoringError
+from repro.framing import PREFIX, frame, unframe
+from repro.live import checkpoint as checkpoint_module
+from repro.live import monitor as monitor_module
 from repro.live.advisor import InterventionAdvisor
 from repro.live.alerts import (
     AdviceAlert,
@@ -159,6 +167,19 @@ class TestAlertSerialisation:
             alert_from_dict({"type": "Alert", "time_s": 0.0})  # stream missing
 
 
+def framed(path, document):
+    """Write ``document`` as a checkpoint header in a valid frame, so a
+    file built this way carries only the defect its document has."""
+    path.write_bytes(b"".join(frame(checkpoint_module._MAGIC, json.dumps(document), [])))
+    return path
+
+
+def saved_bytes(path, payload):
+    """The bytes :func:`save_checkpoint` writes for ``payload``."""
+    save_checkpoint(path, payload)
+    return path.read_bytes()
+
+
 class TestCheckpointFile:
     def test_roundtrip_preserves_nonfinite_floats(self, tmp_path):
         path = tmp_path / "monitor.ckpt"
@@ -168,49 +189,58 @@ class TestCheckpointFile:
         assert loaded["retry_at"]["p"] == math.inf
         assert loaded["mean"] == 3219.25
         assert math.isnan(loaded["gap"])
-        assert not path.with_name(path.name + ".tmp").exists()  # atomic write
+        assert list(tmp_path.glob("*.tmp")) == []  # atomic write
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
             load_checkpoint(tmp_path / "nope.ckpt")
 
     def test_invalid_json_rejected(self, tmp_path):
+        """A torn text file is not a frame: refused before any parsing."""
         path = tmp_path / "garbled.ckpt"
         path.write_text("{truncated")
-        with pytest.raises(CheckpointError, match="not valid JSON"):
+        with pytest.raises(CheckpointError, match="wrong magic"):
             load_checkpoint(path)
 
     def test_missing_version_rejected(self, tmp_path):
-        path = tmp_path / "old.ckpt"
-        path.write_text(json.dumps({"payload": {}}))
-        with pytest.raises(CheckpointError, match="version"):
+        path = framed(tmp_path / "old.ckpt", {"payload": {}})
+        with pytest.raises(CheckpointError, match="has no version header"):
             load_checkpoint(path)
 
     def test_future_version_rejected(self, tmp_path):
-        path = tmp_path / "future.ckpt"
-        path.write_text(
-            json.dumps({"version": CHECKPOINT_VERSION + 1, "payload": {}})
+        path = framed(
+            tmp_path / "future.ckpt", {"version": CHECKPOINT_VERSION + 1, "payload": {}}
         )
-        with pytest.raises(CheckpointError, match="version"):
+        with pytest.raises(
+            CheckpointError,
+            match=f"has version {CHECKPOINT_VERSION + 1}; "
+            f"this build reads version {CHECKPOINT_VERSION}",
+        ):
             load_checkpoint(path)
 
     def test_v2_checkpoint_rejected(self, tmp_path):
-        """v2 stored the sketch arrays as float lists; v3 packs them."""
+        """v2 stored the sketch arrays as float lists in a bare JSON file;
+        v4 frames the file, so it is refused like any other non-v4 file."""
         path = tmp_path / "v2.ckpt"
         sketch = {"n_valid": 2, "pending": [3220.0, 3221.5], "summary": []}
         path.write_text(json.dumps({"version": 2, "payload": {"sketch": sketch}}))
-        with pytest.raises(CheckpointError, match="has version 2; this build reads"):
+        with pytest.raises(CheckpointError, match="wrong magic"):
             load_checkpoint(path)
 
     def test_missing_payload_rejected(self, tmp_path):
-        path = tmp_path / "empty.ckpt"
-        path.write_text(json.dumps({"version": CHECKPOINT_VERSION}))
-        with pytest.raises(CheckpointError, match="payload"):
+        path = framed(tmp_path / "empty.ckpt", {"version": CHECKPOINT_VERSION})
+        with pytest.raises(CheckpointError, match="has no payload"):
             load_checkpoint(path)
 
     def test_unserialisable_payload_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="not serialisable"):
             save_checkpoint(tmp_path / "bad.ckpt", {"streams": {POWER_STREAM}})
+
+    def test_bytes_values_round_trip_as_sections(self, tmp_path):
+        path = tmp_path / "sections.ckpt"
+        payload = {"a": b"\x00\x01", "nested": [{"b": b""}, {"c": b"xyz"}], "d": "text"}
+        save_checkpoint(path, payload)
+        assert load_checkpoint(path) == payload
 
 
 def assemble_supervised(with_advisor=True):
@@ -226,9 +256,16 @@ def assemble_supervised(with_advisor=True):
 
 
 class TestPipelineSnapshot:
-    def test_snapshot_is_json_serialisable(self):
+    def test_snapshot_is_json_serialisable(self, tmp_path):
+        """The snapshot is JSON apart from its ``bytes``, which the saved
+        header references as body sections."""
         pipeline, *_ = build_monitor(supervisor_config=SupervisorConfig())
-        json.dumps({"version": CHECKPOINT_VERSION, "payload": pipeline.checkpoint()})
+        path = tmp_path / "snapshot.ckpt"
+        save_checkpoint(path, pipeline.checkpoint())
+        header, _ = unframe(path.read_bytes(), checkpoint_module._MAGIC)
+        document = json.loads(header)
+        assert document["version"] == CHECKPOINT_VERSION
+        assert document["payload"].keys() == pipeline.checkpoint().keys()
 
     def test_undrained_channels_rejected(self):
         pipeline = assemble_supervised()
@@ -252,7 +289,7 @@ class TestPipelineSnapshot:
         with pytest.raises(CheckpointError, match="advisor"):
             bare.load_checkpoint_payload(payload)
 
-    def test_snapshot_restores_into_fresh_pipeline(self):
+    def test_snapshot_restores_into_fresh_pipeline(self, tmp_path):
         original = assemble_supervised()
         flow = [
             StreamBatch(
@@ -263,11 +300,11 @@ class TestPipelineSnapshot:
             for h in range(6)
         ]
         original.run(iter(flow))
-        payload = json.loads(json.dumps(original.checkpoint()))
+        saved = saved_bytes(tmp_path / "original.ckpt", original.checkpoint())
         restored = assemble_supervised()
-        restored.load_checkpoint_payload(payload)
-        # Compare serialised form: NaN fields defeat plain dict equality.
-        assert json.dumps(restored.checkpoint()) == json.dumps(original.checkpoint())
+        restored.load_checkpoint_payload(load_checkpoint(tmp_path / "original.ckpt"))
+        # Compare saved bytes: NaN fields defeat plain dict equality.
+        assert saved_bytes(tmp_path / "restored.ckpt", restored.checkpoint()) == saved
 
 
 class Killed(RuntimeError):
@@ -339,21 +376,21 @@ class TestKillAndResume:
 
 
 @pytest.fixture(scope="module")
-def mid_run_payload(tmp_path_factory):
-    """The checkpoint a killed fig2 run left behind, with rollup windows
-    open (non-empty packed sketch arrays) and the CUSUM armed."""
+def mid_run_checkpoint(tmp_path_factory):
+    """The checkpoint file a killed fig2 run left behind, with rollup
+    windows open (non-empty sketch sections) and the CUSUM armed."""
     ckpt = tmp_path_factory.mktemp("mid-run") / "monitor.ckpt"
     cfg = SupervisorConfig(checkpoint_path=ckpt, checkpoint_every_s=2 * 86400.0)
     victim, *_ = build_monitor(supervisor_config=cfg)
     power, ci = scenario_sources(build_scenario("fig2", duration_days=30.0), 256)
     with pytest.raises(Killed):
         victim.run(kill_after(power, 7), ci)
-    return load_checkpoint(ckpt)
+    return ckpt
 
 
-def drop_last_float(packed):
-    """A packed array one whole float shorter: still valid base64."""
-    return base64.b64encode(base64.b64decode(packed)[:-8]).decode("ascii")
+@pytest.fixture(scope="module")
+def mid_run_payload(mid_run_checkpoint):
+    return load_checkpoint(mid_run_checkpoint)
 
 
 def set_pending(value):
@@ -392,11 +429,11 @@ class TestTornCheckpoint:
             ),
             (set_pending(lambda _: "not base64!"), POWER_ROLLUP, "'pending'"),
             (
-                set_pending(lambda packed: packed[: len(packed) // 2]),
+                set_pending(lambda packed: packed[:-1]),
                 POWER_ROLLUP,
                 "TelemetryError",
             ),
-            (set_pending(drop_last_float), POWER_ROLLUP, "inconsistent"),
+            (set_pending(lambda packed: packed[:-8]), POWER_ROLLUP, "inconsistent"),
             (
                 lambda p: p["metrics"].pop("samples_in"),
                 "metrics",
@@ -410,6 +447,8 @@ class TestTornCheckpoint:
         ],
         ids=[
             "processor-key-missing",
+            # The two ids name the text form older versions stored; the
+            # values are a str where bytes belong and a cut mid-float.
             "pending-not-base64",
             "pending-cut-mid-text",
             "pending-truncated-by-one-float",
@@ -425,6 +464,211 @@ class TestTornCheckpoint:
         message = str(info.value)
         assert re.search(f"component '{re.escape(component)}' is malformed", message)
         assert cause in message
+
+
+def body_start(data):
+    return PREFIX.size + PREFIX.unpack_from(data)[2]
+
+
+def flip_bit(data, index):
+    return data[:index] + bytes([data[index] ^ 0x10]) + data[index + 1 :]
+
+
+def past_eof(data):
+    magic, crc, _ = PREFIX.unpack_from(data)
+    return PREFIX.pack(magic, crc, len(data)) + data[PREFIX.size :]
+
+
+def reframed(data, edit):
+    """``data`` with its header document changed by ``edit`` and framed
+    again with a valid checksum; the body is kept byte for byte."""
+    start = body_start(data)
+    document = json.loads(data[PREFIX.size : start])
+    edit(document)
+    header = json.dumps(document, separators=(",", ":"))
+    return b"".join(frame(checkpoint_module._MAGIC, header, [data[start:]]))
+
+
+def section_past_body(document):
+    sketch = document["payload"]["processors"][1]["state"]["sketch"]
+    sketch["pending"] = {"$section": [0, 10**9]}
+
+
+#: Ways a checkpoint file can be torn, damaged or forged, each a function
+#: of the file's bytes, with the check its refusal must name.
+DAMAGE = {
+    "truncated-in-magic": (lambda data: data[:5], "wrong magic"),
+    "truncated-in-header": (
+        lambda data: data[: PREFIX.size + 10],
+        "header length past end of file",
+    ),
+    "truncated-mid-section": (
+        lambda data: data[: body_start(data) + 13],
+        "checksum mismatch",
+    ),
+    "one-byte-short": (lambda data: data[:-1], "checksum mismatch"),
+    "one-byte-appended": (lambda data: data + b"\0", "checksum mismatch"),
+    "bit-flipped-in-header": (
+        lambda data: flip_bit(data, PREFIX.size + 3),
+        "checksum mismatch",
+    ),
+    "bit-flipped-in-sketch-section": (
+        lambda data: flip_bit(data, body_start(data) + 3),
+        "checksum mismatch",
+    ),
+    "wrong-magic": (lambda data: b"PK\x03\x04" + data[4:], "wrong magic"),
+    "v3-json-file": (
+        lambda data: json.dumps({"version": 3, "payload": {}}).encode(),
+        "wrong magic",
+    ),
+    "header-length-past-eof": (past_eof, "header length past end of file"),
+    "forged-version-5": (
+        lambda data: reframed(data, lambda d: d.update(version=5)),
+        f"has version 5; this build reads version {CHECKPOINT_VERSION}",
+    ),
+    "forged-section-past-body": (
+        lambda data: reframed(data, section_past_body),
+        "runs past the",
+    ),
+}
+
+
+class TestDamagedCheckpointFile:
+    """Every torn, damaged or forged checkpoint file is refused with a
+    CheckpointError naming the file and the failed check, and the monitor
+    CLI refuses to resume from it."""
+
+    def test_reframed_file_equals_the_real_one_when_unedited(self, mid_run_checkpoint):
+        data = mid_run_checkpoint.read_bytes()
+        assert reframed(data, lambda d: None) == data
+        assert body_start(data) % 64 == 0
+
+    @pytest.mark.parametrize("damage,check", DAMAGE.values(), ids=DAMAGE.keys())
+    def test_damaged_file_is_refused(
+        self, tmp_path, capsys, mid_run_checkpoint, damage, check
+    ):
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(damage(mid_run_checkpoint.read_bytes()))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+        assert check in str(info.value)
+        argv = ["--scenario", "fig2", "--days", "2", "--quiet"]
+        assert monitor_main([*argv, "--checkpoint", str(path), "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint {path} ")
+        assert check in err
+
+
+class TestCheckpointCrashPoints:
+    """What a killed, failing or racing writer leaves behind."""
+
+    def test_temp_file_of_a_killed_writer_is_ignored(self, tmp_path, mid_run_payload):
+        """A writer killed between its temp write and ``os.replace`` leaves
+        a stray temp file beside the last good checkpoint."""
+        ckpt = tmp_path / "monitor.ckpt"
+        data = saved_bytes(ckpt, mid_run_payload)
+        stray = ckpt.with_name(ckpt.name + ".x1_k2q9z.tmp")
+        stray.write_bytes(data[: len(data) // 2])
+        pipeline, *_ = build_monitor(supervisor_config=SupervisorConfig())
+        pipeline.resume_from(ckpt)
+        assert saved_bytes(ckpt, pipeline.checkpoint()) == data
+        assert stray.read_bytes() == data[: len(data) // 2]
+
+    def test_disk_full_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "monitor.ckpt"
+        before = saved_bytes(ckpt, {"generation": 1})
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real_fdopen = os.fdopen
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.fh.close()
+
+            def write(self, buf):
+                raise full
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, *a, **kw: FullDisk(real_fdopen(fd, *a, **kw)))
+        with pytest.raises(CheckpointError, match="cannot write checkpoint") as info:
+            save_checkpoint(ckpt, {"generation": 2})
+        monkeypatch.undo()
+        assert info.value.__cause__ is full
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.ckpt"]
+        assert ckpt.read_bytes() == before
+
+    def test_directory_target_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "monitor.ckpt"
+        target.mkdir()
+        with pytest.raises(CheckpointError, match=f"cannot write checkpoint {target}"):
+            save_checkpoint(target, {"generation": 1})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.ckpt"]
+        assert list(target.iterdir()) == []
+
+    def test_writers_racing_one_path(self, tmp_path):
+        """Threads saving different payloads to one path, round after
+        round, leave a file that loads as exactly one of them, and no
+        temp file."""
+        ckpt = tmp_path / "monitor.ckpt"
+        payloads = [{"writer": i, "sketch": bytes([i]) * (1 << 18)} for i in range(4)]
+        barrier = threading.Barrier(len(payloads))
+
+        def racer(payload):
+            for _ in range(20):
+                barrier.wait(timeout=30)
+                save_checkpoint(ckpt, payload)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=len(payloads)) as pool:
+                for future in [pool.submit(racer, p) for p in payloads]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert load_checkpoint(ckpt) in payloads
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.ckpt"]
+
+    def test_saving_one_payload_twice_gives_identical_bytes(self, tmp_path, mid_run_payload):
+        first = saved_bytes(tmp_path / "first.ckpt", mid_run_payload)
+        assert saved_bytes(tmp_path / "second.ckpt", mid_run_payload) == first
+
+    def test_file_is_private_to_its_owner(self, tmp_path):
+        ckpt = tmp_path / "monitor.ckpt"
+        save_checkpoint(ckpt, {"generation": 1})
+        assert stat.S_IMODE(ckpt.stat().st_mode) == 0o600
+
+
+class TestCheckpointPath:
+    """A checkpoint path that can never be written is refused when the
+    monitor is configured, before it ingests anything."""
+
+    @pytest.mark.parametrize(
+        "relative",
+        ["", "missing-dir/monitor.ckpt", "a-file/monitor.ckpt"],
+        ids=["a-directory", "parent-missing", "parent-is-a-file"],
+    )
+    def test_config_refuses_an_unwritable_path(self, tmp_path, relative):
+        (tmp_path / "a-file").write_text("")
+        with pytest.raises(MonitoringError, match="must name a file in an existing directory"):
+            SupervisorConfig(checkpoint_path=tmp_path / relative)
+
+    def test_cli_exits_2_before_ingesting(self, tmp_path, capsys, monkeypatch):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("telemetry was built before the path was checked")
+
+        monkeypatch.setattr(monitor_module, "build_scenario", no_ingest)
+        path = tmp_path / "missing-dir" / "monitor.ckpt"
+        argv = ["--scenario", "fig2", "--days", "120", "--quiet"]
+        assert monitor_main([*argv, "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: checkpoint_path {path} must name a file")
+        assert not path.parent.exists()
 
 
 class TestMonitorCliErrors:

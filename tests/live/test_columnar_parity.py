@@ -7,13 +7,16 @@ each instance (:func:`use_oracle`). Every scenario in ``SCENARIO_BUILDERS``
 is replayed both ways — clean and under the full chaos-injector suite, in
 batches from one sample to 65,536 — and the alerts, segments, transitions,
 metrics and per-processor checkpoint state must match exactly
-(string-equal JSON, not approximately). Checkpoints written on one path
+(string-equal JSON and byte-equal saved checkpoints, not approximately).
+Checkpoints written on one path
 must resume on the other and still finish bit-identical to an
 uninterrupted run.
 """
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.live.checkpoint import alert_to_dict
+from repro.live.checkpoint import alert_to_dict, save_checkpoint
 from repro.live.cusum import CusumConfig, OnlineCusum
 from repro.live.events import CI_STREAM, POWER_STREAM, StreamBatch
 from repro.live.faults import FAULT_NAMES
@@ -78,16 +81,24 @@ def fingerprint(report, detector, tracker):
     )
 
 
+def saved_checkpoint(pipeline):
+    """The bytes of the checkpoint file ``pipeline`` writes now (exact, NaN-safe)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "snapshot.ckpt"
+        save_checkpoint(path, pipeline.checkpoint())
+        return path.read_bytes()
+
+
 def replay(scenario, batch_size, oracle, faults=None):
     """Replay a scenario; chaos runs are supervised. Returns the run's
-    fingerprint plus, when supervised, its full checkpoint payload."""
+    fingerprint plus, when supervised, its full saved checkpoint."""
     supervised = faults is not None
     pipeline, detector, tracker, _ = monitor(
         oracle, supervisor_config=SupervisorConfig(seed=5) if supervised else None
     )
     power, ci = scenario_sources(scenario, batch_size, faults=faults, fault_seed=7)
     report = pipeline.run(power, ci)
-    payload = json.dumps(pipeline.checkpoint()) if supervised else None
+    payload = saved_checkpoint(pipeline) if supervised else None
     return fingerprint(report, detector, tracker), payload
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SeriesShapeError, TelemetryError
+from repro.live.checkpoint import load_checkpoint, save_checkpoint
 from repro.telemetry.io import save_csv, save_npz
 from repro.telemetry.series import TimeSeries
 from repro.telemetry.streaming import (
@@ -18,6 +19,13 @@ from repro.telemetry.streaming import (
     as_chunk_reader,
     stream_stats,
 )
+
+
+def through_checkpoint(tmp_path, state):
+    """``state`` after a save/load round trip through a checkpoint file."""
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, state)
+    return load_checkpoint(path)
 
 
 def make_noisy_series(n=1000, seed=3, nan_fraction=0.05, t0=0.0):
@@ -283,14 +291,12 @@ class TestMergingQuantileSketch:
         with pytest.raises(SeriesShapeError):
             MergingQuantileSketch().update(np.zeros((2, 2)))
 
-    def test_restore_bit_identical(self):
-        import json
-
+    def test_restore_bit_identical(self, tmp_path):
         rng = np.random.default_rng(13)
         data = rng.normal(size=9000)
         sketch = MergingQuantileSketch(block_size=1024, summary_size=256)
         sketch.update(data[:5000])
-        state = json.loads(json.dumps(sketch.state_dict()))
+        state = through_checkpoint(tmp_path, sketch.state_dict())
         resumed = MergingQuantileSketch.restore(state)
         sketch.update(data[5000:])
         resumed.update(data[5000:])
@@ -306,16 +312,14 @@ class TestMergingQuantileSketch:
         [(0, 0, False), (5, 5, False), (64, 0, True), (69, 5, True)],
         ids=["empty", "part-filled", "exactly-full-then-folded", "folded-and-part-filled"],
     )
-    def test_packed_state_roundtrip_is_bit_exact(self, n_values, fill, folded):
-        import json
-
+    def test_packed_state_roundtrip_is_bit_exact(self, tmp_path, n_values, fill, folded):
         values = np.resize(np.array(self.EXTREMES), n_values)  # cycles the extremes
         sketch = MergingQuantileSketch(block_size=64, summary_size=8).update(values)
         assert (sketch._fill, len(sketch._summary) > 0) == (fill, folded)
-        state = json.loads(json.dumps(sketch.state_dict()))
-        assert isinstance(state["pending"], str) and isinstance(state["summary"], str)
+        state = through_checkpoint(tmp_path, sketch.state_dict())
+        assert isinstance(state["pending"], bytes) and isinstance(state["summary"], bytes)
         resumed = MergingQuantileSketch.restore(state)
-        # Packed strings compare equal only if every bit of every float does.
+        # Packed bytes compare equal only if every bit of every float does.
         assert resumed.state_dict() == sketch.state_dict()
         pending = sketch._buffer[:fill] if fill else np.empty(0)
         resumed_pending = resumed._buffer[:fill] if fill else np.empty(0)
@@ -328,8 +332,13 @@ class TestMergingQuantileSketch:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("pending", "***"), ("pending", [1.0, 2.0]), ("summary", "AAAA")],
-        ids=["not-base64", "v2-float-list", "partial-float"],
+        [
+            ("pending", "***"),
+            ("pending", "AAAAAAAAAAA="),
+            ("pending", [1.0, 2.0]),
+            ("summary", b"\0" * 4),
+        ],
+        ids=["not-base64", "v3-base64-text", "v2-float-list", "partial-float"],
     )
     def test_malformed_packed_state_rejected(self, field, value):
         sketch = MergingQuantileSketch(block_size=64, summary_size=8).update(np.arange(70.0))

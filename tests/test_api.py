@@ -111,16 +111,7 @@ def same_row(a: dict, b: dict) -> bool:
 
 
 class TestThinClientOfTheServiceCore:
-    """Post-service refactor: same surface, shared core, deprecation shims."""
-
-    def test_deprecated_internals_warn_but_still_answer(self):
-        session = FacilitySession()
-        with pytest.warns(DeprecationWarning, match="core.point_spec"):
-            spec = session._point_spec(None)
-        assert spec.n_scenarios == 1
-        with pytest.warns(DeprecationWarning, match="core.evaluate_point"):
-            row = session._evaluate(None)
-        assert same_row(row, session.emissions())
+    """Post-service refactor: same surface, shared core."""
 
     def test_methods_delegate_to_the_same_core_answers(self):
         session = FacilitySession(ci_g_per_kwh=190.0)

@@ -74,29 +74,6 @@ class TestExports:
         assert len(result) > 0
         assert "SWEEP-" in result.to_table()
 
-    def test_deprecated_scenario_paths_still_work_and_warn(self):
-        """The pre-engine deep-import paths keep working behind warnings."""
-        import importlib
-        import sys
-        import warnings
-
-        import repro.analysis
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fn = repro.analysis.ci_sweep
-        assert callable(fn)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-
-        sys.modules.pop("repro.analysis.scenarios", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = importlib.import_module("repro.analysis.scenarios")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        from repro.engine.scenarios import ci_sweep
-
-        assert legacy.ci_sweep is ci_sweep
-
     def test_docstrings_on_public_callables(self):
         """Every advertised public object carries a docstring."""
         for package in PACKAGES:
