@@ -14,9 +14,6 @@ Subcommands:
   (:mod:`repro.scheduler.cli`).
 * ``repro serve`` — the multi-tenant facility service over HTTP/JSON, or
   its concurrency selftest (:mod:`repro.service.cli`).
-
-The legacy positional form (``python -m repro T1 T2``, ``--list`` at the
-top level) still works but prints a deprecation notice; use ``repro run``.
 """
 
 from __future__ import annotations
@@ -30,12 +27,13 @@ from .experiments import REGISTRY, run_experiment
 FAST_EXPERIMENTS = ["T1", "T2", "T3", "T4", "R1", "A1", "A2"]
 
 SUBCOMMANDS = ("run", "monitor", "sweep", "lint", "sched", "serve")
+USAGE = f"usage: repro {{{','.join(SUBCOMMANDS)}}} ... (see 'repro <subcommand> --help')"
 
 
-def build_parser(prog: str = "repro run") -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     """The ``repro run`` argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
-        prog=prog,
+        prog="repro run",
         description=(
             "Reproduce the ARCHER2 emissions/energy-efficiency case study "
             "(SC 2023) on a simulated facility."
@@ -73,9 +71,9 @@ def build_parser(prog: str = "repro run") -> argparse.ArgumentParser:
     return parser
 
 
-def run_main(argv: list[str], prog: str = "repro run") -> int:
+def run_main(argv: list[str]) -> int:
     """``repro run`` entry point; returns a process exit code."""
-    args = build_parser(prog).parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.list:
         for exp_id in sorted(REGISTRY):
             print(exp_id)
@@ -134,15 +132,13 @@ def main(argv: list[str] | None = None) -> int:
         return serve_main(argv[1:])
     if argv and argv[0] == "run":
         return run_main(argv[1:])
-    # Legacy positional form: `python -m repro T1 T2` / top-level --list.
-    if argv and not any(arg in ("-h", "--help") for arg in argv):
-        print(
-            "note: the bare experiment form is deprecated; use 'repro run "
-            + " ".join(argv)
-            + "'",
-            file=sys.stderr,
-        )
-    return run_main(argv, prog="repro")
+    if argv and argv[0] in ("-h", "--help"):
+        print(USAGE)
+        return 0
+    print(USAGE, file=sys.stderr)
+    if argv:
+        print(f"to run experiments: repro run {' '.join(argv)}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

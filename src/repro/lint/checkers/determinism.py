@@ -13,9 +13,9 @@ the convention mechanical:
   the legacy ``np.random.*`` functions that hit numpy's hidden global state,
   and ``np.random.default_rng()`` called without a seed.
 
-Entry points that *report* elapsed time (``repro run``'s progress line, the
-monitor CLI, benchmarks, examples) are allowlisted by path; anything else
-must thread time and randomness in explicitly.  A reviewed exception is
+Entry points that *report* elapsed time (``repro run``'s progress line,
+benchmarks, examples) are allowlisted by path; anything else must thread
+time and randomness in explicitly.  A reviewed exception is
 annotated in place: ``# lint: allow-unseeded -- state restored on next line``.
 """
 
@@ -38,7 +38,6 @@ ENTRY_POINT_ALLOWLIST = frozenset(
         "src/repro/__main__.py",
         "src/repro/engine/cli.py",
         "src/repro/lint/cli.py",
-        "src/repro/live/monitor.py",
     }
 )
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass
 
 from ..analysis.changepoint import segment_means
@@ -48,7 +47,6 @@ class MonitorOutcome:
     detector: OnlineCusum
     tracker: RegimeTracker
     advisor: InterventionAdvisor
-    elapsed_s: float
     pipeline: MonitorPipeline
 
 
@@ -124,16 +122,12 @@ def run_monitor(
     power, ci = scenario_sources(
         scenario, batch_size, faults=faults, fault_seed=fault_seed
     )
-    start = time.perf_counter()
-    report = pipeline.run(power, ci)
-    elapsed = time.perf_counter() - start
     return MonitorOutcome(
         scenario=scenario,
-        report=report,
+        report=pipeline.run(power, ci),
         detector=detector,
         tracker=tracker,
         advisor=advisor,
-        elapsed_s=elapsed,
         pipeline=pipeline,
     )
 
@@ -152,10 +146,6 @@ def _summary_table(outcome: MonitorOutcome) -> str:
             " + ".join(f"{n:,} {s}" for s, n in sorted(metrics.samples_in.items())),
         ],
         ["Samples dropped", f"{metrics.total_samples_dropped:,}"],
-        [
-            "Throughput",
-            f"{metrics.total_samples_in / max(outcome.elapsed_s, 1e-9):,.0f} samples/s",
-        ],
         ["Watermark", f"day {metrics.watermark_time_s / SECONDS_PER_DAY:.1f}"],
         [
             "True changes",

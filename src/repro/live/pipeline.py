@@ -19,10 +19,12 @@ own advice alerts are fanned out in turn.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..errors import MonitoringError
+from ..ledger import Ledger
 from .advisor import InterventionAdvisor
 from .alerts import Alert, AlertSink
 from .channel import OVERFLOW_POLICIES, BoundedChannel
@@ -33,12 +35,12 @@ __all__ = ["PipelineMetrics", "MonitorReport", "MonitorPipeline"]
 
 
 @dataclass
-class PipelineMetrics:
+class PipelineMetrics(Ledger):
     """Counters and watermarks describing one pipeline run.
 
     The per-stream accounting identity — every sample offered is either
     processed, shed by channel overflow, or dead-lettered at admission —
-    holds at all times::
+    holds at all times, for every stream in any of the four counters::
 
         samples_in == samples_processed + samples_dropped + samples_dead_lettered
 
@@ -47,19 +49,23 @@ class PipelineMetrics:
     SupervisedPipeline`; under the plain pipeline they stay zero.
     """
 
-    batches_in: dict[str, int] = field(default_factory=dict)
-    samples_in: dict[str, int] = field(default_factory=dict)
-    samples_processed: dict[str, int] = field(default_factory=dict)
-    samples_dropped: dict[str, int] = field(default_factory=dict)
-    samples_dead_lettered: dict[str, int] = field(default_factory=dict)
-    batches_dead_lettered: dict[str, int] = field(default_factory=dict)
-    samples_sanitised: dict[str, int] = field(default_factory=dict)
-    channel_high_watermarks: dict[str, int] = field(default_factory=dict)
-    alerts_emitted: dict[str, int] = field(default_factory=dict)
-    processor_crashes: dict[str, int] = field(default_factory=dict)
-    processor_restarts: dict[str, int] = field(default_factory=dict)
+    IDENTITIES = (
+        ("samples_in", ("samples_processed", "samples_dropped", "samples_dead_lettered")),
+    )
+
+    batches_in: Counter[str] = field(default_factory=Counter)
+    samples_in: Counter[str] = field(default_factory=Counter)
+    samples_processed: Counter[str] = field(default_factory=Counter)
+    samples_dropped: Counter[str] = field(default_factory=Counter)
+    samples_dead_lettered: Counter[str] = field(default_factory=Counter)
+    batches_dead_lettered: Counter[str] = field(default_factory=Counter)
+    samples_sanitised: Counter[str] = field(default_factory=Counter)
+    channel_high_watermarks: Counter[str] = field(default_factory=Counter)
+    alerts_emitted: Counter[str] = field(default_factory=Counter)
+    processor_crashes: Counter[str] = field(default_factory=Counter)
+    processor_restarts: Counter[str] = field(default_factory=Counter)
     processors_quarantined: list[str] = field(default_factory=list)
-    data_gaps_detected: dict[str, int] = field(default_factory=dict)
+    data_gaps_detected: Counter[str] = field(default_factory=Counter)
     checkpoints_written: int = 0
     watermark_time_s: float = -math.inf
 
@@ -82,61 +88,6 @@ class PipelineMetrics:
     def total_alerts(self) -> int:
         """Alerts emitted across all types."""
         return sum(self.alerts_emitted.values())
-
-    def reconciles(self) -> bool:
-        """Whether the per-stream accounting identity holds for every stream."""
-        return all(
-            self.samples_in[stream]
-            == self.samples_processed.get(stream, 0)
-            + self.samples_dropped.get(stream, 0)
-            + self.samples_dead_lettered.get(stream, 0)
-            for stream in self.samples_in
-        )
-
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of every counter."""
-        return {
-            "batches_in": dict(self.batches_in),
-            "samples_in": dict(self.samples_in),
-            "samples_processed": dict(self.samples_processed),
-            "samples_dropped": dict(self.samples_dropped),
-            "samples_dead_lettered": dict(self.samples_dead_lettered),
-            "batches_dead_lettered": dict(self.batches_dead_lettered),
-            "samples_sanitised": dict(self.samples_sanitised),
-            "channel_high_watermarks": dict(self.channel_high_watermarks),
-            "alerts_emitted": dict(self.alerts_emitted),
-            "processor_crashes": dict(self.processor_crashes),
-            "processor_restarts": dict(self.processor_restarts),
-            "processors_quarantined": list(self.processors_quarantined),
-            "data_gaps_detected": dict(self.data_gaps_detected),
-            "checkpoints_written": self.checkpoints_written,
-            "watermark_time_s": self.watermark_time_s,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Overwrite every counter in place from a :meth:`state_dict` snapshot."""
-        self.batches_in = dict(state["batches_in"])
-        self.samples_in = dict(state["samples_in"])
-        self.samples_processed = dict(state["samples_processed"])
-        self.samples_dropped = dict(state["samples_dropped"])
-        self.samples_dead_lettered = dict(state["samples_dead_lettered"])
-        self.batches_dead_lettered = dict(state["batches_dead_lettered"])
-        self.samples_sanitised = dict(state["samples_sanitised"])
-        self.channel_high_watermarks = dict(state["channel_high_watermarks"])
-        self.alerts_emitted = dict(state["alerts_emitted"])
-        self.processor_crashes = dict(state["processor_crashes"])
-        self.processor_restarts = dict(state["processor_restarts"])
-        self.processors_quarantined = list(state["processors_quarantined"])
-        self.data_gaps_detected = dict(state["data_gaps_detected"])
-        self.checkpoints_written = state["checkpoints_written"]
-        self.watermark_time_s = state["watermark_time_s"]
-
-    @classmethod
-    def restore(cls, state: dict) -> "PipelineMetrics":
-        """Rebuild metrics from a :meth:`state_dict` snapshot."""
-        out = cls()
-        out.load_state_dict(state)
-        return out
 
 
 @dataclass(frozen=True)
@@ -233,8 +184,8 @@ class MonitorPipeline:
         metrics = self.metrics
         for batch in self._merged(sources):
             stream = batch.stream
-            metrics.batches_in[stream] = metrics.batches_in.get(stream, 0) + 1
-            metrics.samples_in[stream] = metrics.samples_in.get(stream, 0) + len(batch)
+            metrics.batches_in[stream] += 1
+            metrics.samples_in[stream] += len(batch)
             batch = self._admit(batch)
             if batch is None:
                 continue
@@ -305,9 +256,7 @@ class MonitorPipeline:
                 break
             batch = channel.get()
             consumed += len(batch)
-            self.metrics.samples_processed[stream] = (
-                self.metrics.samples_processed.get(stream, 0) + len(batch)
-            )
+            self.metrics.samples_processed[stream] += len(batch)
             self.metrics.watermark_time_s = max(
                 self.metrics.watermark_time_s, batch.t_end_s
             )
@@ -324,6 +273,6 @@ class MonitorPipeline:
     def _record(self, alert: Alert) -> None:
         self._alerts.append(alert)
         name = type(alert).__name__
-        self.metrics.alerts_emitted[name] = self.metrics.alerts_emitted.get(name, 0) + 1
+        self.metrics.alerts_emitted[name] += 1
         for sink in self._sinks:
             sink.emit(alert)

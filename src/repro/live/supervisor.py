@@ -35,7 +35,7 @@ Throughout, the per-stream accounting identity holds:
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,7 +47,7 @@ from ..errors import CheckpointError, HpcemError, MonitoringError
 from .alerts import DataGapAlert, DeadLetterAlert, DegradedModeAlert, ProcessorCrashAlert
 from .checkpoint import alert_from_dict, alert_to_dict, load_checkpoint, save_checkpoint
 from .events import StreamBatch, merge_batches
-from .pipeline import MonitorPipeline, PipelineMetrics
+from .pipeline import MonitorPipeline
 from .processors import Processor
 
 __all__ = ["SupervisorConfig", "DeadLetterStore", "SupervisedPipeline"]
@@ -191,8 +191,8 @@ class SupervisedPipeline(MonitorPipeline):
         self._retry_at: dict[str, float] = {}
         self._quarantined: set[str] = set()
         self._keys: dict[int, str] = {}
-        self._dropped_baseline: dict[str, int] = {}
-        self._hwm_baseline: dict[str, int] = {}
+        self._dropped_baseline: Counter[str] = Counter()
+        self._hwm_baseline: Counter[str] = Counter()
         self._resume_skip: dict[str, int] = {}
         self._last_checkpoint_s: float | None = None
 
@@ -242,21 +242,15 @@ class SupervisedPipeline(MonitorPipeline):
         if nonfinite.any():
             values = batch.values.copy()
             values[nonfinite] = np.nan
-            self.metrics.samples_sanitised[stream] = self.metrics.samples_sanitised.get(
-                stream, 0
-            ) + int(nonfinite.sum())
+            self.metrics.samples_sanitised[stream] += int(nonfinite.sum())
             batch = StreamBatch(stream, batch.times_s, values)
         return batch
 
     def _dead_letter(self, batch: StreamBatch, reason: str) -> None:
         metrics = self.metrics
         stream = batch.stream
-        metrics.samples_dead_lettered[stream] = (
-            metrics.samples_dead_lettered.get(stream, 0) + len(batch)
-        )
-        metrics.batches_dead_lettered[stream] = (
-            metrics.batches_dead_lettered.get(stream, 0) + 1
-        )
+        metrics.samples_dead_lettered[stream] += len(batch)
+        metrics.batches_dead_lettered[stream] += 1
         self.dead_letters.add(batch, reason)
         self._dispatch(
             [
@@ -277,11 +271,11 @@ class SupervisedPipeline(MonitorPipeline):
         """Stable identity for a processor: stream, type, registration index."""
         key = self._keys.get(id(processor))
         if key is None:
-            counts: dict[tuple[str, str], int] = {}
+            counts: Counter[tuple[str, str]] = Counter()
             for stream, processors in self._processors.items():
                 for p in processors:
                     pair = (stream, type(p).__name__)
-                    counts[pair] = counts.get(pair, 0) + 1
+                    counts[pair] += 1
                     suffix = f"#{counts[pair]}" if counts[pair] > 1 else ""
                     self._keys[id(p)] = f"{stream}:{type(p).__name__}{suffix}"
             key = self._keys[id(processor)]
@@ -301,9 +295,7 @@ class SupervisedPipeline(MonitorPipeline):
             if batch.t_end_s < retry_at:
                 return
             del self._retry_at[key]
-            self.metrics.processor_restarts[key] = (
-                self.metrics.processor_restarts.get(key, 0) + 1
-            )
+            self.metrics.processor_restarts[key] += 1
         try:
             self._dispatch(processor.process(batch))
         except Exception as exc:  # noqa: BLE001 — isolation is the whole point
@@ -322,7 +314,7 @@ class SupervisedPipeline(MonitorPipeline):
     def _crash(self, key: str, now_s: float, exc: Exception) -> None:
         cfg = self.supervisor_config
         metrics = self.metrics
-        metrics.processor_crashes[key] = metrics.processor_crashes.get(key, 0) + 1
+        metrics.processor_crashes[key] += 1
         crashes = metrics.processor_crashes[key]
         quarantined = crashes > cfg.max_restarts
         if quarantined:
@@ -386,9 +378,7 @@ class SupervisedPipeline(MonitorPipeline):
             gap = now - last
             if gap > cfg.staleness_timeout_s:
                 self._stale.add(watched)
-                metrics.data_gaps_detected[watched] = (
-                    metrics.data_gaps_detected.get(watched, 0) + 1
-                )
+                metrics.data_gaps_detected[watched] += 1
                 self._dispatch(
                     [
                         DataGapAlert(
@@ -409,9 +399,7 @@ class SupervisedPipeline(MonitorPipeline):
             gap = now - last
             if stream not in self._stale and gap > cfg.staleness_timeout_s:
                 self._stale.add(stream)
-                self.metrics.data_gaps_detected[stream] = (
-                    self.metrics.data_gaps_detected.get(stream, 0) + 1
-                )
+                self.metrics.data_gaps_detected[stream] += 1
                 self._dispatch(
                     [DataGapAlert(time_s=now, stream=stream, last_seen_s=last, gap_s=gap)]
                 )
@@ -443,10 +431,10 @@ class SupervisedPipeline(MonitorPipeline):
         baselines so the metrics stay cumulative across restarts."""
         for stream, channel in self._channels.items():
             self.metrics.samples_dropped[stream] = (
-                self._dropped_baseline.get(stream, 0) + channel.dropped_samples
+                self._dropped_baseline[stream] + channel.dropped_samples
             )
             self.metrics.channel_high_watermarks[stream] = max(
-                self._hwm_baseline.get(stream, 0), channel.high_watermark_samples
+                self._hwm_baseline[stream], channel.high_watermark_samples
             )
 
     # -- checkpoint / resume ---------------------------------------------------
@@ -544,7 +532,7 @@ class SupervisedPipeline(MonitorPipeline):
             with _restoring("advisor"):
                 self._advisor.load_state_dict(advisor_state)
         with _restoring("metrics"):
-            self.metrics = PipelineMetrics.restore(payload["metrics"])
+            self.metrics.load_state_dict(payload["metrics"])
         with _restoring("alerts"):
             self._alerts = [alert_from_dict(d) for d in payload["alerts"]]
         with _restoring("dead_letters"):
@@ -561,8 +549,8 @@ class SupervisedPipeline(MonitorPipeline):
             self._rng = np.random.default_rng()
             self._rng.bit_generator.state = payload["rng_state"]
         # Fresh channels restart at zero; carry the pre-resume counters.
-        self._dropped_baseline = dict(self.metrics.samples_dropped)
-        self._hwm_baseline = dict(self.metrics.channel_high_watermarks)
+        self._dropped_baseline = Counter(self.metrics.samples_dropped)
+        self._hwm_baseline = Counter(self.metrics.channel_high_watermarks)
         self._resume_skip = dict(self.metrics.samples_in)
 
     def resume_from(self, path: str | Path) -> None:

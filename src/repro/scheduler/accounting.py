@@ -16,6 +16,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from ..errors import SchedulingError
+from ..ledger import Ledger
 from ..units import JOULES_PER_KWH, SECONDS_PER_HOUR, emissions_g, g_to_tonnes
 from ..workload.jobs import JobRecord
 
@@ -160,8 +161,8 @@ class TraceBuilder:
         self._nodes = [int(n) for n in state["nodes"]]
 
 
-@dataclass(frozen=True)
-class FaultAccounting:
+@dataclass
+class FaultAccounting(Ledger):
     """Fault-injection outcome counters and wasted-capacity integrals.
 
     All-zero by default, so fault-free results carry a trivially consistent
@@ -170,6 +171,10 @@ class FaultAccounting:
     emissions); ``drained_node_seconds`` is capacity lost while failed nodes
     awaited repair. The degraded-tick counters track forecast-feed outages
     in the malleable scheduler.
+
+    A running simulation updates its ledger in place and hands each result
+    a copy. The run's identities are float sums with tolerances, checked by
+    :func:`reconciles` rather than as ledger ``IDENTITIES``.
     """
 
     n_failures: int = 0

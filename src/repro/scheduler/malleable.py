@@ -319,19 +319,11 @@ class MalleableSimulation:
         faults = scheduler.fault_config
         self._fault_rng = np.random.default_rng(faults.seed) if faults else None
         self._fault_gen = 0
-        self._drained_integral = 0.0
+        self._faults = FaultAccounting()
         self._last_drain_change_s = t_start_s
         self._attempts: dict[int, int] = {}
         self._retained: dict[int, float] = {}
         self._next_gen: dict[int, int] = {}
-        self._n_failures = 0
-        self._n_job_kills = 0
-        self._n_retries = 0
-        self._n_failed_terminal = 0
-        self._wasted_node_seconds = 0.0
-        self._wasted_energy_j = 0.0
-        self._n_degraded_ticks = 0
-        self._n_degraded_starts = 0
 
         for job in sorted(jobs, key=lambda j: (j.submit_time_s, j.job_id)):
             if job.submit_time_s < t_end_s:
@@ -444,7 +436,7 @@ class MalleableSimulation:
 
     def _integrate_drain(self, now_s: float) -> None:
         """Accumulate drained node-seconds up to ``now_s`` (call before changes)."""
-        self._drained_integral += self._pool.drained * (
+        self._faults.drained_node_seconds += self._pool.drained * (
             now_s - self._last_drain_change_s
         )
         self._last_drain_change_s = now_s
@@ -474,8 +466,8 @@ class MalleableSimulation:
         # The whole attempt's burn is charged as wasted: the restart's own
         # occupancy is accounted by its own record, and checkpoint retention
         # shows up as *less* re-execution, not as reclaimed burn.
-        self._wasted_node_seconds += run.node_seconds
-        self._wasted_energy_j += run.node_power_w * run.node_seconds
+        self._faults.wasted_node_seconds += run.node_seconds
+        self._faults.wasted_energy_j += run.node_power_w * run.node_seconds
         self._release_run(run, now_s)
         # End events of this attempt (generations <= current) must never
         # finish a requeued attempt, so the next attempt starts above them.
@@ -483,14 +475,14 @@ class MalleableSimulation:
         kept = self._restart_progress(run)
         if kept > 0.0:
             self._retained[run.job_id] = kept
-        self._n_job_kills += 1
+        self._faults.n_job_kills += 1
         attempt = self._attempts.get(run.job_id, 0) + 1
         self._attempts[run.job_id] = attempt
         if attempt > faults.max_retries:
-            self._n_failed_terminal += 1
+            self._faults.n_failed_terminal += 1
             self._retained.pop(run.job_id, None)
             return
-        self._n_retries += 1
+        self._faults.n_retries += 1
         delay = faults.backoff_s(attempt, float(self._fault_rng.random()))
         self._queue.push(Event(now_s + delay, EventKind.JOB_RELEASE, run.job_id))
         self._n_pending_release += 1
@@ -503,7 +495,7 @@ class MalleableSimulation:
         up = self._pool.up_nodes
         if up <= 0:
             return
-        self._n_failures += 1
+        self._faults.n_failures += 1
         # One uniform draw picks the failed node *and* the victim: a
         # position in [0, up) lands either inside the busy prefix
         # (cumulative allocations in job-id order) or in the idle tail.
@@ -574,7 +566,7 @@ class MalleableSimulation:
         degraded: bool = False,
     ) -> None:
         if degraded:
-            self._n_degraded_starts += 1
+            self._faults.n_degraded_starts += 1
         shape = self._shapes[job.job_id]
         self._pool.allocate(alloc)
         self._busy_power_w += resolved.node_power_w * alloc
@@ -668,7 +660,7 @@ class MalleableSimulation:
         sched = self._carbon
         ci, degraded = self._carbon_state(now_s)
         if degraded:
-            self._n_degraded_ticks += 1
+            self._faults.n_degraded_ticks += 1
         if ci is not None and ci > sched.high_g_per_kwh:
             for run in self._reshape_order():
                 shape = self._shapes[run.job_id]
@@ -819,17 +811,7 @@ class MalleableSimulation:
             n_jobs=self.n_jobs,
             n_completed=self._n_completed,
             n_running_at_end=len(self._running),
-            faults=FaultAccounting(
-                n_failures=self._n_failures,
-                n_job_kills=self._n_job_kills,
-                n_retries=self._n_retries,
-                n_failed_terminal=self._n_failed_terminal,
-                wasted_node_seconds=self._wasted_node_seconds,
-                wasted_energy_j=self._wasted_energy_j,
-                drained_node_seconds=self._drained_integral,
-                n_degraded_ticks=self._n_degraded_ticks,
-                n_degraded_starts=self._n_degraded_starts,
-            ),
+            faults=replace(self._faults),
         )
 
     def result(self) -> MalleableSimulationResult:
@@ -876,19 +858,11 @@ class MalleableSimulation:
                 else None
             ),
             "fault_gen": self._fault_gen,
-            "drained_integral": self._drained_integral,
+            "faults": self._faults.state_dict(),
             "last_drain_change_s": self._last_drain_change_s,
             "attempts": sorted(self._attempts.items()),
             "retained": sorted(self._retained.items()),
             "next_gen": sorted(self._next_gen.items()),
-            "n_failures": self._n_failures,
-            "n_job_kills": self._n_job_kills,
-            "n_retries": self._n_retries,
-            "n_failed_terminal": self._n_failed_terminal,
-            "wasted_node_seconds": self._wasted_node_seconds,
-            "wasted_energy_j": self._wasted_energy_j,
-            "n_degraded_ticks": self._n_degraded_ticks,
-            "n_degraded_starts": self._n_degraded_starts,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -923,21 +897,13 @@ class MalleableSimulation:
                 )
             self._fault_rng.bit_generator.state = fault_rng_state
         self._fault_gen = int(state.get("fault_gen", 0))
-        self._drained_integral = float(state.get("drained_integral", 0.0))
+        self._faults.load_state_dict(state["faults"])
         self._last_drain_change_s = float(
             state.get("last_drain_change_s", self.t_start_s)
         )
         self._attempts = {int(k): int(v) for k, v in state.get("attempts", [])}
         self._retained = {int(k): float(v) for k, v in state.get("retained", [])}
         self._next_gen = {int(k): int(v) for k, v in state.get("next_gen", [])}
-        self._n_failures = int(state.get("n_failures", 0))
-        self._n_job_kills = int(state.get("n_job_kills", 0))
-        self._n_retries = int(state.get("n_retries", 0))
-        self._n_failed_terminal = int(state.get("n_failed_terminal", 0))
-        self._wasted_node_seconds = float(state.get("wasted_node_seconds", 0.0))
-        self._wasted_energy_j = float(state.get("wasted_energy_j", 0.0))
-        self._n_degraded_ticks = int(state.get("n_degraded_ticks", 0))
-        self._n_degraded_starts = int(state.get("n_degraded_starts", 0))
 
 
 class RigidSimulation(MalleableSimulation):

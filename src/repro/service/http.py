@@ -141,6 +141,8 @@ class ServiceHTTPServer:
             try:
                 envelope = json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError):
+                self.service.metrics.record_in("default")
+                self.service.metrics.record_failed("default", "bad-request")
                 return (
                     400,
                     {

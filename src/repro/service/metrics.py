@@ -13,38 +13,40 @@ applied to the request plane::
 
 Nothing is allowed to fall between the buckets: the selftest, the soak CI
 job and ``benchmarks/bench_service.py`` all gate on :meth:`ServiceMetrics.
-reconciles` under load *and* across kill/resume.
+reconciles` under load *and* across kill/resume. The identity is checked
+for every tenant in any of the four counters (:class:`~repro.ledger.Ledger`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+
+from ..ledger import Ledger
 
 __all__ = ["ServiceMetrics"]
 
 
-def _bump(counter: dict[str, int], key: str, n: int = 1) -> None:
-    counter[key] = counter.get(key, 0) + n
-
-
 @dataclass
-class ServiceMetrics:
+class ServiceMetrics(Ledger):
     """Counters describing one service's lifetime, keyed per tenant/method."""
 
-    requests_in: dict[str, int] = field(default_factory=dict)
-    served: dict[str, int] = field(default_factory=dict)
-    rejected: dict[str, int] = field(default_factory=dict)
-    failed: dict[str, int] = field(default_factory=dict)
+    IDENTITIES = (("requests_in", ("served", "rejected", "failed")),)
+
+    requests_in: Counter[str] = field(default_factory=Counter)
+    served: Counter[str] = field(default_factory=Counter)
+    rejected: Counter[str] = field(default_factory=Counter)
+    failed: Counter[str] = field(default_factory=Counter)
     #: Requests answered by attaching to another request's in-flight
     #: evaluation (single-flight waiters), per tenant. A subset of served.
-    coalesced: dict[str, int] = field(default_factory=dict)
+    coalesced: Counter[str] = field(default_factory=Counter)
     #: Actual handler executions, per method — the denominator of the
     #: coalescing gate (evaluations ≪ requests under identical load).
-    evaluations: dict[str, int] = field(default_factory=dict)
+    evaluations: Counter[str] = field(default_factory=Counter)
     #: Rejection breakdown by structured error code ("rate-limited", …).
-    rejections_by_code: dict[str, int] = field(default_factory=dict)
+    rejections_by_code: Counter[str] = field(default_factory=Counter)
     #: Failure breakdown by structured error code ("bad-request", …).
-    failures_by_code: dict[str, int] = field(default_factory=dict)
+    failures_by_code: Counter[str] = field(default_factory=Counter)
     #: Requests in flight when a restart snapshot was restored; they were
     #: counted in and folded into ``failed`` so the identity survives.
     lost_to_restart: int = 0
@@ -54,33 +56,33 @@ class ServiceMetrics:
 
     def record_in(self, tenant: str) -> None:
         """Count one request arriving for a tenant."""
-        _bump(self.requests_in, tenant)
+        self.requests_in[tenant] += 1
 
     def record_served(self, tenant: str, *, coalesced: bool = False) -> None:
         """Count one ok response (``coalesced`` when it joined another flight)."""
-        _bump(self.served, tenant)
+        self.served[tenant] += 1
         if coalesced:
-            _bump(self.coalesced, tenant)
+            self.coalesced[tenant] += 1
 
     def record_rejected(self, tenant: str, code: str) -> None:
         """Count one admission refusal."""
-        _bump(self.rejected, tenant)
-        _bump(self.rejections_by_code, code)
+        self.rejected[tenant] += 1
+        self.rejections_by_code[code] += 1
 
     def record_failed(self, tenant: str, code: str) -> None:
         """Count one failed request."""
-        _bump(self.failed, tenant)
-        _bump(self.failures_by_code, code)
+        self.failed[tenant] += 1
+        self.failures_by_code[code] += 1
 
     def record_evaluation(self, method: str) -> None:
         """Count one actual handler execution."""
-        _bump(self.evaluations, method)
+        self.evaluations[method] += 1
 
     def observe_in_flight(self, depth: int) -> None:
         """Track the deepest concurrent in-flight watermark."""
         self.in_flight_peak = max(self.in_flight_peak, depth)
 
-    # -- identity ----------------------------------------------------------
+    # -- totals ------------------------------------------------------------
 
     @property
     def total_requests_in(self) -> int:
@@ -111,47 +113,3 @@ class ServiceMetrics:
     def total_evaluations(self) -> int:
         """Handler executions across all methods."""
         return sum(self.evaluations.values())
-
-    def reconciles(self) -> bool:
-        """Whether ``requests_in == served + rejected + failed`` per tenant."""
-        tenants = (
-            set(self.requests_in) | set(self.served) | set(self.rejected)
-            | set(self.failed)
-        )
-        return all(
-            self.requests_in.get(tenant, 0)
-            == self.served.get(tenant, 0)
-            + self.rejected.get(tenant, 0)
-            + self.failed.get(tenant, 0)
-            for tenant in tenants
-        )
-
-    # -- persistence -------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of every counter."""
-        return {
-            "requests_in": dict(self.requests_in),
-            "served": dict(self.served),
-            "rejected": dict(self.rejected),
-            "failed": dict(self.failed),
-            "coalesced": dict(self.coalesced),
-            "evaluations": dict(self.evaluations),
-            "rejections_by_code": dict(self.rejections_by_code),
-            "failures_by_code": dict(self.failures_by_code),
-            "lost_to_restart": self.lost_to_restart,
-            "in_flight_peak": self.in_flight_peak,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Overwrite every counter in place from a :meth:`state_dict` snapshot."""
-        self.requests_in = dict(state["requests_in"])
-        self.served = dict(state["served"])
-        self.rejected = dict(state["rejected"])
-        self.failed = dict(state["failed"])
-        self.coalesced = dict(state["coalesced"])
-        self.evaluations = dict(state["evaluations"])
-        self.rejections_by_code = dict(state["rejections_by_code"])
-        self.failures_by_code = dict(state["failures_by_code"])
-        self.lost_to_restart = state["lost_to_restart"]
-        self.in_flight_peak = state["in_flight_peak"]

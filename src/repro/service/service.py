@@ -74,14 +74,16 @@ class FacilityService:
 
     # -- request plane -----------------------------------------------------
 
-    async def handle(self, request: ServiceRequest | Mapping) -> ServiceResponse:
+    async def handle(self, request: ServiceRequest | object) -> ServiceResponse:
         """Answer one request; always returns an envelope, never raises.
+
+        Anything else is parsed as a wire envelope (any JSON value) first.
 
         (Except for :class:`asyncio.CancelledError`, which is accounted as
         a failure and then re-raised — the caller is going away.)
         """
-        if isinstance(request, Mapping):
-            tenant = request.get("tenant")
+        if not isinstance(request, ServiceRequest):
+            tenant = request.get("tenant") if isinstance(request, Mapping) else None
             tenant = tenant if isinstance(tenant, str) and tenant else "default"
             try:
                 request = ServiceRequest.from_wire(request)

@@ -34,5 +34,5 @@ class TestReportStructure:
     def test_cli_validate_flag(self, capsys):
         from repro.cli import main
 
-        assert main(["--validate"]) == 0
+        assert main(["run", "--validate"]) == 0
         assert "all checks passed" in capsys.readouterr().out

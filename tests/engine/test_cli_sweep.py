@@ -82,13 +82,6 @@ class TestDispatch:
         assert main(["run", "--list"]) == 0
         assert "T1" in capsys.readouterr().out.split()
 
-    def test_legacy_form_warns_but_works(self, capsys):
-        assert main(["--list"]) == 0
-        captured = capsys.readouterr()
-        assert "T1" in captured.out.split()
-
-    def test_legacy_experiment_form_prints_notice(self, capsys):
-        assert main(["ZZ"]) == 2
-        err = capsys.readouterr().err
-        assert "deprecated" in err
-        assert "unknown" in err
+    def test_bare_experiment_form_is_refused(self, capsys):
+        assert main(["T1"]) == 2
+        assert "repro run T1" in capsys.readouterr().err

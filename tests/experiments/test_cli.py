@@ -12,29 +12,29 @@ class TestParser:
 
 class TestMain:
     def test_list_mode(self, capsys):
-        assert main(["--list"]) == 0
+        assert main(["run", "--list"]) == 0
         out = capsys.readouterr().out.split()
         assert "T1" in out
         assert "F3" in out
 
     def test_unknown_id_exit_code(self, capsys):
-        assert main(["ZZ"]) == 2
+        assert main(["run", "ZZ"]) == 2
         assert "unknown" in capsys.readouterr().err
 
     def test_runs_named_experiment(self, capsys):
-        assert main(["T1"]) == 0
+        assert main(["run", "T1"]) == 0
         out = capsys.readouterr().out
         assert "[T1]" in out
         assert "750,080" in out
 
     def test_runs_multiple(self, capsys):
-        assert main(["T1", "R1"]) == 0
+        assert main(["run", "T1", "R1"]) == 0
         out = capsys.readouterr().out
         assert "[T1]" in out
         assert "[R1]" in out
 
     def test_case_insensitive(self, capsys):
-        assert main(["t2"]) == 0
+        assert main(["run", "t2"]) == 0
         assert "[T2]" in capsys.readouterr().out
 
 

@@ -61,6 +61,6 @@ class TestCliExport:
     def test_export_flag(self, tmp_path, capsys):
         from repro.cli import main
 
-        assert main(["T1", "--export", str(tmp_path)]) == 0
+        assert main(["run", "T1", "--export", str(tmp_path)]) == 0
         assert (tmp_path / "T1.txt").exists()
         assert "exported" in capsys.readouterr().out

@@ -444,6 +444,31 @@ class TestTornCheckpoint:
                 "rng_state",
                 "PCG64",
             ),
+            (
+                lambda p: p["metrics"].update(samples_in=POWER_STREAM),
+                "metrics",
+                "'samples_in'",
+            ),
+            (
+                lambda p: p["metrics"]["samples_in"].update({POWER_STREAM: "5"}),
+                "metrics",
+                f"samples_in[{POWER_STREAM!r}]",
+            ),
+            (
+                lambda p: p["metrics"]["samples_in"].update({POWER_STREAM: -5}),
+                "metrics",
+                "negative count",
+            ),
+            (
+                lambda p: p["metrics"].update(processors_quarantined="abc"),
+                "metrics",
+                "'processors_quarantined'",
+            ),
+            (
+                lambda p: p["metrics"].update(checkpoints_written="3"),
+                "metrics",
+                "'checkpoints_written'",
+            ),
         ],
         ids=[
             "processor-key-missing",
@@ -454,6 +479,11 @@ class TestTornCheckpoint:
             "pending-truncated-by-one-float",
             "metrics-key-missing",
             "rng-state-wrong-generator",
+            "metrics-counter-not-a-mapping",
+            "metrics-count-a-string",
+            "metrics-count-negative",
+            "metrics-name-list-a-string",
+            "metrics-scalar-a-string",
         ],
     )
     def test_names_the_component(self, tmp_path, mid_run_payload, tear, component, cause):

@@ -12,9 +12,14 @@ def run(coro):
 
 
 async def http(port, method, path, body=None):
-    """Minimal HTTP/1.1 client; returns (status, headers, json_body)."""
+    """Minimal HTTP/1.1 client; returns (status, headers, json_body).
+
+    ``body`` is sent as JSON, or as it is when it is already ``bytes``."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    payload = b"" if body is None else json.dumps(body).encode()
+    if isinstance(body, bytes):
+        payload = body
+    else:
+        payload = b"" if body is None else json.dumps(body).encode()
     head = (
         f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
         f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
@@ -106,24 +111,22 @@ class TestRoutes:
         run(main())
 
     def test_garbage_body_is_a_400_not_a_crash(self):
-        async def main():
+        async def main(body):
             service = FacilityService()
 
             async def scenario(port):
-                reader, writer = await asyncio.open_connection("127.0.0.1", port)
-                writer.write(
-                    b"POST /v1/request HTTP/1.1\r\nHost: t\r\n"
-                    b"Content-Length: 9\r\nConnection: close\r\n\r\nnot json!"
-                )
-                await writer.drain()
-                status = int((await reader.readline()).split()[1])
-                writer.close()
-                await writer.wait_closed()
-                assert status == 400
+                status, _, envelope = await http(port, "POST", "/v1/request", body)
+                assert status == 400, body
+                assert envelope["ok"] is False
+                assert envelope["error"]["code"] == "bad-request"
 
             await with_server(service, scenario)
+            metrics = service.metrics
+            assert metrics.requests_in == metrics.failed == {"default": 1}, body
+            assert metrics.reconciles()
 
-        run(main())
+        for body in (b"not json!", b"[1,2]", b"42", b'"x"', b"null"):
+            run(main(body))
 
     def test_rate_limited_requests_carry_retry_after(self):
         async def main():
