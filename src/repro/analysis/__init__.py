@@ -1,6 +1,6 @@
 """Measurement analysis: baselines, change points, ratios, bootstrap intervals."""
 
-from .baseline import BaselineStats, compare_to_inventory, summarise, summarise_streaming
+from .baseline import BaselineStats, compare_to_inventory, summarise
 from .autocorrelation import (
     AutocorrelationSummary,
     autocorrelation_function,
@@ -13,16 +13,13 @@ from .changepoint import (
     binary_segmentation,
     cusum_statistic,
     detect_single,
-    detect_single_streaming,
     segment_means,
-    segment_means_streaming,
 )
 from .ratios import RatioEstimate, paired_ratio, ratio_of_means
 
 __all__ = [
     "BaselineStats",
     "summarise",
-    "summarise_streaming",
     "compare_to_inventory",
     "AutocorrelationSummary",
     "autocorrelation_function",
@@ -34,10 +31,8 @@ __all__ = [
     "ChangePoint",
     "cusum_statistic",
     "detect_single",
-    "detect_single_streaming",
     "binary_segmentation",
     "segment_means",
-    "segment_means_streaming",
     "RatioEstimate",
     "ratio_of_means",
     "paired_ratio",

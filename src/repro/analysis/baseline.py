@@ -19,12 +19,12 @@ from ..telemetry.series import TimeSeries
 from ..telemetry.streaming import (
     DEFAULT_CHUNK_SIZE,
     ChunkedSeriesReader,
+    MergingQuantileSketch,
     OnlineStats,
-    P2Quantile,
     as_chunk_reader,
 )
 
-__all__ = ["BaselineStats", "summarise", "summarise_streaming", "compare_to_inventory"]
+__all__ = ["BaselineStats", "summarise", "compare_to_inventory"]
 
 
 @dataclass(frozen=True)
@@ -52,52 +52,36 @@ class BaselineStats:
         return self.std / np.sqrt(self.n_samples) if self.n_samples else float("nan")
 
 
-def summarise(series: TimeSeries) -> BaselineStats:
-    """Baseline statistics over a (possibly gappy) power series."""
-    if series.n_valid == 0:
-        raise AnalysisError(f"series {series.name!r} has no valid samples")
-    p5, median, p95 = (float(x) for x in series.percentile(np.array([5.0, 50.0, 95.0])))
-    return BaselineStats(
-        mean=series.mean(),
-        std=series.std(),
-        p5=p5,
-        median=median,
-        p95=p95,
-        minimum=series.min(),
-        maximum=series.max(),
-        n_samples=series.n_valid,
-        span_days=series.span_s / 86_400.0,
-    )
-
-
-def summarise_streaming(
+def summarise(
     source: "TimeSeries | str | ChunkedSeriesReader",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> BaselineStats:
-    """Chunk-fed :func:`summarise`: one pass, chunk-bounded memory.
+    """Baseline statistics over a (possibly gappy) power series, in one pass.
 
     Mean, standard deviation, min/max, count and span come from an
-    :class:`OnlineStats` accumulator and match the batch path to float
-    accumulation error; the three percentiles use the P² streaming
-    estimator (exact below five samples, asymptotically accurate beyond).
-    Accepts anything :func:`~repro.telemetry.streaming.as_chunk_reader`
-    does — an in-memory series, a telemetry CSV/NPZ path, or a reader.
+    :class:`OnlineStats` accumulator and match the batch
+    :class:`TimeSeries` statistics to float accumulation error. The three
+    percentiles come from one :class:`MergingQuantileSketch`: equal to
+    ``np.nanpercentile`` below 16,384 valid samples (one sketch block),
+    within the sketch's stated rank error beyond. Accepts anything
+    :func:`~repro.telemetry.streaming.as_chunk_reader` does — an in-memory
+    series, a telemetry CSV/NPZ path, or a reader — with chunk-bounded
+    memory.
     """
     reader = as_chunk_reader(source, chunk_size)
     stats = OnlineStats(name=reader.name)
-    quantiles = [P2Quantile(q) for q in (0.05, 0.5, 0.95)]
+    quantiles = MergingQuantileSketch()
     for chunk in reader:
         stats.update(chunk.times_s, chunk.values)
-        for estimator in quantiles:
-            estimator.update(chunk.values)
+        quantiles.update(chunk.values)
     if stats.n_valid == 0:
         raise AnalysisError(f"series {reader.name!r} has no valid samples")
     return BaselineStats(
         mean=stats.mean,
         std=stats.std,
-        p5=quantiles[0].result(),
-        median=quantiles[1].result(),
-        p95=quantiles[2].result(),
+        p5=quantiles.result(0.05),
+        median=quantiles.result(0.5),
+        p95=quantiles.result(0.95),
         minimum=stats.minimum,
         maximum=stats.maximum,
         n_samples=stats.n_valid,

@@ -6,7 +6,8 @@ means *from the telemetry* (rather than from operator logs) is the analysis
 this module provides:
 
 * :func:`detect_single` — exact maximum-likelihood single change point for a
-  Gaussian mean-shift model, O(n) via prefix sums.
+  Gaussian mean-shift model, O(n) via chunked prefix sums.
+* :func:`segment_means` — before/after means at known change times.
 * :func:`binary_segmentation` — recursive multi-change detection with a
   BIC-style penalty.
 * :func:`cusum_statistic` — the standardised CUSUM curve, useful for plots
@@ -32,10 +33,8 @@ __all__ = [
     "ChangePoint",
     "cusum_statistic",
     "detect_single",
-    "detect_single_streaming",
     "binary_segmentation",
     "segment_means",
-    "segment_means_streaming",
 ]
 
 
@@ -85,47 +84,19 @@ def cusum_statistic(series: TimeSeries) -> np.ndarray:
     return centred / (sigma * np.sqrt(n))
 
 
-def detect_single(series: TimeSeries) -> ChangePoint:
-    """Maximum-likelihood single mean-shift location.
-
-    Scans every split of the series, choosing the one minimising the pooled
-    within-segment sum of squares — equivalently, maximising the standardised
-    CUSUM. Exact, vectorised, O(n).
-    """
-    times, values = _clean(series)
-    n = len(values)
-    prefix = np.cumsum(values)
-    total = prefix[-1]
-    k = np.arange(1, n)  # split after index k-1; segments [0,k) and [k,n)
-    mean_left = prefix[:-1] / k
-    mean_right = (total - prefix[:-1]) / (n - k)
-    # Between-segment sum of squares (maximising it minimises within-SS).
-    between = k * (n - k) / n * (mean_left - mean_right) ** 2
-    best = int(np.argmax(between))
-    split = best + 1
-    cusum = cusum_statistic(series)
-    return ChangePoint(
-        index=split,
-        time_s=float(times[split]),
-        mean_before=float(mean_left[best]),
-        mean_after=float(mean_right[best]),
-        significance=float(np.abs(cusum).max()),
-    )
-
-
-def detect_single_streaming(
+def detect_single(
     source: "TimeSeries | str | ChunkedSeriesReader",
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> ChangePoint:
-    """Chunk-fed :func:`detect_single`: two passes, chunk-bounded memory.
+    """Maximum-likelihood single mean-shift location, chunk-bounded memory.
 
-    Pass one accumulates the global count, mean and σ with
-    :class:`OnlineStats`; pass two walks the prefix sums chunk by chunk,
-    tracking the maximum between-segment sum of squares (the ML split) and
-    the standardised CUSUM peak. Results match the batch detector to float
-    accumulation error without the series ever being fully resident; the
-    source must therefore be re-iterable (a :class:`ChunkedSeriesReader`,
-    a series, or a telemetry file path).
+    Scans every split of the series, choosing the one minimising the pooled
+    within-segment sum of squares — equivalently, maximising the
+    between-segment sum of squares. Pass one accumulates the global count,
+    mean and σ with :class:`OnlineStats`; pass two walks the prefix sums
+    chunk by chunk, tracking the best split and the standardised CUSUM
+    peak. The source must therefore be re-iterable: a series, a telemetry
+    CSV/NPZ path, or a :class:`ChunkedSeriesReader`.
     """
     reader = as_chunk_reader(source, chunk_size)
     stats = OnlineStats()
@@ -247,15 +218,17 @@ def binary_segmentation(
     return result
 
 
-def segment_means_streaming(
+def segment_means(
     source: "TimeSeries | str | ChunkedSeriesReader",
     change_times_s: list[float],
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[float]:
-    """Chunk-fed :func:`segment_means`: one pass, chunk-bounded memory.
+    """Mean of each segment delimited by known change times, in one pass.
 
+    Used when the intervention time is known from operator logs (as in the
+    paper) rather than estimated: the Figures 2/3 before/after means.
     Accumulates a per-segment sum and count as chunks stream through, so
-    the Figures 2/3 before/after means never need the series resident.
+    the series never needs to be resident.
     """
     boundaries = np.array([-np.inf, *sorted(change_times_s), np.inf])
     sums = np.zeros(len(boundaries) - 1)
@@ -279,21 +252,4 @@ def segment_means_streaming(
                 f"no samples in segment [{boundaries[i]}, {boundaries[i + 1]})"
             )
         means.append(float(sums[i] / count))
-    return means
-
-
-def segment_means(series: TimeSeries, change_times_s: list[float]) -> list[float]:
-    """Mean of each segment delimited by known change times.
-
-    Used when the intervention time is known from operator logs (as in the
-    paper) rather than estimated: the Figures 2/3 before/after means.
-    """
-    times, values = _clean(series)
-    boundaries = [-np.inf, *sorted(change_times_s), np.inf]
-    means: list[float] = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        mask = (times >= lo) & (times < hi)
-        if not np.any(mask):
-            raise AnalysisError(f"no samples in segment [{lo}, {hi})")
-        means.append(float(values[mask].mean()))
     return means

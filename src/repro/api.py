@@ -220,7 +220,6 @@ class FacilitySession:
         spec: SweepSpec | None = None,
         *,
         chunk_size: int = 4096,
-        workers: int = 0,
         progress=None,
         **overrides,
     ) -> SweepResult:
@@ -237,7 +236,6 @@ class FacilitySession:
             self._params,
             spec,
             chunk_size=chunk_size,
-            workers=workers,
             progress=progress,
             **overrides,
         )

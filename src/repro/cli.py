@@ -98,9 +98,9 @@ def run_main(argv: list[str]) -> int:
         print(result)
         print(f"({exp_id} completed in {elapsed:.1f}s)")
         if args.export:
-            from .experiments.export import export_result
+            from .results import write_result
 
-            written = export_result(result, args.export)
+            written = write_result(result, args.export)
             print(f"(exported {len(written)} file(s) to {args.export})")
         print()
     return 0

@@ -48,7 +48,7 @@ from .regimes import (
     classify_ci,
     derive_band,
 )
-from .reporting import format_kw, format_ratio, render_table, series_to_csv
+from .reporting import format_kw, format_ratio, render_table
 from .surrogate import SurrogateOutcome, SurrogateScenario, evaluate_surrogate
 from .validation import Check, ValidationReport, validate_reproduction
 
@@ -102,5 +102,4 @@ __all__ = [
     "validate_reproduction",
     "format_ratio",
     "format_kw",
-    "series_to_csv",
 ]

@@ -1,4 +1,4 @@
-"""Report rendering: ASCII tables and CSV export for experiment output.
+"""Report rendering: ASCII tables and cell formats for experiment output.
 
 Every experiment driver ends in one of these renderers so benches print the
 paper's rows in a stable, diffable format.
@@ -6,14 +6,11 @@ paper's rows in a stable, diffable format.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
 from typing import Sequence
 
 from ..errors import ConfigurationError
-from ..telemetry.series import TimeSeries
 
-__all__ = ["render_table", "format_ratio", "format_kw", "series_to_csv"]
+__all__ = ["render_table", "format_ratio", "format_kw"]
 
 
 def format_ratio(value: float | None) -> str:
@@ -63,13 +60,3 @@ def render_table(
         out.append(line(row))
     out.append(sep)
     return "\n".join(out)
-
-
-def series_to_csv(series: TimeSeries, path: str | Path, unit: str = "kW") -> None:
-    """Write a series with a labelled header (figure-data export)."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", f"value_{unit.lower()}"])
-        for t, v in zip(series.times_s, series.values):
-            writer.writerow([f"{t:.1f}", f"{v:.3f}"])

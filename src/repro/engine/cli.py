@@ -3,7 +3,7 @@
 Actions::
 
     repro sweep plan  [grid flags]            # show the grid + spec hash, no work
-    repro sweep run   [grid flags] [--cache DIR] [--export DIR] [--workers N]
+    repro sweep run   [grid flags] [--cache DIR] [--export DIR]
     repro sweep resume --spec FILE --cache DIR [--export DIR]
     repro sweep invalidate (--spec FILE | --hash HASH) --cache DIR
 
@@ -167,12 +167,6 @@ def build_sweep_parser() -> argparse.ArgumentParser:
             "--chunk-size", type=int, default=4096, help="scenario rows per batch"
         )
         sub.add_argument(
-            "--workers",
-            type=int,
-            default=0,
-            help="process-pool fan-out for uncached chunks (0 = in-process)",
-        )
-        sub.add_argument(
             "--export",
             metavar="DIR",
             default=None,
@@ -258,7 +252,6 @@ def sweep_main(argv: list[str] | None = None) -> int:
             spec,
             chunk_size=args.chunk_size,
             store=store,
-            workers=args.workers,
             progress=progress if args.progress else None,
         )
         print(result.to_table(max_rows=args.max_rows))

@@ -11,8 +11,7 @@ Two evaluation backends produce the same columns for a
   resolved once through the *scalar* core functions and broadcast, and the
   per-row arithmetic mirrors the scalar expressions operation-for-operation,
   so both backends agree to ≤1e-9 on every scenario (and in practice
-  bit-for-bit on all broadcast quantities). Large grids can fan chunks out
-  over a ``ProcessPoolExecutor``.
+  bit-for-bit on all broadcast quantities).
 * :func:`run_sweep_scalar` — the naive loop over
   :func:`evaluate_scenario`, walking the plain ``core.*`` object paths one
   scenario at a time. It exists as the exact-match regression oracle (and
@@ -24,9 +23,6 @@ Results are :class:`SweepResult` objects implementing the library-wide
 
 from __future__ import annotations
 
-import concurrent.futures
-import warnings
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -247,21 +243,6 @@ def _evaluate_chunk(ctx: _Context, lo: int, hi: int) -> dict[str, np.ndarray]:
     }
 
 
-# Per-process context cache for ProcessPoolExecutor workers: building the
-# calibrated node model once per process instead of once per chunk.
-_WORKER_CONTEXTS: dict[str, _Context] = {}
-
-
-def _compute_chunk_task(spec_json: str, lo: int, hi: int):
-    """Top-level (picklable) chunk task for process-pool fan-out."""
-    ctx = _WORKER_CONTEXTS.get(spec_json)
-    if ctx is None:
-        ctx = _build_context(SweepSpec.from_json(spec_json))
-        _WORKER_CONTEXTS.clear()
-        _WORKER_CONTEXTS[spec_json] = ctx
-    return lo, hi, _evaluate_chunk(ctx, lo, hi)
-
-
 # -- scalar reference path -----------------------------------------------------
 
 
@@ -348,7 +329,6 @@ class SweepMeta:
     memory_hit: bool = False
     disk_hits: int = 0
     computed_chunks: int = 0
-    workers: int = 0
 
 
 @dataclass(frozen=True)
@@ -538,42 +518,6 @@ def _chunk_ranges(n: int, chunk_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
 
 
-# Executor factory, module-level so tests can substitute a deliberately
-# broken pool without spawning real worker processes.
-_POOL_EXECUTOR = concurrent.futures.ProcessPoolExecutor
-
-
-def _fan_out_chunks(
-    spec_json: str,
-    missing: list[tuple[int, int, int]],
-    workers: int,
-    on_chunk: Callable[[int, int, int, dict[str, np.ndarray]], None],
-) -> list[tuple[int, int, int]]:
-    """Fan ``missing`` chunks over a process pool; return chunks left undone.
-
-    Only :class:`BrokenProcessPool` is swallowed — a worker process died
-    under the task (OOM kill, hard crash, interpreter abort), which says
-    nothing about the chunk itself. Exceptions *raised by* a chunk task
-    propagate unchanged. Whatever had not completed when the pool broke is
-    returned, in chunk order, for the caller to retry or run in-process.
-    """
-    remaining = {i: (lo, hi) for i, lo, hi in missing}
-    try:
-        with _POOL_EXECUTOR(max_workers=min(workers, len(missing))) as pool:
-            futures = {
-                pool.submit(_compute_chunk_task, spec_json, lo, hi): i
-                for i, lo, hi in missing
-            }
-            for future in concurrent.futures.as_completed(futures):
-                i = futures[future]
-                lo, hi, columns = future.result()
-                on_chunk(i, lo, hi, columns)
-                del remaining[i]
-    except BrokenProcessPool:
-        pass
-    return [(i, lo, hi) for i, (lo, hi) in sorted(remaining.items())]
-
-
 def _freeze(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     for arr in columns.values():
         arr.setflags(write=False)
@@ -587,7 +531,6 @@ def run_sweep(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     store: SweepStore | None = None,
     memory_cache: LRUCache | None = None,
-    workers: int = 0,
     progress: Callable[[int, int, str], None] | None = None,
 ) -> SweepResult:
     """Evaluate a sweep with the vectorized backend.
@@ -595,8 +538,7 @@ def run_sweep(
     ``store`` enables the on-disk chunk cache (hits skip evaluation and are
     byte-identical to a fresh run; a partially populated entry resumes from
     the completed chunks). ``memory_cache`` short-circuits whole repeated
-    sweeps within a session. ``workers > 1`` fans missing chunks out over a
-    ``ProcessPoolExecutor``. ``progress`` is called after each chunk as
+    sweeps within a session. ``progress`` is called after each chunk as
     ``progress(done, total, source)`` with source ``"disk"`` or
     ``"computed"``.
 
@@ -640,45 +582,15 @@ def run_sweep(
             missing.append((i, lo, hi))
 
     if missing:
-        pending = missing
-        if workers > 1 and len(missing) > 1:
-            spec_json = spec.canonical_json()
-
-            def accept(i: int, lo: int, hi: int, columns: dict) -> None:
-                nonlocal done
-                chunks[i] = columns
-                if store:
-                    store.put_chunk(spec, lo, hi, columns)
-                done += 1
-                if progress:
-                    progress(done, len(ranges), "computed")
-
-            pending = _fan_out_chunks(spec_json, pending, workers, accept)
-            if pending:
-                warnings.warn(
-                    "sweep worker pool broke mid-fan-out; retrying "
-                    f"{len(pending)} chunk(s) on a fresh pool",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                pending = _fan_out_chunks(spec_json, pending, workers, accept)
-            if pending:
-                warnings.warn(
-                    "sweep worker pool broke twice; computing "
-                    f"{len(pending)} chunk(s) in-process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if pending:
-            ctx = _build_context(spec, node_model)
-            for i, lo, hi in pending:
-                columns = _evaluate_chunk(ctx, lo, hi)
-                chunks[i] = columns
-                if store:
-                    store.put_chunk(spec, lo, hi, columns)
-                done += 1
-                if progress:
-                    progress(done, len(ranges), "computed")
+        ctx = _build_context(spec, node_model)
+        for i, lo, hi in missing:
+            columns = _evaluate_chunk(ctx, lo, hi)
+            chunks[i] = columns
+            if store:
+                store.put_chunk(spec, lo, hi, columns)
+            done += 1
+            if progress:
+                progress(done, len(ranges), "computed")
 
     assembled = {
         name: np.concatenate([chunks[i][name] for i in range(len(ranges))])
@@ -695,7 +607,6 @@ def run_sweep(
         n_chunks=len(ranges),
         disk_hits=disk_hits,
         computed_chunks=len(missing),
-        workers=workers if workers > 1 else 0,
     )
     return SweepResult(spec=spec, columns=assembled, meta=meta)
 

@@ -15,14 +15,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from ..results import Result, write_result
+from ..results import write_result
 
-__all__ = ["export_result", "export_all"]
-
-
-def export_result(result: Result, out_dir: str | Path) -> list[Path]:
-    """Write one result's artefacts; returns the created paths."""
-    return write_result(result, out_dir)
+__all__ = ["export_all"]
 
 
 def export_all(
@@ -40,5 +35,5 @@ def export_all(
     exported: dict[str, list[Path]] = {}
     for exp_id in experiment_ids:
         result = runner(exp_id)
-        exported[exp_id] = export_result(result, out_dir)
+        exported[exp_id] = write_result(result, out_dir)
     return exported

@@ -8,7 +8,7 @@ inventory sanity check that the mean sits below the Table 2 full-load sum.
 
 from __future__ import annotations
 
-from ..analysis.baseline import compare_to_inventory, summarise_streaming
+from ..analysis.baseline import compare_to_inventory, summarise
 from ..core.campaign import run_campaign
 from ..core.interventions import InterventionSchedule
 from ..core.reporting import format_kw, render_table
@@ -41,9 +41,9 @@ def run(
     result = run_campaign(config)
     # Streaming path: the baseline mean never needs the series resident,
     # so the same call scales to arbitrarily long measurement windows.
-    stats = summarise_streaming(result.measured_kw)
+    stats = summarise(result.measured_kw)
     inventory_check = compare_to_inventory(
-        summarise_streaming(result.measured_kw.scale_values(1e3)), config.inventory
+        summarise(result.measured_kw.scale_values(1e3)), config.inventory
     )
     rows = [
         ["Mean cabinet power", f"{format_kw(stats.mean)} kW"],

@@ -8,7 +8,7 @@ telemetry alone.
 
 from __future__ import annotations
 
-from ..analysis.changepoint import detect_single_streaming
+from ..analysis.changepoint import detect_single
 from ..core.campaign import run_campaign
 from ..core.interventions import BiosDeterminismChange, InterventionSchedule
 from ..core.reporting import format_kw, render_table
@@ -39,7 +39,7 @@ def run(
     config = figure_campaign_config(duration_s, schedule, seed)
     result = run_campaign(config)
     impact = result.impacts()[0]
-    detected = detect_single_streaming(result.measured_kw)
+    detected = detect_single(result.measured_kw)
 
     rows = [
         ["Mean before", f"{format_kw(impact.mean_before)} kW (paper {format_kw(PAPER_BEFORE_KW)})"],

@@ -9,7 +9,7 @@ is active, as on the real service.
 
 from __future__ import annotations
 
-from ..analysis.changepoint import detect_single_streaming
+from ..analysis.changepoint import detect_single
 from ..core.campaign import run_campaign
 from ..core.interventions import DefaultFrequencyChange, InterventionSchedule
 from ..core.reporting import format_kw, render_table
@@ -40,7 +40,7 @@ def run(
     config = figure_campaign_config(duration_s, schedule, seed)
     result = run_campaign(config)
     impact = result.impacts()[0]
-    detected = detect_single_streaming(result.measured_kw)
+    detected = detect_single(result.measured_kw)
     setting_split = result.simulation.node_hours_by_setting()
     total_nodeh = sum(setting_split.values())
     low_share = setting_split.get("2.0GHz", 0.0) / total_nodeh if total_nodeh else 0.0

@@ -78,9 +78,9 @@ class StreamBatch:
         """Construct from pre-validated float arrays, skipping the checks.
 
         Only for sources whose arrays already satisfy the batch contract —
-        chunk views of a validated in-memory series. The arithmetic
-        downstream is unchanged; only the redundant re-validation of every
-        replayed batch is skipped.
+        the chunks of a ``ChunkedSeriesReader``, which validates every
+        chunk. The arithmetic downstream is unchanged; only the redundant
+        re-validation of every replayed batch is skipped.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "stream", stream)
@@ -112,16 +112,13 @@ def series_batches(
     Accepts everything :func:`~repro.telemetry.streaming.as_chunk_reader`
     does — an in-memory series, a telemetry CSV/NPZ path, or an existing
     reader — so recorded campaigns replay through the live pipeline
-    unchanged.
+    unchanged. A malformed file raises ``SeriesShapeError``.
     """
-    reader = as_chunk_reader(source, batch_size)
-    # Chunks of an in-memory series are views of arrays the TimeSeries
-    # constructor already validated; re-checking every batch would be the
-    # hot loop's single largest fixed cost.
-    make = StreamBatch.trusted if reader.prevalidated else StreamBatch
-    for chunk in reader:
-        if len(chunk.times_s):
-            yield make(stream, chunk.times_s, chunk.values)
+    # The reader validates every chunk (a file is refused exactly when
+    # load_csv/load_npz would refuse it); re-checking every batch would be
+    # the hot loop's single largest fixed cost.
+    for chunk in as_chunk_reader(source, batch_size):
+        yield StreamBatch.trusted(stream, chunk.times_s, chunk.values)
 
 
 def merge_batches(

@@ -300,7 +300,6 @@ class FacilityCore:
         spec: SweepSpec | None = None,
         *,
         chunk_size: int = 4096,
-        workers: int = 0,
         progress: Callable[[int, int, str], None] | None = None,
         **overrides,
     ) -> SweepResult:
@@ -320,7 +319,6 @@ class FacilityCore:
             chunk_size=chunk_size,
             store=self.store,
             memory_cache=self.memory_cache,
-            workers=workers,
             progress=progress,
         )
 

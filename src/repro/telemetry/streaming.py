@@ -9,7 +9,6 @@ alternative the analysis layer feeds from:
 * :class:`OnlineStats` — Welford/Chan accumulator for mean, variance,
   min/max, NaN-aware valid counts and the time-weighted mean, updatable in
   arbitrary chunks and mergeable across adjacent spans.
-* :class:`P2Quantile` — the P² marker estimator for streaming percentiles.
 * :class:`MergingQuantileSketch` — a block-merging quantile summary whose
   state depends only on the sequence of observations, never on how they
   were chunked, so scalar and vectorised consumers agree bit-for-bit.
@@ -25,7 +24,6 @@ months-long series never needs to be fully resident.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -33,21 +31,17 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from ..errors import SeriesShapeError, TelemetryError
+from .io import DEFAULT_CHUNK_SIZE, iter_csv, load_npz
 from .series import TimeSeries
 
 __all__ = [
     "SeriesChunk",
     "OnlineStats",
-    "P2Quantile",
     "MergingQuantileSketch",
     "ChunkedSeriesReader",
     "as_chunk_reader",
     "stream_stats",
 ]
-
-DEFAULT_CHUNK_SIZE = 65_536
-
-_CSV_HEADER = ("time_s", "value")
 
 
 class SeriesChunk(NamedTuple):
@@ -346,116 +340,6 @@ class OnlineStats:
         return tw_sum / weight
 
 
-class P2Quantile:
-    """Streaming quantile estimate via the P² algorithm (Jain & Chlamtac 1985).
-
-    Five markers track the target quantile in O(1) memory with no sorting.
-    Exact for fewer than five observations; asymptotically accurate beyond.
-    NaN observations are skipped, matching ``np.nanpercentile``'s intent.
-    """
-
-    def __init__(self, q: float) -> None:
-        """Track the ``q``-quantile, ``0 < q < 1``."""
-        if not 0.0 < q < 1.0:
-            raise TelemetryError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self._buffer: list[float] = []
-        self._heights: list[float] | None = None
-        self._pos: list[float] = []
-        self._desired: list[float] = []
-        self._dn = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def add(self, x: float) -> None:
-        """Absorb one observation (NaN ignored)."""
-        if math.isnan(x):
-            return
-        if self._heights is None:
-            self._buffer.append(x)
-            if len(self._buffer) == 5:
-                self._buffer.sort()
-                self._heights = list(self._buffer)
-                self._pos = [1.0, 2.0, 3.0, 4.0, 5.0]
-                q = self.q
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-            return
-        h, pos = self._heights, self._pos
-        if x < h[0]:
-            h[0] = x
-            cell = 0
-        elif x >= h[4]:
-            h[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while cell < 3 and x >= h[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            pos[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._dn[i]
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1.0) or (
-                d <= -1.0 and pos[i - 1] - pos[i] < -1.0
-            ):
-                step = 1.0 if d > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if h[i - 1] < candidate < h[i + 1]:
-                    h[i] = candidate
-                else:
-                    j = i + int(step)
-                    h[i] += step * (h[j] - h[i]) / (pos[j] - pos[i])
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: float) -> float:
-        h, pos = self._heights, self._pos
-        return h[i] + d / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + d) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - d) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def update(self, values: np.ndarray) -> "P2Quantile":
-        """Absorb a chunk of observations; returns ``self`` for chaining."""
-        for x in np.asarray(values, dtype=float):
-            self.add(float(x))
-        return self
-
-    def result(self) -> float:
-        """Current quantile estimate (NaN if nothing absorbed yet)."""
-        if self._heights is None:
-            if not self._buffer:
-                return math.nan
-            return float(np.percentile(self._buffer, 100.0 * self.q))
-        return float(self._heights[2])
-
-    # -- persistence -----------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """JSON-serialisable snapshot of the marker state (see ``restore``)."""
-        return {
-            "q": self.q,
-            "buffer": list(self._buffer),
-            "heights": list(self._heights) if self._heights is not None else None,
-            "pos": list(self._pos),
-            "desired": list(self._desired),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Overwrite the marker state in place from a :meth:`state_dict` snapshot."""
-        self.q = state["q"]
-        self._buffer = list(state["buffer"])
-        self._heights = list(state["heights"]) if state["heights"] is not None else None
-        self._pos = list(state["pos"])
-        self._desired = list(state["desired"])
-
-    @classmethod
-    def restore(cls, state: dict) -> "P2Quantile":
-        """Rebuild a tracker from a :meth:`state_dict` snapshot, exactly."""
-        out = cls(state["q"])
-        out.load_state_dict(state)
-        return out
-
-
 class MergingQuantileSketch:
     """Deterministic block-merging quantile summary over a value stream.
 
@@ -657,21 +541,15 @@ class ChunkedSeriesReader:
     """Re-iterable fixed-size chunk source over telemetry.
 
     Accepts an in-memory :class:`TimeSeries` (chunks are zero-copy views),
-    a telemetry CSV path (rows are streamed — the whole file is never
-    resident), or an NPZ path (arrays are decompressed once per pass, then
-    sliced). Each ``iter()`` restarts from the beginning, which is what
-    multi-pass consumers like change-point detection need.
+    a telemetry CSV path (rows are streamed through
+    :func:`~repro.telemetry.io.iter_csv` — the whole file is never
+    resident), or an NPZ path (read by :func:`~repro.telemetry.io.load_npz`
+    once per pass, then sliced). Every chunk is therefore validated as a
+    :class:`TimeSeries` is and starts after the previous one: a file yields
+    chunks exactly when ``load_csv``/``load_npz`` would accept it. Each
+    ``iter()`` restarts from the beginning, which is what multi-pass
+    consumers like change-point detection need.
     """
-
-    @property
-    def prevalidated(self) -> bool:
-        """Whether chunks are views of an already-validated in-memory series.
-
-        True only for :class:`TimeSeries` sources, whose constructor has
-        already enforced finite, strictly-increasing timestamps; file
-        sources are parsed row-by-row and must be re-checked by consumers.
-        """
-        return self._series is not None
 
     def __init__(
         self,
@@ -703,50 +581,14 @@ class ChunkedSeriesReader:
             )
 
     def __iter__(self) -> Iterator[SeriesChunk]:
-        if self._series is not None:
-            yield from self._iter_arrays(self._series.times_s, self._series.values)
-        elif self._path.suffix.lower() == ".npz":
-            with np.load(self._path, allow_pickle=False) as data:
-                try:
-                    times, values = data["times_s"], data["values"]
-                except KeyError as exc:
-                    raise TelemetryError(f"{self._path}: missing array {exc}") from exc
-            yield from self._iter_arrays(times, values)
-        else:
-            yield from self._iter_csv()
-
-    def _iter_arrays(
-        self, times: np.ndarray, values: np.ndarray
-    ) -> Iterator[SeriesChunk]:
-        for lo in range(0, len(times), self.chunk_size):
+        if self._series is None and self._path.suffix.lower() == ".csv":
+            for chunk in iter_csv(self._path, self.chunk_size):
+                yield SeriesChunk(chunk.times_s, chunk.values)
+            return
+        series = self._series if self._series is not None else load_npz(self._path)
+        for lo in range(0, len(series), self.chunk_size):
             hi = lo + self.chunk_size
-            yield SeriesChunk(times[lo:hi], values[lo:hi])
-
-    def _iter_csv(self) -> Iterator[SeriesChunk]:
-        times: list[float] = []
-        values: list[float] = []
-        with self._path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != _CSV_HEADER:
-                raise TelemetryError(
-                    f"{self._path}: not a telemetry CSV (bad header {header!r})"
-                )
-            for line, row in enumerate(reader, start=2):
-                if len(row) != 2:
-                    raise TelemetryError(f"{self._path}:{line}: malformed row {row!r}")
-                try:
-                    times.append(float(row[0]))
-                    values.append(float("nan") if row[1] == "" else float(row[1]))
-                except ValueError as exc:
-                    raise TelemetryError(
-                        f"{self._path}:{line}: non-numeric field in row {row!r}: {exc}"
-                    ) from exc
-                if len(times) == self.chunk_size:
-                    yield SeriesChunk(np.asarray(times), np.asarray(values))
-                    times, values = [], []
-        if times:
-            yield SeriesChunk(np.asarray(times), np.asarray(values))
+            yield SeriesChunk(series.times_s[lo:hi], series.values[lo:hi])
 
 
 def as_chunk_reader(

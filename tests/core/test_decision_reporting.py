@@ -9,7 +9,7 @@ from repro.core.decision import (
 )
 from repro.core.efficiency import BASELINE_CONFIG, OperatingConfig
 from repro.core.emissions import EmbodiedProfile, EmissionsModel
-from repro.core.reporting import format_kw, format_ratio, render_table, series_to_csv
+from repro.core.reporting import format_kw, format_ratio, render_table
 from repro.errors import ConfigurationError
 from repro.node.app_energy import compare_points
 from repro.node.determinism import DeterminismMode
@@ -165,15 +165,3 @@ class TestReporting:
     def test_render_table_needs_columns(self):
         with pytest.raises(ConfigurationError):
             render_table([], [])
-
-    def test_series_to_csv(self, tmp_path):
-        import numpy as np
-
-        from repro.telemetry.series import TimeSeries
-
-        series = TimeSeries(np.array([0.0, 900.0]), np.array([3220.0, 3210.0]))
-        path = tmp_path / "fig1.csv"
-        series_to_csv(series, path)
-        content = path.read_text().splitlines()
-        assert content[0] == "time_s,value_kw"
-        assert len(content) == 3

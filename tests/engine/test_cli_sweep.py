@@ -1,5 +1,7 @@
 """``repro sweep`` subcommand: plan, run, resume, invalidate, exports."""
 
+import pytest
+
 from repro.cli import main
 from repro.engine.cli import sweep_main
 from repro.engine.plan import SweepSpec
@@ -71,6 +73,14 @@ class TestRunResumeRoundTrip:
             ["invalidate", "--hash", spec_hash, "--cache", str(cache)]
         ) == 0
         assert "removed" in capsys.readouterr().out
+
+
+class TestRemovedFlags:
+    def test_workers_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            sweep_main(["run", *GRID, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestDispatch:

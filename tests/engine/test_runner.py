@@ -1,4 +1,4 @@
-"""Runner: vectorized-vs-scalar equivalence, chunking, fan-out, results."""
+"""Runner: vectorized-vs-scalar equivalence, chunking, caching, results."""
 
 import numpy as np
 import pytest
@@ -124,20 +124,6 @@ class TestRunnerPlumbing:
         )
         assert all(src == "disk" for _, _, src in events)
 
-    def test_process_pool_fanout_matches_serial(self):
-        spec = rich_spec(app_name=None)
-        serial = run_sweep(spec, chunk_size=16)
-        fanned = run_sweep(spec, chunk_size=16, workers=2)
-        assert fanned.meta.workers == 2
-        for name in COLUMNS:
-            assert np.allclose(
-                serial.columns[name].astype(float),
-                fanned.columns[name].astype(float),
-                rtol=1e-12,
-                atol=0,
-                equal_nan=True,
-            ), name
-
     def test_result_arrays_are_read_only(self):
         result = run_sweep(rich_spec(app_name=None), chunk_size=16)
         with pytest.raises(ValueError):
@@ -186,116 +172,3 @@ class TestSweepResult:
         partial = {k: v for k, v in result.columns.items() if k != "total_tco2e"}
         with pytest.raises(ConfigurationError):
             SweepResult(spec=result.spec, columns=partial)
-
-
-class _FakeExecutor:
-    """Stand-in for ProcessPoolExecutor that runs tasks inline.
-
-    ``modes`` is consumed one entry per instantiation: ``"ok"`` executes
-    every submitted task synchronously, ``"broken"`` fails every future
-    with :class:`BrokenProcessPool`, ``"partial"`` completes the first
-    submission then breaks, ``"error"`` fails every future with
-    ``ValueError`` (a *task* exception, which must propagate).
-    """
-
-    modes: list = []
-    instantiations: int = 0
-
-    def __init__(self, max_workers):
-        cls = type(self)
-        idx = min(cls.instantiations, len(cls.modes) - 1)
-        self.mode = cls.modes[idx]
-        self.n_submitted = 0
-        cls.instantiations += 1
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        import concurrent.futures
-        from concurrent.futures.process import BrokenProcessPool
-
-        future = concurrent.futures.Future()
-        broken = self.mode == "broken" or (
-            self.mode == "partial" and self.n_submitted > 0
-        )
-        self.n_submitted += 1
-        if self.mode == "error":
-            future.set_exception(ValueError("bad chunk task"))
-        elif broken:
-            future.set_exception(BrokenProcessPool("worker died"))
-        else:
-            future.set_result(fn(*args))
-        return future
-
-
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """Install ``_FakeExecutor`` as the runner's pool factory."""
-    from repro.engine import runner as runner_module
-
-    def install(*modes):
-        _FakeExecutor.modes = list(modes)
-        _FakeExecutor.instantiations = 0
-        monkeypatch.setattr(runner_module, "_POOL_EXECUTOR", _FakeExecutor)
-        return _FakeExecutor
-
-    return install
-
-
-class TestBrokenPoolHardening:
-    """A dying worker pool must degrade the sweep, never crash it."""
-
-    def _assert_matches_serial(self, fanned):
-        serial = run_sweep(rich_spec(app_name=None), chunk_size=16)
-        for name in COLUMNS:
-            assert np.allclose(
-                serial.columns[name].astype(float),
-                fanned.columns[name].astype(float),
-                rtol=1e-12,
-                atol=0,
-                equal_nan=True,
-            ), name
-
-    def test_broken_pool_retries_once_then_falls_back(self, fake_pool):
-        fake = fake_pool("broken", "broken")
-        with pytest.warns(RuntimeWarning) as caught:
-            fanned = run_sweep(rich_spec(app_name=None), chunk_size=16, workers=2)
-        assert fake.instantiations == 2  # original + one retry, then in-process
-        messages = [str(w.message) for w in caught]
-        assert any("retrying" in m for m in messages)
-        assert any("in-process" in m for m in messages)
-        self._assert_matches_serial(fanned)
-
-    def test_broken_pool_recovers_on_retry(self, fake_pool):
-        fake = fake_pool("broken", "ok")
-        with pytest.warns(RuntimeWarning) as caught:
-            fanned = run_sweep(rich_spec(app_name=None), chunk_size=16, workers=2)
-        assert fake.instantiations == 2
-        messages = [str(w.message) for w in caught]
-        assert any("retrying" in m for m in messages)
-        assert not any("in-process" in m for m in messages)
-        self._assert_matches_serial(fanned)
-
-    def test_partial_completion_only_retries_the_remainder(self, fake_pool):
-        fake_pool("partial", "ok")
-        with pytest.warns(RuntimeWarning):
-            fanned = run_sweep(rich_spec(app_name=None), chunk_size=16, workers=2)
-        self._assert_matches_serial(fanned)
-
-    def test_healthy_pool_emits_no_warnings(self, fake_pool, recwarn):
-        fake = fake_pool("ok")
-        fanned = run_sweep(rich_spec(app_name=None), chunk_size=16, workers=2)
-        assert fake.instantiations == 1
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-        self._assert_matches_serial(fanned)
-
-    def test_task_exceptions_still_propagate(self, fake_pool):
-        """Only pool breakage is swallowed — a chunk task raising is a bug
-        in the task and must surface unchanged."""
-        fake_pool("error")
-        with pytest.raises(ValueError, match="bad chunk task"):
-            run_sweep(rich_spec(app_name=None), chunk_size=16, workers=2)

@@ -5,8 +5,10 @@ suite stays fast; the paper-length defaults are exercised by the benchmark
 harness. Shape criteria (not absolute watts) are asserted here.
 """
 
+import numpy as np
 import pytest
 
+from repro.core.reporting import format_kw
 from repro.experiments import conclusions, fig1, fig2, fig3
 from repro.units import SECONDS_PER_DAY
 
@@ -31,6 +33,12 @@ class TestF1:
     def test_series_exported(self, result):
         assert "measured_kw" in result.series
         assert len(result.series["measured_kw"]) > 1000
+
+    def test_percentile_row_is_exact(self, result):
+        """The percentiles are np.nanpercentile's, not a streaming estimate."""
+        p5, p95 = np.nanpercentile(result.series["measured_kw"].values, [5.0, 95.0])
+        row = next(line for line in result.table.splitlines() if "5th / 95th" in line)
+        assert f"| {format_kw(p5)} / {format_kw(p95)} kW " in row
 
 
 class TestF2:

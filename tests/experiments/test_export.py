@@ -3,7 +3,8 @@
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.experiments.export import export_all, export_result
+from repro.experiments.export import export_all
+from repro.results import write_result
 from repro.telemetry.series import TimeSeries
 
 
@@ -24,7 +25,7 @@ def make_result(with_series=True):
 
 class TestExportResult:
     def test_writes_table_and_series(self, tmp_path):
-        written = export_result(make_result(), tmp_path)
+        written = write_result(make_result(), tmp_path)
         names = sorted(p.name for p in written)
         assert names == ["T9.txt", "T9_measured_kw.csv"]
         text = (tmp_path / "T9.txt").read_text()
@@ -32,15 +33,16 @@ class TestExportResult:
         assert "x = 1" in text
         csv = (tmp_path / "T9_measured_kw.csv").read_text().splitlines()
         assert csv[0] == "time_s,value_kw"
+        assert csv[2] == "900.0,3220.000"
         assert len(csv) == 11
 
     def test_no_series_no_csv(self, tmp_path):
-        written = export_result(make_result(with_series=False), tmp_path)
+        written = write_result(make_result(with_series=False), tmp_path)
         assert [p.name for p in written] == ["T9.txt"]
 
     def test_creates_directory(self, tmp_path):
         target = tmp_path / "deep" / "dir"
-        export_result(make_result(), target)
+        write_result(make_result(), target)
         assert (target / "T9.txt").exists()
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TelemetryError
+from repro.errors import SeriesShapeError, TelemetryError
 from repro.facility.archer2 import scaled_inventory
 from repro.telemetry.io import load_csv, load_npz, save_csv, save_npz
 from repro.telemetry.meters import MeterSpec, PowerMeter
@@ -158,6 +158,17 @@ class TestPersistence:
         np.savez_compressed(path, times_s=np.array([0.0, 1.0]))
         with pytest.raises(TelemetryError, match="partial.npz"):
             load_npz(path)
+
+    def test_npz_without_name_array_named_after_stem(self, tmp_path):
+        path = tmp_path / "cab3.npz"
+        np.savez_compressed(path, times_s=np.arange(4.0), values=np.ones(4))
+        assert load_npz(path).name == "cab3"
+
+    def test_csv_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("time_s,value\n")
+        with pytest.raises(SeriesShapeError, match="empty"):
+            load_csv(path)
 
     def test_npz_roundtrip(self, tmp_path):
         series = TimeSeries(

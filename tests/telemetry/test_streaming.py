@@ -1,4 +1,4 @@
-"""Streaming statistics engine tests: OnlineStats, P², chunked reading."""
+"""Streaming statistics engine tests: OnlineStats, quantile sketch, chunked reading."""
 
 import math
 
@@ -15,7 +15,6 @@ from repro.telemetry.streaming import (
     ChunkedSeriesReader,
     MergingQuantileSketch,
     OnlineStats,
-    P2Quantile,
     as_chunk_reader,
     stream_stats,
 )
@@ -177,57 +176,6 @@ class TestStreamingStatePersistence:
         stats = OnlineStats().update(series.times_s, series.values)
         state = json.loads(json.dumps(stats.state_dict()))
         assert OnlineStats.restore(state).state_dict() == stats.state_dict()
-
-    def test_p2_quantile_restore_bit_identical(self):
-        rng = np.random.default_rng(11)
-        values = rng.normal(size=200)
-        tracker = P2Quantile(0.9).update(values[:40])
-        resumed = P2Quantile.restore(tracker.state_dict())
-        tracker.update(values[40:])
-        resumed.update(values[40:])
-        assert resumed.state_dict() == tracker.state_dict()
-        assert resumed.result() == tracker.result()
-
-    def test_p2_quantile_restore_before_marker_init(self):
-        """A snapshot taken while still buffering (< 5 samples) restores."""
-        tracker = P2Quantile(0.5).update(np.array([1.0, 2.0]))
-        resumed = P2Quantile.restore(tracker.state_dict())
-        assert resumed.result() == tracker.result()
-
-
-class TestP2Quantile:
-    def test_invalid_quantile_rejected(self):
-        for q in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(TelemetryError):
-                P2Quantile(q)
-
-    def test_small_samples_exact(self):
-        est = P2Quantile(0.5)
-        est.update(np.array([3.0, 1.0, 2.0]))
-        assert est.result() == pytest.approx(2.0)
-
-    def test_empty_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).result())
-
-    def test_nan_skipped(self):
-        est = P2Quantile(0.5)
-        est.update(np.array([1.0, np.nan, 2.0, np.nan, 3.0]))
-        assert est.result() == pytest.approx(2.0)
-
-    def test_uniform_quantiles_converge(self):
-        rng = np.random.default_rng(11)
-        data = rng.uniform(0.0, 100.0, 20_000)
-        for q in (0.05, 0.5, 0.95):
-            est = P2Quantile(q)
-            est.update(data)
-            assert est.result() == pytest.approx(100.0 * q, abs=1.5)
-
-    def test_gaussian_median_close_to_numpy(self):
-        rng = np.random.default_rng(5)
-        data = 3220.0 + 50.0 * rng.standard_normal(10_000)
-        est = P2Quantile(0.5)
-        est.update(data)
-        assert est.result() == pytest.approx(float(np.median(data)), rel=1e-3)
 
 
 class TestMergingQuantileSketch:
@@ -391,6 +339,20 @@ class TestChunkedSeriesReader:
         path = tmp_path / "corrupt.csv"
         path.write_text("time_s,value\n0,1.0\n60,bogus\n")
         with pytest.raises(TelemetryError, match=r"corrupt\.csv:3.*non-numeric"):
+            list(ChunkedSeriesReader(path))
+
+    def test_csv_chunks_are_validated_across_boundaries(self, tmp_path):
+        """A row going backwards at a chunk seam is refused, as load_csv
+        refuses it, although each chunk is increasing on its own."""
+        path = tmp_path / "seam.csv"
+        path.write_text("time_s,value\n0,1\n2,1\n1,1\n3,1\n")
+        with pytest.raises(SeriesShapeError, match="seam.csv"):
+            list(ChunkedSeriesReader(path, chunk_size=2))
+
+    def test_csv_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("time_s,value\n")
+        with pytest.raises(SeriesShapeError):
             list(ChunkedSeriesReader(path))
 
     def test_npz_matches_series(self, tmp_path):
