@@ -3,12 +3,12 @@
 One synthetic day of cabinet power telemetry at ~86 ms cadence (1M samples,
 Gaussian meter noise, 0.2 % NaN dropouts, a −210 kW step at midday) plus
 half-hourly carbon intensity is replayed through the full monitor pipeline:
-bounded channels, daily rollups, the online CUSUM detector, the regime
-tracker and the intervention advisor.
+daily rollups, the online CUSUM detector, the regime tracker and the
+intervention advisor.
 
 Shape criteria: the step is detected with before/after levels within 1 % of
 truth, end-to-end throughput stays above 20k samples/s, and peak allocation
-during the run stays bounded by the channels and batch buffers — well under
+during the run stays bounded by the batch buffers — well under
 half the resident series footprint (the pipeline never copies the day).
 
 The columnar comparison replays the same day through the vectorised hot
@@ -69,8 +69,8 @@ def _run() -> dict:
     )
     elapsed = time.perf_counter() - t0
 
-    # Memory pass: a 2^17-sample slice of the same day, traced. Queue and
-    # batch-buffer footprints do not grow with replay length, so a bounded
+    # Memory pass: a 2^17-sample slice of the same day, traced. Batch-buffer
+    # footprints do not grow with replay length, so a bounded
     # peak here bounds the full-day run too.
     n_slice = 1 << 17
     sliced = TimeSeries(power.times_s[:n_slice], power.values[:n_slice], "slice")
@@ -145,7 +145,7 @@ def test_live_monitor_throughput(once):
     assert report.metrics.total_samples_dropped == 0
     assert throughput > 20_000, f"throughput regressed: {throughput:,.0f} samples/s"
     assert result["peak_bytes"] < result["slice_bytes"] / 2, (
-        "pipeline memory must stay bounded by channels and batch buffers"
+        "pipeline memory must stay bounded by the batch buffers"
     )
 
     print()

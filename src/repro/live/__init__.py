@@ -5,8 +5,6 @@ series, this package runs the paper's operational loop continuously over
 *arriving* telemetry:
 
 * :mod:`~repro.live.events` — interleaved, time-ordered stream batches;
-* :mod:`~repro.live.channel` — bounded, backpressure-aware buffering with
-  dropped-sample accounting;
 * :mod:`~repro.live.processors` — windowed statistics rollups;
 * :mod:`~repro.live.cusum` — online CUSUM mean-shift detection with drift
   and reset-on-alarm (the streaming counterpart of
@@ -43,7 +41,6 @@ from .alerts import (
     TextAlertSink,
     format_alert,
 )
-from .channel import BoundedChannel
 from .checkpoint import (
     CHECKPOINT_VERSION,
     alert_from_dict,
@@ -96,8 +93,6 @@ __all__ = [
     "StreamBatch",
     "series_batches",
     "merge_batches",
-    # channel
-    "BoundedChannel",
     # alerts
     "Alert",
     "RollupAlert",

@@ -8,8 +8,7 @@ values, and streams end mid-campaign. The fault-tolerant supervisor
 module is how we *prove* it does: every fault class has a composable,
 seed-reproducible injector that wraps any ``Iterable[StreamBatch]`` source
 and accounts for every sample it touches, so tests can reconcile what was
-injected against what the pipeline reports shed, sanitised or
-dead-lettered.
+injected against what the pipeline reports sanitised or dead-lettered.
 
 Injectors are single-use per stream: each carries its own RNG, and a fresh
 instance (or :meth:`FaultInjector.reset`) reproduces the identical fault

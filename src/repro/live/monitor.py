@@ -56,9 +56,6 @@ def build_monitor(
     advisor_config: AdvisorConfig | None = None,
     rollup_window_s: float = SECONDS_PER_DAY,
     sinks: tuple = (),
-    channel_capacity_samples: int = 1 << 18,
-    channel_policy: str = "drop_oldest",
-    max_samples_per_drain: int | None = None,
     supervisor_config: SupervisorConfig | None = None,
 ) -> tuple[MonitorPipeline, OnlineCusum, RegimeTracker, InterventionAdvisor]:
     """Assemble the standard monitoring pipeline; returns its stages.
@@ -67,27 +64,15 @@ def build_monitor(
     :class:`~repro.live.supervisor.SupervisedPipeline`; otherwise the plain
     strict pipeline. Every processor runs its vectorised hot path, which
     is bit-identical to the per-sample oracle the tests keep (see
-    docs/operations.md, "Hot path and scalar oracle"). Channel parameters
-    are validated here, up front: an unknown ``channel_policy`` or a
-    non-positive ``channel_capacity_samples`` raises
-    :class:`~repro.errors.MonitoringError` immediately rather than on
-    first overflow.
+    docs/operations.md, "Hot path and scalar oracle").
     """
     detector = OnlineCusum(POWER_STREAM, cusum_config)
     tracker = RegimeTracker(CI_STREAM, tracker_config)
     advisor = InterventionAdvisor(config=advisor_config or AdvisorConfig())
-    base_kwargs = dict(
-        channel_capacity_samples=channel_capacity_samples,
-        channel_policy=channel_policy,
-        max_samples_per_drain=max_samples_per_drain,
-        sinks=sinks,
-    )
     if supervisor_config is not None:
-        pipeline: MonitorPipeline = SupervisedPipeline(
-            supervisor_config=supervisor_config, **base_kwargs
-        )
+        pipeline: MonitorPipeline = SupervisedPipeline(supervisor_config, sinks=sinks)
     else:
-        pipeline = MonitorPipeline(**base_kwargs)
+        pipeline = MonitorPipeline(sinks=sinks)
     pipeline.add_processor(detector)
     pipeline.add_processor(WindowedRollup(POWER_STREAM, window_s=rollup_window_s))
     pipeline.add_processor(tracker)

@@ -1,15 +1,12 @@
 """The event-driven monitoring pipeline.
 
-Wiring: interleaved sources → per-stream :class:`~repro.live.channel.
-BoundedChannel` → subscribed processors → alerts → advisor + sinks.
+Wiring: interleaved sources → subscribed processors → alerts → advisor + sinks.
 
-The pipeline is deliberately single-threaded and pull-based: sources are
-merged into one time-ordered flow (:func:`~repro.live.events.merge_batches`),
-each batch is offered to its stream's bounded channel, and channels are
-drained under a per-cycle sample budget. That budget is what makes
-backpressure *observable*: when ingest outruns the budget, channels fill,
-the overflow policy sheds samples, and the shed counts surface in
-:class:`PipelineMetrics` instead of in an ever-growing queue.
+The pipeline is single-threaded and pull-based: sources are merged into one
+time-ordered flow (:func:`~repro.live.events.merge_batches`), and each batch
+is handed straight to the processors subscribed to its stream before the
+next batch is pulled. Nothing is queued between ingest and processing, so
+memory is bounded by the caller's batch size and no sample is shed.
 
 Every alert a processor emits is fanned out to the registered sinks and to
 the :class:`~repro.live.advisor.InterventionAdvisor` (if attached), whose
@@ -27,7 +24,6 @@ from ..errors import MonitoringError
 from ..ledger import Ledger
 from .advisor import InterventionAdvisor
 from .alerts import Alert, AlertSink
-from .channel import OVERFLOW_POLICIES, BoundedChannel
 from .events import StreamBatch, merge_batches
 from .processors import Processor
 
@@ -39,10 +35,14 @@ class PipelineMetrics(Ledger):
     """Counters and watermarks describing one pipeline run.
 
     The per-stream accounting identity — every sample offered is either
-    processed, shed by channel overflow, or dead-lettered at admission —
-    holds at all times, for every stream in any of the four counters::
+    processed or dead-lettered at admission — holds at all times, for every
+    stream in any of the four counters::
 
         samples_in == samples_processed + samples_dropped + samples_dead_lettered
+
+    Nothing sheds samples between ingest and processing, so
+    ``samples_dropped`` reads zero; it keeps its place in the identity and
+    in checkpoints.
 
     The dead-letter, sanitise, crash, gap and checkpoint counters are only
     advanced by the fault-tolerant :class:`~repro.live.supervisor.
@@ -60,7 +60,6 @@ class PipelineMetrics(Ledger):
     samples_dead_lettered: Counter[str] = field(default_factory=Counter)
     batches_dead_lettered: Counter[str] = field(default_factory=Counter)
     samples_sanitised: Counter[str] = field(default_factory=Counter)
-    channel_high_watermarks: Counter[str] = field(default_factory=Counter)
     alerts_emitted: Counter[str] = field(default_factory=Counter)
     processor_crashes: Counter[str] = field(default_factory=Counter)
     processor_restarts: Counter[str] = field(default_factory=Counter)
@@ -76,7 +75,7 @@ class PipelineMetrics(Ledger):
 
     @property
     def total_samples_dropped(self) -> int:
-        """Samples shed by channel overflow across all streams."""
+        """Samples shed across all streams; always zero."""
         return sum(self.samples_dropped.values())
 
     @property
@@ -105,43 +104,11 @@ class MonitorReport:
 class MonitorPipeline:
     """Routes interleaved telemetry through processors to alert sinks."""
 
-    def __init__(
-        self,
-        channel_capacity_samples: int = 1 << 18,
-        channel_policy: str = "drop_oldest",
-        max_samples_per_drain: int | None = None,
-        sinks: Iterable[AlertSink] = (),
-    ) -> None:
-        """Create an empty pipeline; attach processors before :meth:`run`.
-
-        ``max_samples_per_drain`` caps how many queued samples each stream's
-        processors may consume per ingested batch (``None`` = drain fully,
-        the lossless default). Batches are atomic: a queued batch larger
-        than the remaining budget waits for a later cycle. A finite cap
-        therefore models a consumer slower than ingest — channels fill, the
-        overflow policy sheds, and the shed counts surface in the metrics.
-        """
-        # Channel parameters are validated here, up front, rather than on
-        # first overflow deep inside the channel.
-        if channel_policy not in OVERFLOW_POLICIES:
-            raise MonitoringError(
-                f"unknown overflow policy {channel_policy!r}; "
-                f"choose from {OVERFLOW_POLICIES}"
-            )
-        if channel_capacity_samples < 1:
-            raise MonitoringError(
-                f"channel_capacity_samples must be >= 1, "
-                f"got {channel_capacity_samples}"
-            )
-        if max_samples_per_drain is not None and max_samples_per_drain < 1:
-            raise MonitoringError("max_samples_per_drain must be >= 1 or None")
-        self._channels: dict[str, BoundedChannel] = {}
+    def __init__(self, sinks: Iterable[AlertSink] = ()) -> None:
+        """Create an empty pipeline; attach processors before :meth:`run`."""
         self._processors: dict[str, list[Processor]] = {}
         self._sinks: list[AlertSink] = list(sinks)
         self._advisor: InterventionAdvisor | None = None
-        self._capacity = channel_capacity_samples
-        self._policy = channel_policy
-        self._drain_budget = max_samples_per_drain
         self._alerts: list[Alert] = []
         self.metrics = PipelineMetrics()
 
@@ -149,15 +116,7 @@ class MonitorPipeline:
 
     def add_processor(self, processor: Processor) -> "MonitorPipeline":
         """Subscribe a processor to its stream; returns ``self`` for chaining."""
-        stream = processor.stream
-        if stream not in self._channels:
-            self._channels[stream] = BoundedChannel(
-                name=stream,
-                capacity_samples=self._capacity,
-                policy=self._policy,
-            )
-            self._processors[stream] = []
-        self._processors[stream].append(processor)
+        self._processors.setdefault(processor.stream, []).append(processor)
         return self
 
     def set_advisor(self, advisor: InterventionAdvisor) -> "MonitorPipeline":
@@ -189,22 +148,21 @@ class MonitorPipeline:
             batch = self._admit(batch)
             if batch is None:
                 continue
-            channel = self._channels.get(stream)
-            if channel is None:
+            processors = self._processors.get(stream)
+            if processors is None:
                 raise MonitoringError(
                     f"no processor subscribed to stream {stream!r}; "
-                    f"known streams: {sorted(self._channels)}"
+                    f"known streams: {sorted(self._processors)}"
                 )
-            channel.put(batch)
-            self._drain(stream, self._drain_budget)
+            metrics.samples_processed[stream] += len(batch)
+            metrics.watermark_time_s = max(metrics.watermark_time_s, batch.t_end_s)
+            for processor in processors:
+                self._invoke(processor, batch)
             self._after_ingest(batch)
-        for stream in self._channels:
-            self._drain(stream, None)  # final drain is always complete
         self._before_finish()
         for processors in self._processors.values():
             for processor in processors:
                 self._finish_processor(processor)
-        self._sync_channel_metrics()
         return MonitorReport(metrics=metrics, alerts=tuple(self._alerts))
 
     # -- supervision hooks (overridden by SupervisedPipeline) ------------------
@@ -235,33 +193,6 @@ class MonitorPipeline:
 
     def _before_finish(self) -> None:
         """Pre-finish hook (supervisor: trailing-gap detection)."""
-
-    def _sync_channel_metrics(self) -> None:
-        """Publish channel drop/watermark counters into the metrics."""
-        for stream, channel in self._channels.items():
-            self.metrics.samples_dropped[stream] = channel.dropped_samples
-            self.metrics.channel_high_watermarks[stream] = (
-                channel.high_watermark_samples
-            )
-
-    def _drain(self, stream: str, budget: int | None) -> None:
-        channel = self._channels[stream]
-        processors = self._processors[stream]
-        consumed = 0
-        while True:
-            queued = channel.peek()
-            if queued is None:
-                break
-            if budget is not None and consumed + len(queued) > budget:
-                break
-            batch = channel.get()
-            consumed += len(batch)
-            self.metrics.samples_processed[stream] += len(batch)
-            self.metrics.watermark_time_s = max(
-                self.metrics.watermark_time_s, batch.t_end_s
-            )
-            for processor in processors:
-                self._invoke(processor, batch)
 
     def _dispatch(self, alerts: list[Alert]) -> None:
         for alert in alerts:

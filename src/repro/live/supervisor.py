@@ -84,9 +84,9 @@ class SupervisorConfig:
     a stream's last sample before the watchdog declares a data gap.
     ``checkpoint_path``, a file in an existing directory (checked here, so
     a bad path fails before any data is ingested), enables periodic
-    checkpoints roughly every ``checkpoint_every_s`` of stream time
-    (written only when all channels are drained, so the snapshot is at a
-    clean batch boundary).
+    checkpoints roughly every ``checkpoint_every_s`` of stream time, each
+    written after a batch is processed, so the snapshot is at a batch
+    boundary.
     """
 
     max_restarts: int = 3
@@ -191,8 +191,6 @@ class SupervisedPipeline(MonitorPipeline):
         self._retry_at: dict[str, float] = {}
         self._quarantined: set[str] = set()
         self._keys: dict[int, str] = {}
-        self._dropped_baseline: Counter[str] = Counter()
-        self._hwm_baseline: Counter[str] = Counter()
         self._resume_skip: dict[str, int] = {}
         self._last_checkpoint_s: float | None = None
 
@@ -230,7 +228,7 @@ class SupervisedPipeline(MonitorPipeline):
     def _admit(self, batch: StreamBatch) -> StreamBatch | None:
         """Dead-letter unroutable or time-travelling batches; sanitise ±inf."""
         stream = batch.stream
-        if stream not in self._channels:
+        if stream not in self._processors:
             self._dead_letter(batch, "no processor subscribed to stream")
             return None
         watermark = self._admit_watermark.get(stream)
@@ -371,7 +369,7 @@ class SupervisedPipeline(MonitorPipeline):
             self._update_degraded(now)
         self._last_seen[stream] = batch.t_end_s
         tripped = False
-        for watched in self._channels:
+        for watched in self._processors:
             last = self._last_seen.get(watched)
             if last is None or watched in self._stale:
                 continue
@@ -421,22 +419,6 @@ class SupervisedPipeline(MonitorPipeline):
             ]
         )
 
-    # -- channel metric sync (baselines survive resume) -------------------------
-
-    def _sync_channel_metrics(self) -> None:
-        """Publish channel counters on top of any pre-resume baselines.
-
-        Fresh channels restart their drop/watermark counters at zero after a
-        resume; the values accumulated before the checkpoint are carried as
-        baselines so the metrics stay cumulative across restarts."""
-        for stream, channel in self._channels.items():
-            self.metrics.samples_dropped[stream] = (
-                self._dropped_baseline[stream] + channel.dropped_samples
-            )
-            self.metrics.channel_high_watermarks[stream] = max(
-                self._hwm_baseline[stream], channel.high_watermark_samples
-            )
-
     # -- checkpoint / resume ---------------------------------------------------
 
     def _maybe_checkpoint(self, now_s: float) -> None:
@@ -448,8 +430,6 @@ class SupervisedPipeline(MonitorPipeline):
             return
         if now_s - self._last_checkpoint_s < cfg.checkpoint_every_s:
             return
-        if any(len(channel) for channel in self._channels.values()):
-            return  # not at a clean boundary; try after the next drain
         save_checkpoint(cfg.checkpoint_path, self.checkpoint())
         self.metrics.checkpoints_written += 1
         self._last_checkpoint_s = now_s
@@ -458,13 +438,7 @@ class SupervisedPipeline(MonitorPipeline):
         """Snapshot the complete pipeline state: JSON values plus the rollup
         sketches' float64 ``bytes``, which
         :func:`~repro.live.checkpoint.save_checkpoint` stores as raw sections.
-
-        Requires all channels drained (checkpoints are taken at clean batch
-        boundaries); raises :class:`~repro.errors.CheckpointError` otherwise.
         """
-        if any(len(channel) for channel in self._channels.values()):
-            raise CheckpointError("cannot checkpoint with undrained channels")
-        self._sync_channel_metrics()
         processors = [
             {
                 "stream": stream,
@@ -548,9 +522,6 @@ class SupervisedPipeline(MonitorPipeline):
             # lint: allow-unseeded -- placeholder generator; exact state restored below
             self._rng = np.random.default_rng()
             self._rng.bit_generator.state = payload["rng_state"]
-        # Fresh channels restart at zero; carry the pre-resume counters.
-        self._dropped_baseline = Counter(self.metrics.samples_dropped)
-        self._hwm_baseline = Counter(self.metrics.channel_high_watermarks)
         self._resume_skip = dict(self.metrics.samples_in)
 
     def resume_from(self, path: str | Path) -> None:

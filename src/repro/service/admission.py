@@ -1,7 +1,6 @@
 """Admission control and fairness: per-tenant token buckets, depth shedding.
 
-The same philosophy as the live monitor's bounded channels (PR 2/3): a
-service that cannot say no falls over, and every no must be *accounted*.
+A service that cannot say no falls over, and every no must be *accounted*.
 Two independent gates run before any work is admitted:
 
 * **per-tenant token bucket** — each tenant refills at ``rate_per_s`` up to
@@ -10,8 +9,7 @@ Two independent gates run before any work is admitted:
   noisy tenant cannot starve the rest — fairness is per-bucket, not FIFO.
 * **queue-depth shedding** — when the whole service already has
   ``max_in_flight`` requests in flight, new arrivals are shed with an
-  ``"overloaded"`` error rather than queued without bound (the request
-  plane's ``drop_newest``).
+  ``"overloaded"`` error rather than queued without bound.
 
 Time is data: callers pass ``now_s`` explicitly (the service injects its
 clock), so admission decisions are deterministic and replayable, and the

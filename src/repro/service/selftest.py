@@ -85,10 +85,9 @@ async def run_selftest(
         ),
         metrics=ServiceMetrics(),
         clock=lambda: clock_s[0],
-        seed=seed,
     )
     checks: dict[str, bool] = {}
-    rng = service.rng  # drawing from it also exercises RNG persistence
+    rng = np.random.default_rng(seed)
 
     # -- phase 1: coalesce -------------------------------------------------
     n_coalesce = max(100, n_clients // 2)
@@ -190,14 +189,8 @@ async def run_selftest(
     victim.cancel()
     await asyncio.gather(victim, return_exceptions=True)
 
-    resumed = FacilityService(
-        core=FacilityCore(), clock=lambda: clock_s[0], seed=seed + 1
-    )
+    resumed = FacilityService(core=FacilityCore(), clock=lambda: clock_s[0])
     resumed.load_state_dict(snapshot)
-    checks["resume_rng_restored"] = (
-        resumed.rng.bit_generator.state["state"]
-        == snapshot["rng_state"]["state"]
-    )
     checks["resume_lost_folded"] = resumed.metrics.lost_to_restart == 1
     checks["resume_reconciles"] = resumed.metrics.reconciles()
     after = await asyncio.gather(

@@ -16,20 +16,17 @@ The service is an ordinary asyncio object: ``await service.handle(req)``
 from any task. The HTTP front (:mod:`~repro.service.http`) is a thin
 stdlib adapter over exactly this method.
 
-Time is injected (``clock=``; defaults to the running loop's clock) and
-randomness is owned (``seed=``), so the whole service round-trips through
-``state_dict``/``load_state_dict``: buckets, counters, RNG — and requests
-in flight at snapshot time are folded into ``failed`` on restore
-(``lost_to_restart``), keeping the accounting identity true across a
-kill/resume.
+Time is injected (``clock=``; defaults to the running loop's clock). The
+whole service round-trips through ``state_dict``/``load_state_dict``:
+buckets and counters — and requests in flight at snapshot time are folded
+into ``failed`` on restore (``lost_to_restart``), keeping the accounting
+identity true across a kill/resume.
 """
 
 from __future__ import annotations
 
 import asyncio
 from typing import Callable, Mapping
-
-import numpy as np
 
 from ..errors import AdmissionError, ConfigurationError, ServiceError
 from .admission import AdmissionController
@@ -53,7 +50,6 @@ class FacilityService:
         admission: AdmissionController | None = None,
         metrics: ServiceMetrics | None = None,
         clock: Callable[[], float] | None = None,
-        seed: int = 0,
     ) -> None:
         """Build a service around ``core`` (or a fresh one over ``cache_dir``).
 
@@ -68,7 +64,6 @@ class FacilityService:
         self.admission = admission if admission is not None else AdmissionController()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.flights = SingleFlight()
-        self.rng = np.random.default_rng(seed)
         self._clock = clock
         self._in_flight: dict[str, int] = {}
 
@@ -170,13 +165,12 @@ class FacilityService:
     # -- persistence -------------------------------------------------------
 
     def state_dict(self) -> dict:
-        """JSON-serialisable snapshot: admission, metrics, RNG, in-flight.
+        """JSON-serialisable snapshot: admission, metrics, in-flight.
 
         In-flight work cannot be snapshotted mid-computation; it is
         recorded per tenant so :meth:`load_state_dict` can fold it into
         ``failed`` and keep ``requests_in == served + rejected + failed``.
         """
-        rng_state = self.rng.bit_generator.state
         return {
             "admission": self.admission.state_dict(),
             "metrics": self.metrics.state_dict(),
@@ -185,12 +179,6 @@ class FacilityService:
                 for tenant in sorted(self._in_flight)
             },
             "inflight_keys": self.flights.inflight_keys(),
-            "rng_state": {
-                "bit_generator": rng_state["bit_generator"],
-                "state": dict(rng_state["state"]),
-                "has_uint32": int(rng_state["has_uint32"]),
-                "uinteger": int(rng_state["uinteger"]),
-            },
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -208,12 +196,6 @@ class FacilityService:
             )
         self.admission.load_state_dict(state["admission"])
         self.metrics.load_state_dict(state["metrics"])
-        self.rng.bit_generator.state = {
-            "bit_generator": state["rng_state"]["bit_generator"],
-            "state": dict(state["rng_state"]["state"]),
-            "has_uint32": state["rng_state"]["has_uint32"],
-            "uinteger": state["rng_state"]["uinteger"],
-        }
         lost = state["in_flight"]
         for tenant in sorted(lost):
             for _ in range(lost[tenant]):

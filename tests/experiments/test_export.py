@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.experiments.common import ExperimentResult
-from repro.experiments.export import export_all
 from repro.results import write_result
 from repro.telemetry.series import TimeSeries
 
@@ -44,19 +43,6 @@ class TestExportResult:
         target = tmp_path / "deep" / "dir"
         write_result(make_result(), target)
         assert (target / "T9.txt").exists()
-
-
-class TestExportAll:
-    def test_runner_injection(self, tmp_path):
-        calls = []
-
-        def stub_runner(exp_id):
-            calls.append(exp_id)
-            return make_result(with_series=False)
-
-        exported = export_all(["T1", "T2"], tmp_path, runner=stub_runner)
-        assert calls == ["T1", "T2"]
-        assert set(exported) == {"T1", "T2"}
 
 
 class TestCliExport:

@@ -1,10 +1,9 @@
-"""Event model and bounded-channel tests for the live pipeline."""
+"""Event model tests for the live pipeline."""
 
 import numpy as np
 import pytest
 
 from repro.errors import MonitoringError, SeriesShapeError
-from repro.live.channel import OVERFLOW_POLICIES, BoundedChannel
 from repro.live.events import (
     CI_STREAM,
     POWER_STREAM,
@@ -120,58 +119,3 @@ class TestMergeBatches:
         merged = list(merge_batches(batches, strict=False))
         assert len(merged) == 3
 
-
-class TestBoundedChannel:
-    def test_fifo_roundtrip(self):
-        channel = BoundedChannel("power", capacity_samples=100)
-        first, second = make_batch(t0=0.0), make_batch(t0=10.0)
-        assert channel.put(first) and channel.put(second)
-        assert channel.get() is first
-        assert channel.get() is second
-        assert channel.get() is None
-
-    def test_accounting(self):
-        channel = BoundedChannel("power", capacity_samples=100)
-        channel.put(make_batch(n=7))
-        channel.put(make_batch(t0=10.0, n=5))
-        assert channel.offered_samples == 12
-        assert channel.accepted_samples == 12
-        assert channel.dropped_samples == 0
-        assert channel.depth_samples == 12
-        assert channel.high_watermark_samples == 12
-        channel.get()
-        assert channel.depth_samples == 5
-        assert channel.high_watermark_samples == 12  # watermark never recedes
-
-    def test_drop_oldest_evicts_history(self):
-        channel = BoundedChannel("power", capacity_samples=8, policy="drop_oldest")
-        channel.put(make_batch(t0=0.0, n=4, value=1.0))
-        channel.put(make_batch(t0=10.0, n=4, value=2.0))
-        assert not channel.put(make_batch(t0=20.0, n=4, value=3.0))  # sheds oldest
-        assert channel.dropped_samples == 4
-        assert channel.get().values[0] == 2.0  # oldest survivor is batch 2
-
-    def test_drop_newest_refuses_incoming(self):
-        channel = BoundedChannel("power", capacity_samples=8, policy="drop_newest")
-        channel.put(make_batch(t0=0.0, n=4, value=1.0))
-        channel.put(make_batch(t0=10.0, n=4, value=2.0))
-        assert not channel.put(make_batch(t0=20.0, n=4, value=3.0))
-        assert channel.dropped_samples == 4
-        assert channel.get().values[0] == 1.0  # history kept contiguous
-
-    def test_oversized_batch_shed_whole(self):
-        channel = BoundedChannel("power", capacity_samples=3)
-        assert not channel.put(make_batch(n=5))
-        assert channel.dropped_samples == 5
-        assert channel.depth_samples == 0
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(MonitoringError):
-            BoundedChannel("power", capacity_samples=0)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(MonitoringError):
-            BoundedChannel("power", policy="block")
-
-    def test_policy_registry(self):
-        assert OVERFLOW_POLICIES == ("drop_oldest", "drop_newest")

@@ -267,14 +267,6 @@ class TestPipelineSnapshot:
         assert document["version"] == CHECKPOINT_VERSION
         assert document["payload"].keys() == pipeline.checkpoint().keys()
 
-    def test_undrained_channels_rejected(self):
-        pipeline = assemble_supervised()
-        pipeline._channels[POWER_STREAM].put(
-            StreamBatch(POWER_STREAM, np.arange(4.0), np.full(4, 3220.0))
-        )
-        with pytest.raises(CheckpointError, match="undrained"):
-            pipeline.checkpoint()
-
     def test_processor_mismatch_rejected(self):
         payload = assemble_supervised().checkpoint()
         other = SupervisedPipeline(supervisor_config=SupervisorConfig())
@@ -372,6 +364,30 @@ class TestKillAndResume:
         resumed_state.pop("checkpoints_written")
         full_state.pop("checkpoints_written")
         assert resumed_state == full_state
+        assert report.metrics.reconciles()
+
+    def test_checkpoint_with_channel_counters_resumes(self, tmp_path, mid_run_payload):
+        """A checkpoint written while the monitor had channels holds
+        ``channel_high_watermarks`` and a zero ``samples_dropped`` per
+        stream; it resumes to the uninterrupted run's end."""
+        scenario = build_scenario("fig2", duration_days=30.0)
+        full, full_detector, full_tracker, _ = build_monitor(
+            supervisor_config=SupervisorConfig()
+        )
+        full_report = full.run(*scenario_sources(scenario, 256))
+
+        payload = copy.deepcopy(mid_run_payload)
+        payload["metrics"]["channel_high_watermarks"] = {POWER_STREAM: 256, CI_STREAM: 256}
+        payload["metrics"]["samples_dropped"] = {POWER_STREAM: 0, CI_STREAM: 0}
+        path = tmp_path / "with-channels.ckpt"
+        save_checkpoint(path, payload)
+        resumed, detector, tracker, _ = build_monitor(supervisor_config=SupervisorConfig())
+        resumed.resume_from(path)
+        report = resumed.run(*scenario_sources(scenario, 256))
+
+        assert report.alerts == full_report.alerts
+        assert detector.segments == full_detector.segments
+        assert tracker.transitions == full_tracker.transitions
         assert report.metrics.reconciles()
 
 

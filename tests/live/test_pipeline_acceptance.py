@@ -27,6 +27,8 @@ from repro.live.events import POWER_STREAM, series_batches
 from repro.live.monitor import build_monitor, monitor_main, run_monitor
 from repro.live.pipeline import MonitorPipeline
 from repro.live.replay import build_scenario, figure2_scenario, figure3_scenario
+from repro.live.supervisor import SupervisorConfig
+from repro.telemetry.series import TimeSeries
 from repro.units import SECONDS_PER_DAY
 
 #: One detection window: the detector re-estimates its baseline over
@@ -132,27 +134,6 @@ class TestRegimeSweepScenario:
 
 
 class TestBackpressure:
-    def test_throttled_consumer_sheds_and_accounts(self):
-        """A drain budget below the ingest rate must shed samples, and every
-        shed sample must appear in the metrics — nothing silent."""
-        scenario = figure2_scenario(duration_days=20.0)
-        pipeline, detector, _, _ = build_monitor(
-            channel_capacity_samples=64,
-            max_samples_per_drain=32,
-        )
-        report = pipeline.run(
-            series_batches(POWER_STREAM, scenario.power_kw, batch_size=64),
-            series_batches("ci_g_per_kwh", scenario.ci_g_per_kwh, batch_size=64),
-        )
-        metrics = report.metrics
-        assert metrics.total_samples_dropped > 0
-        for stream in metrics.samples_in:
-            assert metrics.samples_in[stream] == (
-                metrics.samples_processed.get(stream, 0)
-                + metrics.samples_dropped.get(stream, 0)
-            )
-            assert metrics.channel_high_watermarks[stream] <= 64
-
     def test_unknown_stream_rejected(self):
         pipeline = MonitorPipeline()
         pipeline.add_processor(OnlineCusum(POWER_STREAM))
@@ -165,32 +146,20 @@ class TestBackpressure:
             MonitorPipeline().run(iter(()))
 
 
-class TestChannelParameterValidation:
-    """Bad channel parameters fail at build time with the allowed values in
-    the message — not on first overflow deep inside the channel."""
-
-    def test_unknown_policy_rejected_up_front(self):
-        with pytest.raises(MonitoringError, match="drop_oldest"):
-            build_monitor(channel_policy="drop_latest")
-
-    def test_unknown_policy_message_names_the_offender(self):
-        with pytest.raises(MonitoringError, match="'shred'"):
-            build_monitor(channel_policy="shred")
-
-    @pytest.mark.parametrize("capacity", [0, -1])
-    def test_nonpositive_capacity_rejected_up_front(self, capacity):
-        with pytest.raises(MonitoringError, match="channel_capacity_samples"):
-            build_monitor(channel_capacity_samples=capacity)
-
-    def test_pipeline_validates_directly(self):
-        with pytest.raises(MonitoringError, match="overflow policy"):
-            MonitorPipeline(channel_policy="nonsense")
-        with pytest.raises(MonitoringError, match=">= 1"):
-            MonitorPipeline(channel_capacity_samples=0)
-
-    def test_valid_policies_accepted(self):
-        for policy in ("drop_oldest", "drop_newest"):
-            build_monitor(channel_policy=policy)
+class TestLargeBatches:
+    def test_batch_larger_than_old_channel_capacity_is_processed(self):
+        """A catch-up slab of 400,000 samples (above the 262,144 a channel
+        once held) reaches the processors whole instead of being shed."""
+        n = 400_000
+        rng = np.random.default_rng(7)
+        levels = np.where(np.arange(n) < n // 2, 3220.0, 3010.0)
+        power = TimeSeries(0.2 * np.arange(n), levels + rng.normal(0.0, 30.0, n))
+        for supervisor_config in (None, SupervisorConfig()):
+            pipeline, detector, _, _ = build_monitor(supervisor_config=supervisor_config)
+            metrics = pipeline.run(series_batches(POWER_STREAM, power, 1 << 19)).metrics
+            assert metrics.samples_processed[POWER_STREAM] == n
+            assert metrics.total_samples_dropped == 0
+            assert [round(s.mean) for s in detector.segments] == [3220, 3010]
 
 
 class TestAlertPlumbing:

@@ -296,17 +296,13 @@ class TestPointEvaluationCount:
 class TestStatePersistence:
     def test_idle_round_trip_is_lossless_and_json_safe(self):
         async def main():
-            service = open_service(seed=7)
+            service = open_service()
             await service.call("emissions", {})
             await service.call("divine", {})  # one failure on the books
-            service.rng.integers(0, 100, size=3)  # advance the RNG
             snapshot = json.loads(json.dumps(service.state_dict()))
-            restored = FacilityService(seed=99)
+            restored = FacilityService()
             restored.load_state_dict(snapshot)
             assert restored.state_dict() == service.state_dict()
-            assert restored.rng.integers(0, 1 << 32) == service.rng.integers(
-                0, 1 << 32
-            )
 
         run(main())
 

@@ -27,7 +27,6 @@ PIPELINE_FIELDS = [
     "samples_dead_lettered",
     "batches_dead_lettered",
     "samples_sanitised",
-    "channel_high_watermarks",
     "alerts_emitted",
     "processor_crashes",
     "processor_restarts",
