@@ -97,13 +97,22 @@ class CampaignResult:
         return float(busy.mean()) / self.simulation.n_nodes
 
     def impacts(self, settle_s: float = 2 * SECONDS_PER_DAY) -> list[InterventionImpact]:
-        """Before/after impact of each scheduled intervention, kW."""
-        out: list[InterventionImpact] = []
-        for iv in self.config.schedule.interventions:
-            out.append(
-                assess_impact(self.measured_kw, iv.time_s, iv.name, settle_s)
-            )
-        return out
+        """Before/after impact of each scheduled intervention, kW.
+
+        Each intervention is measured inside its own window, from the end of
+        the previous change's settle period (the series start for the first)
+        up to the next change (the series end for the last), so a later step
+        never leaks into an earlier one's means: the savings are the steps
+        between consecutive :meth:`phase_means_kw`.
+        """
+        series = self.measured_kw
+        interventions = self.config.schedule.interventions
+        starts = [series.t_start_s, *(iv.time_s + settle_s for iv in interventions[:-1])]
+        ends = [*(iv.time_s for iv in interventions[1:]), series.t_end_s + 1.0]
+        return [
+            assess_impact(series.slice(lo, hi), iv.time_s, iv.name, settle_s)
+            for iv, lo, hi in zip(interventions, starts, ends)
+        ]
 
     def phase_means_kw(self, settle_s: float = 2 * SECONDS_PER_DAY) -> list[float]:
         """Mean measured power in each inter-intervention phase, kW.

@@ -12,6 +12,7 @@ from ..analysis.baseline import compare_to_inventory, summarise
 from ..core.campaign import run_campaign
 from ..core.interventions import InterventionSchedule
 from ..core.reporting import format_kw, render_table
+from ..facility.archer2 import ARCHER2_BASELINE_CABINET_POWER_KW
 from .common import (
     CHRISTMAS_WINDOW_S,
     ExperimentResult,
@@ -22,7 +23,7 @@ from .common import (
 
 __all__ = ["run", "PAPER_MEAN_KW"]
 
-PAPER_MEAN_KW = 3220.0
+PAPER_MEAN_KW = ARCHER2_BASELINE_CABINET_POWER_KW
 
 
 def run(

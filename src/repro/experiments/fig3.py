@@ -13,6 +13,10 @@ from ..analysis.changepoint import detect_single
 from ..core.campaign import run_campaign
 from ..core.interventions import DefaultFrequencyChange, InterventionSchedule
 from ..core.reporting import format_kw, render_table
+from ..facility.archer2 import (
+    ARCHER2_POST_BIOS_CABINET_POWER_KW,
+    ARCHER2_POST_FREQ_CABINET_POWER_KW,
+)
 from ..units import SECONDS_PER_DAY
 from .common import (
     ExperimentResult,
@@ -24,8 +28,8 @@ from .common import (
 
 __all__ = ["run", "PAPER_BEFORE_KW", "PAPER_AFTER_KW"]
 
-PAPER_BEFORE_KW = 3010.0
-PAPER_AFTER_KW = 2530.0
+PAPER_BEFORE_KW = ARCHER2_POST_BIOS_CABINET_POWER_KW
+PAPER_AFTER_KW = ARCHER2_POST_FREQ_CABINET_POWER_KW
 
 
 def run(

@@ -30,14 +30,14 @@ Run it as ``repro lint [PATH ...]`` or from Python::
     report = run_lint(["src/repro"])
     assert report.exit_code == 0, report.to_dict()
 
-See ``docs/contributing.md`` for the annotation syntax and the baseline
-workflow for grandfathered findings.
+A finding is accepted only by a justified in-source ``# lint:``
+annotation on its line, and a unit is stated only by an identifier's name
+suffix.  See ``docs/contributing.md`` for the annotation syntax.
 """
 
 from __future__ import annotations
 
 from .annotations import ALIASES, parse_suppressions
-from .baseline import Baseline
 from .engine import LintReport, collect_files, run_lint
 from .findings import Finding
 from .registry import REGISTRY, Checker, all_codes, register
@@ -45,7 +45,6 @@ from .unitspec import DIMENSIONS, suffix_of
 
 __all__ = [
     "ALIASES",
-    "Baseline",
     "Checker",
     "DIMENSIONS",
     "Finding",

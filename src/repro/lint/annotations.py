@@ -16,11 +16,6 @@ named aliases
     ``allow-unseeded`` (REP202), ``allow-units`` (REP101+REP102),
     ``allow-blocking`` (REP601) — the readable spellings for the common,
     reviewed suppressions.
-``signature(param: unit, ... -> unit)``
-    Not a suppression: declares a function's unit signature for the
-    interprocedural unit-flow checker.  Parsed by
-    :func:`parse_signature_directives` and skipped here (see
-    :mod:`repro.lint.signatures` for the grammar).
 
 Anything after `` -- `` is a free-text justification and is ignored by the
 parser (but reviewers should insist on it).  A directive on a line whose code
@@ -40,7 +35,6 @@ __all__ = [
     "ALL_CODES",
     "ALIASES",
     "is_suppressed",
-    "parse_signature_directives",
     "parse_suppressions",
 ]
 
@@ -58,7 +52,6 @@ ALIASES: dict[str, frozenset[str]] = {
 
 _DIRECTIVE_RE = re.compile(r"#\s*lint:\s*(?P<body>[^#]*)")
 _CODE_RE = re.compile(r"^REP\d{3}$")
-_SIGNATURE_RE = re.compile(r"^signature\s*\((?P<spec>[^)]*)\)\s*$")
 
 
 def _parse_body(body: str) -> set[str] | None:
@@ -66,8 +59,6 @@ def _parse_body(body: str) -> set[str] | None:
     body = body.split("--", 1)[0].strip()
     if not body:
         return None
-    if _SIGNATURE_RE.match(body):
-        return None  # unit-signature declaration, not a suppression
     codes: set[str] = set()
     for word in re.split(r"[\s,]+", body):
         if not word:
@@ -132,34 +123,6 @@ def parse_suppressions(source: str) -> dict[int, set[str]]:
                 suppressed.setdefault(later, set()).update(codes)
                 break
     return suppressed
-
-
-def parse_signature_directives(source: str) -> list[tuple[int, bool, str]]:
-    """``(lineno, standalone, spec)`` per ``# lint: signature(...)`` comment.
-
-    The ``spec`` string is the raw text between the parentheses; parsing the
-    grammar itself lives in :mod:`repro.lint.signatures` so this module stays
-    a tokenizer.  Signature directives attach to the ``def`` they annotate:
-    trailing comments to the statement on their line, standalone comments to
-    the next ``def`` below them.
-    """
-    out: list[tuple[int, bool, str]] = []
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-            if tok.type != tokenize.COMMENT:
-                continue
-            match = _DIRECTIVE_RE.search(tok.string)
-            if not match:
-                continue
-            body = match.group("body").split("--", 1)[0].strip()
-            sig = _SIGNATURE_RE.match(body)
-            if not sig:
-                continue
-            standalone = not tok.line[: tok.start[1]].strip()
-            out.append((tok.start[0], standalone, sig.group("spec").strip()))
-    except (tokenize.TokenError, IndentationError):
-        pass  # unparseable tails surface as REP000 through the engine
-    return out
 
 
 def is_suppressed(suppressions: dict[int, set[str]], line: int, code: str) -> bool:

@@ -8,12 +8,12 @@ Examples::
     repro lint src --format json          # stable machine-readable report
     repro lint src --format sarif         # GitHub code-scanning annotations
     repro lint --explain REP601           # contract + example fix for a code
-    repro lint src --write-baseline       # grandfather current findings
-    repro lint src --baseline lint-baseline.json   # fail only on NEW findings
-    repro lint --check-baseline-growth old.json new.json  # burn-down rule
 
-Exit codes: 0 clean (or all findings baselined), 1 new findings, parse
-errors or baseline growth, 2 usage/configuration error.
+A finding is accepted only by a justified in-source annotation on its line
+(``# lint: exact-float -- reason``); every other one fails the run.
+
+Exit codes: 0 clean, 1 findings or parse errors, 2 usage/configuration
+error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 from ..errors import ConfigurationError, LintError
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .context import find_project_root
 from .engine import LintReport, run_lint
 from .registry import all_codes
@@ -74,36 +73,6 @@ def build_lint_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
         help="print the contract and an example fix for one code and exit",
     )
     parser.add_argument(
-        "--check-baseline-growth",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        default=None,
-        help=(
-            "compare two baseline files and exit 1 if NEW contains "
-            "fingerprints absent from OLD (missing files count as empty); "
-            "the burn-down rule CI enforces against the merge base"
-        ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "baseline file of grandfathered findings; defaults to "
-            f"{DEFAULT_BASELINE_NAME} next to pyproject.toml when present"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any default baseline file; report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write/refresh the baseline from current findings and exit 0",
-    )
-    parser.add_argument(
         "--list-checks",
         action="store_true",
         help="list every registered code with its contract and exit",
@@ -117,35 +86,15 @@ def _split(csv: str | None) -> list[str] | None:
     return [part for part in csv.split(",") if part.strip()]
 
 
-def _render_text(report: LintReport, baseline_used: Path | None) -> str:
-    lines: list[str] = []
-    for finding in report.parse_errors:
-        lines.append(finding.render())
-    for finding in report.new_findings:
-        lines.append(finding.render())
-    if report.baselined:
-        lines.append(
-            f"({len(report.baselined)} baselined finding(s) suppressed by "
-            f"{baseline_used})"
-        )
-    if report.stale_fingerprints:
-        lines.append(
-            f"({len(report.stale_fingerprints)} stale baseline entr(y/ies) — "
-            "re-run with --write-baseline to ratchet down)"
-        )
-    counts = report.counts_by_code()
-    summary = ", ".join(f"{code}: {n}" for code, n in counts.items())
-    if report.new_findings or report.parse_errors:
-        lines.append(
-            f"found {len(report.new_findings)} new finding(s) in "
-            f"{report.files_checked} file(s)"
-            + (f" [{summary}]" if summary else "")
-        )
-    else:
-        lines.append(
-            f"clean: {report.files_checked} file(s), 0 new finding(s)"
-            + (f" [{summary}]" if summary else "")
-        )
+def _render_text(report: LintReport) -> str:
+    if not report.exit_code:
+        return f"clean: {report.files_checked} file(s), 0 finding(s)"
+    lines = [f.render() for f in [*report.parse_errors, *report.findings]]
+    counts = ", ".join(f"{c}: {n}" for c, n in report.counts_by_code().items())
+    lines.append(
+        f"found {len(report.findings)} finding(s) in "
+        f"{report.files_checked} file(s)" + (f" [{counts}]" if counts else "")
+    )
     return "\n".join(lines)
 
 
@@ -168,65 +117,16 @@ def lint_main(argv: list[str] | None = None, prog: str = "repro lint") -> int:
             return 2
         return 0
 
-    if args.check_baseline_growth:
-        old_path, new_path = (Path(p) for p in args.check_baseline_growth)
-        try:
-            old = Baseline.load(old_path) if old_path.is_file() else Baseline()
-            new = Baseline.load(new_path) if new_path.is_file() else Baseline()
-        except LintError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        grown = new.growth_vs(old)
-        if grown:
-            print(
-                f"baseline grew by {len(grown)} entr(y/ies) — the baseline "
-                "may only shrink; fix the findings instead:"
-            )
-            for fp in grown:
-                entry = new.entries.get(fp, {})
-                print(
-                    f"  {fp}  {entry.get('path', '?')}  "
-                    f"{entry.get('code', '?')}  {entry.get('snippet', '')}"
-                )
-            return 1
-        print(
-            f"baseline ok: {len(new)} entr(y/ies), none added vs "
-            f"{old_path}"
-        )
-        return 0
-
-    root = find_project_root(Path(args.paths[0]))
-    baseline_path: Path | None = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-    elif not args.no_baseline:
-        default = root / DEFAULT_BASELINE_NAME
-        if default.is_file():
-            baseline_path = default
-
     try:
-        baseline = None
-        if baseline_path is not None and baseline_path.is_file():
-            baseline = Baseline.load(baseline_path)
         report = run_lint(
             args.paths,
-            root=root,
+            root=find_project_root(Path(args.paths[0])),
             select=_split(args.select),
             ignore=_split(args.ignore),
-            baseline=None if args.write_baseline else baseline,
         )
     except (ConfigurationError, LintError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        target = baseline_path or root / DEFAULT_BASELINE_NAME
-        Baseline.from_findings(report.findings).dump(target)
-        print(
-            f"wrote baseline with {len(report.findings)} finding(s) to "
-            f"{target}"
-        )
-        return 0
 
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -235,5 +135,5 @@ def lint_main(argv: list[str] | None = None, prog: str = "repro lint") -> int:
 
         print(json.dumps(to_sarif(report), indent=2))
     else:
-        print(_render_text(report, baseline_path))
+        print(_render_text(report))
     return report.exit_code

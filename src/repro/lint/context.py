@@ -42,9 +42,6 @@ class FileContext:
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
     suppressions: dict[int, set[str]] = field(default_factory=dict)
-    _scope_spans: list[tuple[int, int, str]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
     def from_path(cls, path: Path, root: Path) -> "FileContext":
@@ -77,47 +74,6 @@ class FileContext:
     def is_suppressed(self, lineno: int, code: str) -> bool:
         """Whether an in-source annotation silences ``code`` at ``lineno``."""
         return is_suppressed(self.suppressions, lineno, code)
-
-    def enclosing_scope(self, lineno: int) -> str:
-        """Dotted in-file scope of a line (``Class.method``), ``<module>`` else.
-
-        Baseline fingerprints key on this so grandfathered findings survive
-        edits elsewhere in the file: only touching the enclosing function
-        itself invalidates the entry.
-        """
-        if self._scope_spans is None:
-            spans: list[tuple[int, int, str]] = []
-            stack: list[str] = []
-
-            def visit(node: ast.AST) -> None:
-                for child in ast.iter_child_nodes(node):
-                    if isinstance(
-                        child,
-                        (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
-                    ):
-                        stack.append(child.name)
-                        if not isinstance(child, ast.ClassDef):
-                            spans.append(
-                                (
-                                    child.lineno,
-                                    child.end_lineno or child.lineno,
-                                    ".".join(stack),
-                                )
-                            )
-                        visit(child)
-                        stack.pop()
-                    else:
-                        visit(child)
-
-            visit(self.tree)
-            self._scope_spans = spans
-        best = "<module>"
-        best_size: int | None = None
-        for start, end, qual in self._scope_spans:
-            size = end - start
-            if start <= lineno <= end and (best_size is None or size <= best_size):
-                best, best_size = qual, size
-        return best
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Lint engine: collect files, run checkers, apply suppressions + baseline.
+"""Lint engine: collect files, run checkers, apply in-source suppressions.
 
 :func:`run_lint` is the library entry point (the CLI is a thin shell over
 it).  The pass is deterministic: files are collected in sorted order,
@@ -8,12 +8,11 @@ stable — CI diffs of lint output are meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..errors import LintError
-from .baseline import Baseline
 from .context import FileContext, ProjectContext, find_project_root
 from .findings import Finding
 from .registry import REGISTRY, checkers_for_code_set, resolve_codes
@@ -48,16 +47,13 @@ class LintReport:
 
     root: Path
     findings: list[Finding] = field(default_factory=list)
-    new_findings: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_fingerprints: list[str] = field(default_factory=list)
     files_checked: int = 0
     parse_errors: list[Finding] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
-        """Non-zero exactly when a *new* finding (or parse error) exists."""
-        return 1 if (self.new_findings or self.parse_errors) else 0
+        """Non-zero exactly when a finding (or parse error) exists."""
+        return 1 if (self.findings or self.parse_errors) else 0
 
     def counts_by_code(self) -> dict[str, int]:
         """Finding tallies per code, sorted by code."""
@@ -69,14 +65,12 @@ class LintReport:
     def to_dict(self) -> dict:
         """Stable JSON-ready payload (the ``--format json`` contract)."""
         return {
-            "version": 1,
+            "version": 2,
             "root": str(self.root),
             "files_checked": self.files_checked,
             "counts": self.counts_by_code(),
-            "new": [f.to_dict() for f in self.new_findings],
-            "baselined": [f.to_dict() for f in self.baselined],
+            "findings": [f.to_dict() for f in self.findings],
             "parse_errors": [f.to_dict() for f in self.parse_errors],
-            "stale_baseline_fingerprints": list(self.stale_fingerprints),
             "exit_code": self.exit_code,
         }
 
@@ -124,13 +118,12 @@ def run_lint(
     root: str | Path | None = None,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    baseline: Baseline | None = None,
 ) -> LintReport:
-    """Run every selected checker over ``paths`` and classify the findings.
+    """Run every selected checker over ``paths`` and collect the findings.
 
-    ``select``/``ignore`` take code prefixes (``REP1``, ``REP301``).  When a
-    ``baseline`` is given, previously grandfathered findings are reported
-    separately and do not affect the exit code.
+    ``select``/``ignore`` take code prefixes (``REP1``, ``REP301``).  A
+    finding an in-source ``# lint:`` annotation covers is dropped; every
+    other one counts towards the exit code.
     """
     path_objs = [Path(p) for p in paths]
     if not path_objs:
@@ -175,18 +168,6 @@ def run_lint(
         ctx = ctx_by_rel.get(finding.path)
         if ctx is not None and ctx.is_suppressed(finding.line, finding.code):
             continue
-        if ctx is not None and not finding.scope:
-            finding = replace(finding, scope=ctx.enclosing_scope(finding.line))
         report.findings.append(finding)
     report.findings.sort()
-
-    if baseline is None:
-        report.new_findings = list(report.findings)
-    else:
-        for finding in report.findings:
-            if finding in baseline:
-                report.baselined.append(finding)
-            else:
-                report.new_findings.append(finding)
-        report.stale_fingerprints = baseline.stale_fingerprints(report.findings)
     return report

@@ -32,7 +32,7 @@ EXPLANATIONS: dict[str, Explanation] = {
             "means no contract in that file was checked."
         ),
         bad="def broken(:  # SyntaxError",
-        fix="Fix the syntax error; REP000 cannot be suppressed or baselined.",
+        fix="Fix the syntax error; REP000 cannot be suppressed.",
     ),
     "REP101": Explanation(
         contract=(

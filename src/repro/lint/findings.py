@@ -1,16 +1,11 @@
 """Finding model shared by every checker, the engine and the CLI.
 
-A finding pins a contract violation to a file, line and column, carries the
-machine code (``REPxxx``) that selects/suppresses it, and knows how to
-fingerprint itself for the baseline: the fingerprint hashes the enclosing
-function scope plus the *content* of the offending line rather than its
-number, so unrelated edits elsewhere in the file do not resurrect a
-grandfathered finding — only touching the function it lives in does.
+A finding pins a contract violation to a file, line and column and carries
+the machine code (``REPxxx``) that selects/suppresses it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 __all__ = ["Finding"]
@@ -27,23 +22,9 @@ class Finding:
     message: str = field(compare=False)
     checker: str = field(compare=False, default="")
     snippet: str = field(compare=False, default="")
-    scope: str = field(compare=False, default="")  # enclosing function span
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselining: path + code + scope + line text.
-
-        Line numbers are deliberately excluded so findings survive the file
-        shifting around them; the enclosing function scope (``Class.method``,
-        ``<module>``) disambiguates identical lines in different functions,
-        so fixing one occurrence does not un-baseline its twin elsewhere and
-        edits to *other* functions never invalidate an entry.
-        """
-        payload = f"{self.path}::{self.code}::{self.scope}::{self.snippet.strip()}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (stable key order, no derived fields)."""
+        """JSON-ready representation (stable key order)."""
         return {
             "path": self.path,
             "line": self.line,
@@ -52,8 +33,6 @@ class Finding:
             "message": self.message,
             "checker": self.checker,
             "snippet": self.snippet.strip(),
-            "scope": self.scope,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:

@@ -4,9 +4,9 @@
 format GitHub code scanning ingests: uploading ``repro lint --format sarif``
 output annotates the offending lines directly on the pull request.  The
 rendering is minimal but valid — one run, one driver, one rule per REP code,
-one result per finding.  Baselined findings are emitted with an external
-suppression (visible but not failing), and parse errors ride along as
-``REP000`` errors so a broken file cannot silently produce an empty report.
+one result per finding.  Parse errors ride along as ``REP000`` errors so a
+broken file cannot silently produce an empty report.  No fingerprints are
+emitted: the uploader computes its own to track a result across commits.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ _SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 _PARSE_ERROR_CODE = "REP000"
 
 
-def _result(finding: Finding, *, suppressed: bool) -> dict:
-    result = {
+def _result(finding: Finding) -> dict:
+    return {
         "ruleId": finding.code,
-        "level": "note" if suppressed else "error",
+        "level": "error",
         "message": {"text": finding.message},
         "locations": [
             {
@@ -37,22 +37,14 @@ def _result(finding: Finding, *, suppressed: bool) -> dict:
                 }
             }
         ],
-        "partialFingerprints": {"reproLint/v2": finding.fingerprint},
     }
-    if suppressed:
-        result["suppressions"] = [
-            {"kind": "external", "justification": "baselined finding"}
-        ]
-    return result
 
 
 def to_sarif(report: LintReport) -> dict:
     """The SARIF payload for one lint run (stable ordering throughout)."""
     rules = {_PARSE_ERROR_CODE: "file does not parse"}
     rules.update(all_codes())
-    results = [_result(f, suppressed=False) for f in report.parse_errors]
-    results += [_result(f, suppressed=False) for f in report.new_findings]
-    results += [_result(f, suppressed=True) for f in report.baselined]
+    results = [_result(f) for f in [*report.parse_errors, *report.findings]]
     return {
         "$schema": _SCHEMA,
         "version": "2.1.0",

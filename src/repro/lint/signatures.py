@@ -4,17 +4,13 @@ The suffix convention (DESIGN.md §6) names units *inside one expression*;
 this module lifts it to function boundaries so REP1xx can follow a kilowatt
 value from ``repro.node`` through ``repro.facility`` into
 ``repro.scheduler.accounting`` and flag the first place it is treated as
-kilowatt-hours.  Three sources feed a :class:`UnitSignature` per function,
+kilowatt-hours.  Two sources feed a :class:`UnitSignature` per function,
 strongest first:
 
-1. **Explicit annotation** — ``# lint: signature(power: kw, duration: s ->
-   kwh)`` on (or immediately above) the ``def``.  ``none`` declares a
-   parameter or return deliberately unitless, which is how true
-   false-positives are silenced without suppressing whole codes.
-2. **Name suffixes** — ``def cdu_power_kw(...)`` returns kilowatts,
+1. **Name suffixes** — ``def cdu_power_kw(...)`` returns kilowatts,
    parameter ``duration_s`` is seconds, exactly as REP102 already reads
    them locally.
-3. **Return-flow inference** — a fixpoint over the call graph: a function
+2. **Return-flow inference** — a fixpoint over the call graph: a function
    whose every ``return`` expression carries one agreed unit (directly or
    through already-resolved callees) adopts that unit.
 
@@ -27,69 +23,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..errors import LintError
-from .annotations import parse_signature_directives
 from .graph import FunctionInfo, ProjectGraph
-from .unitspec import DIMENSIONS, UnitInfo, suffix_of
+from .unitspec import UnitInfo, suffix_of
 
-__all__ = [
-    "ResolvedUnit",
-    "SignatureTable",
-    "UnitSignature",
-    "parse_signature_spec",
-    "resolve_unit_token",
-]
-
-#: Spelling for "deliberately unitless" in signature annotations.
-UNITLESS = "none"
+__all__ = ["ResolvedUnit", "SignatureTable", "UnitSignature"]
 
 _MAX_FIXPOINT_PASSES = 10
-
-
-def resolve_unit_token(token: str) -> UnitInfo | None:
-    """The :class:`UnitInfo` a signature token names; ``None`` for ``none``.
-
-    Raises :class:`LintError` for tokens the dimension table does not know —
-    a typo in a signature annotation must be loud, not silently unknown.
-    """
-    token = token.strip().lower()
-    if token == UNITLESS:
-        return None
-    info = DIMENSIONS.get(token) or suffix_of(f"x_{token}")
-    if info is None:
-        raise LintError(
-            f"unknown unit token {token!r} in signature annotation "
-            f"(known: {', '.join(sorted(DIMENSIONS))}, or 'none')"
-        )
-    return info
-
-
-def parse_signature_spec(spec: str) -> tuple[dict[str, str], str | None]:
-    """``({param: token}, return_token)`` for one ``signature(...)`` body.
-
-    Grammar: ``name: token, name: token -> token`` — the parameter list, the
-    return clause, or both may be present (``-> kwh`` alone annotates just
-    the return).  Tokens are validated by the caller via
-    :func:`resolve_unit_token`.
-    """
-    params_part, arrow, return_part = spec.partition("->")
-    return_token = return_part.strip() if arrow else None
-    if arrow and not return_token:
-        raise LintError(f"signature annotation {spec!r} has an empty return clause")
-    params: dict[str, str] = {}
-    for chunk in params_part.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        name, colon, token = chunk.partition(":")
-        name, token = name.strip(), token.strip()
-        if not colon or not name or not token:
-            raise LintError(
-                f"malformed signature annotation {spec!r}: expected "
-                "'param: unit, ... -> unit'"
-            )
-        params[name] = token
-    return params, return_token
 
 
 @dataclass(frozen=True)
@@ -97,10 +36,8 @@ class UnitSignature:
     """Known unit facts about one function's parameters and return."""
 
     params: dict[str, UnitInfo] = field(default_factory=dict)
-    unitless_params: frozenset[str] = frozenset()
     returns: UnitInfo | None = None
-    returns_unitless: bool = False
-    origin: str = "suffix"  # "annotation" | "suffix" | "inferred"
+    origin: str = "suffix"  # "suffix" | "inferred"
 
     def param_unit(self, name: str) -> UnitInfo | None:
         return self.params.get(name)
@@ -147,99 +84,20 @@ class SignatureTable:
     # -- construction -------------------------------------------------------
 
     def _build(self) -> None:
-        annotated = self._collect_directives()
         for qual, func in self.graph.functions.items():
-            self.signatures[qual] = self._base_signature(func, annotated.get(qual))
+            self.signatures[qual] = self._base_signature(func)
         self._infer_returns()
 
-    def _collect_directives(self) -> dict[str, tuple[dict[str, str], str | None]]:
-        """Function qualname -> parsed ``signature(...)`` directive."""
-        out: dict[str, tuple[dict[str, str], str | None]] = {}
-        for module, ctx in self.graph.modules.items():
-            funcs = sorted(
-                (f for f in self.graph.functions.values() if f.module == module),
-                key=lambda f: f.node.lineno,
-            )
-            for lineno, standalone, spec in parse_signature_directives(ctx.source):
-                target = self._directive_target(funcs, lineno, standalone)
-                if target is None:
-                    raise LintError(
-                        f"{ctx.rel}:{lineno}: signature annotation does not "
-                        "attach to any function definition"
-                    )
-                try:
-                    out[target.qualname] = parse_signature_spec(spec)
-                except LintError as exc:
-                    raise LintError(f"{ctx.rel}:{lineno}: {exc}") from exc
-        return out
-
     @staticmethod
-    def _directive_target(
-        funcs: list[FunctionInfo], lineno: int, standalone: bool
-    ) -> FunctionInfo | None:
-        if standalone:
-            following = [f for f in funcs if f.node.lineno > lineno]
-            return min(following, key=lambda f: f.node.lineno, default=None)
-        covering = [
-            f
-            for f in funcs
-            if f.node.lineno
-            <= lineno
-            < (f.node.body[0].lineno if f.node.body else f.node.lineno + 1)
-        ]
-        return max(covering, key=lambda f: f.node.lineno, default=None)
-
-    @staticmethod
-    def _param_names(func: FunctionInfo) -> list[str]:
+    def _base_signature(func: FunctionInfo) -> UnitSignature:
+        """Units the function's own name and parameter names spell."""
         args = func.node.args
-        names = [
-            a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        ]
-        if names and names[0] in ("self", "cls"):
-            names = names[1:]
-        return names
-
-    def _base_signature(
-        self,
-        func: FunctionInfo,
-        directive: tuple[dict[str, str], str | None] | None,
-    ) -> UnitSignature:
-        param_names = self._param_names(func)
         params: dict[str, UnitInfo] = {}
-        unitless: set[str] = set()
-        for name in param_names:
-            info = suffix_of(name)
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+            info = suffix_of(arg.arg)
             if info is not None:
-                params[name] = info
-        returns = suffix_of(func.name)
-        returns_unitless = False
-        origin = "suffix"
-        if directive is not None:
-            declared, return_token = directive
-            for name, token in declared.items():
-                if name not in param_names:
-                    raise LintError(
-                        f"{func.rel}: signature annotation on "
-                        f"{func.qualname} names unknown parameter {name!r}"
-                    )
-                info = resolve_unit_token(token)
-                if info is None:
-                    params.pop(name, None)
-                    unitless.add(name)
-                else:
-                    params[name] = info
-            if return_token is not None:
-                info = resolve_unit_token(return_token)
-                returns = info
-                returns_unitless = info is None
-            origin = "annotation"
-        return UnitSignature(
-            params=params,
-            unitless_params=frozenset(unitless),
-            returns=returns,
-            returns_unitless=returns_unitless,
-            origin=origin,
-        )
+                params[arg.arg] = info
+        return UnitSignature(params=params, returns=suffix_of(func.name))
 
     def _infer_returns(self) -> None:
         """Fixpoint: adopt a return unit when every return agrees on one."""
@@ -247,18 +105,12 @@ class SignatureTable:
             changed = False
             for qual, func in self.graph.functions.items():
                 sig = self.signatures[qual]
-                if sig.returns is not None or sig.returns_unitless:
+                if sig.returns is not None:
                     continue
-                if sig.origin == "annotation":
-                    continue  # annotated silence is deliberate
                 inferred = self._agreed_return_unit(func)
                 if inferred is not None:
                     self.signatures[qual] = UnitSignature(
-                        params=sig.params,
-                        unitless_params=sig.unitless_params,
-                        returns=inferred,
-                        returns_unitless=False,
-                        origin="inferred",
+                        params=sig.params, returns=inferred, origin="inferred"
                     )
                     changed = True
             if not changed:
@@ -311,26 +163,17 @@ class SignatureTable:
         Suffixes win over inferred signatures: a call ``cdu_power_kw(...)``
         reads as kilowatts from its visible name (REP102's view); only
         suffix-less calls consult the callee's signature — exactly the
-        knowledge a per-file checker cannot have.  An *explicit*
-        ``# lint: signature(...)`` annotation on the callee outranks both:
-        ``-> none`` on a misnamed helper declares it unitless and silences
-        the suffix reading.
+        knowledge a per-file checker cannot have.
         """
         inner = expr
         while isinstance(inner, (ast.UnaryOp, ast.Await)):
             inner = inner.operand if isinstance(inner, ast.UnaryOp) else inner.value
-        annotated: ResolvedUnit | None = None
+        from_callee: ResolvedUnit | None = None
         if isinstance(inner, ast.Call):
             callee = self.resolve_call(inner, func)
             sig = self.signatures.get(callee) if callee is not None else None
-            if sig is not None and sig.origin == "annotation":
-                if sig.returns is None:
-                    return None  # declared unitless (or deliberately unknown)
-                return ResolvedUnit(
-                    info=sig.returns, display=f"{callee}()", via_call=callee
-                )
             if sig is not None and sig.returns is not None:
-                annotated = ResolvedUnit(
+                from_callee = ResolvedUnit(
                     info=sig.returns, display=f"{callee}()", via_call=callee
                 )
         name = _identifier_of(expr)
@@ -338,8 +181,8 @@ class SignatureTable:
             info = suffix_of(name)
             if info is not None:
                 return ResolvedUnit(info=info, display=name)
-        if annotated is not None:
-            return annotated
+        if from_callee is not None:
+            return from_callee
         if isinstance(inner, ast.BinOp) and isinstance(
             inner.op, (ast.Add, ast.Sub)
         ):

@@ -20,6 +20,11 @@ from dataclasses import dataclass, field
 
 from ..core.regimes import OptimisationTarget, Regime, advice
 from ..errors import MonitoringError
+from ..facility.archer2 import (
+    ARCHER2_BASELINE_CABINET_POWER_KW,
+    ARCHER2_POST_BIOS_CABINET_POWER_KW,
+    ARCHER2_POST_FREQ_CABINET_POWER_KW,
+)
 from ..units import SECONDS_PER_YEAR, g_to_tonnes
 from .alerts import (
     AdviceAlert,
@@ -50,12 +55,12 @@ PAPER_ACTIONS: tuple[ActionSpec, ...] = (
     ActionSpec(
         key="bios-performance-determinism",
         description="switch node BIOS from Power to Performance Determinism (§4.1)",
-        expected_delta_kw=-210.0,
+        expected_delta_kw=ARCHER2_POST_BIOS_CABINET_POWER_KW - ARCHER2_BASELINE_CABINET_POWER_KW,
     ),
     ActionSpec(
         key="frequency-cap-2.0ghz",
         description="cap the default CPU frequency at 2.0 GHz (§4.2)",
-        expected_delta_kw=-480.0,
+        expected_delta_kw=ARCHER2_POST_FREQ_CABINET_POWER_KW - ARCHER2_POST_BIOS_CABINET_POWER_KW,
     ),
 )
 
@@ -75,7 +80,7 @@ class AdvisorConfig:
     emits no advice until the inputs are fresh again.
     """
 
-    baseline_power_kw: float = 3220.0
+    baseline_power_kw: float = ARCHER2_BASELINE_CABINET_POWER_KW
     actions: tuple[ActionSpec, ...] = PAPER_ACTIONS
     level_tolerance_fraction: float = 0.04
     degraded_policy: str = "flag"

@@ -24,6 +24,11 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..errors import MonitoringError
+from ..facility.archer2 import (
+    ARCHER2_BASELINE_CABINET_POWER_KW,
+    ARCHER2_POST_BIOS_CABINET_POWER_KW,
+    ARCHER2_POST_FREQ_CABINET_POWER_KW,
+)
 from ..grid.carbon_intensity import CarbonIntensityModel
 from ..telemetry.meters import MeterSpec, PowerMeter
 from ..telemetry.series import TimeSeries
@@ -114,7 +119,7 @@ def figure2_scenario(duration_days: float = 61.0, seed: int = 123) -> MonitorSce
     return piecewise_power_scenario(
         name="fig2",
         description="BIOS Power->Performance Determinism (-210 kW, paper Fig. 2)",
-        levels_kw=(3220.0, 3010.0),
+        levels_kw=(ARCHER2_BASELINE_CABINET_POWER_KW, ARCHER2_POST_BIOS_CABINET_POWER_KW),
         change_days=(duration_days / 2,),
         duration_days=duration_days,
         seed=seed,
@@ -126,7 +131,7 @@ def figure3_scenario(duration_days: float = 61.0, seed: int = 2023) -> MonitorSc
     return piecewise_power_scenario(
         name="fig3",
         description="default frequency cap to 2.0 GHz (-480 kW, paper Fig. 3)",
-        levels_kw=(3010.0, 2530.0),
+        levels_kw=(ARCHER2_POST_BIOS_CABINET_POWER_KW, ARCHER2_POST_FREQ_CABINET_POWER_KW),
         change_days=(duration_days / 2,),
         duration_days=duration_days,
         seed=seed,
@@ -138,7 +143,11 @@ def combined_scenario(duration_days: float = 90.0, seed: int = 7) -> MonitorScen
     return piecewise_power_scenario(
         name="combined",
         description="both interventions in rollout order (-690 kW total, §5)",
-        levels_kw=(3220.0, 3010.0, 2530.0),
+        levels_kw=(
+            ARCHER2_BASELINE_CABINET_POWER_KW,
+            ARCHER2_POST_BIOS_CABINET_POWER_KW,
+            ARCHER2_POST_FREQ_CABINET_POWER_KW,
+        ),
         change_days=(duration_days / 3, 2 * duration_days / 3),
         duration_days=duration_days,
         seed=seed,
@@ -155,7 +164,7 @@ def regime_sweep_scenario(duration_days: float = 10.0, seed: int = 42) -> Monito
     """
     duration_s = duration_days * SECONDS_PER_DAY
     rng = np.random.default_rng(seed)
-    truth = _piecewise_truth_w((3220.0,), (), SECONDS_PER_DAY)
+    truth = _piecewise_truth_w((ARCHER2_BASELINE_CABINET_POWER_KW,), (), SECONDS_PER_DAY)
     meter = PowerMeter(MeterSpec(), name="regimes/power-kw")
     measured_kw = meter.sample_function(truth, 0.0, duration_s, rng).scale_values(1e-3)
     times = np.arange(0.0, duration_s, 900.0)
@@ -171,7 +180,7 @@ def regime_sweep_scenario(duration_days: float = 10.0, seed: int = 42) -> Monito
         power_kw=measured_kw,
         ci_g_per_kwh=ci,
         change_times_s=(),
-        levels_kw=(3220.0,),
+        levels_kw=(ARCHER2_BASELINE_CABINET_POWER_KW,),
     )
 
 

@@ -17,10 +17,10 @@ add, without touching the data path itself:
   (all in *stream time*, so runs are reproducible); after
   ``max_restarts`` restarts it is quarantined and the rest of the
   pipeline carries on;
-* **staleness watchdogs** — a stream that stops producing while the rest
-  of the telemetry advances raises a
-  :class:`~repro.live.alerts.DataGapAlert` and flips the advisor into
-  degraded mode until the stream recovers;
+* **staleness watchdogs** — a stream whose last sample falls too far
+  behind the merge position (the start of the batch being ingested)
+  raises a :class:`~repro.live.alerts.DataGapAlert` and flips the advisor
+  into degraded mode until the stream recovers;
 * **checkpoint/resume** — the complete pipeline state (every processor,
   the advisor, metrics, alert history, supervision state including the
   backoff RNG) is periodically written via
@@ -80,8 +80,9 @@ class SupervisorConfig:
     draws the same jitter. After ``max_restarts`` restarts the next crash
     quarantines the processor for the rest of the run.
 
-    ``staleness_timeout_s`` is how far the global watermark may advance past
-    a stream's last sample before the watchdog declares a data gap.
+    ``staleness_timeout_s`` is how far the merge position (the start of the
+    batch being ingested) may advance past a stream's last sample before
+    the watchdog declares a data gap.
     ``checkpoint_path``, a file in an existing directory (checked here, so
     a bad path fails before any data is ingested), enables periodic
     checkpoints roughly every ``checkpoint_every_s`` of stream time, each
@@ -347,47 +348,54 @@ class SupervisedPipeline(MonitorPipeline):
     # -- staleness watchdogs & degraded mode -----------------------------------
 
     def _after_ingest(self, batch: StreamBatch) -> None:
-        """Track per-stream freshness; raise/clear gaps; maybe checkpoint."""
+        """Track per-stream freshness; raise/clear gaps; maybe checkpoint.
+
+        Staleness is judged at the merge position, this batch's start:
+        batches arrive in start order, so nothing still to come starts
+        earlier. The scan runs before this stream's ``last_seen`` advances,
+        so its own silence is caught (and at once recovered) even when no
+        other stream delivered during it.
+        """
         cfg = self.supervisor_config
         metrics = self.metrics
         stream = batch.stream
-        now = metrics.watermark_time_s
-        if stream in self._stale:
-            last = self._last_seen.get(stream, math.nan)
-            self._stale.discard(stream)
-            self._dispatch(
-                [
-                    DataGapAlert(
-                        time_s=batch.t_start_s,
-                        stream=stream,
-                        last_seen_s=last,
-                        gap_s=batch.t_start_s - last,
-                        recovered=True,
-                    )
-                ]
-            )
-            self._update_degraded(now)
-        self._last_seen[stream] = batch.t_end_s
+        position = batch.t_start_s
         tripped = False
         for watched in self._processors:
             last = self._last_seen.get(watched)
             if last is None or watched in self._stale:
                 continue
-            gap = now - last
+            gap = position - last
             if gap > cfg.staleness_timeout_s:
                 self._stale.add(watched)
                 metrics.data_gaps_detected[watched] += 1
                 self._dispatch(
                     [
                         DataGapAlert(
-                            time_s=now, stream=watched, last_seen_s=last, gap_s=gap
+                            time_s=position, stream=watched, last_seen_s=last, gap_s=gap
                         )
                     ]
                 )
                 tripped = True
         if tripped:
-            self._update_degraded(now)
-        self._maybe_checkpoint(now)
+            self._update_degraded(position)
+        if stream in self._stale:
+            last = self._last_seen.get(stream, math.nan)
+            self._stale.discard(stream)
+            self._dispatch(
+                [
+                    DataGapAlert(
+                        time_s=position,
+                        stream=stream,
+                        last_seen_s=last,
+                        gap_s=position - last,
+                        recovered=True,
+                    )
+                ]
+            )
+            self._update_degraded(position)
+        self._last_seen[stream] = batch.t_end_s
+        self._maybe_checkpoint(metrics.watermark_time_s)
 
     def _before_finish(self) -> None:
         """Detect trailing gaps (a stream that died before the run ended)."""

@@ -31,6 +31,7 @@ from .malleable import (
     MalleableSimulationResult,
     RigidMalleableComparison,
     compare_rigid_malleable,
+    comparison_trace,
 )
 
 __all__ = [
@@ -60,4 +61,5 @@ __all__ = [
     "MalleableSimulationResult",
     "RigidMalleableComparison",
     "compare_rigid_malleable",
+    "comparison_trace",
 ]

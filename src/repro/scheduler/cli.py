@@ -30,11 +30,10 @@ from collections.abc import Callable
 import numpy as np
 
 from ..facility.failures import FailureModel, FaultConfig
-from ..grid.carbon_intensity import SCENARIOS, CarbonIntensityModel
+from ..grid.carbon_intensity import SCENARIOS
 from ..grid.forecast import ForecastFeed, ForecastIndex, sample_feed_outages
 from ..node import build_node_model
 from ..units import SECONDS_PER_DAY
-from ..workload.generator import JobStreamConfig, JobStreamGenerator
 from ..workload.mix import archer2_mix
 from .accounting import SimulationResult
 from .backfill import BackfillScheduler, StaticEnvironment
@@ -43,6 +42,7 @@ from .malleable import (
     MalleableSimulation,
     MalleableSimulationResult,
     compare_rigid_malleable,
+    comparison_trace,
 )
 
 __all__ = ["build_sched_parser", "sched_main"]
@@ -187,20 +187,16 @@ def sched_main(argv: list[str], prog: str = "repro sched") -> int:
     args = build_sched_parser(prog).parse_args(argv)
     t_end_s = args.days * SECONDS_PER_DAY
 
-    rng = np.random.default_rng(args.seed)
-    config = JobStreamConfig(
-        n_facility_nodes=args.nodes,
+    jobs, ci = comparison_trace(
+        archer2_mix(),
+        days=args.days,
+        nodes=args.nodes,
+        seed=args.seed,
+        scenario=args.scenario,
         offered_load=args.offered_load,
-        mean_runtime_s=4.0 * 3600.0,
-        max_job_nodes=max(1, args.nodes // 4),
         malleable_fraction=args.malleable_fraction,
-        shift_slack_mean_s=args.slack_hours * 3600.0,
+        slack_hours=args.slack_hours,
     )
-    generator = JobStreamGenerator(archer2_mix(), config, rng)
-    jobs = generator.generate_until(t_end_s * 0.9)
-
-    ci_model = CarbonIntensityModel.from_scenario(args.scenario)
-    ci = ci_model.series(0.0, t_end_s + SECONDS_PER_DAY, 1800.0, rng)
 
     fault_config = None
     if args.inject_faults:

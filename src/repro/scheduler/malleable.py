@@ -50,10 +50,14 @@ import numpy as np
 
 from ..errors import SchedulingError
 from ..facility.failures import FaultConfig
+from ..grid.carbon_intensity import CarbonIntensityModel
 from ..grid.forecast import ForecastFeed, ForecastIndex
 from ..node.pstates import FrequencySetting
 from ..telemetry.series import TimeSeries
+from ..units import SECONDS_PER_DAY
+from ..workload.generator import JobStreamConfig, JobStreamGenerator
 from ..workload.jobs import Job, JobRecord
+from ..workload.mix import WorkloadMix
 from .accounting import (
     FaultAccounting,
     PowerTrace,
@@ -82,6 +86,7 @@ __all__ = [
     "MalleableScheduler",
     "RigidMalleableComparison",
     "compare_rigid_malleable",
+    "comparison_trace",
 ]
 
 PAPER_LOW_CI_G_PER_KWH = 30.0
@@ -1141,3 +1146,39 @@ def compare_rigid_malleable(
         rigid_tco2e=trace_emissions_tco2e(rigid.trace, ci),
         malleable_tco2e=trace_emissions_tco2e(malleable.trace, ci),
     )
+
+
+def comparison_trace(
+    mix: WorkloadMix,
+    *,
+    days: float,
+    nodes: int,
+    seed: int,
+    scenario: str,
+    offered_load: float,
+    malleable_fraction: float,
+    slack_hours: float,
+) -> tuple[list[Job], TimeSeries]:
+    """The seeded jobs and grid carbon intensity that ``repro sched`` and the
+    service's ``sched_compare`` hand to :func:`compare_rigid_malleable`.
+
+    One generator seeded with ``seed`` draws the job stream (4 h mean
+    runtime, jobs at most a quarter of ``nodes`` wide, arrivals over the
+    first 90 % of ``days``) and then the ``scenario``'s half-hourly CI
+    series, which runs one day past the end of the trace.
+    """
+    t_end_s = days * SECONDS_PER_DAY
+    rng = np.random.default_rng(seed)
+    config = JobStreamConfig(
+        n_facility_nodes=nodes,
+        offered_load=offered_load,
+        mean_runtime_s=4.0 * 3600.0,
+        max_job_nodes=max(1, nodes // 4),
+        malleable_fraction=malleable_fraction,
+        shift_slack_mean_s=slack_hours * 3600.0,
+    )
+    jobs = JobStreamGenerator(mix, config, rng).generate_until(t_end_s * 0.9)
+    ci = CarbonIntensityModel.from_scenario(scenario).series(
+        0.0, t_end_s + SECONDS_PER_DAY, 1800.0, rng
+    )
+    return jobs, ci

@@ -205,13 +205,10 @@ class ServiceRouter:
 
     def _sched_compare(self, params: Mapping) -> dict:
         # Heavy subsystem: import lazily so the service core stays light.
-        import numpy as np
-
-        from ..grid.carbon_intensity import SCENARIOS, CarbonIntensityModel
+        from ..grid.carbon_intensity import SCENARIOS
         from ..scheduler.backfill import StaticEnvironment
-        from ..scheduler.malleable import compare_rigid_malleable
+        from ..scheduler.malleable import compare_rigid_malleable, comparison_trace
         from ..units import SECONDS_PER_DAY
-        from ..workload.generator import JobStreamConfig, JobStreamGenerator
 
         days = float(params.get("days", 1.0))
         nodes = int(params.get("nodes", 128))
@@ -223,25 +220,19 @@ class ServiceRouter:
             )
         if days <= 0 or nodes <= 0:
             raise ConfigurationError("days and nodes must be positive")
-        t_end_s = days * SECONDS_PER_DAY
-
-        rng = np.random.default_rng(seed)
-        config = JobStreamConfig(
-            n_facility_nodes=nodes,
+        jobs, ci = comparison_trace(
+            self.core.mix,
+            days=days,
+            nodes=nodes,
+            seed=seed,
+            scenario=scenario,
             offered_load=float(params.get("offered_load", 0.95)),
-            mean_runtime_s=4.0 * 3600.0,
-            max_job_nodes=max(1, nodes // 4),
             malleable_fraction=float(params.get("malleable_fraction", 0.5)),
-            shift_slack_mean_s=float(params.get("slack_hours", 2.0)) * 3600.0,
+            slack_hours=float(params.get("slack_hours", 2.0)),
         )
-        jobs = JobStreamGenerator(self.core.mix, config, rng).generate_until(
-            t_end_s * 0.9
-        )
-        ci_model = CarbonIntensityModel.from_scenario(scenario)
-        ci = ci_model.series(0.0, t_end_s + SECONDS_PER_DAY, 1800.0, rng)
         comparison = compare_rigid_malleable(
             jobs,
-            t_end_s,
+            days * SECONDS_PER_DAY,
             StaticEnvironment(node_model=self.core.node_model),
             ci,
             n_nodes=nodes,

@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core.campaign import CampaignConfig
+from repro.core.campaign import CampaignConfig, CampaignResult
+from repro.core.interventions import (
+    BiosDeterminismChange,
+    DefaultFrequencyChange,
+    InterventionSchedule,
+    OperatingState,
+)
+from repro.facility.archer2 import (
+    ARCHER2_BASELINE_CABINET_POWER_KW,
+    ARCHER2_POST_BIOS_CABINET_POWER_KW,
+    ARCHER2_POST_FREQ_CABINET_POWER_KW,
+)
+from repro.telemetry import TimeSeries
 from repro.units import SECONDS_PER_DAY
 
 
@@ -56,6 +68,38 @@ class TestInterventionCampaign:
         split = intervention_campaign.simulation.node_hours_by_setting()
         assert "2.0GHz" in split
         assert split["2.0GHz"] > 0
+
+
+class TestImpactWindows:
+    def test_each_intervention_is_measured_within_its_own_phase(self):
+        """Two steps 30 days apart: each saving is its own step, not the
+        mean of everything after it against everything before it."""
+        day = SECONDS_PER_DAY
+        times = np.arange(0.0, 90 * day, 900.0)
+        levels = np.select(
+            [times < 30 * day, times < 60 * day],
+            [ARCHER2_BASELINE_CABINET_POWER_KW, ARCHER2_POST_BIOS_CABINET_POWER_KW],
+            ARCHER2_POST_FREQ_CABINET_POWER_KW,
+        )
+        schedule = InterventionSchedule(
+            OperatingState(),
+            [
+                BiosDeterminismChange(time_s=30 * day),
+                DefaultFrequencyChange(time_s=60 * day),
+            ],
+        )
+        series = TimeSeries(times, levels)
+        result = CampaignResult(
+            config=CampaignConfig(duration_s=90 * day, schedule=schedule),
+            simulation=None,
+            true_kw=series,
+            measured_kw=series,
+        )
+        means = result.phase_means_kw()
+        assert means == pytest.approx([3220.0, 3010.0, 2530.0])
+        savings = [impact.saving for impact in result.impacts()]
+        assert savings == pytest.approx([210.0, 480.0])
+        assert savings == pytest.approx([means[0] - means[1], means[1] - means[2]])
 
 
 class TestFailureIntegration:

@@ -53,6 +53,12 @@ def test_unknown_alias_is_a_loud_error() -> None:
         parse_suppressions("x = 1  # lint: allow-everything\n")
 
 
+def test_signature_directive_is_not_a_unit_declaration() -> None:
+    """Units come from name suffixes only: ``signature(...)`` is unknown."""
+    with pytest.raises(LintError, match="unknown lint annotation"):
+        parse_suppressions("def f(n):  # lint: signature(-> kw)\n    return n\n")
+
+
 def test_suffix_registry_covers_units_module() -> None:
     """Every unit token spelled in repro/units.py must be in the lint table.
 

@@ -1,4 +1,4 @@
-"""CLI-level tests: JSON contract, exit codes, baseline workflow, dispatch."""
+"""CLI-level tests: JSON contract, exit codes, dispatch."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main as repro_main
-from repro.lint.baseline import Baseline
 from repro.lint.cli import lint_main
 from repro.lint.engine import run_lint
 from repro.lint.registry import all_codes
@@ -41,7 +40,7 @@ def mini_project(tmp_path: Path) -> Path:
 
 
 def test_json_output_is_valid_and_stable(capsys, mini_project: Path) -> None:
-    argv = [str(mini_project / "src"), "--format", "json", "--no-baseline"]
+    argv = [str(mini_project / "src"), "--format", "json"]
     assert lint_main(argv) == 1
     first = capsys.readouterr().out
     assert lint_main(argv) == 1
@@ -49,11 +48,11 @@ def test_json_output_is_valid_and_stable(capsys, mini_project: Path) -> None:
     assert first == second
 
     payload = json.loads(first)
-    assert payload["version"] == 1
+    assert payload["version"] == 2
     assert payload["exit_code"] == 1
     assert payload["counts"] == {"REP301": 1}
-    assert len(payload["new"]) == 1
-    finding = payload["new"][0]
+    assert len(payload["findings"]) == 1
+    finding = payload["findings"][0]
     assert set(finding) >= {"path", "line", "col", "code", "message", "snippet"}
     assert finding["code"] == "REP301"
     assert finding["path"].endswith("ratios.py")
@@ -65,10 +64,10 @@ def test_json_round_trips_through_report_dict() -> None:
 
 
 def test_text_output_mentions_counts(capsys) -> None:
-    assert lint_main([str(FIXTURES / "units_bad.py"), "--no-baseline"]) == 1
+    assert lint_main([str(FIXTURES / "units_bad.py")]) == 1
     out = capsys.readouterr().out
     assert "REP101" in out and "REP102" in out
-    assert "new finding(s)" in out
+    assert "finding(s)" in out
 
 
 def test_clean_run_exits_zero(capsys, mini_project: Path) -> None:
@@ -78,9 +77,7 @@ def test_clean_run_exits_zero(capsys, mini_project: Path) -> None:
 
 
 def test_unknown_code_is_a_usage_error(capsys) -> None:
-    exit_code = lint_main(
-        [str(FIXTURES / "units_good.py"), "--select", "REP999", "--no-baseline"]
-    )
+    exit_code = lint_main([str(FIXTURES / "units_good.py"), "--select", "REP999"])
     assert exit_code == 2
     assert "REP999" in capsys.readouterr().err
 
@@ -97,68 +94,7 @@ def test_list_checks_covers_every_code(capsys) -> None:
         assert code in out
 
 
-def test_baseline_workflow_grandfathers_then_ratchets(
-    capsys, mini_project: Path
-) -> None:
-    src = str(mini_project / "src")
-
-    # 1. Grandfather the existing debt.
-    assert lint_main([src, "--write-baseline"]) == 0
-    baseline_path = mini_project / "lint-baseline.json"
-    assert baseline_path.is_file()
-    capsys.readouterr()
-
-    # 2. Same tree is now green: the finding is baselined, not new.
-    assert lint_main([src]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-
-    # 3. A NEW violation still fails even with the baseline in place.
-    (mini_project / "src" / "mini" / "fresh.py").write_text(
-        "def newer(x: float) -> bool:\n    return x != 0.5\n"
-    )
-    assert lint_main([src]) == 1
-    assert "REP301" in capsys.readouterr().out
-
-    # 4. Fixing the original debt surfaces the stale baseline entry.
-    (mini_project / "src" / "mini" / "fresh.py").unlink()
-    (mini_project / "src" / "mini" / "ratios.py").write_text(CLEAN_SOURCE)
-    assert lint_main([src]) == 0
-    assert "stale" in capsys.readouterr().out
-
-    # 5. --no-baseline ignores the file entirely.
-    (mini_project / "src" / "mini" / "ratios.py").write_text(BAD_SOURCE)
-    assert lint_main([src, "--no-baseline"]) == 1
-
-
-def test_baseline_survives_line_renumbering(mini_project: Path) -> None:
-    src = str(mini_project / "src")
-    assert lint_main([src, "--write-baseline"]) == 0
-    # Shift the offending line down: the fingerprint must still match.
-    path = mini_project / "src" / "mini" / "ratios.py"
-    path.write_text("# a new leading comment\n" + BAD_SOURCE)
-    assert lint_main([src]) == 0
-
-
-def test_baseline_rejects_corrupt_file(mini_project: Path, capsys) -> None:
-    baseline_path = mini_project / "lint-baseline.json"
-    baseline_path.write_text("{not json")
-    assert lint_main([str(mini_project / "src")]) == 2
-    assert "baseline" in capsys.readouterr().err.lower()
-
-
-def test_baseline_dump_is_deterministic(tmp_path: Path) -> None:
-    report = run_lint([str(FIXTURES / "units_bad.py")], root=FIXTURES)
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    Baseline.from_findings(report.findings).dump(a)
-    Baseline.from_findings(list(reversed(report.findings))).dump(b)
-    assert a.read_text() == b.read_text()
-    assert a.read_text().endswith("\n")
-
-
 def test_repro_cli_dispatches_lint(capsys) -> None:
-    exit_code = repro_main(
-        ["lint", str(FIXTURES / "floatcmp_good.py"), "--no-baseline"]
-    )
+    exit_code = repro_main(["lint", str(FIXTURES / "floatcmp_good.py")])
     assert exit_code == 0
     assert "clean" in capsys.readouterr().out

@@ -27,7 +27,7 @@ def lint_fixture(name: str, **kwargs):
 
 
 def locations(report) -> list[tuple[int, str]]:
-    return [(f.line, f.code) for f in report.new_findings]
+    return [(f.line, f.code) for f in report.findings]
 
 
 BAD_EXPECTATIONS = {
@@ -97,7 +97,7 @@ def test_bad_fixtures_fail_good_fixtures_pass() -> None:
 def test_select_narrows_to_one_code_family() -> None:
     report = lint_fixture("units_bad", select=["REP102"])
     assert {code for _, code in locations(report)} == {"REP102"}
-    assert len(report.new_findings) == 3
+    assert len(report.findings) == 3
 
 
 def test_select_by_prefix_expands() -> None:
@@ -112,26 +112,26 @@ def test_ignore_removes_a_code() -> None:
 
 def test_near_miss_messages_name_the_canonical_suffix() -> None:
     report = lint_fixture("units_bad", select=["REP101"])
-    messages = " ".join(f.message for f in report.new_findings)
+    messages = " ".join(f.message for f in report.findings)
     assert "_w" in messages and "_s" in messages
 
 
 def test_rep402_names_the_drifting_keys() -> None:
     report = lint_fixture("statedict_bad", select=["REP402"])
-    (finding,) = report.new_findings
+    (finding,) = report.findings
     assert "grand_total" in finding.message
 
 
 def test_rep501_names_the_ghosts() -> None:
     report = lint_fixture("publicapi_bad")
-    messages = " ".join(f.message for f in report.new_findings)
+    messages = " ".join(f.message for f in report.findings)
     assert "ghost_function" in messages and "GhostClass" in messages
 
 
 def test_findings_are_sorted_and_deterministic() -> None:
     first = lint_fixture("units_bad")
     second = lint_fixture("units_bad")
-    assert [f.to_dict() for f in first.new_findings] == [
-        f.to_dict() for f in second.new_findings
+    assert [f.to_dict() for f in first.findings] == [
+        f.to_dict() for f in second.findings
     ]
-    assert first.new_findings == sorted(first.new_findings)
+    assert first.findings == sorted(first.findings)

@@ -1,16 +1,13 @@
-"""Reporting surface tests: scope fingerprints, burn-down rule, SARIF, explain."""
+"""Reporting surface tests: SARIF and explain."""
 
 from __future__ import annotations
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.lint.baseline import Baseline
 from repro.lint.cli import lint_main
-from repro.lint.engine import run_lint
 from repro.lint.explain import EXPLANATIONS, explain
 from repro.lint.registry import all_codes
 
@@ -18,20 +15,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 VIOLATION = '''\
 def check(ratio: float) -> bool:
-    return ratio == 1.0
-'''
-
-VIOLATION_SHIFTED = '''\
-def helper() -> int:
-    return 3
-
-
-def check(ratio: float) -> bool:
-    return ratio == 1.0
-'''
-
-VIOLATION_RENAMED = '''\
-def verify(ratio: float) -> bool:
     return ratio == 1.0
 '''
 
@@ -46,106 +29,11 @@ def mini_project(tmp_path: Path) -> Path:
     return tmp_path
 
 
-# -- scope-keyed fingerprints (baseline v2) ----------------------------------
-
-
-def test_fingerprint_survives_moving_the_enclosing_function(
-    mini_project: Path,
-) -> None:
-    src = str(mini_project / "src")
-    assert lint_main([src, "--write-baseline"]) == 0
-    # Unrelated code above shifts the finding's line; the fingerprint is
-    # keyed on the enclosing scope and snippet, so it stays baselined.
-    (mini_project / "src" / "mini" / "ratios.py").write_text(VIOLATION_SHIFTED)
-    assert lint_main([src]) == 0
-
-
-def test_fingerprint_changes_when_enclosing_scope_changes(
-    mini_project: Path,
-) -> None:
-    src = str(mini_project / "src")
-    assert lint_main([src, "--write-baseline"]) == 0
-    # Same snippet, different enclosing function: that is a different
-    # finding (the old one was fixed, a new one appeared) — it must fail.
-    (mini_project / "src" / "mini" / "ratios.py").write_text(VIOLATION_RENAMED)
-    assert lint_main([src]) == 1
-
-
-def test_findings_carry_their_enclosing_scope() -> None:
-    report = run_lint(["floatcmp_bad.py"], root=FIXTURES)
-    scopes = {f.scope for f in report.new_findings}
-    assert scopes and "<module>" not in scopes  # all inside functions
-    assert all(f.fingerprint for f in report.new_findings)
-
-
-# -- burn-down rule ----------------------------------------------------------
-
-
-def test_growth_vs_flags_only_new_fingerprints() -> None:
-    report = run_lint(["floatcmp_bad.py"], root=FIXTURES)
-    findings = report.new_findings
-    assert len(findings) >= 2
-    older = Baseline.from_findings(findings[:1])
-    newer = Baseline.from_findings(findings)
-    grown = newer.growth_vs(older)
-    assert grown == sorted(f.fingerprint for f in findings[1:])
-    assert older.growth_vs(newer) == []  # shrinking is always fine
-
-
-def test_check_baseline_growth_cli(
-    capsys, mini_project: Path, tmp_path: Path
-) -> None:
-    src = str(mini_project / "src")
-    assert lint_main([src, "--write-baseline"]) == 0
-    baseline = mini_project / "lint-baseline.json"
-    old_copy = tmp_path / "old-baseline.json"
-    shutil.copy(baseline, old_copy)
-    capsys.readouterr()
-
-    # Identical baselines: no growth.
-    assert lint_main(
-        ["--check-baseline-growth", str(old_copy), str(baseline)]
-    ) == 0
-    assert "baseline ok" in capsys.readouterr().out
-
-    # A second violation grows the baseline: burn-down rule fails it.
-    (mini_project / "src" / "mini" / "fresh.py").write_text(
-        "def newer(x: float) -> bool:\n    return x != 0.5\n"
-    )
-    assert lint_main([src, "--write-baseline"]) == 0
-    capsys.readouterr()
-    assert lint_main(
-        ["--check-baseline-growth", str(old_copy), str(baseline)]
-    ) == 1
-    out = capsys.readouterr().out
-    assert "fresh.py" in out
-
-    # Shrinking back (old had more) is allowed.
-    assert lint_main(
-        ["--check-baseline-growth", str(baseline), str(old_copy)]
-    ) == 0
-
-
-def test_check_baseline_growth_missing_files_are_empty(
-    capsys, tmp_path: Path
-) -> None:
-    assert lint_main(
-        [
-            "--check-baseline-growth",
-            str(tmp_path / "absent-old.json"),
-            str(tmp_path / "absent-new.json"),
-        ]
-    ) == 0
-    assert "baseline ok" in capsys.readouterr().out
-
-
 # -- SARIF output ------------------------------------------------------------
 
 
 def test_sarif_output_structure(capsys, mini_project: Path) -> None:
-    assert lint_main(
-        [str(mini_project / "src"), "--no-baseline", "--format", "sarif"]
-    ) == 1
+    assert lint_main([str(mini_project / "src"), "--format", "sarif"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["version"] == "2.1.0"
     (run,) = payload["runs"]
@@ -158,23 +46,9 @@ def test_sarif_output_structure(capsys, mini_project: Path) -> None:
     for result in results:
         assert result["ruleId"].startswith("REP")
         assert result["level"] == "error"
-        assert result["partialFingerprints"]["reproLint/v2"]
         (location,) = result["locations"]
         region = location["physicalLocation"]["region"]
         assert region["startLine"] >= 1
-
-
-def test_sarif_marks_baselined_findings_as_suppressed(
-    capsys, mini_project: Path
-) -> None:
-    src = str(mini_project / "src")
-    assert lint_main([src, "--write-baseline"]) == 0
-    capsys.readouterr()
-    assert lint_main([src, "--format", "sarif"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    (result,) = payload["runs"][0]["results"]
-    assert result["level"] == "note"
-    assert result["suppressions"][0]["kind"] == "external"
 
 
 # -- --explain ---------------------------------------------------------------

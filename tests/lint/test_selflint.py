@@ -12,8 +12,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 def test_shipped_tree_is_lint_clean() -> None:
     report = run_lint(["src", "tests"], root=REPO_ROOT)
     assert not report.parse_errors, [f.render() for f in report.parse_errors]
-    assert report.new_findings == [], "\n".join(
-        f.render() for f in report.new_findings
+    assert report.findings == [], "\n".join(
+        f.render() for f in report.findings
     )
     assert report.exit_code == 0
     # Sanity: the run actually covered the tree, not an empty glob.
@@ -22,6 +22,6 @@ def test_shipped_tree_is_lint_clean() -> None:
 
 def test_linter_lints_itself() -> None:
     report = run_lint(["src/repro/lint"], root=REPO_ROOT)
-    assert report.new_findings == [], "\n".join(
-        f.render() for f in report.new_findings
+    assert report.findings == [], "\n".join(
+        f.render() for f in report.findings
     )

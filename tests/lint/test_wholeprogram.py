@@ -13,14 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import LintError
 from repro.lint.context import FileContext, ProjectContext
 from repro.lint.engine import run_lint
-from repro.lint.signatures import (
-    SignatureTable,
-    parse_signature_spec,
-    resolve_unit_token,
-)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -49,7 +43,7 @@ def lint_group(files: list[str]):
 
 
 def located(report) -> list[tuple[str, int, str]]:
-    return [(f.path, f.line, f.code) for f in report.new_findings]
+    return [(f.path, f.line, f.code) for f in report.findings]
 
 
 def project_over(files: list[str]) -> ProjectContext:
@@ -67,7 +61,7 @@ def test_clean_chain_has_no_findings() -> None:
 def test_three_module_kw_kwh_leak_is_caught() -> None:
     report = lint_group(LEAK_CHAIN)
     assert located(report) == [("crossmod/leak_accounting.py", 12, "REP104")]
-    (finding,) = report.new_findings
+    (finding,) = report.findings
     assert "_kw" in finding.message and "_kwh" in finding.message
     assert "facility_draw" in finding.message
 
@@ -76,16 +70,6 @@ def test_leak_needs_the_whole_chain() -> None:
     # Linting the leaky file alone gives per-file knowledge only: the
     # callee is unresolvable, so interprocedural checkers stay silent.
     assert located(lint_group(["crossmod/leak_accounting.py"])) == []
-
-
-def test_signature_annotation_declares_and_silences_units() -> None:
-    report = lint_group(["crossmod/sig_override.py"])
-    assert located(report) == [
-        ("crossmod/sig_override.py", 29, "REP104"),
-        ("crossmod/sig_override.py", 34, "REP103"),
-    ]
-    rep103 = report.new_findings[1]
-    assert "total_kwh" in rep103.message and "_kw" in rep103.message
 
 
 # -- async safety (REP601/REP602/REP603) ------------------------------------
@@ -104,7 +88,7 @@ def test_async_safety_fixture_findings_are_exact() -> None:
 def test_time_sleep_in_async_def_is_rep601() -> None:
     report = lint_group(["asyncsafe/bad_sleep.py"])
     assert located(report) == [("asyncsafe/bad_sleep.py", 7, "REP601")]
-    (finding,) = report.new_findings
+    (finding,) = report.findings
     assert "time.sleep" in finding.message
 
 
@@ -112,7 +96,7 @@ def test_reached_blocking_primitive_reports_the_chain() -> None:
     report = lint_group(
         ["asyncsafe/bad_reach.py", "asyncsafe/blocking_helpers.py"]
     )
-    (finding,) = report.new_findings
+    (finding,) = report.findings
     assert finding.code == "REP601"
     assert "warm_cache" in finding.message
     assert "time.sleep" in finding.message
@@ -146,14 +130,14 @@ def test_state_dict_closure_fixture_findings_are_exact() -> None:
 
 def test_rep403_names_the_dropped_component() -> None:
     report = lint_group(["sdclose/bad_drop.py"])
-    (finding,) = report.new_findings
+    (finding,) = report.findings
     assert finding.code == "REP403"
     assert "self.gauge" in finding.message
 
 
 def test_rep404_names_the_incomplete_component_class() -> None:
     report = lint_group(["sdclose/bad_component.py"])
-    rep404 = [f for f in report.new_findings if f.code == "REP404"]
+    rep404 = [f for f in report.findings if f.code == "REP404"]
     (finding,) = rep404
     assert "Feed" in finding.message
     assert "load_state_dict" in finding.message
@@ -192,60 +176,9 @@ def test_class_has_method_walks_and_never_guesses() -> None:
 # -- signature table ---------------------------------------------------------
 
 
-def test_parse_signature_spec_grammar() -> None:
-    params, ret = parse_signature_spec("power: kw, duration: s -> kwh")
-    assert params == {"power": "kw", "duration": "s"}
-    assert ret == "kwh"
-    assert parse_signature_spec("-> kw") == ({}, "kw")
-    assert parse_signature_spec("x: none") == ({"x": "none"}, None)
-
-
-@pytest.mark.parametrize("spec", ["power kw", "->", "power: -> kw"])
-def test_malformed_signature_spec_is_loud(spec: str) -> None:
-    with pytest.raises(LintError):
-        parse_signature_spec(spec)
-
-
-def test_unknown_unit_token_is_loud() -> None:
-    with pytest.raises(LintError, match="unknown unit token"):
-        resolve_unit_token("furlongs")
-    assert resolve_unit_token("none") is None
-    assert resolve_unit_token("kw") is not None
-
-
 def test_return_unit_inference_follows_the_chain() -> None:
     table = project_over(LEAK_CHAIN).signature_table()
     sig = table.signature_of("crossmod.leak_facility.facility_draw")
     assert sig is not None
     assert sig.origin == "inferred"
     assert sig.returns is not None and sig.returns.token == "kw"
-
-
-def test_annotation_outranks_suffix_and_inference() -> None:
-    table = project_over(["crossmod/sig_override.py"]).signature_table()
-    declared = table.signature_of("crossmod.sig_override.grid_draw")
-    assert declared is not None and declared.origin == "annotation"
-    assert declared.returns is not None and declared.returns.token == "kw"
-    silenced = table.signature_of("crossmod.sig_override.scale_factor_kw")
-    assert silenced is not None and silenced.origin == "annotation"
-    assert silenced.returns is None and silenced.returns_unitless
-
-
-def test_dangling_signature_directive_is_loud(tmp_path: Path) -> None:
-    bad = tmp_path / "dangling.py"
-    bad.write_text("X = 1\n# lint: signature(-> kw)\n")
-    project = ProjectContext(
-        root=tmp_path, files=[FileContext.from_path(bad, tmp_path)]
-    )
-    with pytest.raises(LintError, match="does not attach"):
-        SignatureTable(project.graph())
-
-
-def test_unknown_parameter_in_directive_is_loud(tmp_path: Path) -> None:
-    bad = tmp_path / "unknown_param.py"
-    bad.write_text("def f(a):  # lint: signature(b: kw)\n    return a\n")
-    project = ProjectContext(
-        root=tmp_path, files=[FileContext.from_path(bad, tmp_path)]
-    )
-    with pytest.raises(LintError, match="unknown parameter"):
-        SignatureTable(project.graph())

@@ -271,6 +271,31 @@ class TestStalenessWatchdog:
         assert gaps and gaps[-1].stream == CI_STREAM
         assert not gaps[-1].recovered
 
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "combined", "regimes"])
+    def test_clean_replay_matches_the_plain_pipeline(self, name):
+        """A long batch of one stream must not make another look stale:
+        on clean telemetry supervision adds no alert and moves no counter."""
+        scenario = build_scenario(name)
+        plain = run_monitor(scenario).report
+        supervised = run_monitor(scenario, supervisor_config=SupervisorConfig()).report
+        assert supervised.alerts == plain.alerts
+        assert supervised.metrics == plain.metrics
+
+    def test_stall_gaps_measure_the_silence(self):
+        """Each stalled stream is flagged and recovered where it resumes,
+        with the length of its silence, not the distance to the watermark."""
+        scenario = build_scenario("fig2", duration_days=10)
+        report = run_monitor(scenario, faults=["stall"], fault_seed=7).report
+        gaps = report.alerts_of(DataGapAlert)
+        assert [(g.stream, g.recovered, round(g.gap_s / 3600.0, 1)) for g in gaps] == [
+            (POWER_STREAM, False, 12.2),
+            (POWER_STREAM, True, 12.2),
+            (CI_STREAM, False, 12.5),
+            (CI_STREAM, True, 12.5),
+        ]
+        for gap in gaps:
+            assert gap.time_s == gap.last_seen_s + gap.gap_s
+
 
 class TestChaosSoak:
     @pytest.mark.parametrize("fault", list(FAULT_NAMES))

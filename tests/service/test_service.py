@@ -18,6 +18,10 @@ from repro.service import (
 from repro.service.envelope import PROTOCOL_VERSION
 from repro.service.router import payload_sweep
 from repro.engine.runner import run_sweep
+from repro.node import build_node_model
+from repro.scheduler import StaticEnvironment, compare_rigid_malleable, comparison_trace
+from repro.units import SECONDS_PER_DAY
+from repro.workload import archer2_mix
 
 
 def run(coro):
@@ -151,6 +155,40 @@ class TestParityWithDirectSession:
         score = FacilitySession().advise()
         assert response.result["config"]["label"] == score.config.label()
         assert response.result["score"] == pytest.approx(score.score)
+
+    def test_sched_compare_runs_the_comparison_on_the_shared_trace(self):
+        params = {"days": 2.0, "nodes": 64, "seed": 7, "scenario": "balanced"}
+
+        async def main():
+            service = open_service()
+            return await service.call("sched_compare", params)
+
+        response = run(main())
+        assert response.ok
+        jobs, ci = comparison_trace(
+            archer2_mix(),
+            days=2.0,
+            nodes=64,
+            seed=7,
+            scenario="balanced",
+            offered_load=0.95,
+            malleable_fraction=0.5,
+            slack_hours=2.0,
+        )
+        comparison = compare_rigid_malleable(
+            jobs,
+            2.0 * SECONDS_PER_DAY,
+            StaticEnvironment(node_model=build_node_model()),
+            ci,
+            n_nodes=64,
+            seed=7,
+        )
+        result = response.result
+        assert result["n_jobs"] == len(jobs)
+        assert result["rigid"]["tco2e"] == float(comparison.rigid_tco2e)
+        assert result["malleable"]["tco2e"] == float(comparison.malleable_tco2e)
+        assert result["malleable"]["n_shifted"] == comparison.malleable.n_shifted
+        assert result["energy_saving_kwh"] == float(comparison.energy_saving_kwh)
 
 
 class TestErrorsAndAdmission:
