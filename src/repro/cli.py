@@ -22,8 +22,6 @@ import argparse
 import sys
 import time
 
-from .experiments import REGISTRY, run_experiment
-
 FAST_EXPERIMENTS = ["T1", "T2", "T3", "T4", "R1", "A1", "A2"]
 
 SUBCOMMANDS = ("run", "monitor", "sweep", "lint", "sched", "serve")
@@ -32,6 +30,8 @@ USAGE = f"usage: repro {{{','.join(SUBCOMMANDS)}}} ... (see 'repro <subcommand> 
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro run`` argument parser (exposed for tests)."""
+    from .experiments import REGISTRY
+
     parser = argparse.ArgumentParser(
         prog="repro run",
         description=(
@@ -73,6 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_main(argv: list[str]) -> int:
     """``repro run`` entry point; returns a process exit code."""
+    from .experiments import REGISTRY, run_experiment
+
     args = build_parser().parse_args(argv)
     if args.list:
         for exp_id in sorted(REGISTRY):

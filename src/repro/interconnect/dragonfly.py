@@ -11,10 +11,12 @@ budget) plus the small-diameter property that makes dragonflies attractive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["DragonflyConfig", "DragonflyTopology", "archer2_like_dragonfly"]
 
@@ -77,6 +79,8 @@ class DragonflyTopology:
 
     @staticmethod
     def _build(cfg: DragonflyConfig) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
         for group in range(cfg.n_groups):
             switches = [f"s{group}.{i}" for i in range(cfg.switches_per_group)]
@@ -120,6 +124,8 @@ class DragonflyTopology:
 
     def switch_diameter(self) -> int:
         """Hop diameter of the switch fabric (≤ 3 + ε for healthy dragonflies)."""
+        import networkx as nx
+
         return nx.diameter(self.switch_subgraph())
 
     def max_switch_degree(self) -> int:

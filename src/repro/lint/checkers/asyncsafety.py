@@ -97,15 +97,6 @@ def _qualified_call_name(graph: ProjectGraph, module: str, call: ast.Call) -> st
     return f"{target}.{rest}" if rest else target
 
 
-def _own_nodes(graph: ProjectGraph, func: FunctionInfo):
-    nested = {
-        id(f.node)
-        for f in graph.functions.values()
-        if f.parent_qualname == func.qualname
-    }
-    return graph._walk_own(func, nested)
-
-
 @register
 class AsyncSafetyChecker(Checker):
     """No blocking work, lost coroutines, or lost updates on the event loop."""
@@ -139,7 +130,7 @@ class AsyncSafetyChecker(Checker):
         self, ctx: FileContext, graph: ProjectGraph, func: FunctionInfo
     ) -> Iterable[Finding]:
         local_types = graph._local_types(func)
-        for node in _own_nodes(graph, func):
+        for node in graph.own_nodes(func):
             if not isinstance(node, ast.Call):
                 continue
             primitive = self._primitive_name(graph, func.module, node)
@@ -217,7 +208,7 @@ class AsyncSafetyChecker(Checker):
         func = graph.functions.get(qualname)
         out: list[tuple[str, int]] = []
         if func is not None:
-            for node in _own_nodes(graph, func):
+            for node in graph.own_nodes(func):
                 if isinstance(node, ast.Call):
                     primitive = self._primitive_name(graph, func.module, node)
                     if primitive is not None and not _is_annotated(
@@ -233,7 +224,7 @@ class AsyncSafetyChecker(Checker):
         self, ctx: FileContext, graph: ProjectGraph, func: FunctionInfo
     ) -> Iterable[Finding]:
         local_types = graph._local_types(func)
-        for node in _own_nodes(graph, func):
+        for node in graph.own_nodes(func):
             if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
                 continue
             call = node.value
@@ -269,7 +260,7 @@ class AsyncSafetyChecker(Checker):
         awaits: list[int] = []
         locked_spans: list[tuple[int, int]] = []
         reads: dict[str, tuple[str, int]] = {}  # local -> (attr, lineno)
-        nodes = list(_own_nodes(graph, func))
+        nodes = graph.own_nodes(func)
         for node in nodes:
             if isinstance(node, ast.Await):
                 awaits.append(node.lineno)

@@ -65,13 +65,8 @@ class UnitFlowChecker(Checker):
             ctx = project.by_rel(func.rel)
             if ctx is None:
                 continue
-            nested = {
-                id(f.node)
-                for f in graph.functions.values()
-                if f.parent_qualname == qual
-            }
             sig = table.signature_of(qual)
-            for node in graph._walk_own(func, nested):
+            for node in graph.own_nodes(func):
                 if isinstance(node, ast.Call):
                     yield from self._check_call(ctx, table, func, node)
                 elif isinstance(node, ast.Assign) and len(node.targets) == 1:

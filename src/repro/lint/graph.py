@@ -74,6 +74,17 @@ def _dotted_of(node: ast.expr) -> str | None:
     return ".".join(reversed(parts))
 
 
+def _walk_own(func: FunctionInfo, nested_ids: set[int]):
+    """Walk a function's body without descending into nested defs."""
+    stack: list[ast.AST] = list(ast.iter_child_nodes(func.node))
+    while stack:
+        node = stack.pop()
+        if id(node) in nested_ids:
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def _unwrap_annotation(node: ast.expr | None) -> ast.expr | None:
     """Strip ``Optional[X]``, ``X | None`` and string annotations to ``X``."""
     if node is None:
@@ -164,6 +175,8 @@ class ProjectGraph:
         self.classes: dict[str, ClassInfo] = {}
         #: caller qualname -> call sites (strong calls + weak references)
         self.call_sites: dict[str, list[CallSite]] = {}
+        #: function qualname -> its body's nodes, nested defs not entered
+        self._own_nodes: dict[str, tuple[ast.AST, ...]] = {}
         self._build()
 
     # -- construction -------------------------------------------------------
@@ -176,6 +189,14 @@ class ProjectGraph:
             self._collect_definitions(ctx, module)
         for cls in self.classes.values():
             self._infer_attr_types(cls)
+        nested: dict[str, set[int]] = {}
+        for info in self.functions.values():
+            if info.parent_qualname is not None:
+                nested.setdefault(info.parent_qualname, set()).add(id(info.node))
+        for info in self.functions.values():
+            self._own_nodes[info.qualname] = tuple(
+                _walk_own(info, nested.get(info.qualname, set()))
+            )
         for info in list(self.functions.values()):
             self.call_sites[info.qualname] = list(self._resolve_calls(info))
         for sites in self.call_sites.values():
@@ -512,13 +533,8 @@ class ProjectGraph:
 
     def _resolve_calls(self, func: FunctionInfo):
         local_types = self._local_types(func)
-        nested = {
-            id(f.node)
-            for f in self.functions.values()
-            if f.parent_qualname == func.qualname
-        }
         called_funcs: set[int] = set()
-        for node in self._walk_own(func, nested):
+        for node in self.own_nodes(func):
             if isinstance(node, ast.Call):
                 called_funcs.add(id(node.func))
                 callee = self.resolve_call(node, func, local_types)
@@ -528,7 +544,7 @@ class ProjectGraph:
                     )
         # Weak edges: bare ``self.method`` references (dispatch tables,
         # callbacks).  Without them a handlers-dict severs reachability.
-        for node in self._walk_own(func, nested):
+        for node in self.own_nodes(func):
             if (
                 isinstance(node, ast.Attribute)
                 and id(node) not in called_funcs
@@ -544,17 +560,11 @@ class ProjectGraph:
                         weak=True,
                     )
 
-    def _walk_own(self, func: FunctionInfo, nested_ids: set[int]):
-        """Walk a function's body without descending into nested defs."""
-        stack: list[ast.AST] = list(ast.iter_child_nodes(func.node))
-        while stack:
-            node = stack.pop()
-            if id(node) in nested_ids:
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
     # -- queries ------------------------------------------------------------
+
+    def own_nodes(self, func: FunctionInfo) -> tuple[ast.AST, ...]:
+        """Every node of ``func``'s body except those inside nested defs."""
+        return self._own_nodes[func.qualname]
 
     def callees_of(self, qualname: str, *, weak: bool = True) -> list[CallSite]:
         """Resolved call sites out of one function (optionally weak ones too)."""

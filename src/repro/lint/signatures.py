@@ -117,13 +117,8 @@ class SignatureTable:
                 return
 
     def _agreed_return_unit(self, func: FunctionInfo) -> UnitInfo | None:
-        nested = {
-            id(f.node)
-            for f in self.graph.functions.values()
-            if f.parent_qualname == func.qualname
-        }
         units: list[UnitInfo] = []
-        for node in self.graph._walk_own(func, nested):
+        for node in self.graph.own_nodes(func):
             if not isinstance(node, ast.Return) or node.value is None:
                 continue
             if isinstance(node.value, ast.Constant):

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..errors import CalibrationError
 from ..workload.applications import (
@@ -118,6 +117,8 @@ def fit_node_constants(
     ONETEP) are outliers no shared-constant model can reach; without the
     prior they drag the memory power to its lower bound.
     """
+    from scipy.optimize import least_squares
+
     freq_apps = paper_frequency_benchmarks()
     bios_apps = paper_bios_benchmarks()
 

@@ -20,7 +20,7 @@ from ..ledger import Ledger
 from ..units import JOULES_PER_KWH, SECONDS_PER_HOUR, emissions_g, g_to_tonnes
 from ..workload.jobs import JobRecord
 
-if TYPE_CHECKING:  # telemetry.recorder imports this module — keep type-only
+if TYPE_CHECKING:  # malleable imports this module — keep type-only
     from ..telemetry.series import TimeSeries
     from .malleable import ElasticRecord, MalleableSimulationResult
 

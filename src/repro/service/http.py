@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from typing import NoReturn
 
 from .envelope import PROTOCOL_VERSION, ServiceResponse
 from .service import FacilityService
@@ -36,6 +37,11 @@ _STATUS_BY_CODE = {
     "unsupported-version": 400,
     "internal-error": 500,
 }
+
+
+def _refuse_non_finite(token: str) -> NoReturn:
+    """``json.loads`` hook for ``NaN`` and ``±Infinity``: RFC 8259 has neither."""
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def http_status(response: ServiceResponse) -> int:
@@ -139,8 +145,10 @@ class ServiceHTTPServer:
             return 200, self.service.metrics.state_dict(), {}
         if method == "POST" and path == "/v1/request":
             try:
-                envelope = json.loads(body.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
+                envelope = json.loads(
+                    body.decode("utf-8"), parse_constant=_refuse_non_finite
+                )
+            except ValueError:  # JSONDecodeError, UnicodeDecodeError or the hook
                 self.service.metrics.record_in("default")
                 self.service.metrics.record_failed("default", "bad-request")
                 return (

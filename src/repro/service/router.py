@@ -21,6 +21,7 @@ from ..core.efficiency import POST_FREQ_CONFIG, BenchmarkComparison
 from ..engine.plan import CIScenario, SweepSpec
 from ..engine.runner import SweepResult
 from ..errors import ConfigurationError, ServiceError
+from ..facility.archer2 import ARCHER2_N_NODES
 from .core import FacilityCore, SessionParams, _parse_config
 from .envelope import METHODS, ServiceRequest
 
@@ -32,6 +33,13 @@ __all__ = [
     "payload_advice",
     "payload_sweep",
 ]
+
+
+#: Largest ``sched_compare`` request. The single-flight leader runs it on the
+#: event loop, so these caps bound how long every tenant can wait behind it:
+#: one week of trace on the whole of ARCHER2.
+SCHED_MAX_DAYS = 7.0
+SCHED_MAX_NODES = ARCHER2_N_NODES
 
 
 # -- payload builders (shared with the parity benchmark) -----------------------
@@ -211,15 +219,19 @@ class ServiceRouter:
         from ..units import SECONDS_PER_DAY
 
         days = float(params.get("days", 1.0))
-        nodes = int(params.get("nodes", 128))
+        nodes = params.get("nodes", 128)
         seed = int(params.get("seed", 42))
         scenario = params.get("scenario", "balanced")
         if scenario not in SCENARIOS:
             raise ConfigurationError(
                 f"unknown CI scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
             )
-        if days <= 0 or nodes <= 0:
-            raise ConfigurationError("days and nodes must be positive")
+        # Every comparison with NaN is false, so the range checks refuse it too.
+        if not 0 < days <= SCHED_MAX_DAYS:
+            raise ConfigurationError(f"days must be in (0, {SCHED_MAX_DAYS:g}], got {days!r}")
+        if not 1 <= float(nodes) <= SCHED_MAX_NODES:
+            raise ConfigurationError(f"nodes must be in [1, {SCHED_MAX_NODES}], got {nodes!r}")
+        nodes = int(nodes)
         jobs, ci = comparison_trace(
             self.core.mix,
             days=days,

@@ -10,14 +10,17 @@ equivalent of the cabinet telemetry behind the paper's Figures 1–3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..facility.hardware import ComponentKind
 from ..facility.inventory import FacilityInventory
-from ..scheduler.accounting import PowerTrace
 from .meters import MeterSpec, PowerMeter
 from .series import TimeSeries
+
+if TYPE_CHECKING:
+    from ..scheduler.accounting import PowerTrace
 
 __all__ = ["CabinetPowerRecorder"]
 

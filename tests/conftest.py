@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,26 @@ from repro.workload.mix import archer2_mix
 def rng() -> np.random.Generator:
     """Fresh deterministic generator per test."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test with ``TimeoutError`` once it has run 5 s.
+
+    ``SIGALRM`` interrupts a pure-Python loop, so a request that never
+    returns fails its test instead of hanging the run.
+    """
+
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 5 s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

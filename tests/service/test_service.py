@@ -16,7 +16,7 @@ from repro.service import (
     SessionParams,
 )
 from repro.service.envelope import PROTOCOL_VERSION
-from repro.service.router import payload_sweep
+from repro.service.router import SCHED_MAX_DAYS, SCHED_MAX_NODES, payload_sweep
 from repro.engine.runner import run_sweep
 from repro.node import build_node_model
 from repro.scheduler import StaticEnvironment, compare_rigid_malleable, comparison_trace
@@ -225,6 +225,12 @@ class TestErrorsAndAdmission:
             ("efficiency", {"app_name": 7}),
             ("advise", {"priorities": {"energy_efficiency": float("nan")}}),
             ("advise", {"priorities": {"cost": float("inf")}}),
+            ("sched_compare", {"days": float("nan"), "nodes": 64}),
+            ("sched_compare", {"days": float("inf"), "nodes": 64}),
+            ("sched_compare", {"days": 1.0, "nodes": float("inf")}),
+            ("sched_compare", {"days": 1.0, "nodes": float("nan")}),
+            ("sched_compare", {"days": SCHED_MAX_DAYS + 1.0, "nodes": 64}),
+            ("sched_compare", {"days": 1.0, "nodes": SCHED_MAX_NODES + 1}),
         ],
         ids=[
             "ci-nan",
@@ -236,9 +242,15 @@ class TestErrorsAndAdmission:
             "app-int",
             "priority-nan",
             "priority-inf",
+            "sched-days-nan",
+            "sched-days-inf",
+            "sched-nodes-inf",
+            "sched-nodes-nan",
+            "sched-days-over-cap",
+            "sched-nodes-over-cap",
         ],
     )
-    def test_malformed_params_are_bad_requests(self, method, params):
+    def test_malformed_params_are_bad_requests(self, method, params, time_limit):
         async def main():
             service = open_service()
             response = await service.call(method, params)
