@@ -32,12 +32,6 @@ from .hardware import (
 )
 from .inventory import ComponentAggregate, FacilityInventory, InventoryEntry
 from .power import FacilityPowerModel, PowerBreakdown
-from .provisioning import (
-    GridConnection,
-    ProvisioningReport,
-    assess_provisioning,
-    expansion_headroom_nodes,
-)
 from .pue import PueReport, pue, pue_from_breakdown
 
 __all__ = [
@@ -53,10 +47,6 @@ __all__ = [
     "FacilityInventory",
     "FacilityPowerModel",
     "PowerBreakdown",
-    "GridConnection",
-    "ProvisioningReport",
-    "assess_provisioning",
-    "expansion_headroom_nodes",
     "CoolingModel",
     "CoolingAssessment",
     "FailureModel",

@@ -1,10 +1,10 @@
 """Node pool with allocation invariants.
 
 Power on ARCHER2 is node-count- not placement-dominated (the fabric draws
-constant power), so the pool tracks counts rather than individual node IDs;
-the interconnect package handles topology questions separately. The pool
-enforces conservation — allocations never exceed capacity and releases never
-exceed outstanding allocations — which the property tests hammer.
+constant power), so the pool tracks counts rather than individual node IDs.
+The pool enforces conservation — allocations never exceed capacity and
+releases never exceed outstanding allocations — which the property tests
+hammer.
 """
 
 from __future__ import annotations

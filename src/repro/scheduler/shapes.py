@@ -2,10 +2,14 @@
 
 A malleable scheduler needs one number per (job, allocation) pair: the
 runtime *stretch* relative to the job's preferred allocation. The stretch
-comes from the strong-scaling model (:mod:`repro.workload.scaling`) —
-``t(n) = t₁·(s + (1−s)/n + c·ln n)`` — normalised so the preferred node
-count has stretch exactly 1.0, which keeps malleable simulations
-bit-compatible with rigid ones when no grow/shrink ever fires.
+comes from the strong-scaling law
+
+``t(n) = t₁·(s + (1−s)/n + c·ln n)``
+
+with serial fraction ``s`` (Amdahl) and a logarithmic communication term
+``c`` (tree collectives), the same for every job. It is normalised so the
+preferred node count has stretch exactly 1.0, which keeps malleable
+simulations bit-compatible with rigid ones when no grow/shrink ever fires.
 
 Because the scaling overheads grow with node count, ``n · stretch(n)`` is
 monotone increasing: shrinking a job always *reduces* its node-seconds (and
@@ -21,60 +25,47 @@ from functools import lru_cache
 
 from ..errors import ConfigurationError
 from ..workload.jobs import Job
-from ..workload.scaling import StrongScalingModel
 
 __all__ = ["JobShape"]
 
+#: The strong-scaling law's serial fraction ``s`` and communication
+#: coefficient ``c``.
+SERIAL_FRACTION = 0.02
+COMM_COEFFICIENT = 0.01
+
 
 @lru_cache(maxsize=65536)
-def _relative_time(
-    serial_fraction: float,
-    comm_coefficient: float,
-    n_nodes: int,
-    preferred_nodes: int,
-) -> float:
+def _relative_time(n_nodes: int, preferred_nodes: int) -> float:
     """``t(n)/t(preferred)`` for the strong-scaling law, in pure floats.
 
     The scheduler evaluates this on every progress update and reservation
-    sort — hundreds of thousands of times per simulated month — so it
-    bypasses the numpy scalar path of ``StrongScalingModel.runtime_s``
-    (same formula, ``t1`` cancels in the ratio) and memoises per distinct
-    (parameters, allocation) pair, of which a trace has only a handful.
+    sort — hundreds of thousands of times per simulated month — so ``t₁``
+    is cancelled out and the ratio memoised per distinct allocation pair,
+    of which a trace has only a handful.
     """
 
     def t(n: int) -> float:
         return (
-            serial_fraction
-            + (1.0 - serial_fraction) / n
-            + comm_coefficient * math.log(n)
+            SERIAL_FRACTION
+            + (1.0 - SERIAL_FRACTION) / n
+            + COMM_COEFFICIENT * math.log(n)
         )
 
     return t(n_nodes) / t(preferred_nodes)
 
 
-@lru_cache(maxsize=64)
-def _unit_scaling(serial_fraction: float, comm_coefficient: float) -> StrongScalingModel:
-    """The unit-``t1_s`` scaling law :meth:`JobShape.from_job` shares across jobs."""
-    return StrongScalingModel(
-        t1_s=1.0, serial_fraction=serial_fraction, comm_coefficient=comm_coefficient
-    )
-
-
 @dataclass(frozen=True)
 class JobShape:
-    """The allocation envelope and scaling behaviour of one job.
+    """The allocation envelope of one job.
 
     ``min_nodes == max_nodes == preferred_nodes`` describes a rigid job;
-    its only legal allocation has stretch 1.0. The scaling model's ``t1_s``
-    is irrelevant (stretch is a runtime *ratio*), so shapes built by
-    :meth:`from_job` use a unit ``t1_s``.
+    its only legal allocation has stretch 1.0.
     """
 
     job_id: int
     min_nodes: int
     max_nodes: int
     preferred_nodes: int
-    scaling: StrongScalingModel
 
     def __post_init__(self) -> None:
         if not 1 <= self.min_nodes <= self.preferred_nodes <= self.max_nodes:
@@ -86,12 +77,7 @@ class JobShape:
             )
 
     @classmethod
-    def from_job(
-        cls,
-        job: Job,
-        serial_fraction: float = 0.02,
-        comm_coefficient: float = 0.01,
-    ) -> "JobShape":
+    def from_job(cls, job: Job) -> "JobShape":
         """Shape for ``job``: its declared elastic envelope, or rigid."""
         if job.is_elastic:
             min_nodes, max_nodes = job.min_nodes, job.max_nodes
@@ -102,7 +88,6 @@ class JobShape:
             min_nodes=min_nodes,
             max_nodes=max_nodes,
             preferred_nodes=job.n_nodes,
-            scaling=_unit_scaling(serial_fraction, comm_coefficient),
         )
 
     @property
@@ -127,12 +112,7 @@ class JobShape:
                 f"job {self.job_id}: allocation {n_nodes} outside "
                 f"[{self.min_nodes}, {self.max_nodes}]"
             )
-        return _relative_time(
-            self.scaling.serial_fraction,
-            self.scaling.comm_coefficient,
-            n_nodes,
-            self.preferred_nodes,
-        )
+        return _relative_time(n_nodes, self.preferred_nodes)
 
     def rate_per_s(self, n_nodes: int, preferred_runtime_s: float) -> float:
         """Progress rate (fraction of the job per second) at ``n_nodes``.

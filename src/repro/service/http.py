@@ -24,7 +24,12 @@ from typing import NoReturn
 from .envelope import PROTOCOL_VERSION, ServiceResponse
 from .service import FacilityService
 
-__all__ = ["ServiceHTTPServer", "http_status"]
+__all__ = ["MAX_BODY_BYTES", "ServiceHTTPServer", "http_status"]
+
+#: Largest request body the front reads, in bytes. Service envelopes are
+#: well under a kilobyte, so this only stops a stated length from holding
+#: a connection open while it waits for bytes that never come.
+MAX_BODY_BYTES = 1 << 20
 
 #: Structured error code → HTTP status. Admission refusals are 429s (the
 #: client should back off and retry); malformed envelopes are 400s;
@@ -42,6 +47,18 @@ _STATUS_BY_CODE = {
 def _refuse_non_finite(token: str) -> NoReturn:
     """``json.loads`` hook for ``NaN`` and ``±Infinity``: RFC 8259 has neither."""
     raise ValueError(f"{token} is not a JSON number")
+
+
+def _body_length(value: str) -> int | None:
+    """The body length a ``Content-Length`` value states, or ``None`` if it is bad.
+
+    Only plain decimal digits up to :data:`MAX_BODY_BYTES` are a length; a
+    sign, a non-number or a larger value is refused before any body is read.
+    """
+    if not (value.isascii() and value.isdigit() and len(value) <= 9):
+        return None
+    length = int(value)
+    return length if length <= MAX_BODY_BYTES else None
 
 
 def http_status(response: ServiceResponse) -> int:
@@ -92,6 +109,15 @@ class ServiceHTTPServer:
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
+                if body is None:
+                    # Where the body ends is unknown, so the connection closes.
+                    status, payload = self._bad_request(
+                        "ValueError",
+                        f"Content-Length must be a whole number of bytes "
+                        f"up to {MAX_BODY_BYTES}",
+                    )
+                    await self._write_response(writer, status, payload, {}, False)
+                    break
                 status, payload, extra = await self._route(method, path, body)
                 keep_alive = headers.get("connection", "keep-alive") != "close"
                 await self._write_response(
@@ -124,9 +150,18 @@ class ServiceHTTPServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
+        length = _body_length(headers.get("content-length", "0"))
+        if length is None:
+            return method, path, headers, None
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
+
+    def _bad_request(self, error_type: str, message: str) -> tuple[int, dict]:
+        """A counted 400 ``bad-request`` for a request the service never saw."""
+        self.service.metrics.record_in("default")
+        self.service.metrics.record_failed("default", "bad-request")
+        error = {"code": "bad-request", "type": error_type, "message": message}
+        return 400, {"v": PROTOCOL_VERSION, "ok": False, "error": error}
 
     async def _route(
         self, method: str, path: str, body: bytes
@@ -149,21 +184,10 @@ class ServiceHTTPServer:
                     body.decode("utf-8"), parse_constant=_refuse_non_finite
                 )
             except ValueError:  # JSONDecodeError, UnicodeDecodeError or the hook
-                self.service.metrics.record_in("default")
-                self.service.metrics.record_failed("default", "bad-request")
-                return (
-                    400,
-                    {
-                        "v": PROTOCOL_VERSION,
-                        "ok": False,
-                        "error": {
-                            "code": "bad-request",
-                            "type": "JSONDecodeError",
-                            "message": "request body is not valid JSON",
-                        },
-                    },
-                    {},
+                status, payload = self._bad_request(
+                    "JSONDecodeError", "request body is not valid JSON"
                 )
+                return status, payload, {}
             response = await self.service.handle(envelope)
             extra: dict[str, str] = {}
             if not response.ok and "retry_after_s" in response.error:

@@ -40,6 +40,40 @@ __all__ = [
 #: one week of trace on the whole of ARCHER2.
 SCHED_MAX_DAYS = 7.0
 SCHED_MAX_NODES = ARCHER2_N_NODES
+#: A shorter carbon tick or a longer start slack adds work to every job,
+#: so both are capped too; ``offered_load`` is capped at 1, above which the
+#: queue grows without bound (the ``repro sched`` help's own advice).
+SCHED_MIN_TICK_MINUTES = 5.0
+SCHED_MAX_SLACK_HOURS = 24.0
+
+
+def _sched_param(
+    params: Mapping,
+    name: str,
+    default: float,
+    low: float,
+    high: float,
+    *,
+    above_low: bool = False,
+    whole: bool = False,
+) -> float:
+    """``params[name]``, or ``default``, checked against ``[low, high]``.
+
+    ``above_low`` makes the range ``(low, high]``. A bool, a string or any
+    other non-number is a :class:`ConfigurationError` (a 400), and so is a
+    value outside the range, NaN and ±inf included (every comparison with
+    NaN is false), and, with ``whole``, a fraction. The value comes back as
+    given, so a large integer seed keeps every digit.
+    """
+    value = params.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    if not (low < value if above_low else low <= value) or not value <= high:
+        bracket = "(" if above_low else "["
+        raise ConfigurationError(f"{name} must be in {bracket}{low:g}, {high:g}], got {value!r}")
+    if whole and value != int(value):
+        raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
+    return value
 
 
 # -- payload builders (shared with the parity benchmark) -----------------------
@@ -218,29 +252,29 @@ class ServiceRouter:
         from ..scheduler.malleable import compare_rigid_malleable, comparison_trace
         from ..units import SECONDS_PER_DAY
 
-        days = float(params.get("days", 1.0))
-        nodes = params.get("nodes", 128)
-        seed = int(params.get("seed", 42))
         scenario = params.get("scenario", "balanced")
-        if scenario not in SCENARIOS:
+        if not isinstance(scenario, str) or scenario not in SCENARIOS:
             raise ConfigurationError(
                 f"unknown CI scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
             )
-        # Every comparison with NaN is false, so the range checks refuse it too.
-        if not 0 < days <= SCHED_MAX_DAYS:
-            raise ConfigurationError(f"days must be in (0, {SCHED_MAX_DAYS:g}], got {days!r}")
-        if not 1 <= float(nodes) <= SCHED_MAX_NODES:
-            raise ConfigurationError(f"nodes must be in [1, {SCHED_MAX_NODES}], got {nodes!r}")
-        nodes = int(nodes)
+        days = float(_sched_param(params, "days", 1.0, 0.0, SCHED_MAX_DAYS, above_low=True))
+        nodes = int(_sched_param(params, "nodes", 128, 1, SCHED_MAX_NODES, whole=True))
+        seed = int(_sched_param(params, "seed", 42, 0, 2**64 - 1, whole=True))
+        load = float(_sched_param(params, "offered_load", 0.95, 0.0, 1.0, above_low=True))
+        fraction = float(_sched_param(params, "malleable_fraction", 0.5, 0.0, 1.0))
+        slack = float(_sched_param(params, "slack_hours", 2.0, 0.0, SCHED_MAX_SLACK_HOURS))
+        tick = float(
+            _sched_param(params, "tick_minutes", 30.0, SCHED_MIN_TICK_MINUTES, 1440.0)
+        )
         jobs, ci = comparison_trace(
             self.core.mix,
             days=days,
             nodes=nodes,
             seed=seed,
             scenario=scenario,
-            offered_load=float(params.get("offered_load", 0.95)),
-            malleable_fraction=float(params.get("malleable_fraction", 0.5)),
-            slack_hours=float(params.get("slack_hours", 2.0)),
+            offered_load=load,
+            malleable_fraction=fraction,
+            slack_hours=slack,
         )
         comparison = compare_rigid_malleable(
             jobs,
@@ -248,7 +282,7 @@ class ServiceRouter:
             StaticEnvironment(node_model=self.core.node_model),
             ci,
             n_nodes=nodes,
-            carbon_tick_interval_s=float(params.get("tick_minutes", 30.0)) * 60.0,
+            carbon_tick_interval_s=tick * 60.0,
             seed=seed,
         )
         rigid, malleable = comparison.rigid, comparison.malleable

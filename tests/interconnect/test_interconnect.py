@@ -1,75 +1,10 @@
-"""Dragonfly topology and switch power tests."""
+"""Switch power tests."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.interconnect.dragonfly import (
-    DragonflyConfig,
-    DragonflyTopology,
-    archer2_like_dragonfly,
-)
 from repro.interconnect.power import SwitchPowerModel
-
-
-@pytest.fixture(scope="module")
-def small_fabric():
-    return DragonflyTopology(
-        DragonflyConfig(
-            n_groups=6, switches_per_group=4, nodes_per_switch=4, global_links_per_switch=2
-        )
-    )
-
-
-class TestDragonflyConfig:
-    def test_archer2_scale(self):
-        config = DragonflyConfig()
-        assert config.n_switches == 768
-        assert config.n_nodes >= 5860  # enough injection ports for ARCHER2
-
-    def test_port_budget_enforced(self):
-        with pytest.raises(ConfigurationError, match="ports"):
-            DragonflyConfig(switches_per_group=60, nodes_per_switch=10, switch_ports=64)
-
-    def test_global_link_budget_enforced(self):
-        with pytest.raises(ConfigurationError, match="global"):
-            DragonflyConfig(
-                n_groups=40, switches_per_group=4, global_links_per_switch=1
-            )
-
-    def test_bad_counts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DragonflyConfig(n_groups=0)
-
-
-class TestTopology:
-    def test_counts_match_config(self, small_fabric):
-        config = small_fabric.config
-        assert small_fabric.n_switches == config.n_switches
-        assert small_fabric.n_nodes == config.n_nodes
-
-    def test_small_diameter(self, small_fabric):
-        """Dragonfly promise: a few hops between any two switches."""
-        assert small_fabric.switch_diameter() <= 3
-
-    def test_connected(self, small_fabric):
-        import networkx as nx
-
-        assert nx.is_connected(small_fabric.graph)
-
-    def test_port_budget_respected_in_graph(self, small_fabric):
-        assert small_fabric.max_switch_degree() <= small_fabric.config.switch_ports
-
-    def test_intra_group_all_to_all(self, small_fabric):
-        g = small_fabric.graph
-        a = g.nodes["s0.0"]
-        assert a["kind"] == "switch"
-        for i in range(1, small_fabric.config.switches_per_group):
-            assert g.has_edge("s0.0", f"s0.{i}")
-
-    def test_archer2_like_builds(self):
-        fabric = archer2_like_dragonfly()
-        assert fabric.n_switches == 768
 
 
 class TestSwitchPower:

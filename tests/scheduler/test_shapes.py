@@ -1,12 +1,13 @@
 """Elastic job-shape tests."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.scheduler.shapes import JobShape
 from repro.workload.applications import full_catalogue
 from repro.workload.jobs import Job
-from repro.workload.scaling import StrongScalingModel
 
 
 def make_job(n_nodes=8, min_nodes=None, max_nodes=None):
@@ -41,7 +42,6 @@ class TestConstruction:
                 min_nodes=8,
                 max_nodes=4,
                 preferred_nodes=8,
-                scaling=StrongScalingModel(t1_s=1.0),
             )
 
     def test_preferred_outside_envelope_rejected(self):
@@ -51,7 +51,6 @@ class TestConstruction:
                 min_nodes=2,
                 max_nodes=4,
                 preferred_nodes=8,
-                scaling=StrongScalingModel(t1_s=1.0),
             )
 
 
@@ -67,10 +66,13 @@ class TestStretch:
         assert shape.stretch(2) > shape.stretch(4) > shape.stretch(8)
 
     def test_matches_scaling_model_ratio(self, shape):
-        expected = float(
-            shape.scaling.runtime_s(2) / shape.scaling.runtime_s(8)
-        )
-        assert shape.stretch(2) == pytest.approx(expected, rel=1e-12)
+        """The strong-scaling law t(n) = t1 (s + (1 - s)/n + c ln n), s = 0.02, c = 0.01."""
+        s, c = 0.02, 0.01
+
+        def t(n):
+            return s + (1.0 - s) / n + c * math.log(n)
+
+        assert shape.stretch(2) == pytest.approx(t(2) / t(8), rel=1e-12)
 
     def test_shrinking_reduces_node_seconds(self, shape):
         # n·t(n) is monotone increasing, so narrow allocations are more

@@ -4,17 +4,18 @@ import asyncio
 import json
 
 from repro.service import AdmissionController, FacilityService
-from repro.service.http import ServiceHTTPServer
+from repro.service.http import MAX_BODY_BYTES, ServiceHTTPServer
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-async def http(port, method, path, body=None):
+async def http(port, method, path, body=None, length=None):
     """Minimal HTTP/1.1 client; returns (status, headers, json_body).
 
-    ``body`` is sent as JSON, or as it is when it is already ``bytes``."""
+    ``body`` is sent as JSON, or as it is when it is already ``bytes``;
+    ``length`` replaces the true ``Content-Length`` value when given."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     if isinstance(body, bytes):
         payload = body
@@ -22,7 +23,8 @@ async def http(port, method, path, body=None):
         payload = b"" if body is None else json.dumps(body).encode()
     head = (
         f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
-        f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
+        f"Content-Length: {len(payload) if length is None else length}\r\n"
+        "Connection: close\r\n\r\n"
     )
     writer.write(head.encode() + payload)
     await writer.drain()
@@ -141,6 +143,29 @@ class TestRoutes:
             sched % b"NaN",
         ):
             run(main(body))
+
+    def test_bad_content_length_is_a_400_not_a_hang(self, time_limit):
+        """A negative, non-numeric or over-cap length gets a counted 400
+        before any body is read, and the connection closes."""
+
+        async def main(length):
+            service = FacilityService()
+
+            async def scenario(port):
+                status, headers, envelope = await http(
+                    port, "POST", "/v1/request", b"{}", length=length
+                )
+                assert status == 400, length
+                assert envelope["error"]["code"] == "bad-request"
+                assert headers["connection"] == "close"
+
+            await with_server(service, scenario)
+            metrics = service.metrics
+            assert metrics.requests_in == metrics.failed == {"default": 1}, length
+            assert metrics.reconciles()
+
+        for length in ("-5", "abc", str(MAX_BODY_BYTES + 1)):
+            run(main(length))
 
     def test_rate_limited_requests_carry_retry_after(self):
         async def main():

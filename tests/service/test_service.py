@@ -231,6 +231,23 @@ class TestErrorsAndAdmission:
             ("sched_compare", {"days": 1.0, "nodes": float("nan")}),
             ("sched_compare", {"days": SCHED_MAX_DAYS + 1.0, "nodes": 64}),
             ("sched_compare", {"days": 1.0, "nodes": SCHED_MAX_NODES + 1}),
+            ("sched_compare", {"days": "abc", "nodes": 64}),
+            ("sched_compare", {"days": True, "nodes": 64}),
+            ("sched_compare", {"days": 1.0, "nodes": "64.5"}),
+            ("sched_compare", {"days": 1.0, "nodes": 64.5}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "seed": "x"}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "seed": -1}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "scenario": ["balanced"]}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "offered_load": 0.0}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "offered_load": 1.5}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "offered_load": 50}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "tick_minutes": 0.01}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "tick_minutes": 4.9}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "tick_minutes": 1441}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "slack_hours": 24.5}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "slack_hours": -1}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "malleable_fraction": 1.5}),
+            ("sched_compare", {"days": 1.0, "nodes": 64, "malleable_fraction": "half"}),
         ],
         ids=[
             "ci-nan",
@@ -248,6 +265,23 @@ class TestErrorsAndAdmission:
             "sched-nodes-nan",
             "sched-days-over-cap",
             "sched-nodes-over-cap",
+            "sched-days-string",
+            "sched-days-bool",
+            "sched-nodes-string",
+            "sched-nodes-fraction",
+            "sched-seed-string",
+            "sched-seed-negative",
+            "sched-scenario-list",
+            "sched-load-zero",
+            "sched-load-over-cap",
+            "sched-load-fifty",
+            "sched-tick-hundredth",
+            "sched-tick-under-cap",
+            "sched-tick-over-day",
+            "sched-slack-over-cap",
+            "sched-slack-negative",
+            "sched-fraction-over-one",
+            "sched-fraction-string",
         ],
     )
     def test_malformed_params_are_bad_requests(self, method, params, time_limit):
