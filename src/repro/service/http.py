@@ -24,12 +24,17 @@ from typing import NoReturn
 from .envelope import PROTOCOL_VERSION, ServiceResponse
 from .service import FacilityService
 
-__all__ = ["MAX_BODY_BYTES", "ServiceHTTPServer", "http_status"]
+__all__ = ["MAX_BODY_BYTES", "MAX_HEADERS", "MAX_LINE_BYTES", "ServiceHTTPServer", "http_status"]
 
 #: Largest request body the front reads, in bytes. Service envelopes are
 #: well under a kilobyte, so this only stops a stated length from holding
 #: a connection open while it waits for bytes that never come.
 MAX_BODY_BYTES = 1 << 20
+#: Longest request line or header line the front reads, in bytes (the
+#: ``asyncio`` stream default), and the most header lines in one request.
+#: Either bound stops a request head from growing without limit.
+MAX_LINE_BYTES = 1 << 16
+MAX_HEADERS = 100
 
 #: Structured error code → HTTP status. Admission refusals are 429s (the
 #: client should back off and retry); malformed envelopes are 400s;
@@ -42,6 +47,10 @@ _STATUS_BY_CODE = {
     "unsupported-version": 400,
     "internal-error": 500,
 }
+
+
+class _MalformedRequest(Exception):
+    """A request head the front cannot parse; the message goes back in a 400."""
 
 
 def _refuse_non_finite(token: str) -> NoReturn:
@@ -59,6 +68,15 @@ def _body_length(value: str) -> int | None:
         return None
     length = int(value)
     return length if length <= MAX_BODY_BYTES else None
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line of a request head; a line over the reader's limit is malformed."""
+    try:
+        return await reader.readline()
+    except ValueError:  # readline's form of asyncio.LimitOverrunError
+        message = f"a line of the request head is over {MAX_LINE_BYTES} bytes"
+        raise _MalformedRequest(message) from None
 
 
 def http_status(response: ServiceResponse) -> int:
@@ -82,7 +100,7 @@ class ServiceHTTPServer:
     async def start(self) -> None:
         """Bind and start accepting; resolves ``self.port`` when 0."""
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+            self._serve_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -105,19 +123,16 @@ class ServiceHTTPServer:
     ) -> None:
         try:
             while True:
-                parsed = await self._read_request(reader)
+                try:
+                    parsed = await self._read_request(reader)
+                except _MalformedRequest as exc:
+                    # Where the request ends is unknown, so the connection closes.
+                    status, payload = self._bad_request("ValueError", str(exc))
+                    await self._write_response(writer, status, payload, {}, False)
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
-                if body is None:
-                    # Where the body ends is unknown, so the connection closes.
-                    status, payload = self._bad_request(
-                        "ValueError",
-                        f"Content-Length must be a whole number of bytes "
-                        f"up to {MAX_BODY_BYTES}",
-                    )
-                    await self._write_response(writer, status, payload, {}, False)
-                    break
                 status, payload, extra = await self._route(method, path, body)
                 keep_alive = headers.get("connection", "keep-alive") != "close"
                 await self._write_response(
@@ -125,8 +140,8 @@ class ServiceHTTPServer:
                 )
                 if not keep_alive:
                     break
-        except (asyncio.IncompleteReadError, ConnectionError, ValueError):
-            pass  # client went away or spoke garbage; drop the connection
+        except (asyncio.IncompleteReadError, ConnectionError):
+            pass  # client went away mid-request; drop the connection
         finally:
             writer.close()
             try:
@@ -136,23 +151,33 @@ class ServiceHTTPServer:
 
     @staticmethod
     async def _read_request(reader: asyncio.StreamReader):
-        request_line = await reader.readline()
+        """``(method, path, headers, body)`` of the next request, or ``None``.
+
+        Raises :class:`_MalformedRequest` for a request line without a
+        method and a path, a line over :data:`MAX_LINE_BYTES`, more than
+        :data:`MAX_HEADERS` header lines or a bad ``Content-Length``.
+        """
+        request_line = await _read_line(reader)
         if not request_line or request_line in (b"\r\n", b"\n"):
             return None
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            raise ValueError("malformed request line")
+            raise _MalformedRequest("the request line needs a method and a path")
         method, path = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
+        for _ in range(MAX_HEADERS + 1):
+            line = await _read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            raise _MalformedRequest(f"more than {MAX_HEADERS} header lines")
         length = _body_length(headers.get("content-length", "0"))
         if length is None:
-            return method, path, headers, None
+            raise _MalformedRequest(
+                f"Content-Length must be a whole number of bytes up to {MAX_BODY_BYTES}"
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

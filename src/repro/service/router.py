@@ -80,8 +80,15 @@ def _sched_param(
 
 
 def payload_emissions(row: Mapping[str, float]) -> dict:
-    """The scalar engine row as a plain JSON-able mapping."""
-    return {name: float(value) for name, value in row.items()}
+    """The scalar engine row as a plain JSON mapping.
+
+    RFC 8259 has no NaN or infinity, so a cell the row leaves undefined
+    (``perf_ratio`` and ``energy_ratio`` with no app, ``crossing_year``
+    with no regime crossing) goes out as ``null``.
+    """
+    return {
+        name: float(value) if math.isfinite(value) else None for name, value in row.items()
+    }
 
 
 def payload_regime(regime, target, ci_g_per_kwh: float) -> dict:

@@ -15,8 +15,6 @@ from .applications import (
 from .generator import JobStreamConfig, JobStreamGenerator
 from .jobs import Job, JobRecord
 from .mix import WorkloadMix, archer2_mix
-from .scaling import ScalingPoint, StrongScalingModel, nodes_for_deadline, tradeoff_curve
-from .trace_replay import SwfParseStats, jobs_from_swf, load_swf
 from .toolchain import (
     REFERENCE_TOOLCHAINS,
     Toolchain,
@@ -53,13 +51,6 @@ __all__ = [
     "REFERENCE_TOOLCHAINS",
     "apply_toolchain",
     "frequency_sensitivity_shift",
-    "StrongScalingModel",
-    "ScalingPoint",
-    "nodes_for_deadline",
-    "tradeoff_curve",
-    "SwfParseStats",
-    "load_swf",
-    "jobs_from_swf",
     "JobStreamConfig",
     "JobStreamGenerator",
 ]

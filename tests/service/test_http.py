@@ -16,7 +16,6 @@ async def http(port, method, path, body=None, length=None):
 
     ``body`` is sent as JSON, or as it is when it is already ``bytes``;
     ``length`` replaces the true ``Content-Length`` value when given."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
     if isinstance(body, bytes):
         payload = body
     else:
@@ -26,7 +25,13 @@ async def http(port, method, path, body=None, length=None):
         f"Content-Length: {len(payload) if length is None else length}\r\n"
         "Connection: close\r\n\r\n"
     )
-    writer.write(head.encode() + payload)
+    return await exchange(port, head.encode() + payload)
+
+
+async def exchange(port, request):
+    """Send raw request bytes; returns the reply's (status, headers, json_body)."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(request)
     await writer.drain()
     status_line = await reader.readline()
     status = int(status_line.split()[1])
@@ -166,6 +171,32 @@ class TestRoutes:
 
         for length in ("-5", "abc", str(MAX_BODY_BYTES + 1)):
             run(main(length))
+
+    def test_malformed_head_is_a_counted_400(self, time_limit):
+        """A request line without a path, an over-long header line and too
+        many headers each get a counted 400 and a closed connection."""
+
+        async def main(request):
+            service = FacilityService()
+
+            async def scenario(port):
+                status, headers, envelope = await exchange(port, request)
+                assert status == 400
+                assert envelope["error"]["code"] == "bad-request"
+                assert headers["connection"] == "close"
+
+            await with_server(service, scenario)
+            metrics = service.metrics
+            assert metrics.requests_in == metrics.failed == {"default": 1}
+            assert metrics.reconciles()
+
+        head = b"GET /v1/health HTTP/1.1\r\n"
+        for request in (
+            b"GARBAGE\r\n\r\n",
+            head + b"X-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+            head + b"".join(b"X-H%d: v\r\n" % i for i in range(5_000)) + b"\r\n",
+        ):
+            run(main(request))
 
     def test_rate_limited_requests_carry_retry_after(self):
         async def main():

@@ -15,8 +15,13 @@ from repro.service import (
     ServiceRequest,
     SessionParams,
 )
-from repro.service.envelope import PROTOCOL_VERSION
-from repro.service.router import SCHED_MAX_DAYS, SCHED_MAX_NODES, payload_sweep
+from repro.service.envelope import METHODS, PROTOCOL_VERSION
+from repro.service.router import (
+    SCHED_MAX_DAYS,
+    SCHED_MAX_NODES,
+    payload_emissions,
+    payload_sweep,
+)
 from repro.engine.runner import run_sweep
 from repro.node import build_node_model
 from repro.scheduler import StaticEnvironment, compare_rigid_malleable, comparison_trace
@@ -141,10 +146,24 @@ class TestParityWithDirectSession:
 
         response = run(main())
         direct = FacilitySession(n_nodes=2048).emissions()
-        # Canonical JSON also equates NaN cells (perf_ratio has no app here).
-        assert canonical(response.result) == canonical(
-            {k: float(v) for k, v in direct.items()}
-        )
+        assert canonical(response.result) == canonical(payload_emissions(direct))
+
+    def test_every_answer_is_strict_json(self):
+        """RFC 8259 has no NaN or infinity, so every method's answer at its
+        default params serialises with ``allow_nan=False``; an emissions
+        row's undefined cells (no app, no regime crossing) are null."""
+
+        async def main():
+            service = open_service()
+            return {method: await service.call(method, {}) for method in METHODS}
+
+        responses = run(main())
+        for method, response in responses.items():
+            assert response.ok, method
+            json.dumps(response.to_dict(), allow_nan=False)
+        emissions = responses["emissions"].result
+        assert emissions["perf_ratio"] is None
+        assert emissions["crossing_year"] is None
 
     def test_advise_matches_the_session_recommendation(self):
         async def main():
