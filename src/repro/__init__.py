@@ -17,7 +17,7 @@ Quick start::
 Subpackages
 -----------
 ``api``           the stable façade: :class:`FacilitySession`
-``facility``      hardware inventory, power roll-ups, cooling, PUE
+``facility``      hardware inventory, power roll-ups, node failures
 ``node``          CPU P-states, DVFS power, BIOS determinism modes
 ``workload``      roofline models, application catalogue, job streams
 ``scheduler``     discrete-event EASY-backfill batch simulator

@@ -1,4 +1,4 @@
-"""Facility substrate: hardware inventory, power aggregation, cooling, PUE.
+"""Facility substrate: hardware inventory, power aggregation, node failures.
 
 This package models the *machine room* side of a large HPC service — the
 component inventory of Table 1/Table 2 and the steady-state power roll-ups
@@ -19,8 +19,7 @@ from .archer2 import (
     archer2_node_spec,
     scaled_inventory,
 )
-from .cooling import CoolingAssessment, CoolingModel
-from .failures import FailureModel, FailureTimeline, FaultConfig
+from .failures import FailureModel, FaultConfig
 from .hardware import (
     CabinetSpec,
     CDUSpec,
@@ -32,7 +31,6 @@ from .hardware import (
 )
 from .inventory import ComponentAggregate, FacilityInventory, InventoryEntry
 from .power import FacilityPowerModel, PowerBreakdown
-from .pue import PueReport, pue, pue_from_breakdown
 
 __all__ = [
     "ComponentKind",
@@ -47,14 +45,8 @@ __all__ = [
     "FacilityInventory",
     "FacilityPowerModel",
     "PowerBreakdown",
-    "CoolingModel",
-    "CoolingAssessment",
     "FailureModel",
-    "FailureTimeline",
     "FaultConfig",
-    "PueReport",
-    "pue",
-    "pue_from_breakdown",
     "archer2_inventory",
     "archer2_node_spec",
     "scaled_inventory",

@@ -121,7 +121,6 @@ def archer2_inventory() -> FacilityInventory:
             name="Coolant distribution unit",
             idle_power_w=16_000.0,
             loaded_power_w=16_000.0,
-            heat_capacity_kw=800.0,
         ),
         ARCHER2_N_CDUS,
     )

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..units import SECONDS_PER_HOUR, ensure_nonnegative, ensure_positive
 
-__all__ = ["FailureModel", "FailureTimeline", "FaultConfig"]
+__all__ = ["FailureModel", "FaultConfig"]
 
 
 @dataclass(frozen=True)
@@ -40,94 +38,6 @@ class FailureModel:
     def steady_state_unavailability(self) -> float:
         """Long-run fraction of nodes down: MTTR / (MTBF + MTTR)."""
         return self.mttr_hours / (self.mtbf_hours + self.mttr_hours)
-
-    def expected_failures(self, n_nodes: int, duration_s: float) -> float:
-        """Expected failure count across a fleet over a span."""
-        if n_nodes <= 0:
-            raise ConfigurationError("n_nodes must be positive")
-        if duration_s < 0:
-            raise ConfigurationError("duration_s must be non-negative")
-        hours = duration_s / SECONDS_PER_HOUR
-        availability = 1.0 - self.steady_state_unavailability
-        return n_nodes * availability * hours / self.mtbf_hours
-
-    def sample_timeline(
-        self,
-        n_nodes: int,
-        duration_s: float,
-        rng: np.random.Generator,
-        sample_interval_s: float = 3600.0,
-    ) -> "FailureTimeline":
-        """Simulate the fleet's down-node count over a span.
-
-        Fleet-level birth–death simulation: failures arrive at rate
-        ``up_nodes/MTBF`` and repairs complete at ``down_nodes/MTTR``.
-        Exact event-driven simulation, sampled onto a regular grid.
-        """
-        if n_nodes <= 0:
-            raise ConfigurationError("n_nodes must be positive")
-        ensure_positive(duration_s, "duration_s")
-        ensure_positive(sample_interval_s, "sample_interval_s")
-        mtbf_s = self.mtbf_hours * SECONDS_PER_HOUR
-        mttr_s = self.mttr_hours * SECONDS_PER_HOUR
-
-        # Pin the step count with an epsilon before flooring so a span that
-        # is an exact multiple of the sampling interval keeps its final
-        # sample point (mirrors the `_forecast_grid` horizon-edge fix) —
-        # `np.arange(0, 86400, 3600)` would drop t=86400 outright while
-        # float division error could also lose interior points.
-        n_steps = int(np.floor(duration_s / sample_interval_s + 1e-9))
-        times = sample_interval_s * np.arange(n_steps + 1, dtype=float)
-        down_at = np.empty(len(times), dtype=float)
-        t = 0.0
-        down = int(round(n_nodes * self.steady_state_unavailability))
-        idx = 0
-        while idx < len(times):
-            fail_rate = (n_nodes - down) / mtbf_s
-            repair_rate = down / mttr_s
-            total = fail_rate + repair_rate
-            dt = float(rng.exponential(1.0 / total)) if total > 0 else duration_s
-            next_t = t + dt
-            while idx < len(times) and times[idx] < next_t:
-                down_at[idx] = down
-                idx += 1
-            t = next_t
-            if t >= duration_s:
-                break
-            if rng.random() < fail_rate / total:
-                down = min(down + 1, n_nodes)
-            else:
-                down = max(down - 1, 0)
-        while idx < len(times):
-            down_at[idx] = down
-            idx += 1
-        return FailureTimeline(times_s=times, down_nodes=down_at, n_nodes=n_nodes)
-
-
-@dataclass(frozen=True)
-class FailureTimeline:
-    """Sampled down-node history for a fleet."""
-
-    times_s: np.ndarray
-    down_nodes: np.ndarray
-    n_nodes: int
-
-    @property
-    def mean_unavailability(self) -> float:
-        """Time-average fraction of the fleet that is down."""
-        return float(self.down_nodes.mean()) / self.n_nodes
-
-    @property
-    def peak_down(self) -> int:
-        """Worst simultaneous down-node count."""
-        return int(self.down_nodes.max())
-
-    def capacity_loss_node_hours(self) -> float:
-        """Node-hours of science lost to failures over the span."""
-        if len(self.times_s) < 2:
-            return 0.0
-        interval = float(self.times_s[1] - self.times_s[0])
-        return float(self.down_nodes.sum()) * interval / SECONDS_PER_HOUR
 
 
 @dataclass(frozen=True)

@@ -148,19 +148,9 @@ class CabinetSpec(ComponentSpec):
 
 @dataclass(frozen=True)
 class CDUSpec(ComponentSpec):
-    """A coolant distribution unit; draws near-constant power.
-
-    ``heat_capacity_kw`` is the heat load one CDU can reject — used by the
-    cooling model to check the installed CDUs cover the facility's thermal
-    output.
-    """
+    """A coolant distribution unit; draws near-constant power."""
 
     kind: ComponentKind = field(default=ComponentKind.CDU, init=False)
-    heat_capacity_kw: float = 800.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        ensure_positive(self.heat_capacity_kw, f"{self.name}: heat_capacity_kw")
 
 
 @dataclass(frozen=True)

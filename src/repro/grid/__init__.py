@@ -11,11 +11,7 @@ from .forecast import (
     FeedOutage,
     ForecastFeed,
     ForecastIndex,
-    ForecastSkill,
     ForecastWindow,
-    diurnal_template_forecast,
-    evaluate_forecast,
-    persistence_forecast,
     sample_feed_outages,
 )
 from .pricing import PricingModel, energy_cost_gbp
@@ -35,15 +31,11 @@ __all__ = [
     "GridStressEvent",
     "GridStressGenerator",
     "demand_response_summary",
-    "ForecastSkill",
     "ForecastWindow",
     "ForecastIndex",
     "FeedOutage",
     "ForecastFeed",
     "sample_feed_outages",
-    "persistence_forecast",
-    "diurnal_template_forecast",
-    "evaluate_forecast",
     "DecarbonisationTrajectory",
     "lifetime_average_ci",
     "regime_crossing_year",

@@ -1,16 +1,15 @@
-"""Short-horizon carbon-intensity forecasting.
+"""Carbon-intensity forecasts as the carbon-aware scheduler reads them.
 
 Carbon-aware operation (load shifting, maintenance-window placement) needs a
 CI forecast, not just history. National grid operators publish 24–48 h
-forecasts built from demand and weather models; offline we provide the two
-standard reference methods any such product is benchmarked against:
+forecasts built from demand and weather models; this module holds the two
+views of such a forecast that the malleable scheduler consumes:
 
-* **persistence** — tomorrow looks like right now;
-* **diurnal template** — tomorrow looks like the average recent day at the
-  same time-of-day (captures the evening peak that matters for shifting).
-
-Both are honest baselines with quantified skill, which is exactly what the
-planning modules need.
+* :class:`ForecastIndex` — exact window means and the greenest window over
+  a step-function forecast, one cheap query per placement decision;
+* :class:`ForecastFeed` — the same forecast as a live feed, refreshed on a
+  cadence and held, growing stale, through the outages that
+  :func:`sample_feed_outages` draws.
 """
 
 from __future__ import annotations
@@ -21,101 +20,15 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..telemetry.series import TimeSeries
-from ..units import SECONDS_PER_DAY, ensure_positive
+from ..units import ensure_positive
 
 __all__ = [
-    "ForecastSkill",
     "ForecastWindow",
     "ForecastIndex",
     "FeedOutage",
     "ForecastFeed",
     "sample_feed_outages",
-    "persistence_forecast",
-    "diurnal_template_forecast",
-    "evaluate_forecast",
 ]
-
-
-def _forecast_grid(t_end_s: float, horizon_s: float, interval_s: float) -> np.ndarray:
-    """Forecast timestamps: one per whole sampling interval in the horizon.
-
-    The step count is pinned with an epsilon before flooring so an exact
-    multiple never loses (or gains) its final point to float division error
-    — a 24 h horizon at a 1800 s cadence yields exactly 48 points even when
-    ``horizon / interval`` lands at 47.999999…; mirrors the resample grid
-    fix in :mod:`repro.telemetry.series`.
-    """
-    n_steps = int(np.floor(horizon_s / interval_s + 1e-9))
-    if n_steps < 1:
-        raise AnalysisError("horizon shorter than one sampling interval")
-    return t_end_s + interval_s * np.arange(1, n_steps + 1)
-
-
-@dataclass(frozen=True)
-class ForecastSkill:
-    """Error metrics of a forecast against the realised series."""
-
-    mae_g_per_kwh: float
-    rmse_g_per_kwh: float
-    mean_absolute_percentage: float
-
-    def better_than(self, other: "ForecastSkill") -> bool:
-        """Whether this forecast beats ``other`` on RMSE."""
-        return self.rmse_g_per_kwh < other.rmse_g_per_kwh
-
-
-def persistence_forecast(history: TimeSeries, horizon_s: float) -> TimeSeries:
-    """Flat forecast at the last observed value.
-
-    Skilful for the first hour or two (CI is strongly autocorrelated),
-    degrading as the diurnal cycle turns.
-    """
-    ensure_positive(horizon_s, "horizon_s")
-    if len(history) < 2:
-        raise AnalysisError("need at least 2 samples of history")
-    interval = float(np.median(np.diff(history.times_s)))
-    last_valid = history.values[~np.isnan(history.values)]
-    if len(last_valid) == 0:
-        raise AnalysisError("history has no valid samples")
-    times = _forecast_grid(history.t_end_s, horizon_s, interval)
-    return TimeSeries(times, np.full(len(times), last_valid[-1]), "ci-persistence")
-
-
-def diurnal_template_forecast(
-    history: TimeSeries, horizon_s: float, template_days: int = 7
-) -> TimeSeries:
-    """Forecast from the mean recent day, indexed by time-of-day.
-
-    Uses up to ``template_days`` of trailing history binned by time-of-day
-    at the sampling cadence; bins with no valid history fall back to the
-    overall mean.
-    """
-    ensure_positive(horizon_s, "horizon_s")
-    if template_days < 1:
-        raise AnalysisError("template_days must be at least 1")
-    if len(history) < 2:
-        raise AnalysisError("need at least 2 samples of history")
-    interval = float(np.median(np.diff(history.times_s)))
-    bins_per_day = max(1, int(round(SECONDS_PER_DAY / interval)))
-
-    window_start = history.t_end_s - template_days * SECONDS_PER_DAY
-    recent_mask = history.times_s >= window_start
-    times_recent = history.times_s[recent_mask]
-    values_recent = history.values[recent_mask]
-
-    bin_idx = ((times_recent % SECONDS_PER_DAY) / interval).astype(int) % bins_per_day
-    sums = np.zeros(bins_per_day)
-    counts = np.zeros(bins_per_day)
-    valid = ~np.isnan(values_recent)
-    np.add.at(sums, bin_idx[valid], values_recent[valid])
-    np.add.at(counts, bin_idx[valid], 1.0)
-    overall = float(np.nanmean(history.values))
-    with np.errstate(invalid="ignore"):
-        template = np.where(counts > 0, sums / np.maximum(counts, 1), overall)
-
-    out_times = _forecast_grid(history.t_end_s, horizon_s, interval)
-    out_bins = ((out_times % SECONDS_PER_DAY) / interval).astype(int) % bins_per_day
-    return TimeSeries(out_times, template[out_bins], "ci-diurnal-template")
 
 
 @dataclass(frozen=True)
@@ -340,25 +253,3 @@ def sample_feed_outages(
             outages.append(FeedOutage(start, end))
         t = end
     return tuple(outages)
-
-
-def evaluate_forecast(forecast: TimeSeries, realised: TimeSeries) -> ForecastSkill:
-    """Score a forecast against the realised series at shared timestamps."""
-    common, f_idx, r_idx = np.intersect1d(
-        forecast.times_s, realised.times_s, return_indices=True
-    )
-    if len(common) == 0:
-        raise AnalysisError("forecast and realised series share no timestamps")
-    f = forecast.values[f_idx]
-    r = realised.values[r_idx]
-    valid = ~np.isnan(f) & ~np.isnan(r)
-    if not np.any(valid):
-        raise AnalysisError("no overlapping valid samples")
-    err = f[valid] - r[valid]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pct = np.abs(err) / np.abs(r[valid])
-    return ForecastSkill(
-        mae_g_per_kwh=float(np.mean(np.abs(err))),
-        rmse_g_per_kwh=float(np.sqrt(np.mean(err**2))),
-        mean_absolute_percentage=float(np.mean(pct[np.isfinite(pct)])),
-    )

@@ -29,6 +29,7 @@ from collections.abc import Callable
 
 import numpy as np
 
+from ..errors import HpcemError
 from ..facility.failures import FailureModel, FaultConfig
 from ..grid.carbon_intensity import SCENARIOS
 from ..grid.forecast import ForecastFeed, ForecastIndex, sample_feed_outages
@@ -183,54 +184,62 @@ def _resume_replays(
 
 
 def sched_main(argv: list[str], prog: str = "repro sched") -> int:
-    """``repro sched`` entry point; returns a process exit code."""
+    """``repro sched`` entry point; returns a process exit code.
+
+    An argument the library refuses (a non-finite or non-positive span, no
+    nodes, a zero tick) prints ``error: <message>`` and returns 2.
+    """
     args = build_sched_parser(prog).parse_args(argv)
     t_end_s = args.days * SECONDS_PER_DAY
 
-    jobs, ci = comparison_trace(
-        archer2_mix(),
-        days=args.days,
-        nodes=args.nodes,
-        seed=args.seed,
-        scenario=args.scenario,
-        offered_load=args.offered_load,
-        malleable_fraction=args.malleable_fraction,
-        slack_hours=args.slack_hours,
-    )
-
-    fault_config = None
-    if args.inject_faults:
-        fault_config = FaultConfig(
-            model=FailureModel(
-                mtbf_hours=args.mtbf_hours, mttr_hours=args.mttr_hours
-            ),
+    try:
+        jobs, ci = comparison_trace(
+            archer2_mix(),
+            days=args.days,
+            nodes=args.nodes,
             seed=args.seed,
-            max_retries=args.max_retries,
-            checkpoint_interval_s=args.ckpt_minutes * 60.0,
-        )
-    feed = None
-    if args.inject_feed_outages:
-        outage_rng = np.random.default_rng(args.seed + 1)
-        feed = ForecastFeed(
-            ForecastIndex(ci),
-            outages=sample_feed_outages(t_end_s, outage_rng),
+            scenario=args.scenario,
+            offered_load=args.offered_load,
+            malleable_fraction=args.malleable_fraction,
+            slack_hours=args.slack_hours,
         )
 
-    environment = StaticEnvironment(node_model=build_node_model())
-    comparison = compare_rigid_malleable(
-        jobs,
-        t_end_s,
-        environment,
-        ci,
-        n_nodes=args.nodes,
-        carbon_tick_interval_s=args.tick_minutes * 60.0,
-        low_g_per_kwh=args.low,
-        high_g_per_kwh=args.high,
-        seed=args.seed,
-        fault_config=fault_config,
-        feed=feed,
-        stale_after_s=args.stale_after_hours * 3600.0,
-    )
+        fault_config = None
+        if args.inject_faults:
+            fault_config = FaultConfig(
+                model=FailureModel(
+                    mtbf_hours=args.mtbf_hours, mttr_hours=args.mttr_hours
+                ),
+                seed=args.seed,
+                max_retries=args.max_retries,
+                checkpoint_interval_s=args.ckpt_minutes * 60.0,
+            )
+        feed = None
+        if args.inject_feed_outages:
+            outage_rng = np.random.default_rng(args.seed + 1)
+            feed = ForecastFeed(
+                ForecastIndex(ci),
+                outages=sample_feed_outages(t_end_s, outage_rng),
+            )
+
+        environment = StaticEnvironment(node_model=build_node_model())
+        comparison = compare_rigid_malleable(
+            jobs,
+            t_end_s,
+            environment,
+            ci,
+            n_nodes=args.nodes,
+            carbon_tick_interval_s=args.tick_minutes * 60.0,
+            low_g_per_kwh=args.low,
+            high_g_per_kwh=args.high,
+            seed=args.seed,
+            fault_config=fault_config,
+            feed=feed,
+            stale_after_s=args.stale_after_hours * 3600.0,
+        )
+    except HpcemError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rigid, malleable = comparison.rigid, comparison.malleable
 
     print(

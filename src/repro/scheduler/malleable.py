@@ -996,9 +996,9 @@ class MalleableScheduler:
     """Carbon-aware malleable scheduler over a carbon-intensity signal.
 
     ``ci`` is the forecast the scheduler plans against — in closed-loop
-    studies pass the realised series (a perfect forecast); for skill
-    studies pass a ``persistence_forecast`` / ``diurnal_template_forecast``
-    product and score emissions against the realised series separately.
+    studies the realised series (a perfect forecast). To study forecast
+    error, pass any other series and score emissions against the realised
+    series separately.
     """
 
     def __init__(

@@ -192,8 +192,13 @@ class JobStreamGenerator:
 
         Uses Lewis–Shedler thinning for the non-homogeneous Poisson process:
         draw candidate arrivals at the peak rate, accept each with
-        probability ``rate(t)/rate_peak``.
+        probability ``rate(t)/rate_peak``. Both bounds must be finite: the
+        loop stops only once an arrival passes ``t_end_s``.
         """
+        if not (np.isfinite(t_start_s) and np.isfinite(t_end_s)):
+            raise ConfigurationError(
+                f"window bounds must be finite, got [{t_start_s}, {t_end_s})"
+            )
         if t_end_s <= t_start_s:
             raise ConfigurationError("t_end_s must exceed t_start_s")
         base_rate = self.arrival_rate_per_s()

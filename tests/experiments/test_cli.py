@@ -37,6 +37,10 @@ class TestMain:
         assert main(["run", "t2"]) == 0
         assert "[T2]" in capsys.readouterr().out
 
+    def test_sched_refuses_an_infinite_span(self, capsys, time_limit):
+        assert main(["sched", "--days", "inf", "--nodes", "64"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestExperimentResultRendering:
     def test_str_contains_headline(self):

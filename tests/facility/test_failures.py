@@ -1,13 +1,10 @@
 """Node failure/repair model tests."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError, UnitError
-from repro.facility.failures import FailureModel, FailureTimeline
-from repro.units import SECONDS_PER_DAY
+from repro.facility.failures import FailureModel
 
 mtbf_hours = st.floats(min_value=1.0, max_value=1e6, allow_nan=False)
 mttr_hours = st.floats(min_value=0.01, max_value=1e4, allow_nan=False)
@@ -27,82 +24,6 @@ class TestSteadyState:
             FailureModel(mtbf_hours=0.0)
 
 
-class TestExpectedFailures:
-    def test_scales_with_fleet_and_time(self):
-        model = FailureModel(mtbf_hours=1000.0, mttr_hours=1.0)
-        one = model.expected_failures(100, 36_000.0)
-        double_fleet = model.expected_failures(200, 36_000.0)
-        double_time = model.expected_failures(100, 72_000.0)
-        assert double_fleet == pytest.approx(2 * one)
-        assert double_time == pytest.approx(2 * one)
-
-    def test_archer2_weekly_failures_plausible(self):
-        """5,860 nodes at a 4-year MTBF → a couple of failures a day."""
-        weekly = FailureModel().expected_failures(5860, 7 * SECONDS_PER_DAY)
-        assert 5 < weekly < 40
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            FailureModel().expected_failures(0, 100.0)
-        with pytest.raises(ConfigurationError):
-            FailureModel().expected_failures(10, -1.0)
-
-
-class TestTimeline:
-    def test_mean_matches_steady_state(self, rng):
-        model = FailureModel(mtbf_hours=200.0, mttr_hours=10.0)
-        timeline = model.sample_timeline(2000, 60 * SECONDS_PER_DAY, rng)
-        assert timeline.mean_unavailability == pytest.approx(
-            model.steady_state_unavailability, rel=0.25
-        )
-
-    def test_down_counts_bounded(self, rng):
-        model = FailureModel(mtbf_hours=100.0, mttr_hours=50.0)
-        timeline = model.sample_timeline(50, 30 * SECONDS_PER_DAY, rng)
-        assert np.all(timeline.down_nodes >= 0)
-        assert np.all(timeline.down_nodes <= 50)
-        assert timeline.peak_down <= 50
-
-    def test_capacity_loss_accounting(self, rng):
-        model = FailureModel(mtbf_hours=200.0, mttr_hours=10.0)
-        timeline = model.sample_timeline(1000, 10 * SECONDS_PER_DAY, rng)
-        expected_nodeh = (
-            timeline.mean_unavailability * 1000 * 10 * 24.0
-        )
-        assert timeline.capacity_loss_node_hours() == pytest.approx(
-            expected_nodeh, rel=0.01
-        )
-
-    def test_reproducible(self):
-        model = FailureModel(mtbf_hours=200.0, mttr_hours=10.0)
-        a = model.sample_timeline(500, SECONDS_PER_DAY, np.random.default_rng(3))
-        b = model.sample_timeline(500, SECONDS_PER_DAY, np.random.default_rng(3))
-        np.testing.assert_array_equal(a.down_nodes, b.down_nodes)
-
-    def test_validation(self, rng):
-        with pytest.raises(ConfigurationError):
-            FailureModel().sample_timeline(0, 100.0, rng)
-
-    def test_zero_duration_span_rejected(self, rng):
-        """A zero-length span is a validation error, not a crash or NaN."""
-        with pytest.raises(UnitError):
-            FailureModel().sample_timeline(100, 0.0, rng)
-
-    def test_span_shorter_than_sample_interval(self, rng):
-        """A span inside one sample interval still yields a one-point grid."""
-        model = FailureModel(mtbf_hours=100.0, mttr_hours=10.0)
-        timeline = model.sample_timeline(100, 600.0, rng, sample_interval_s=3600.0)
-        assert len(timeline.times_s) == 1
-        assert 0 <= timeline.down_nodes[0] <= 100
-
-    def test_single_sample_capacity_loss_is_zero(self):
-        """With fewer than two samples no interval exists to integrate."""
-        timeline = FailureTimeline(
-            times_s=np.array([0.0]), down_nodes=np.array([3.0]), n_nodes=10
-        )
-        assert timeline.capacity_loss_node_hours() == 0.0
-
-
 class TestFailureProperties:
     @given(mtbf_hours, mttr_hours)
     @settings(max_examples=100)
@@ -113,70 +34,3 @@ class TestFailureProperties:
         # Longer repairs can only make things worse, better MTBF only better.
         assert FailureModel(mtbf_hours=mtbf, mttr_hours=2 * mttr).steady_state_unavailability >= u
         assert FailureModel(mtbf_hours=2 * mtbf, mttr_hours=mttr).steady_state_unavailability <= u
-
-    @given(
-        mtbf_hours,
-        mttr_hours,
-        st.integers(min_value=1, max_value=100_000),
-        st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
-    )
-    @settings(max_examples=100)
-    def test_expected_failures_linear(self, mtbf, mttr, nodes, duration_s):
-        model = FailureModel(mtbf_hours=mtbf, mttr_hours=mttr)
-        base = model.expected_failures(nodes, duration_s)
-        assert base >= 0.0
-        assert model.expected_failures(2 * nodes, duration_s) == pytest.approx(
-            2 * base
-        )
-        assert model.expected_failures(nodes, 2 * duration_s) == pytest.approx(
-            2 * base
-        )
-
-    @given(mtbf_hours, mttr_hours, st.integers(min_value=1, max_value=100))
-    @settings(max_examples=50)
-    def test_zero_duration_expects_zero_failures(self, mtbf, mttr, nodes):
-        model = FailureModel(mtbf_hours=mtbf, mttr_hours=mttr)
-        assert model.expected_failures(nodes, 0.0) == 0.0
-
-    @given(st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_timeline_counts_always_within_fleet(self, nodes, seed):
-        model = FailureModel(mtbf_hours=50.0, mttr_hours=25.0)
-        timeline = model.sample_timeline(
-            nodes, 2 * SECONDS_PER_DAY, np.random.default_rng(seed)
-        )
-        assert np.all(timeline.down_nodes >= 0)
-        assert np.all(timeline.down_nodes <= nodes)
-        assert 0.0 <= timeline.mean_unavailability <= 1.0
-
-
-class TestTimelineGridEdge:
-    """Regression: exact-multiple spans must keep the final sample point."""
-
-    def test_exact_multiple_keeps_endpoint(self, rng):
-        model = FailureModel(mtbf_hours=200.0, mttr_hours=10.0)
-        timeline = model.sample_timeline(
-            100, 2 * SECONDS_PER_DAY, rng, sample_interval_s=3600.0
-        )
-        assert timeline.times_s[-1] == pytest.approx(2 * SECONDS_PER_DAY)
-        assert len(timeline.times_s) == 49  # 48 hourly steps + both endpoints
-
-    def test_float_accumulated_multiple_keeps_endpoint(self, rng):
-        """An interval whose multiples accumulate float error still covers
-        the full span (the forecast-grid epsilon fix, mirrored here)."""
-        interval = 0.1 * 3600.0  # 360 s: 0.1 is inexact in binary
-        duration = 1000 * interval
-        model = FailureModel(mtbf_hours=200.0, mttr_hours=10.0)
-        timeline = model.sample_timeline(
-            50, duration, rng, sample_interval_s=interval
-        )
-        assert len(timeline.times_s) == 1001
-        assert timeline.times_s[-1] == pytest.approx(duration)
-
-    def test_non_multiple_truncates_below_span(self, rng):
-        model = FailureModel(mtbf_hours=200.0, mttr_hours=10.0)
-        timeline = model.sample_timeline(
-            100, 90 * 60.0, rng, sample_interval_s=3600.0
-        )
-        assert timeline.times_s[-1] == pytest.approx(3600.0)
-        assert len(timeline.times_s) == 2

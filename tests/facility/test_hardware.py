@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError, UnitError
 from repro.facility.hardware import (
     CabinetSpec,
-    CDUSpec,
     ComponentKind,
     ComponentSpec,
     FilesystemSpec,
@@ -91,12 +90,6 @@ class TestOtherSpecs:
         with pytest.raises(ConfigurationError):
             CabinetSpec(
                 name="c", idle_power_w=6500, loaded_power_w=8700, nodes_per_cabinet=0
-            )
-
-    def test_cdu_capacity_positive(self):
-        with pytest.raises(UnitError):
-            CDUSpec(
-                name="cdu", idle_power_w=16000, loaded_power_w=16000, heat_capacity_kw=0
             )
 
     def test_filesystem_media_validated(self):

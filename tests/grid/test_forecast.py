@@ -4,165 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, UnitError
-from repro.grid.carbon_intensity import CarbonIntensityModel
 from repro.grid.forecast import (
     FeedOutage,
     ForecastFeed,
     ForecastIndex,
-    diurnal_template_forecast,
-    evaluate_forecast,
-    persistence_forecast,
     sample_feed_outages,
 )
 from repro.telemetry.series import TimeSeries
 from repro.units import SECONDS_PER_DAY
-
-
-@pytest.fixture
-def history(rng):
-    """Two weeks of UK-shaped CI at hourly cadence."""
-    return CarbonIntensityModel(mean_ci_g_per_kwh=190.0).series(
-        0.0, 14 * SECONDS_PER_DAY, 3600.0, rng
-    )
-
-
-class TestPersistence:
-    def test_flat_at_last_value(self, history):
-        forecast = persistence_forecast(history, 6 * 3600.0)
-        assert len(np.unique(forecast.values)) == 1
-        assert forecast.values[0] == history.values[-1]
-
-    def test_starts_after_history(self, history):
-        forecast = persistence_forecast(history, 6 * 3600.0)
-        assert forecast.t_start_s > history.t_end_s
-
-    def test_horizon_respected(self, history):
-        forecast = persistence_forecast(history, 24 * 3600.0)
-        assert len(forecast) == 24
-
-    def test_too_short_horizon_rejected(self, history):
-        with pytest.raises(AnalysisError):
-            persistence_forecast(history, 60.0)
-
-
-class TestDiurnalTemplate:
-    def test_template_has_diurnal_shape(self, history):
-        forecast = diurnal_template_forecast(history, SECONDS_PER_DAY)
-        # Evening hours must exceed early-morning hours, like the source.
-        hours = (forecast.times_s % SECONDS_PER_DAY) / 3600.0
-        evening = forecast.values[(hours >= 18) & (hours < 21)].mean()
-        early = forecast.values[(hours >= 3) & (hours < 6)].mean()
-        assert evening > early
-
-    def test_deterministic_history_recovered(self):
-        """With a perfectly periodic history, the template is exact."""
-        times = np.arange(0.0, 7 * SECONDS_PER_DAY, 3600.0)
-        hours = (times % SECONDS_PER_DAY) / 3600.0
-        values = 200.0 + 30.0 * np.cos(2 * np.pi * (hours - 19.0) / 24.0)
-        history = TimeSeries(times, values)
-        forecast = diurnal_template_forecast(history, SECONDS_PER_DAY)
-        f_hours = (forecast.times_s % SECONDS_PER_DAY) / 3600.0
-        expected = 200.0 + 30.0 * np.cos(2 * np.pi * (f_hours - 19.0) / 24.0)
-        np.testing.assert_allclose(forecast.values, expected, rtol=1e-9)
-
-    def test_bad_template_days(self, history):
-        with pytest.raises(AnalysisError):
-            diurnal_template_forecast(history, SECONDS_PER_DAY, template_days=0)
-
-
-class TestEvaluate:
-    def test_template_beats_persistence_at_a_day(self, rng):
-        """At 24 h horizon the diurnal template must beat persistence —
-        the skill ordering the forecast literature guarantees."""
-        model = CarbonIntensityModel(mean_ci_g_per_kwh=190.0, noise_sigma=0.08)
-        full = model.series(0.0, 20 * SECONDS_PER_DAY, 3600.0, rng)
-        split = 16 * SECONDS_PER_DAY
-        history = full.slice(0.0, split)
-        realised = full.slice(split, 20 * SECONDS_PER_DAY)
-        horizon = 2 * SECONDS_PER_DAY
-        pers = evaluate_forecast(persistence_forecast(history, horizon), realised)
-        tmpl = evaluate_forecast(diurnal_template_forecast(history, horizon), realised)
-        assert tmpl.better_than(pers)
-
-    def test_perfect_forecast_zero_error(self, history):
-        skill = evaluate_forecast(history, history)
-        assert skill.mae_g_per_kwh == 0.0
-        assert skill.rmse_g_per_kwh == 0.0
-
-    def test_disjoint_series_rejected(self, history):
-        other = TimeSeries(history.times_s + 1.0, history.values)
-        with pytest.raises(AnalysisError):
-            evaluate_forecast(history, other)
-
-
-class TestEvaluateMisaligned:
-    """Forecast and realised series rarely share a grid in practice: the
-    forecast runs at its own cadence while telemetry arrives on another.
-    evaluate_forecast scores on the shared-timestamp subset only."""
-
-    def test_coarser_realised_cadence_uses_shared_subset(self):
-        times_fine = np.arange(0.0, 48 * 3600.0, 1800.0)
-        forecast = TimeSeries(times_fine, np.full(len(times_fine), 100.0))
-        times_coarse = times_fine[::2]  # hourly realised vs half-hourly forecast
-        realised = TimeSeries(times_coarse, np.full(len(times_coarse), 110.0))
-        skill = evaluate_forecast(forecast, realised)
-        assert skill.mae_g_per_kwh == pytest.approx(10.0)
-        assert skill.rmse_g_per_kwh == pytest.approx(10.0)
-
-    def test_partial_overlap_scores_only_the_overlap(self):
-        times = np.arange(0.0, 24 * 3600.0, 3600.0)
-        forecast = TimeSeries(times, np.full(len(times), 100.0))
-        shifted = times + 12 * 3600.0  # second half overlaps, first half beyond
-        errors = np.where(shifted < 24 * 3600.0, 5.0, 1000.0)
-        realised = TimeSeries(shifted, np.full(len(times), 100.0) + errors)
-        skill = evaluate_forecast(forecast, realised)
-        # Only the 12 overlapping hours score; the +1000 tail is ignored.
-        assert skill.mae_g_per_kwh == pytest.approx(5.0)
-
-    def test_offset_grids_share_nothing(self):
-        """Same cadence, phase-shifted by one second: no shared stamps."""
-        times = np.arange(0.0, 24 * 3600.0, 3600.0)
-        forecast = TimeSeries(times, np.full(len(times), 100.0))
-        realised = TimeSeries(times + 1.0, np.full(len(times), 100.0))
-        with pytest.raises(AnalysisError):
-            evaluate_forecast(forecast, realised)
-
-    def test_all_nan_overlap_rejected(self):
-        """Shared stamps whose realised values are all NaN cannot score."""
-        times = np.arange(0.0, 10 * 3600.0, 3600.0)
-        forecast = TimeSeries(times, np.full(len(times), 100.0))
-        realised_values = np.full(len(times), np.nan)
-        realised = TimeSeries(times, realised_values)
-        with pytest.raises(AnalysisError):
-            evaluate_forecast(forecast, realised)
-
-
-class TestForecastGridEdges:
-    """Horizon-edge regression: exact multiples must not drop their last point."""
-
-    def test_exact_multiple_with_fp_hostile_interval(self, history):
-        # 3600/7 is not representable in binary; 24 intervals of it would
-        # floor to 23 points under naive division.
-        interval = 3600.0 / 7.0
-        times = np.arange(0.0, 2 * SECONDS_PER_DAY, interval)
-        series = TimeSeries(times, np.full(len(times), 150.0))
-        forecast = persistence_forecast(series, 24 * interval)
-        assert len(forecast) == 24
-        assert forecast.times_s[-1] == pytest.approx(series.t_end_s + 24 * interval)
-
-    def test_exact_multiple_hourly(self, history):
-        forecast = persistence_forecast(history, 24 * 3600.0)
-        assert len(forecast) == 24
-
-    def test_diurnal_grid_matches_persistence_grid(self, history):
-        horizon = 36 * 3600.0
-        p = persistence_forecast(history, horizon)
-        d = diurnal_template_forecast(history, horizon)
-        assert np.array_equal(p.times_s, d.times_s)
-
-    def test_sub_interval_horizon_rejected(self, history):
-        with pytest.raises(AnalysisError):
-            persistence_forecast(history, 60.0)  # hourly cadence, 1 min horizon
 
 
 class TestForecastIndex:

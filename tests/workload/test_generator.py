@@ -82,10 +82,14 @@ class TestGeneration:
         assert jobs
         assert all(-SECONDS_PER_DAY <= j.submit_time_s < 0 for j in jobs)
 
-    def test_empty_window_rejected(self, mix, rng):
+    def test_empty_window_rejected(self, mix, rng, time_limit):
+        """An empty window, and one with a non-finite bound, which the
+        arrival loop would never leave."""
         gen = make_generator(mix, rng)
-        with pytest.raises(ConfigurationError):
-            gen.generate_until(0.0, t_start_s=0.0)
+        inf, nan = float("inf"), float("nan")
+        for t_end_s, t_start_s in ((0.0, 0.0), (inf, 0.0), (nan, 0.0), (0.0, -inf), (0.0, nan)):
+            with pytest.raises(ConfigurationError):
+                gen.generate_until(t_end_s, t_start_s=t_start_s)
 
     def test_user_overrides_sampled(self, mix, rng):
         gen = make_generator(

@@ -42,6 +42,7 @@ COMMANDS = [
         f"monitor --scenario {scenario} --quiet"
         for scenario in ("fig2", "fig3", "combined", "regimes")
     ),
+    "monitor --scenario fig2 --days 30",
     "monitor --scenario fig2 --days 120 --checkpoint {tmp}/fig2.ckpt --quiet",
     "monitor --scenario fig2 --days 120 --checkpoint {tmp}/fig2.ckpt --resume --quiet",
     *(
@@ -62,6 +63,12 @@ COMMANDS = [
     " --mtbf-hours 200 --mttr-hours 6 --check",
     "serve --selftest --clients 400 --tenants 8",
     "lint {src}",
+    "lint {src} --format json",
+    "lint {src} --format sarif",
+    "lint {src} --select REP103,REP104,REP403,REP404,REP6",
+    "lint {src} --ignore REP103,REP104,REP403,REP404,REP6",
+    "lint --explain REP601",
+    "lint --list-checks",
 ]
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
