@@ -26,7 +26,7 @@ Subpackages
 ``interconnect``  switch power
 ``core``          the paper's contribution: emissions, regimes, interventions
 ``engine``        vectorized, cached scenario-sweep engine
-``analysis``      baselines, change points, ratio estimation
+``analysis``      baselines, change points, segment means
 ``experiments``   one driver per paper table/figure (T1–T4, F1–F3, C1, R1, A1–A4)
 
 The names in ``__all__`` resolve on first use (PEP 562): ``import repro``

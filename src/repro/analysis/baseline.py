@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import AnalysisError
 from ..facility.inventory import FacilityInventory
 from ..telemetry.series import TimeSeries
@@ -40,16 +38,6 @@ class BaselineStats:
     maximum: float
     n_samples: int
     span_days: float
-
-    @property
-    def standard_error(self) -> float:
-        """Naive standard error of the mean (ignores autocorrelation).
-
-        Power telemetry is strongly autocorrelated, so treat this as a lower
-        bound on the true uncertainty; the change-point analysis handles
-        significance properly.
-        """
-        return self.std / np.sqrt(self.n_samples) if self.n_samples else float("nan")
 
 
 def summarise(

@@ -8,10 +8,6 @@ this module provides:
 * :func:`detect_single` — exact maximum-likelihood single change point for a
   Gaussian mean-shift model, O(n) via chunked prefix sums.
 * :func:`segment_means` — before/after means at known change times.
-* :func:`binary_segmentation` — recursive multi-change detection with a
-  BIC-style penalty.
-* :func:`cusum_statistic` — the standardised CUSUM curve, useful for plots
-  and for significance checks.
 """
 
 from __future__ import annotations
@@ -29,13 +25,7 @@ from ..telemetry.streaming import (
     as_chunk_reader,
 )
 
-__all__ = [
-    "ChangePoint",
-    "cusum_statistic",
-    "detect_single",
-    "binary_segmentation",
-    "segment_means",
-]
+__all__ = ["ChangePoint", "detect_single", "segment_means"]
 
 
 @dataclass(frozen=True)
@@ -47,41 +37,6 @@ class ChangePoint:
     mean_before: float
     mean_after: float
     significance: float  # standardised |CUSUM| peak height
-
-    @property
-    def delta(self) -> float:
-        """Mean shift (after − before), series units."""
-        return self.mean_after - self.mean_before
-
-    @property
-    def relative_change(self) -> float:
-        """Shift as a fraction of the before-mean."""
-        if self.mean_before == 0:
-            return float("inf")
-        return self.delta / self.mean_before
-
-
-def _clean(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
-    valid = ~np.isnan(series.values)
-    if np.count_nonzero(valid) < 4:
-        raise AnalysisError("need at least 4 valid samples for change detection")
-    return series.times_s[valid], series.values[valid]
-
-
-def cusum_statistic(series: TimeSeries) -> np.ndarray:
-    """Standardised CUSUM curve ``C_k = (S_k − k·mean) / (σ√n)``.
-
-    Peaks mark candidate change points; under the no-change null the curve
-    stays within a Brownian-bridge envelope (|C| ≲ 1.36 at 5 % for large n,
-    the Kolmogorov–Smirnov critical value).
-    """
-    _, values = _clean(series)
-    n = len(values)
-    sigma = values.std()
-    if sigma == 0:
-        return np.zeros(n)
-    centred = np.cumsum(values - values.mean())
-    return centred / (sigma * np.sqrt(n))
 
 
 def detect_single(
@@ -154,68 +109,6 @@ def detect_single(
         mean_after=(total - best_prefix) / (n - best_k),
         significance=cusum_peak,
     )
-
-
-def binary_segmentation(
-    series: TimeSeries,
-    min_segment: int = 16,
-    penalty: float | None = None,
-    max_changes: int = 8,
-) -> list[ChangePoint]:
-    """Recursive multi-change detection.
-
-    A split is accepted when it reduces the within-segment sum of squares by
-    more than ``penalty`` (default: BIC, ``2·σ̂²·log n``). Returns change
-    points in time order.
-    """
-    times, values = _clean(series)
-    n = len(values)
-    if penalty is None:
-        sigma2 = float(np.var(values))
-        penalty = 2.0 * sigma2 * np.log(n)
-
-    changes: list[int] = []
-
-    def recurse(lo: int, hi: int, depth: int) -> None:
-        if hi - lo < 2 * min_segment or len(changes) >= max_changes:
-            return
-        seg = values[lo:hi]
-        m = len(seg)
-        prefix = np.cumsum(seg)
-        total = prefix[-1]
-        k = np.arange(min_segment, m - min_segment + 1)
-        if len(k) == 0:
-            return
-        mean_left = prefix[k - 1] / k
-        mean_right = (total - prefix[k - 1]) / (m - k)
-        between = k * (m - k) / m * (mean_left - mean_right) ** 2
-        best = int(np.argmax(between))
-        if between[best] <= penalty:
-            return
-        split = lo + int(k[best])
-        changes.append(split)
-        recurse(lo, split, depth + 1)
-        recurse(split, hi, depth + 1)
-
-    recurse(0, n, 0)
-    changes.sort()
-
-    result: list[ChangePoint] = []
-    boundaries = [0, *changes, n]
-    cusum_peak = float(np.abs(cusum_statistic(series)).max())
-    for i, split in enumerate(changes):
-        before = values[boundaries[i] : split]
-        after = values[split : boundaries[i + 2]]
-        result.append(
-            ChangePoint(
-                index=split,
-                time_s=float(times[split]),
-                mean_before=float(before.mean()),
-                mean_after=float(after.mean()),
-                significance=cusum_peak,
-            )
-        )
-    return result
 
 
 def segment_means(

@@ -117,10 +117,13 @@ def lint_main(argv: list[str] | None = None, prog: str = "repro lint") -> int:
             return 2
         return 0
 
+    # A path argument names a file relative to the working directory; the
+    # library resolves relative paths against the project root instead.
+    paths = [Path(p).resolve() for p in args.paths]
     try:
         report = run_lint(
-            args.paths,
-            root=find_project_root(Path(args.paths[0])),
+            paths,
+            root=find_project_root(paths[0]),
             select=_split(args.select),
             ignore=_split(args.ignore),
         )

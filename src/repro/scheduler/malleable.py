@@ -54,7 +54,7 @@ from ..grid.carbon_intensity import CarbonIntensityModel
 from ..grid.forecast import ForecastFeed, ForecastIndex
 from ..node.pstates import FrequencySetting
 from ..telemetry.series import TimeSeries
-from ..units import SECONDS_PER_DAY
+from ..units import SECONDS_PER_DAY, ensure_positive
 from ..workload.generator import JobStreamConfig, JobStreamGenerator
 from ..workload.jobs import Job, JobRecord
 from ..workload.mix import WorkloadMix
@@ -1024,8 +1024,7 @@ class MalleableScheduler:
             raise SchedulingError(
                 f"offline_nodes must be in [0, {n_nodes}), got {offline_nodes}"
             )
-        if carbon_tick_interval_s <= 0:
-            raise SchedulingError("carbon_tick_interval_s must be positive")
+        ensure_positive(carbon_tick_interval_s, "carbon_tick_interval_s")
         if not low_g_per_kwh < high_g_per_kwh:
             raise SchedulingError(
                 "low_g_per_kwh must be below high_g_per_kwh "

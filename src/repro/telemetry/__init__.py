@@ -2,7 +2,6 @@
 
 from .io import load_csv, load_npz, save_csv, save_npz
 from .meters import MeterSpec, PowerMeter
-from .quality import Gap, QualityReport, assess_quality, find_flatlines, find_gaps
 from .recorder import CabinetPowerRecorder
 from .series import TimeSeries
 from .streaming import (
@@ -24,11 +23,6 @@ __all__ = [
     "stream_stats",
     "MeterSpec",
     "PowerMeter",
-    "Gap",
-    "QualityReport",
-    "assess_quality",
-    "find_gaps",
-    "find_flatlines",
     "CabinetPowerRecorder",
     "save_csv",
     "load_csv",

@@ -2,8 +2,9 @@
 
 Composes the scheduler's busy-node power trace with the facility inventory's
 static components (idle nodes, switches, cabinet overheads) into the *true*
-compute-cabinet power signal, then measures it through a
-:class:`~repro.telemetry.meters.PowerMeter`. The output is the synthetic
+compute-cabinet power signal. A campaign samples that signal on its grid and
+measures it through the recorder's
+:class:`~repro.telemetry.meters.PowerMeter`; the output is the synthetic
 equivalent of the cabinet telemetry behind the paper's Figures 1–3.
 """
 
@@ -17,7 +18,6 @@ import numpy as np
 from ..facility.hardware import ComponentKind
 from ..facility.inventory import FacilityInventory
 from .meters import MeterSpec, PowerMeter
-from .series import TimeSeries
 
 if TYPE_CHECKING:
     from ..scheduler.accounting import PowerTrace
@@ -27,7 +27,7 @@ __all__ = ["CabinetPowerRecorder"]
 
 @dataclass(frozen=True)
 class CabinetPowerRecorder:
-    """Turns simulation traces into (true or metered) cabinet power series."""
+    """Turns a simulation trace into true cabinet power, paired with its meter."""
 
     inventory: FacilityInventory
     meter: PowerMeter = PowerMeter(MeterSpec(), name="compute-cabinets")
@@ -57,21 +57,3 @@ class CabinetPowerRecorder:
         utilisation = busy_nodes / n_nodes
         idle_power = (n_nodes - busy_nodes) * node_idle_each
         return busy_power + idle_power + base + slope * utilisation
-
-    def true_series(self, trace: PowerTrace, interval_s: float = 900.0) -> TimeSeries:
-        """Noise-free cabinet power series on a regular grid."""
-        times = np.arange(trace.t_start_s, trace.t_end_s, interval_s)
-        return TimeSeries(times, self.true_power_w(trace, times), "compute-cabinets/true")
-
-    def record(
-        self,
-        trace: PowerTrace,
-        rng: np.random.Generator,
-    ) -> TimeSeries:
-        """Metered cabinet power series (noise, quantisation, dropouts)."""
-        return self.meter.sample_function(
-            lambda times: self.true_power_w(trace, times),
-            trace.t_start_s,
-            trace.t_end_s,
-            rng,
-        )

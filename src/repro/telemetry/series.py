@@ -2,8 +2,9 @@
 
 The fundamental data shape of the paper's §3: timestamped power samples from
 the cabinet meters. The series is immutable, keeps timestamps strictly
-increasing, and provides the handful of operations the analysis layer needs —
-slicing, resampling, rolling means, and gap handling (meters drop samples).
+increasing, and provides the batch statistics that the streaming
+accumulators are checked against, plus slicing and scaling. NaN values are
+meter dropouts, and every statistic skips them.
 """
 
 from __future__ import annotations
@@ -131,65 +132,6 @@ class TimeSeries:
             )
         return TimeSeries(self.times_s[mask], self.values[mask], self.name)
 
-    def resample(self, interval_s: float) -> "TimeSeries":
-        """Regular resampling by previous-value hold onto a uniform grid.
-
-        NaN gaps propagate: a grid point whose most recent sample is NaN is
-        NaN. The grid starts at the first timestamp and covers every whole
-        interval of the span — the point count is computed explicitly so the
-        final grid point is neither dropped nor duplicated when ``span_s``
-        is an exact multiple of ``interval_s``.
-        """
-        if interval_s <= 0:
-            raise SeriesShapeError("interval_s must be positive")
-        n_steps = int(np.floor(self.span_s / interval_s + 1e-9))
-        grid = self.t_start_s + interval_s * np.arange(n_steps + 1)
-        idx = np.searchsorted(self.times_s, grid, side="right") - 1
-        idx = np.clip(idx, 0, len(self) - 1)
-        return TimeSeries(grid, self.values[idx], self.name)
-
-    def rolling_mean(self, window_s: float) -> "TimeSeries":
-        """Centred rolling mean over a time window (NaN-skipping).
-
-        Implemented with cumulative sums over sample counts so it stays
-        O(n log n) even for irregular series.
-        """
-        if window_s <= 0:
-            raise SeriesShapeError("window_s must be positive")
-        half = window_s / 2.0
-        lo = np.searchsorted(self.times_s, self.times_s - half, side="left")
-        hi = np.searchsorted(self.times_s, self.times_s + half, side="right")
-        vals = np.nan_to_num(self.values, nan=0.0)
-        valid = (~np.isnan(self.values)).astype(float)
-        csum = np.concatenate([[0.0], np.cumsum(vals)])
-        ccnt = np.concatenate([[0.0], np.cumsum(valid)])
-        sums = csum[hi] - csum[lo]
-        counts = ccnt[hi] - ccnt[lo]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = np.where(counts > 0, sums / counts, np.nan)
-        return TimeSeries(self.times_s, means, self.name)
-
-    def dropna(self) -> "TimeSeries":
-        """Series with NaN samples removed."""
-        mask = ~np.isnan(self.values)
-        if not np.any(mask):
-            raise SeriesShapeError(f"series {self.name!r} has no valid samples")
-        return TimeSeries(self.times_s[mask], self.values[mask], self.name)
-
-    def shift_values(self, offset: float) -> "TimeSeries":
-        """Series with a constant added to every value."""
-        return TimeSeries(self.times_s, self.values + offset, self.name)
-
     def scale_values(self, factor: float) -> "TimeSeries":
         """Series with every value multiplied by a constant (e.g. W→kW)."""
         return TimeSeries(self.times_s, self.values * factor, self.name)
-
-    def __add__(self, other: "TimeSeries") -> "TimeSeries":
-        """Pointwise sum of two series sharing identical timestamps."""
-        if not isinstance(other, TimeSeries):
-            return NotImplemented
-        if len(self) != len(other) or not np.array_equal(self.times_s, other.times_s):
-            raise SeriesShapeError("can only add series with identical timestamps")
-        return TimeSeries(
-            self.times_s, self.values + other.values, self.name or other.name
-        )

@@ -8,7 +8,7 @@ alternative the analysis layer feeds from:
 
 * :class:`OnlineStats` — Welford/Chan accumulator for mean, variance,
   min/max, NaN-aware valid counts and the time-weighted mean, updatable in
-  arbitrary chunks and mergeable across adjacent spans.
+  arbitrary chunks.
 * :class:`MergingQuantileSketch` — a block-merging quantile summary whose
   state depends only on the sequence of observations, never on how they
   were chunked, so scalar and vectorised consumers agree bit-for-bit.
@@ -197,55 +197,6 @@ class OnlineStats:
     def from_series(cls, series: TimeSeries) -> "OnlineStats":
         """Accumulator equivalent to the batch statistics of ``series``."""
         return cls(name=series.name).update(series.times_s, series.values)
-
-    def merge(self, later: "OnlineStats") -> "OnlineStats":
-        """Combine with an accumulator covering a strictly later span.
-
-        Enables parallel reduction: split a series into adjacent spans,
-        accumulate each independently, then fold the results left to right.
-        Returns a new accumulator; neither input is modified.
-        """
-        if later._n_total == 0:
-            return self._copy()
-        if self._n_total == 0:
-            out = later._copy()
-            out.name = self.name or later.name
-            return out
-        if later._t_first <= self._t_last:
-            raise SeriesShapeError(
-                f"cannot merge: later span starts at t={later._t_first} "
-                f"but this span already covers t={self._t_last}"
-            )
-        out = self._copy()
-        boundary_dt = later._t_first - self._t_last
-        out._tw_sum += later._tw_sum
-        out._tw_weight += later._tw_weight
-        if not math.isnan(self._v_last):
-            out._tw_sum += self._v_last * boundary_dt
-            out._tw_weight += boundary_dt
-        out._last_dt = later._last_dt if later._n_total >= 2 else boundary_dt
-        if later._n_valid:
-            n_a, n_b = self._n_valid, later._n_valid
-            if n_a == 0:
-                out._mean, out._m2 = later._mean, later._m2
-            else:
-                delta = later._mean - self._mean
-                n_ab = n_a + n_b
-                out._mean += delta * n_b / n_ab
-                out._m2 += later._m2 + delta * delta * n_a * n_b / n_ab
-            out._n_valid = n_a + n_b
-            out._min = min(self._min, later._min)
-            out._max = max(self._max, later._max)
-        out._n_total = self._n_total + later._n_total
-        out._t_last = later._t_last
-        out._v_last = later._v_last
-        return out
-
-    def _copy(self) -> "OnlineStats":
-        out = OnlineStats(self.name)
-        for slot in OnlineStats.__slots__:
-            setattr(out, slot, getattr(self, slot))
-        return out
 
     # -- persistence -----------------------------------------------------------
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 from ..node.pstates import FrequencySetting
-from ..units import SECONDS_PER_DAY, ensure_positive
+from ..units import SECONDS_PER_DAY, ensure_nonnegative, ensure_positive
 from .jobs import Job
 from .mix import WorkloadMix
 
@@ -83,8 +83,7 @@ class JobStreamConfig:
             raise ConfigurationError("malleable_fraction must be in [0, 1]")
         if self.malleable_span < 1.0:
             raise ConfigurationError("malleable_span must be at least 1")
-        if self.shift_slack_mean_s < 0.0:
-            raise ConfigurationError("shift_slack_mean_s must be non-negative")
+        ensure_nonnegative(self.shift_slack_mean_s, "shift_slack_mean_s")
 
 
 class JobStreamGenerator:

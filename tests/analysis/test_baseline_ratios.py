@@ -1,10 +1,9 @@
-"""Baseline statistics and ratio estimation tests."""
+"""Baseline statistics tests."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.baseline import compare_to_inventory, summarise
-from repro.analysis.ratios import paired_ratio, ratio_of_means
 from repro.errors import AnalysisError
 from repro.telemetry.series import TimeSeries
 from repro.units import SECONDS_PER_DAY
@@ -32,15 +31,6 @@ class TestSummarise:
         with pytest.raises(AnalysisError):
             summarise(series)
 
-    def test_standard_error_decreases_with_samples(self, rng):
-        small = TimeSeries(
-            np.arange(100.0), 100.0 + rng.normal(0, 5, 100)
-        )
-        big = TimeSeries(
-            np.arange(10_000.0), 100.0 + rng.normal(0, 5, 10_000)
-        )
-        assert summarise(big).standard_error < summarise(small).standard_error
-
 
 class TestInventoryComparison:
     def test_baseline_below_loaded_above_idle(self, inventory):
@@ -49,49 +39,3 @@ class TestInventoryComparison:
         result = compare_to_inventory(summarise(series), inventory)
         assert 0.9 < result["fraction_of_loaded"] < 1.0
         assert result["fraction_of_idle"] > 1.5
-
-
-class TestRatioOfMeans:
-    def test_exact_for_constants(self):
-        est = ratio_of_means(np.full(5, 90.0), np.full(5, 100.0))
-        assert est.value == pytest.approx(0.9)
-        assert est.standard_error == 0.0
-
-    def test_uncertainty_from_spread(self, rng):
-        a = 90.0 * (1 + rng.normal(0, 0.02, 10))
-        b = 100.0 * (1 + rng.normal(0, 0.02, 10))
-        est = ratio_of_means(a, b)
-        assert est.standard_error > 0
-        assert est.consistent_with(0.9, n_sigma=3.0)
-
-    def test_single_samples_zero_error(self):
-        est = ratio_of_means(np.array([95.0]), np.array([100.0]))
-        assert est.value == pytest.approx(0.95)
-        assert est.standard_error == 0.0
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(AnalysisError):
-            ratio_of_means(np.array([0.0]), np.array([1.0]))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(AnalysisError):
-            ratio_of_means(np.array([np.inf]), np.array([1.0]))
-
-    def test_str_format(self):
-        est = ratio_of_means(np.array([95.0]), np.array([100.0]))
-        assert "0.950" in str(est)
-
-
-class TestPairedRatio:
-    def test_pairing_removes_shared_variation(self, rng):
-        """Shared per-pair scale cancels exactly in the paired estimator."""
-        shared = rng.lognormal(0, 0.3, 20)
-        a = 0.9 * shared
-        b = 1.0 * shared
-        est = paired_ratio(a, b)
-        assert est.value == pytest.approx(0.9, abs=1e-12)
-        assert est.standard_error == pytest.approx(0.0, abs=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(AnalysisError):
-            paired_ratio(np.ones(3), np.ones(4))

@@ -183,10 +183,6 @@ class TestSummariseStreaming:
         assert stream.median == pytest.approx(median, abs=0.02 * spread)
         assert stream.p95 == pytest.approx(p95, abs=0.02 * spread)
 
-    def test_standard_error_available(self):
-        stats = summarise(step_series(500, 200))
-        assert stats.standard_error > 0
-
     def test_all_nan_raises(self):
         series = TimeSeries(np.arange(5.0), np.full(5, np.nan), "dead-meter")
         with pytest.raises(AnalysisError):

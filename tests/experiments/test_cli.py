@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import pytest
+
 from repro.cli import build_parser, main
 
 
@@ -37,8 +39,18 @@ class TestMain:
         assert main(["run", "t2"]) == 0
         assert "[T2]" in capsys.readouterr().out
 
-    def test_sched_refuses_an_infinite_span(self, capsys, time_limit):
-        assert main(["sched", "--days", "inf", "--nodes", "64"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--days", "inf", "--nodes", "64"],
+            ["--days", "1", "--nodes", "64", "--tick-minutes", "nan"],
+            ["--days", "1", "--nodes", "64", "--tick-minutes", "inf"],
+            ["--days", "1", "--nodes", "64", "--slack-hours", "nan"],
+        ],
+        ids=["days-inf", "tick-nan", "tick-inf", "slack-nan"],
+    )
+    def test_sched_refuses_an_infinite_span(self, capsys, time_limit, argv):
+        assert main(["sched", *argv]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
 

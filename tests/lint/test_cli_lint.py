@@ -98,3 +98,9 @@ def test_repro_cli_dispatches_lint(capsys) -> None:
     exit_code = repro_main(["lint", str(FIXTURES / "floatcmp_good.py")])
     assert exit_code == 0
     assert "clean" in capsys.readouterr().out
+
+
+def test_relative_path_resolves_against_working_directory(capsys, monkeypatch) -> None:
+    monkeypatch.chdir(Path(__file__).parents[1])
+    assert repro_main(["lint", "lint/fixtures/floatcmp_good.py"]) == 0
+    assert "clean" in capsys.readouterr().out

@@ -36,34 +36,11 @@ class TestSeriesProperties:
         assert series.min() - 1e-6 <= series.mean() <= series.max() + 1e-6
 
     @given(series_strategy())
-    @settings(max_examples=60)
-    def test_resample_bounded_by_source(self, series):
-        interval = max(series.span_s / 10.0, 1e-3)
-        resampled = series.resample(interval)
-        assert resampled.min() >= series.min() - 1e-9
-        assert resampled.max() <= series.max() + 1e-9
-
-    @given(series_strategy(), st.floats(min_value=0.1, max_value=1e5))
-    def test_rolling_mean_bounded(self, series, window):
-        smooth = series.rolling_mean(window)
-        # Cumulative-sum evaluation carries relative float error at large
-        # magnitudes, so the bound check is relative, not absolute.
-        slack = 1e-9 * max(1.0, abs(series.min()), abs(series.max()))
-        assert np.nanmin(smooth.values) >= series.min() - slack
-        assert np.nanmax(smooth.values) <= series.max() + slack
-
-    @given(series_strategy())
     def test_scale_linear(self, series):
         doubled = series.scale_values(2.0)
         expected = 2.0 * series.mean()
         tol = 1e-9 * max(1e-300, abs(expected))
         assert abs(doubled.mean() - expected) <= tol
-
-    @given(series_strategy())
-    def test_shift_moves_mean(self, series):
-        shifted = series.shift_values(100.0)
-        tol = 1e-6 * max(1.0, abs(series.mean()))
-        assert abs(shifted.mean() - (series.mean() + 100.0)) <= tol
 
     @given(series_strategy(min_size=4))
     @settings(max_examples=50)
@@ -72,16 +49,3 @@ class TestSeriesProperties:
         part = series.slice(series.t_start_s, mid + 1e-9)
         assert part.t_end_s <= mid + 1e-9
         assert len(part) <= len(series)
-
-    @given(series_strategy())
-    def test_addition_commutes(self, series):
-        other = TimeSeries(series.times_s, series.values * 0.5)
-        a = (series + other).values
-        b = (other + series).values
-        np.testing.assert_array_equal(a, b)
-
-    @given(series_strategy())
-    def test_dropna_idempotent(self, series):
-        cleaned = series.dropna()
-        again = cleaned.dropna()
-        np.testing.assert_array_equal(cleaned.values, again.values)

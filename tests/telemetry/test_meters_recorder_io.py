@@ -99,20 +99,6 @@ class TestCabinetPowerRecorder:
         floor = inv.compute_cabinet_power_w(0.0)
         assert power[0] >= floor
 
-    def test_true_series_regular(self, baseline_campaign):
-        inv = scaled_inventory(0.05)
-        recorder = CabinetPowerRecorder(inv)
-        series = recorder.true_series(baseline_campaign.simulation.trace, 3600.0)
-        np.testing.assert_allclose(np.diff(series.times_s), 3600.0)
-
-    def test_record_close_to_truth(self, baseline_campaign, rng):
-        inv = scaled_inventory(0.05)
-        recorder = CabinetPowerRecorder(inv)
-        trace = baseline_campaign.simulation.trace
-        measured = recorder.record(trace, rng)
-        truth = recorder.true_series(trace, recorder.meter.spec.interval_s)
-        # Means agree to well under the 1 % noise floor × sqrt(n).
-        assert measured.mean() == pytest.approx(truth.mean(), rel=0.01)
 
 
 class TestPersistence:

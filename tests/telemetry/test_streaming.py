@@ -117,25 +117,6 @@ class TestOnlineStats:
         with pytest.raises(SeriesShapeError):
             OnlineStats().update(np.arange(3.0), np.ones(2))
 
-    def test_merge_equals_sequential(self):
-        series = make_noisy_series(500)
-        for cut in (1, 100, 499):
-            left = OnlineStats().update(series.times_s[:cut], series.values[:cut])
-            right = OnlineStats().update(series.times_s[cut:], series.values[cut:])
-            assert_matches_batch(left.merge(right), series)
-
-    def test_merge_with_empty(self):
-        series = make_noisy_series(50)
-        full = OnlineStats.from_series(series)
-        assert_matches_batch(full.merge(OnlineStats()), series)
-        assert_matches_batch(OnlineStats().merge(full), series)
-
-    def test_merge_overlapping_rejected(self):
-        a = OnlineStats().push(10.0, 1.0)
-        b = OnlineStats().push(5.0, 2.0)
-        with pytest.raises(SeriesShapeError):
-            a.merge(b)
-
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         n=st.integers(min_value=2, max_value=300),

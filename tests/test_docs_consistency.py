@@ -76,6 +76,28 @@ class TestReadme:
         assert (ROOT / "docs" / "usage.md").exists()
 
 
+class TestUsageDoc:
+    def test_analyse_telemetry_recipe_runs(self, tmp_path, monkeypatch, capsys):
+        import numpy as np
+
+        from repro.telemetry import TimeSeries, save_csv
+
+        usage = (ROOT / "docs" / "usage.md").read_text()
+        section = usage.split("## Analyse telemetry", 1)[1]
+        block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+        rng = np.random.default_rng(3)
+        times = 900.0 * np.arange(2000)
+        values = np.where(np.arange(2000) < 1200, 3220.0, 3010.0)
+        values = values + rng.normal(0.0, 40.0, len(times))
+        values[::97] = np.nan  # meter dropouts
+        save_csv(TimeSeries(times, values, "cabinets"), tmp_path / "cabinet_power.csv")
+        monkeypatch.chdir(tmp_path)
+        namespace: dict = {}
+        exec(block, namespace)  # noqa: S102 - executing our own usage guide
+        assert namespace["after"] < namespace["before"]
+        assert "significance" in capsys.readouterr().out
+
+
 class TestContributingDoc:
     @pytest.fixture(scope="class")
     def contributing(self):
