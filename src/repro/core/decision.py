@@ -85,7 +85,9 @@ class DecisionEngine:
     """Scores operating configurations against priorities for a workload mix.
 
     Each distinct operating configuration, the baseline included, is
-    evaluated across the whole mix at most once per engine.
+    evaluated across the whole mix at most once per ``runs`` mapping: a
+    fresh one per engine by default. Engines over the same mix and node
+    model may share one.
     """
 
     def __init__(
@@ -95,6 +97,7 @@ class DecisionEngine:
         emissions_model: EmissionsModel,
         ci_g_per_kwh: float,
         baseline: OperatingConfig = BASELINE_CONFIG,
+        runs: dict[OperatingConfig, list[AppRunPoint]] | None = None,
     ) -> None:
         if ci_g_per_kwh < 0:
             raise ConfigurationError("carbon intensity must be non-negative")
@@ -103,7 +106,7 @@ class DecisionEngine:
         self.emissions_model = emissions_model
         self.ci_g_per_kwh = ci_g_per_kwh
         self.baseline = baseline
-        self._runs: dict[OperatingConfig, list[AppRunPoint]] = {}
+        self._runs = {} if runs is None else runs
 
     def candidates(self) -> list[OperatingConfig]:
         """Every frequency setting × determinism mode the node exposes."""

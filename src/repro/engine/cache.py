@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from collections import OrderedDict
 from pathlib import Path
-from typing import Mapping
+from typing import Hashable, Mapping
 
 import numpy as np
 
@@ -48,23 +48,23 @@ _NUMERIC_KINDS = "biuf"
 
 
 class LRUCache:
-    """A bounded least-recently-used map from string keys to cached values."""
+    """A bounded least-recently-used map from hashable keys to cached values."""
 
     def __init__(self, max_entries: int = 8) -> None:
         if max_entries <= 0:
             raise ConfigurationError("max_entries must be positive")
         self.max_entries = max_entries
-        self._entries: OrderedDict[str, object] = OrderedDict()
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def __contains__(self, key: str) -> bool:
+    def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    def get(self, key: str):
+    def get(self, key: Hashable):
         """The cached value for ``key`` (None on miss); refreshes recency."""
         if key in self._entries:
             self._entries.move_to_end(key)
@@ -73,14 +73,14 @@ class LRUCache:
         self.misses += 1
         return None
 
-    def put(self, key: str, value) -> None:
+    def put(self, key: Hashable, value) -> None:
         """Insert/refresh an entry, evicting the least recently used."""
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
 
-    def invalidate(self, key: str) -> bool:
+    def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns whether it existed."""
         return self._entries.pop(key, None) is not None
 

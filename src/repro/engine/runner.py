@@ -24,6 +24,7 @@ Results are :class:`SweepResult` objects implementing the library-wide
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -42,13 +43,16 @@ from ..core.reporting import render_table
 from ..errors import ConfigurationError
 from ..grid.trajectory import lifetime_average_ci, regime_crossing_year
 from ..node.calibration import build_node_model
+from ..node.determinism import DeterminismMode
 from ..node.node_power import NodePowerModel
+from ..node.pstates import FrequencySetting
 from ..units import SECONDS_PER_YEAR, g_to_tonnes
-from .plan import ENGINE_VERSION, Scenario, SweepSpec
+from .plan import ENGINE_VERSION, CIScenario, Scenario, SweepSpec
 from .cache import LRUCache, SweepStore
 
 __all__ = [
     "COLUMNS",
+    "PointTables",
     "SweepMeta",
     "SweepResult",
     "evaluate_scenario",
@@ -89,8 +93,14 @@ COLUMN_DTYPES: dict[str, np.dtype] = {
 
 COLUMNS: tuple[str, ...] = tuple(COLUMN_DTYPES)
 
+#: Columns holding category codes; exports render them as labels.
+_CODE_COLUMNS = ("frequency_idx", "bios_mode_idx", "ci_idx", "regime_code")
+
 #: Default rows per vectorized batch.
 DEFAULT_CHUNK_SIZE = 4096
+
+#: Entries each :class:`PointTables` map holds before it evicts.
+POINT_TABLE_CAPACITY = 1024
 
 
 # -- evaluation context --------------------------------------------------------
@@ -246,20 +256,114 @@ def _evaluate_chunk(ctx: _Context, lo: int, hi: int) -> dict[str, np.ndarray]:
 # -- scalar reference path -----------------------------------------------------
 
 
+def _operating_point(
+    node_model: NodePowerModel,
+    setting: FrequencySetting,
+    mode: DeterminismMode,
+    compute_activity: float,
+    memory_activity: float,
+) -> tuple[float, float]:
+    """(effective GHz, busy-node W) at one operating point and activity split."""
+    point = node_model.cpu.operating_point(setting, mode)
+    busy_w = float(node_model.busy_power_w(point, compute_activity, memory_activity))
+    return point.effective_ghz, busy_w
+
+
+def _lifetime_ci(ci: CIScenario, lifetime_years: float, steps: int) -> float:
+    """Lifetime-average carbon intensity of one CI scenario."""
+    return lifetime_average_ci(ci.trajectory(), lifetime_years, steps=steps)
+
+
+def _kept(table: LRUCache, key: tuple, resolve: Callable[..., object]):
+    """``resolve(*key)``, read from ``table`` when it holds ``key``, kept there when not.
+
+    A key with an unhashable field is resolved afresh and not kept: session
+    params reach ``lifetime_ci`` unvalidated, and a CI mapping from the
+    wire may name its scenario with a list.
+    """
+    try:
+        value = table.get(key)
+    except TypeError:
+        return resolve(*key)
+    if value is None:
+        value = resolve(*key)
+        table.put(key, value)
+    return value
+
+
+class PointTables:
+    """Categorical inputs of point evaluations, resolved once and kept.
+
+    * ``operating``: (frequency setting, BIOS mode, compute activity,
+      memory activity) → (effective GHz, busy-node W);
+    * ``mean_ci``: (:class:`CIScenario`, lifetime, averaging steps) →
+      lifetime-average CI.
+
+    Each value is what the scalar core functions return for its key, so a
+    row evaluated through the tables is the same floats as one resolved
+    afresh. The keys hold client-supplied floats, so each map is an
+    :class:`LRUCache` bounded at :data:`POINT_TABLE_CAPACITY` entries. The
+    operating points belong to ``node_model`` alone. The maps are not
+    locked: use them from one thread.
+    """
+
+    def __init__(self, node_model: NodePowerModel) -> None:
+        self.node_model = node_model
+        self.operating = LRUCache(POINT_TABLE_CAPACITY)
+        self.mean_ci = LRUCache(POINT_TABLE_CAPACITY)
+
+    def operating_point(
+        self,
+        setting: FrequencySetting,
+        mode: DeterminismMode,
+        compute_activity: float,
+        memory_activity: float,
+    ) -> tuple[float, float]:
+        """(effective GHz, busy-node W), as :meth:`NodePowerModel.busy_power_w` gives it."""
+        return _kept(
+            self.operating,
+            (setting, mode, compute_activity, memory_activity),
+            partial(_operating_point, self.node_model),
+        )
+
+    def lifetime_ci(self, ci: CIScenario, lifetime_years: float, steps: int) -> float:
+        """Lifetime-average CI, as :func:`lifetime_average_ci` gives it."""
+        return _kept(self.mean_ci, (ci, lifetime_years, steps), _lifetime_ci)
+
+
 def evaluate_scenario(
-    spec: SweepSpec, scenario: Scenario, node_model: NodePowerModel | None = None
+    spec: SweepSpec,
+    scenario: Scenario,
+    node_model: NodePowerModel | None = None,
+    tables: PointTables | None = None,
 ) -> dict[str, float]:
     """Evaluate one scenario through the plain scalar ``core.*`` paths.
 
     This is the regression oracle the vectorized runner is held to: one
     operating-point resolution, one :class:`EmissionsModel`, one trajectory
     average, one regime classification — no batching anywhere.
+
+    Without ``tables`` every input is resolved afresh. With them, the
+    operating point and the lifetime-average CI are read from the tables
+    when they hold them and kept there when not; the row is the same
+    floats either way. The tables must belong to ``node_model``.
     """
     node_model = node_model or build_node_model()
-    point = node_model.cpu.operating_point(scenario.frequency, scenario.bios_mode)
-    busy_w = float(
-        node_model.busy_power_w(point, spec.compute_activity, spec.memory_activity)
+    point_key = (
+        scenario.frequency,
+        scenario.bios_mode,
+        spec.compute_activity,
+        spec.memory_activity,
     )
+    ci_key = (scenario.ci, scenario.lifetime_years, spec.ci_average_steps)
+    if tables is None:
+        effective_ghz, busy_w = _operating_point(node_model, *point_key)
+        mean_ci = _lifetime_ci(*ci_key)
+    elif tables.node_model is not node_model:
+        raise ConfigurationError("point tables belong to another node model")
+    else:
+        effective_ghz, busy_w = tables.operating_point(*point_key)
+        mean_ci = tables.lifetime_ci(*ci_key)
     idle_w = node_model.idle_power_w
     n = scenario.n_nodes
     u = scenario.utilisation
@@ -271,14 +375,12 @@ def evaluate_scenario(
         ),
         mean_power_kw=mean_power_kw,
     )
-    trajectory = scenario.ci.trajectory()
-    mean_ci = lifetime_average_ci(
-        trajectory, scenario.lifetime_years, steps=spec.ci_average_steps
-    )
     breakdown = model.lifetime_breakdown(mean_ci)
     crossover = model.crossover_ci_g_per_kwh()
     regime = classify_ci(mean_ci)
-    crossing = regime_crossing_year(trajectory, crossover, scenario.lifetime_years)
+    crossing = regime_crossing_year(
+        scenario.ci.trajectory(), crossover, scenario.lifetime_years
+    )
 
     perf_ratio = energy_ratio = float("nan")
     app = _resolve_app(spec)
@@ -298,7 +400,7 @@ def evaluate_scenario(
         "utilisation": u,
         "n_nodes": n,
         "lifetime_years": scenario.lifetime_years,
-        "effective_ghz": point.effective_ghz,
+        "effective_ghz": effective_ghz,
         "busy_node_w": busy_w,
         "mean_power_kw": mean_power_kw,
         "annual_energy_kwh": model.annual_energy_kwh(),
@@ -380,7 +482,7 @@ class SweepResult:
         out["bios_mode"] = self.spec.bios_modes[int(cols["bios_mode_idx"][index])].value
         out["ci_scenario"] = self.spec.ci_scenarios[int(cols["ci_idx"][index])].name
         for name in COLUMNS:
-            if name in ("frequency_idx", "bios_mode_idx", "ci_idx", "regime_code"):
+            if name in _CODE_COLUMNS:
                 continue
             value = cols[name][index]
             out[name] = int(value) if name == "n_nodes" else float(value)
@@ -467,8 +569,11 @@ class SweepResult:
 
         Floats are rendered with ``repr`` (shortest round-trip form), so a
         cache replay that reproduces the same float64 values reproduces the
-        same bytes.
+        same bytes. Each column is rendered once, then the columns are
+        zipped into rows.
         """
+        cols = self.columns
+        value_names = [name for name in COLUMNS if name not in _CODE_COLUMNS]
         header = [
             "scenario",
             "frequency",
@@ -476,37 +581,26 @@ class SweepResult:
             "ci_scenario",
             "regime",
             "target",
-        ] + [
-            name
-            for name in COLUMNS
-            if name not in ("frequency_idx", "bios_mode_idx", "ci_idx", "regime_code")
+            *value_names,
         ]
-        rows: list[list[str]] = [header]
-        cols = self.columns
         freq_labels = [f.value for f in self.spec.frequencies]
         mode_labels = [m.value for m in self.spec.bios_modes]
         ci_labels = [c.name for c in self.spec.ci_scenarios]
         regime_labels = [r.value for r in REGIME_ORDER]
         target_labels = [advice(r).value for r in REGIME_ORDER]
-        for i in range(len(self)):
-            code = int(cols["regime_code"][i])
-            row = [
-                str(i),
-                freq_labels[int(cols["frequency_idx"][i])],
-                mode_labels[int(cols["bios_mode_idx"][i])],
-                ci_labels[int(cols["ci_idx"][i])],
-                regime_labels[code],
-                target_labels[code],
-            ]
-            for name in COLUMNS:
-                if name in ("frequency_idx", "bios_mode_idx", "ci_idx", "regime_code"):
-                    continue
-                if name == "n_nodes":
-                    row.append(str(int(cols[name][i])))
-                else:
-                    row.append(repr(float(cols[name][i])))
-            rows.append(row)
-        return {"scenarios": rows}
+        codes = cols["regime_code"].tolist()
+        rendered = [
+            [str(i) for i in range(len(self))],
+            [freq_labels[i] for i in cols["frequency_idx"].tolist()],
+            [mode_labels[i] for i in cols["bios_mode_idx"].tolist()],
+            [ci_labels[i] for i in cols["ci_idx"].tolist()],
+            [regime_labels[code] for code in codes],
+            [target_labels[code] for code in codes],
+        ]
+        for name in value_names:
+            render = str if name == "n_nodes" else repr
+            rendered.append([render(value) for value in cols[name].tolist()])
+        return {"scenarios": [header, *(list(row) for row in zip(*rendered))]}
 
 
 # -- runners -------------------------------------------------------------------

@@ -14,8 +14,8 @@ the convention mechanical:
   and ``np.random.default_rng()`` called without a seed.
 
 Entry points that *report* elapsed time (``repro run``'s progress line,
-benchmarks, examples) are allowlisted by path; anything else must thread
-time and randomness in explicitly.  A reviewed exception is
+benchmarks, examples) are allowlisted by module name or directory; anything
+else must thread time and randomness in explicitly.  A reviewed exception is
 annotated in place: ``# lint: allow-unseeded -- state restored on next line``.
 """
 
@@ -26,19 +26,16 @@ from typing import Iterable
 
 from ..context import FileContext, ProjectContext
 from ..findings import Finding
+from ..graph import module_name_of
 from ..registry import Checker, register
 
 __all__ = ["DeterminismChecker"]
 
-#: Root-relative paths allowed to read the wall clock: process entry points
-#: that time themselves for the operator, not for the model.
-ENTRY_POINT_ALLOWLIST = frozenset(
-    {
-        "src/repro/cli.py",
-        "src/repro/__main__.py",
-        "src/repro/engine/cli.py",
-        "src/repro/lint/cli.py",
-    }
+#: Modules allowed to read the wall clock: process entry points that time
+#: themselves for the operator, not for the model. Keyed by module name, so
+#: the list holds wherever the project root lands.
+ENTRY_POINT_MODULES = frozenset(
+    {"repro.cli", "repro.__main__", "repro.engine.cli", "repro.lint.cli"}
 )
 
 #: Directory prefixes with the same dispensation (operator-facing drivers).
@@ -156,7 +153,7 @@ class DeterminismChecker(Checker):
     def applies_to(self, rel: str) -> bool:
         if not rel.endswith(".py"):
             return False
-        if rel in ENTRY_POINT_ALLOWLIST:
+        if module_name_of(rel) in ENTRY_POINT_MODULES:
             return False
         return not rel.startswith(ENTRY_POINT_PREFIXES)
 

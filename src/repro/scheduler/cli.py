@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Callable
 
@@ -47,6 +48,33 @@ from .malleable import (
 )
 
 __all__ = ["build_sched_parser", "sched_main"]
+
+
+def _checked_float(wanted: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """An argparse ``type=``: the flag's value, refused unless ``ok`` holds.
+
+    argparse then exits 2 with ``argument --flag: must be <wanted>, got '<text>'``,
+    so the refusal names the flag and the value as typed.
+    """
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _finite_non_negative(value: float) -> bool:
+    return math.isfinite(value) and value >= 0.0
+
+
+def _finite_positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
 
 
 def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
@@ -77,13 +105,13 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--slack-hours",
-        type=float,
+        type=_checked_float("a finite non-negative number of hours", _finite_non_negative),
         default=2.0,
         help="mean start slack of malleable jobs, hours",
     )
     parser.add_argument(
         "--tick-minutes",
-        type=float,
+        type=_checked_float("a finite positive number of minutes", _finite_positive),
         default=30.0,
         help="carbon re-evaluation cadence, minutes",
     )
@@ -130,7 +158,7 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ckpt-minutes",
-        type=float,
+        type=_checked_float("a finite non-negative number of minutes", _finite_non_negative),
         default=0.0,
         help="checkpoint cadence for killed-job restart, minutes (0 = restart "
         "from scratch)",
@@ -143,7 +171,7 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--stale-after-hours",
-        type=float,
+        type=_checked_float("a positive number of hours", lambda value: value > 0.0),
         default=2.0,
         help="forecast staleness beyond which malleable degrades, hours",
     )
@@ -186,8 +214,10 @@ def _resume_replays(
 def sched_main(argv: list[str], prog: str = "repro sched") -> int:
     """``repro sched`` entry point; returns a process exit code.
 
-    An argument the library refuses (a non-finite or non-positive span, no
-    nodes, a zero tick) prints ``error: <message>`` and returns 2.
+    A slack, tick, checkpoint or staleness flag out of its range is refused
+    by argparse, which names the flag and exits 2. An argument the library
+    refuses (a non-finite or non-positive span, no nodes) prints
+    ``error: <message>`` and returns 2.
     """
     args = build_sched_parser(prog).parse_args(argv)
     t_end_s = args.days * SECONDS_PER_DAY

@@ -39,9 +39,9 @@ from ..core.emissions import EmbodiedProfile, EmissionsModel
 from ..core.regimes import OptimisationTarget, Regime, advice, classify_ci
 from ..engine.cache import LRUCache, SweepStore
 from ..engine.plan import CIScenario, SweepSpec
-from ..engine.runner import SweepResult, evaluate_scenario, run_sweep
+from ..engine.runner import PointTables, SweepResult, evaluate_scenario, run_sweep
 from ..errors import ConfigurationError
-from ..grid.trajectory import lifetime_average_ci
+from ..node.app_energy import AppRunPoint
 from ..node.calibration import build_node_model
 from ..node.determinism import DeterminismMode
 from ..node.pstates import FrequencySetting
@@ -144,6 +144,13 @@ class FacilityCore:
     (when ``cache_dir`` is given) the same content-addressed ``store``, so
     a sweep any client has paid for is free for all of them.
 
+    Point answers read what never changes from three tables kept for the
+    core's lifetime: ``tables`` (a :class:`~repro.engine.runner.PointTables`:
+    operating points and lifetime-average CIs, each bounded) and ``runs``
+    (the mix evaluated at each operating config, at most one entry per
+    frequency setting × BIOS mode). An answer read from them is the same
+    bytes as one resolved afresh.
+
     ``runner`` is the sweep entry point (default
     :func:`repro.engine.runner.run_sweep`); tests substitute an
     instrumented callable to count real evaluations under coalescing.
@@ -167,6 +174,8 @@ class FacilityCore:
             SweepStore(cache_dir) if cache_dir is not None else None
         )
         self.runner = runner
+        self.tables = PointTables(self.node_model)
+        self.runs: dict[OperatingConfig, list[AppRunPoint]] = {}
 
     # -- internals ---------------------------------------------------------
 
@@ -193,13 +202,19 @@ class FacilityCore:
     ) -> dict[str, float]:
         """One scenario through the scalar oracle (the sessions' hot path)."""
         spec = self.point_spec(params, config)
-        return evaluate_scenario(spec, spec.scenario(0), self.node_model)
+        return evaluate_scenario(
+            spec, next(spec.scenarios()), self.node_model, self.tables
+        )
 
     # -- §2: emissions and regimes -----------------------------------------
 
     def mean_ci_g_per_kwh(self, params: SessionParams) -> float:
         """Lifetime-average carbon intensity of the session's grid scenario."""
-        return lifetime_average_ci(params.ci.trajectory(), params.lifetime_years)
+        # The point spec's default averaging steps, so this shares entries
+        # with the emissions rows.
+        return self.tables.lifetime_ci(
+            params.ci, params.lifetime_years, SweepSpec.ci_average_steps
+        )
 
     def mean_power_kw(
         self, params: SessionParams, config: OperatingConfig | None = None
@@ -275,6 +290,7 @@ class FacilityCore:
             emissions_model=self.emissions_model(params),
             ci_g_per_kwh=self.mean_ci_g_per_kwh(params),
             baseline=params.config,
+            runs=self.runs,
         )
         return engine.recommend(priorities)
 

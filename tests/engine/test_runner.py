@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.core.regimes import advice
 from repro.engine.cache import LRUCache, SweepStore
 from repro.engine.plan import CIScenario, SweepSpec
 from repro.engine.runner import (
     COLUMNS,
+    REGIME_ORDER,
     SweepResult,
     evaluate_scenario,
     run_sweep,
@@ -35,6 +37,35 @@ def rich_spec(**overrides):
     )
     fields.update(overrides)
     return SweepSpec(**fields)
+
+
+def row_wise_csv(result: SweepResult) -> list[list[str]]:
+    """The sweep CSV rendered one cell at a time: the reference for the
+    column-wise ``SweepResult.to_csv_rows``."""
+    codes = ("frequency_idx", "bios_mode_idx", "ci_idx", "regime_code")
+    header = ["scenario", "frequency", "bios_mode", "ci_scenario", "regime", "target"]
+    header += [name for name in COLUMNS if name not in codes]
+    rows = [header]
+    cols = result.columns
+    for i in range(len(result)):
+        regime = REGIME_ORDER[int(cols["regime_code"][i])]
+        row = [
+            str(i),
+            result.spec.frequencies[int(cols["frequency_idx"][i])].value,
+            result.spec.bios_modes[int(cols["bios_mode_idx"][i])].value,
+            result.spec.ci_scenarios[int(cols["ci_idx"][i])].name,
+            regime.value,
+            advice(regime).value,
+        ]
+        for name in COLUMNS:
+            if name in codes:
+                continue
+            if name == "n_nodes":
+                row.append(str(int(cols[name][i])))
+            else:
+                row.append(repr(float(cols[name][i])))
+        rows.append(row)
+    return rows
 
 
 class TestVectorizedMatchesScalar:
@@ -161,6 +192,31 @@ class TestSweepResult:
         assert len(rows) == len(result) + 1
         assert rows[0][0] == "scenario"
         assert all(len(r) == len(rows[0]) for r in rows)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            rich_spec(),
+            rich_spec(app_name=None),
+            SweepSpec(
+                bios_modes=(DeterminismMode.PERFORMANCE,),
+                ci_scenarios=(
+                    CIScenario.flat(25.0),
+                    CIScenario.decarbonising(190.0, 0.07),
+                    CIScenario.flat(300.0),
+                ),
+                utilisations=(0.5, 0.7, 0.9),
+                lifetimes_years=(4.0, 6.0, 13.0),
+                combine="zip",
+            ),
+        ],
+        ids=["app", "no-app", "zip"],
+    )
+    def test_to_csv_rows_equals_the_row_wise_rendering(self, spec):
+        result = run_sweep(spec)
+        crossing = result.columns["crossing_year"]
+        assert np.isnan(crossing).any() and not np.isnan(crossing).all()
+        assert result.to_csv_rows() == {"scenarios": row_wise_csv(result)}
 
     def test_truncation_note_on_large_grids(self):
         result = run_sweep(rich_spec(app_name=None))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint.checkers.determinism import DeterminismChecker
 from repro.lint.engine import run_lint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -135,3 +136,16 @@ def test_findings_are_sorted_and_deterministic() -> None:
         f.to_dict() for f in second.findings
     ]
     assert first.findings == sorted(first.findings)
+
+
+@pytest.mark.parametrize(
+    "rel, applies",
+    [
+        ("src/repro/cli.py", False),
+        ("repro/cli.py", False),
+        ("repro/core/emissions.py", True),
+    ],
+)
+def test_rep201_exemptions_follow_the_module_not_the_root(rel: str, applies: bool) -> None:
+    # Linting src/ without a pyproject.toml above it makes src/ the root.
+    assert DeterminismChecker().applies_to(rel) is applies

@@ -1,0 +1,197 @@
+"""The point tables of FacilityCore: answers read from them equal fresh ones.
+
+The record's CLI replays never run the point path, and perfbench builds
+its expected bodies through the same core, so these tests are what holds
+the tables to the fresh scalar path. Cells are compared by ``repr``, which
+matches NaN with NaN and tells -0.0 from 0.0.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from repro.core.decision import ARCHER2_WINTER_2022, DecisionEngine, Priorities
+from repro.core.efficiency import OperatingConfig
+from repro.core.emissions import EmbodiedProfile, EmissionsModel
+from repro.engine.plan import CIScenario, SweepSpec
+from repro.engine.runner import POINT_TABLE_CAPACITY, PointTables, evaluate_scenario
+from repro.errors import ConfigurationError
+from repro.grid.trajectory import lifetime_average_ci
+from repro.node.calibration import build_node_model
+from repro.node.determinism import DeterminismMode
+from repro.node.pstates import FrequencySetting
+from repro.service import FacilityCore, SessionParams
+from repro.workload.mix import archer2_mix
+
+CONFIGS = [
+    OperatingConfig(setting, mode)
+    for setting in FrequencySetting
+    for mode in DeterminismMode
+]
+#: Flat CIs on each side of the 30 and 100 gCO2/kWh boundaries, plus a
+#: decarbonising grid that crosses both.
+CIS = [
+    CIScenario.flat(25.0),
+    CIScenario.flat(55.0),
+    CIScenario.flat(190.0),
+    CIScenario.decarbonising(190.0, 0.07),
+]
+PRIORITIES = [
+    ARCHER2_WINTER_2022,
+    Priorities(),
+    Priorities(performance=5.0, min_performance_ratio=0.5),
+]
+
+
+def cells(row: dict) -> dict[str, str]:
+    return {name: repr(value) for name, value in row.items()}
+
+
+def fresh_row(params: SessionParams) -> dict:
+    """The emissions row, every input resolved afresh (no tables)."""
+    spec = SweepSpec(
+        frequencies=(params.config.setting,),
+        bios_modes=(params.config.mode,),
+        ci_scenarios=(params.ci,),
+        utilisations=(params.utilisation,),
+        node_counts=(params.n_nodes,),
+        lifetimes_years=(params.lifetime_years,),
+        embodied_per_node_tco2e=params.embodied_per_node_tco2e,
+        embodied_overhead_tco2e=params.embodied_overhead_tco2e,
+        compute_activity=params.compute_activity,
+        memory_activity=params.memory_activity,
+    )
+    return evaluate_scenario(spec, next(spec.scenarios()), build_node_model())
+
+
+def fresh_mean_ci(params: SessionParams) -> float:
+    return lifetime_average_ci(params.ci.trajectory(), params.lifetime_years)
+
+
+def fresh_advice(params: SessionParams, priorities: Priorities):
+    """A fresh engine over a fresh mix and node model, as before the tables."""
+    model = EmissionsModel(
+        embodied=EmbodiedProfile(
+            total_tco2e=params.embodied_overhead_tco2e
+            + params.embodied_per_node_tco2e * params.n_nodes,
+            lifetime_years=params.lifetime_years,
+        ),
+        mean_power_kw=fresh_row(params)["mean_power_kw"],
+    )
+    engine = DecisionEngine(
+        mix=archer2_mix(),
+        node_model=build_node_model(),
+        emissions_model=model,
+        ci_g_per_kwh=fresh_mean_ci(params),
+        baseline=params.config,
+    )
+    return engine.recommend(priorities)
+
+
+def assert_point_answers(core: FacilityCore, params: SessionParams) -> None:
+    assert cells(core.emissions(params)) == cells(fresh_row(params))
+    assert repr(core.mean_ci_g_per_kwh(params)) == repr(fresh_mean_ci(params))
+
+
+class TestParity:
+    @pytest.mark.parametrize(
+        "activity", [(0.3, 0.7), (0.55, 0.25)], ids=["default-split", "other-split"]
+    )
+    def test_emissions_and_mean_ci_equal_the_fresh_path(self, activity):
+        core = FacilityCore()
+        sessions = [
+            SessionParams(
+                n_nodes=n_nodes,
+                lifetime_years=lifetime,
+                ci=ci,
+                compute_activity=activity[0],
+                memory_activity=activity[1],
+                config=config,
+            )
+            for config, ci, lifetime, n_nodes in itertools.product(
+                CONFIGS, CIS, (0.5, 6.0, 13.0), (1, 9000)
+            )
+        ]
+        for _ in range(2):  # the second pass reads every input from the tables
+            for params in sessions:
+                assert_point_answers(core, params)
+        assert core.tables.operating.hits > 0
+        assert core.tables.mean_ci.hits > 0
+
+    def test_advice_equals_a_fresh_engine(self):
+        core = FacilityCore()
+        sessions = [SessionParams(ci=ci, config=config) for config in CONFIGS for ci in CIS]
+        for _ in range(2):
+            for params in sessions:
+                for priorities in PRIORITIES:
+                    assert core.advise(params, priorities) == fresh_advice(params, priorities)
+
+    def test_regime_reads_the_same_mean_ci(self):
+        core = FacilityCore()
+        for ci in CIS:
+            params = SessionParams(ci=ci, lifetime_years=13.0)
+            for _ in range(2):
+                assert core.classify_regime(params) == core.classify_regime(
+                    params, fresh_mean_ci(params)
+                )
+
+
+class TestCompleteKeys:
+    """Two sessions that differ in one key field get their own answers."""
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ({"config": CONFIGS[0]}, {"config": CONFIGS[1]}),
+            ({"compute_activity": 0.3}, {"compute_activity": 0.2}),
+            ({"memory_activity": 0.7}, {"memory_activity": 0.6}),
+            ({"ci": CIS[2]}, {"ci": CIS[3]}),
+            ({"lifetime_years": 6.0, "ci": CIS[3]}, {"lifetime_years": 13.0, "ci": CIS[3]}),
+        ],
+        ids=["config", "compute_activity", "memory_activity", "ci", "lifetime"],
+    )
+    def test_second_session_gets_its_own_answer(self, first, second):
+        core = FacilityCore()
+        a, b = SessionParams(**first), SessionParams(**second)
+        assert cells(fresh_row(a)) != cells(fresh_row(b))
+        for params in (a, b, a, b):
+            assert_point_answers(core, params)
+            assert core.advise(params) == fresh_advice(params, ARCHER2_WINTER_2022)
+
+    def test_averaging_steps_are_part_of_the_key(self):
+        node_model = build_node_model()
+        tables = PointTables(node_model)
+        ci = CIScenario.decarbonising(190.0, 0.07)
+        for steps in (10, 1000, 10):
+            spec = SweepSpec(ci_scenarios=(ci,), ci_average_steps=steps)
+            for scenario in spec.scenarios():
+                kept = evaluate_scenario(spec, scenario, node_model, tables)
+                assert cells(kept) == cells(evaluate_scenario(spec, scenario, node_model))
+
+
+class TestBounds:
+    def test_float_keyed_tables_stay_within_capacity(self):
+        core = FacilityCore()
+        for i in range(2 * POINT_TABLE_CAPACITY):
+            params = SessionParams(
+                ci=50.0 + 0.01 * i, compute_activity=0.1 + 1e-4 * i, memory_activity=0.5
+            )
+            core.emissions(params)
+            core.mean_ci_g_per_kwh(params)
+        assert len(core.tables.operating) == POINT_TABLE_CAPACITY
+        assert len(core.tables.mean_ci) == POINT_TABLE_CAPACITY
+
+    def test_runs_table_holds_one_entry_per_operating_config(self):
+        core = FacilityCore()
+        for config in CONFIGS:
+            core.advise(SessionParams(config=config))
+        assert set(core.runs) == set(CONFIGS)
+        assert len(core.runs) == 6
+
+    def test_tables_refuse_another_node_model(self):
+        spec = SweepSpec()
+        tables = PointTables(build_node_model())
+        with pytest.raises(ConfigurationError, match="another node model"):
+            evaluate_scenario(spec, next(spec.scenarios()), build_node_model(), tables)

@@ -55,6 +55,7 @@ COMMANDS = [
     " --spec-out {tmp}/spec.json",
     "sweep run --spec {tmp}/spec.json --cache {tmp}/cache --chunk-size 16 --export {tmp}/s1",
     "sweep resume --spec {tmp}/spec.json --cache {tmp}/cache --chunk-size 16 --export {tmp}/s2",
+    "sweep invalidate --spec {tmp}/spec.json --cache {tmp}/cache",
     "sched --days 7 --nodes 256 --check",
     "sched --days 7 --nodes 256 --inject-faults --mtbf-hours 200 --mttr-hours 6 --check",
     "sched --days 7 --nodes 256 --inject-faults --mtbf-hours 200 --mttr-hours 6"
