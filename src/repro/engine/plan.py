@@ -28,7 +28,7 @@ from ..errors import ConfigurationError
 from ..grid.trajectory import DecarbonisationTrajectory
 from ..node.determinism import DeterminismMode
 from ..node.pstates import FrequencySetting
-from ..units import ensure_fraction, ensure_nonnegative, ensure_positive
+from ..units import ensure_fraction, ensure_nonnegative, ensure_positive, is_number
 
 __all__ = [
     "ENGINE_VERSION",
@@ -72,10 +72,20 @@ class CIScenario:
     floor_ci_g_per_kwh: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.name or any(c in self.name for c in ",\n\r"):
+        name = self.name
+        if not isinstance(name, str) or not name or any(c in name for c in ",\n\r"):
             raise ConfigurationError(
-                f"CI scenario name must be non-empty without commas/newlines, got {self.name!r}"
+                "CI scenario name must be a non-empty string without commas/newlines, "
+                f"got {self.name!r}"
             )
+        for field_name in ("start_ci_g_per_kwh", "annual_reduction", "floor_ci_g_per_kwh"):
+            value = getattr(self, field_name)
+            if value is None and field_name == "floor_ci_g_per_kwh":
+                continue
+            if not is_number(value):
+                raise ConfigurationError(
+                    f"CI scenario {field_name} must be a number, got {value!r}"
+                )
         # Normalise the floor default eagerly so equal scenarios compare equal
         # regardless of whether they came from a constructor or canonical JSON.
         object.__setattr__(self, "floor_ci_g_per_kwh", self.resolved_floor)
@@ -131,12 +141,28 @@ class CIScenario:
 
     @classmethod
     def from_canonical(cls, data: dict) -> "CIScenario":
-        """Rebuild from :meth:`to_canonical` output."""
+        """Rebuild from :meth:`to_canonical` output.
+
+        A ``data`` that is not a mapping holding the four keys is a
+        :class:`ConfigurationError`.
+        """
+        try:
+            name, start, reduction, floor = (
+                data["name"],
+                data["start_ci_g_per_kwh"],
+                data["annual_reduction"],
+                data["floor_ci_g_per_kwh"],
+            )
+        except (KeyError, TypeError):
+            raise ConfigurationError(
+                "a CI scenario is a mapping of name, start_ci_g_per_kwh, "
+                f"annual_reduction and floor_ci_g_per_kwh, got {data!r}"
+            ) from None
         return cls(
-            name=data["name"],
-            start_ci_g_per_kwh=data["start_ci_g_per_kwh"],
-            annual_reduction=data["annual_reduction"],
-            floor_ci_g_per_kwh=data["floor_ci_g_per_kwh"],
+            name=name,
+            start_ci_g_per_kwh=start,
+            annual_reduction=reduction,
+            floor_ci_g_per_kwh=floor,
         )
 
 

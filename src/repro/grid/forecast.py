@@ -14,6 +14,8 @@ views of such a forecast that the malleable scheduler consumes:
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +55,9 @@ class ForecastIndex:
     precomputes the prefix integral so any window mean is an O(log n)
     lookup with no quadrature error. This is what the malleable scheduler
     calls on every placement decision, so it must be cheap and, for
-    reproducibility, bit-deterministic.
+    reproducibility, bit-deterministic: breakpoints, values and the prefix
+    are kept as Python lists, and each query bisects them in plain float
+    arithmetic, with no array call per query.
     """
 
     def __init__(self, series: TimeSeries) -> None:
@@ -62,36 +66,37 @@ class ForecastIndex:
                 "forecast series contains NaN samples; fill gaps before indexing"
             )
         self.series = series
-        self._times = series.times_s
-        self._values = series.values
+        times, values = series.times_s, series.values
         # _prefix[i] = ∫ ci dt over [times[0], times[i]]
-        segment = self._values[:-1] * np.diff(self._times)
-        self._prefix = np.concatenate(([0.0], np.cumsum(segment)))
+        segment = values[:-1] * np.diff(times)
+        self._prefix: list[float] = np.concatenate(([0.0], np.cumsum(segment))).tolist()
+        self._times: list[float] = times.tolist()
+        self._values: list[float] = values.tolist()
 
     def ci_at(self, t_s: float) -> float:
         """Carbon intensity at ``t_s``, gCO₂/kWh (previous-value hold)."""
-        idx = int(np.searchsorted(self._times, t_s, side="right")) - 1
-        idx = min(max(idx, 0), len(self._times) - 1)
-        return float(self._values[idx])
+        return self._values[max(bisect_right(self._times, t_s) - 1, 0)]
 
     def _integral_to(self, t_s: float) -> float:
         """∫ ci dt from the first breakpoint to ``t_s`` (flat extension)."""
-        t_first = float(self._times[0])
-        if t_s <= t_first:
-            return float(self._values[0]) * (t_s - t_first)
-        t_last = float(self._times[-1])
-        if t_s >= t_last:
-            return float(self._prefix[-1]) + float(self._values[-1]) * (t_s - t_last)
-        idx = int(np.searchsorted(self._times, t_s, side="right")) - 1
-        return float(self._prefix[idx]) + float(self._values[idx]) * (
-            t_s - float(self._times[idx])
-        )
+        times = self._times
+        if t_s <= times[0]:
+            return self._values[0] * (t_s - times[0])
+        if t_s >= times[-1]:
+            return self._prefix[-1] + self._values[-1] * (t_s - times[-1])
+        idx = bisect_right(times, t_s) - 1
+        return self._prefix[idx] + self._values[idx] * (t_s - times[idx])
+
+    def _mean(self, t0_s: float, t1_s: float) -> float:
+        """Mean over ``[t0_s, t1_s]``; the caller has checked the bounds."""
+        return (self._integral_to(t1_s) - self._integral_to(t0_s)) / (t1_s - t0_s)
 
     def window_mean(self, t0_s: float, t1_s: float) -> float:
         """Exact mean carbon intensity over ``[t0_s, t1_s]``, gCO₂/kWh."""
+        _check_finite(t0_s, t1_s)
         if t1_s <= t0_s:
             raise AnalysisError("window end must exceed window start")
-        return (self._integral_to(t1_s) - self._integral_to(t0_s)) / (t1_s - t0_s)
+        return self._mean(t0_s, t1_s)
 
     def greenest_window(
         self, duration_s: float, t_earliest_s: float, t_latest_s: float
@@ -105,25 +110,31 @@ class ForecastIndex:
         scheduler deterministic.
         """
         ensure_positive(duration_s, "duration_s")
+        _check_finite(t_earliest_s, t_latest_s)
         if t_latest_s < t_earliest_s:
             raise AnalysisError("t_latest_s must not precede t_earliest_s")
+        # Every candidate start lies in the slack range, so a duration above
+        # half an ulp of its widest bound gives every window a positive width.
+        if not duration_s > math.ulp(max(abs(t_earliest_s), abs(t_latest_s))) / 2:
+            raise AnalysisError(
+                f"duration_s {duration_s!r} is below the float resolution at {t_latest_s!r}"
+            )
+        times = self._times
         candidates = {t_earliest_s, t_latest_s}
         # Only breakpoints inside the slack range (window start crossings)
         # or inside its duration-shifted image (window end crossings) can
         # host a minimum — slice them out so a submission costs O(window),
         # not O(whole forecast), at million-job scale.
-        lo = int(np.searchsorted(self._times, t_earliest_s, side="right"))
-        hi = int(np.searchsorted(self._times, t_latest_s, side="left"))
-        for t in self._times[lo:hi]:
-            candidates.add(float(t))
-        lo = int(np.searchsorted(self._times, t_earliest_s + duration_s, side="right"))
-        hi = int(np.searchsorted(self._times, t_latest_s + duration_s, side="left"))
-        for t in self._times[lo:hi]:
-            candidates.add(float(t) - duration_s)
+        candidates.update(
+            times[bisect_right(times, t_earliest_s) : bisect_left(times, t_latest_s)]
+        )
+        lo = bisect_right(times, t_earliest_s + duration_s)
+        hi = bisect_left(times, t_latest_s + duration_s)
+        candidates.update(t - duration_s for t in times[lo:hi])
         best_start_s = t_earliest_s
         best_mean = float("inf")
         for start_s in sorted(candidates):
-            mean = self.window_mean(start_s, start_s + duration_s)
+            mean = self._mean(start_s, start_s + duration_s)
             if mean < best_mean:
                 best_mean = mean
                 best_start_s = start_s
@@ -132,6 +143,12 @@ class ForecastIndex:
             t_end_s=best_start_s + duration_s,
             mean_ci_g_per_kwh=best_mean,
         )
+
+
+def _check_finite(t0_s: float, t1_s: float) -> None:
+    """Refuse a NaN or infinite window bound: it would select no segment."""
+    if not (math.isfinite(t0_s) and math.isfinite(t1_s)):
+        raise AnalysisError(f"window bounds must be finite, got [{t0_s!r}, {t1_s!r}]")
 
 
 @dataclass(frozen=True)
@@ -198,17 +215,15 @@ class ForecastFeed:
         """
         if t_s <= self._t0:
             return self._t0
-        k = int(np.floor((t_s - self._t0) / self.refresh_interval_s + 1e-9))
+        k = math.floor((t_s - self._t0) / self.refresh_interval_s + 1e-9)
         while k > 0:
             candidate = self._t0 + k * self.refresh_interval_s
             blocking = next((o for o in self.outages if o.covers(candidate)), None)
             if blocking is None:
                 return candidate
             # Jump straight to the last grid instant before the outage began.
-            k = int(
-                np.floor(
-                    (blocking.t_start_s - self._t0) / self.refresh_interval_s - 1e-9
-                )
+            k = math.floor(
+                (blocking.t_start_s - self._t0) / self.refresh_interval_s - 1e-9
             )
         return self._t0
 

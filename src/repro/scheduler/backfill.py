@@ -30,6 +30,7 @@ from ..node.cpu import CpuModel
 from ..node.determinism import DeterminismMode
 from ..node.node_power import NodePowerModel
 from ..node.pstates import FrequencySetting
+from ..workload.applications import AppProfile
 from ..workload.jobs import Job
 from .accounting import SimulationResult
 from .frequency_policy import FrequencyPolicy
@@ -120,9 +121,10 @@ class ExecutionEnvironment(Protocol):
 class StaticEnvironment:
     """Time-invariant environment: one BIOS mode, one frequency policy.
 
-    Resolution is memoised per (application, user override): the physics
-    depends only on the app's roofline and the chosen operating point, so a
-    month-long simulation touches the node model once per distinct app
+    Resolution is memoised twice: the physics per (application, setting) —
+    it depends only on the app's roofline and the operating point — and the
+    policy's choice per (application, user override), so a month-long
+    simulation touches the node model once per distinct app and setting
     rather than once per scheduling decision.
     """
 
@@ -130,25 +132,44 @@ class StaticEnvironment:
     mode: DeterminismMode = DeterminismMode.POWER
     policy: FrequencyPolicy = field(default_factory=FrequencyPolicy)
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _points: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def cpu(self) -> CpuModel:
         """The CPU model execution resolves against."""
         return self.node_model.cpu
 
+    def _point(self, app: AppProfile, setting: FrequencySetting) -> tuple:
+        """``(setting, effective GHz, time ratio, busy node W)`` of ``app`` at ``setting``."""
+        key = (app.name, setting)
+        cached = self._points.get(key)
+        if cached is None:
+            point = self.cpu.operating_point(setting, self.mode)
+            profile = app.roofline.at(point.effective_ghz)
+            power = self.node_model.busy_power_w(
+                point, profile.compute_activity, profile.memory_activity
+            )
+            cached = (setting, point.effective_ghz, profile.time_ratio, float(power))
+            self._points[key] = cached
+        return cached
+
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:
         key = (job.app.name, job.frequency_override)
         cached = self._cache.get(key)
         if cached is None:
             setting = self.policy.setting_for(job, self.cpu, self.mode)
-            point = self.cpu.operating_point(setting, self.mode)
-            profile = job.app.roofline.at(point.effective_ghz)
-            power = self.node_model.busy_power_w(
-                point, profile.compute_activity, profile.memory_activity
-            )
-            cached = (setting, point.effective_ghz, profile.time_ratio, float(power))
-            self._cache[key] = cached
+            cached = self._cache[key] = self._point(job.app, setting)
         setting, effective_ghz, time_ratio, power_w = cached
+        return ResolvedExecution(
+            setting=setting,
+            effective_ghz=effective_ghz,
+            runtime_s=job.reference_runtime_s * time_ratio,
+            node_power_w=power_w,
+        )
+
+    def resolve_setting(self, job: Job, setting: FrequencySetting) -> ResolvedExecution:
+        """Execution of ``job`` at ``setting``, whatever the policy would choose."""
+        setting, effective_ghz, time_ratio, power_w = self._point(job.app, setting)
         return ResolvedExecution(
             setting=setting,
             effective_ghz=effective_ghz,

@@ -35,7 +35,7 @@ from ..facility.failures import FailureModel, FaultConfig
 from ..grid.carbon_intensity import SCENARIOS
 from ..grid.forecast import ForecastFeed, ForecastIndex, sample_feed_outages
 from ..node import build_node_model
-from ..units import SECONDS_PER_DAY
+from ..units import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_MINUTE
 from ..workload.mix import archer2_mix
 from .accounting import SimulationResult
 from .backfill import BackfillScheduler, StaticEnvironment
@@ -50,19 +50,28 @@ from .malleable import (
 __all__ = ["build_sched_parser", "sched_main"]
 
 
-def _checked_float(wanted: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
+def _checked(
+    wanted: str,
+    ok: Callable[[float], bool],
+    convert: Callable[[str], float] = float,
+    scale: float | None = None,
+) -> Callable[[str], float]:
     """An argparse ``type=``: the flag's value, refused unless ``ok`` holds.
 
+    ``convert`` reads the text (``float``, or ``int`` for a whole number).
+    With ``scale``, the flag's unit in seconds, ``ok`` sees the value in
+    seconds, so a value that overflows once converted is refused here, not
+    in the library; a whole number of any size is never converted.
     argparse then exits 2 with ``argument --flag: must be <wanted>, got '<text>'``,
     so the refusal names the flag and the value as typed.
     """
 
     def parse(text: str) -> float:
         try:
-            value = float(text)
+            value = convert(text)
         except ValueError:
-            value = math.nan
-        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}") from None
+        if not ok(value if scale is None else value * scale):
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
         return value
 
@@ -77,6 +86,17 @@ def _finite_positive(value: float) -> bool:
     return math.isfinite(value) and value > 0.0
 
 
+def _fraction(value: float) -> bool:
+    return 0.0 <= value <= 1.0
+
+
+_POSITIVE_HOURS = _checked(
+    "a finite positive number of hours", _finite_positive, scale=SECONDS_PER_HOUR
+)
+_CI_BOUNDARY = _checked("a finite non-negative number of gCO2/kWh", _finite_non_negative)
+_NON_NEGATIVE_INT = _checked("a non-negative whole number", lambda value: value >= 0, int)
+
+
 def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     """The ``repro sched`` argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -86,32 +106,50 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
             "scheduling on a seeded synthetic trace."
         ),
     )
-    parser.add_argument("--nodes", type=int, default=512, help="facility size")
     parser.add_argument(
-        "--days", type=float, default=7.0, help="simulated span in days"
+        "--nodes",
+        type=_checked("a positive whole number", lambda value: value > 0, int),
+        default=512,
+        help="facility size",
     )
-    parser.add_argument("--seed", type=int, default=42, help="trace + scheduler seed")
+    parser.add_argument(
+        "--days",
+        type=_checked(
+            "a finite positive number of days", _finite_positive, scale=SECONDS_PER_DAY
+        ),
+        default=7.0,
+        help="simulated span in days",
+    )
+    parser.add_argument(
+        "--seed", type=_NON_NEGATIVE_INT, default=42, help="trace + scheduler seed"
+    )
     parser.add_argument(
         "--offered-load",
-        type=float,
+        type=_checked("a finite positive number", _finite_positive),
         default=0.95,
         help="offered load (keep < 1 so the queue stays bounded)",
     )
     parser.add_argument(
         "--malleable-fraction",
-        type=float,
+        type=_checked("a fraction in [0, 1]", _fraction),
         default=0.5,
         help="fraction of jobs declaring an elastic shape",
     )
     parser.add_argument(
         "--slack-hours",
-        type=_checked_float("a finite non-negative number of hours", _finite_non_negative),
+        type=_checked(
+            "a finite non-negative number of hours",
+            _finite_non_negative,
+            scale=SECONDS_PER_HOUR,
+        ),
         default=2.0,
         help="mean start slack of malleable jobs, hours",
     )
     parser.add_argument(
         "--tick-minutes",
-        type=_checked_float("a finite positive number of minutes", _finite_positive),
+        type=_checked(
+            "a finite positive number of minutes", _finite_positive, scale=SECONDS_PER_MINUTE
+        ),
         default=30.0,
         help="carbon re-evaluation cadence, minutes",
     )
@@ -123,13 +161,13 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--low",
-        type=float,
+        type=_CI_BOUNDARY,
         default=30.0,
         help="low CI regime boundary, gCO2/kWh",
     )
     parser.add_argument(
         "--high",
-        type=float,
+        type=_CI_BOUNDARY,
         default=100.0,
         help="high CI regime boundary, gCO2/kWh",
     )
@@ -140,25 +178,29 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mtbf-hours",
-        type=float,
+        type=_POSITIVE_HOURS,
         default=4380.0,
         help="per-node mean time between failures, hours",
     )
     parser.add_argument(
         "--mttr-hours",
-        type=float,
+        type=_POSITIVE_HOURS,
         default=12.0,
         help="per-node mean time to repair, hours",
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=_NON_NEGATIVE_INT,
         default=3,
         help="requeue budget before a killed job fails terminally",
     )
     parser.add_argument(
         "--ckpt-minutes",
-        type=_checked_float("a finite non-negative number of minutes", _finite_non_negative),
+        type=_checked(
+            "a finite non-negative number of minutes",
+            _finite_non_negative,
+            scale=SECONDS_PER_MINUTE,
+        ),
         default=0.0,
         help="checkpoint cadence for killed-job restart, minutes (0 = restart "
         "from scratch)",
@@ -171,7 +213,7 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--stale-after-hours",
-        type=_checked_float("a positive number of hours", lambda value: value > 0.0),
+        type=_checked("a positive number of hours", lambda value: value > 0.0),
         default=2.0,
         help="forecast staleness beyond which malleable degrades, hours",
     )
@@ -214,12 +256,16 @@ def _resume_replays(
 def sched_main(argv: list[str], prog: str = "repro sched") -> int:
     """``repro sched`` entry point; returns a process exit code.
 
-    A slack, tick, checkpoint or staleness flag out of its range is refused
-    by argparse, which names the flag and exits 2. An argument the library
-    refuses (a non-finite or non-positive span, no nodes) prints
-    ``error: <message>`` and returns 2.
+    A flag out of its range, or ``--low`` not below ``--high``, is refused
+    by argparse, which names the flag and exits 2. An argument combination
+    the library still refuses prints ``error: <message>`` and returns 2.
     """
-    args = build_sched_parser(prog).parse_args(argv)
+    parser = build_sched_parser(prog)
+    args = parser.parse_args(argv)
+    if not args.low < args.high:
+        parser.error(
+            f"argument --low/--high: --low must be below --high, got {args.low:g} and {args.high:g}"
+        )
     t_end_s = args.days * SECONDS_PER_DAY
 
     try:

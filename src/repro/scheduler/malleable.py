@@ -97,9 +97,9 @@ PAPER_HIGH_CI_G_PER_KWH = 100.0
 class CarbonAwareEnvironment:
     """Resolves execution with the frequency chosen against the current CI.
 
-    Wraps a :class:`StaticEnvironment` the same way demand response does:
-    the carbon-aware setting is forced through ``frequency_override`` so the
-    inner environment's per-(app, setting) memoisation still applies.
+    Wraps a :class:`StaticEnvironment`: the policy picks the carbon-aware
+    setting, and the inner environment's per-(app, setting) memo resolves
+    that setting directly, with no per-placement copy of the job.
     """
 
     inner: StaticEnvironment
@@ -118,7 +118,7 @@ class CarbonAwareEnvironment:
             self.low_g_per_kwh,
             self.high_g_per_kwh,
         )
-        return self.inner.resolve(replace(job, frequency_override=setting), time_s)
+        return self.inner.resolve_setting(job, setting)
 
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:
         """Plain (carbon-blind) resolution — the rigid comparison path."""

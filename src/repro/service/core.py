@@ -45,6 +45,7 @@ from ..node.app_energy import AppRunPoint
 from ..node.calibration import build_node_model
 from ..node.determinism import DeterminismMode
 from ..node.pstates import FrequencySetting
+from ..units import is_number
 from ..workload.applications import full_catalogue, paper_curated_apps
 from ..workload.mix import archer2_mix
 
@@ -71,6 +72,17 @@ def _parse_config(value: object, field: str) -> OperatingConfig:
     raise ConfigurationError(
         f"{field} must be an OperatingConfig or a mapping, got {value!r}"
     )
+
+
+def _number(value: object, field: str) -> float:
+    """``value`` as given if it is a number, else a :class:`ConfigurationError`.
+
+    A bool, a string (a numeric one too), null, a list or a mapping is
+    refused with a message naming ``field``, so the client gets a 400.
+    """
+    if not is_number(value):
+        raise ConfigurationError(f"{field} must be a number, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -107,10 +119,11 @@ class SessionParams:
     def from_mapping(cls, params: Mapping) -> "SessionParams":
         """Build params from a request-envelope mapping (unknown keys ignored).
 
-        ``ci_g_per_kwh`` (a float) and ``ci`` (a canonical
+        ``ci_g_per_kwh`` (a number) and ``ci`` (a canonical
         :meth:`CIScenario.to_canonical` mapping) are both accepted;
         ``config`` is a ``{"frequency": ..., "bios_mode": ...}`` mapping of
-        enum values.
+        enum values. Every numeric field must be a JSON number: a string,
+        even a numeric one, or a bool is a :class:`ConfigurationError`.
         """
         kwargs: dict = {}
         for field in (
@@ -123,14 +136,16 @@ class SessionParams:
             "memory_activity",
         ):
             if field in params:
-                kwargs[field] = params[field]
+                kwargs[field] = _number(params[field], field)
         if "ci" in params:
             ci = params["ci"]
             kwargs["ci"] = (
                 ci if isinstance(ci, CIScenario) else CIScenario.from_canonical(ci)
             )
         elif "ci_g_per_kwh" in params:
-            kwargs["ci"] = CIScenario.flat(float(params["ci_g_per_kwh"]))
+            kwargs["ci"] = CIScenario.flat(
+                float(_number(params["ci_g_per_kwh"], "ci_g_per_kwh"))
+            )
         if "config" in params:
             kwargs["config"] = _parse_config(params["config"], "config")
         return cls(**kwargs)

@@ -13,7 +13,6 @@ the formatter.
 from __future__ import annotations
 
 import math
-from numbers import Real
 from typing import Mapping
 
 from ..core.decision import ARCHER2_WINTER_2022, OperatingPointScore, Priorities
@@ -22,7 +21,8 @@ from ..engine.plan import CIScenario, SweepSpec
 from ..engine.runner import SweepResult
 from ..errors import ConfigurationError, ServiceError
 from ..facility.archer2 import ARCHER2_N_NODES
-from .core import FacilityCore, SessionParams, _parse_config
+from ..units import is_number
+from .core import FacilityCore, SessionParams, _number, _parse_config
 from .envelope import METHODS, ServiceRequest
 
 __all__ = [
@@ -65,15 +65,44 @@ def _sched_param(
     NaN is false), and, with ``whole``, a fraction. The value comes back as
     given, so a large integer seed keeps every digit.
     """
-    value = params.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    value = _number(params.get(name, default), name)
     if not (low < value if above_low else low <= value) or not value <= high:
         bracket = "(" if above_low else "["
         raise ConfigurationError(f"{name} must be in {bracket}{low:g}, {high:g}], got {value!r}")
     if whole and value != int(value):
         raise ConfigurationError(f"{name} must be a whole number, got {value!r}")
     return value
+
+
+#: :class:`SweepSpec` fields a request gives as numbers: the numeric axes
+#: (lists) and the scalar model parameters.
+_SWEEP_AXES = ("utilisations", "node_counts", "lifetimes_years")
+_SWEEP_NUMBERS = (
+    "embodied_per_node_tco2e",
+    "embodied_overhead_tco2e",
+    "compute_activity",
+    "memory_activity",
+    "ci_average_steps",
+)
+
+
+def _sweep_fields(value: object, where: str) -> dict:
+    """A sweep ``spec`` or ``overrides`` mapping, its numeric fields checked.
+
+    The point params' rule: each numeric axis value and numeric field is a
+    JSON number, so a numeric string, a bool or a nested list is a
+    :class:`ConfigurationError` naming the field.
+    """
+    if not isinstance(value, Mapping):
+        raise ConfigurationError(f"{where} must be a mapping of sweep-spec fields, got {value!r}")
+    for name in _SWEEP_AXES:
+        axis = value.get(name, ())
+        for item in axis if isinstance(axis, (list, tuple)) else (axis,):
+            _number(item, f"{where}.{name}")
+    for name in _SWEEP_NUMBERS:
+        if name in value:
+            _number(value[name], f"{where}.{name}")
+    return dict(value)
 
 
 # -- payload builders (shared with the parity benchmark) -----------------------
@@ -184,12 +213,7 @@ class ServiceRouter:
         ci = params.get("at_ci_g_per_kwh")
         if ci is None:
             ci = self.core.mean_ci_g_per_kwh(session)
-        elif (
-            isinstance(ci, bool)
-            or not isinstance(ci, Real)
-            or not math.isfinite(ci)
-            or ci < 0
-        ):
+        elif not is_number(ci) or not math.isfinite(ci) or ci < 0:
             raise ConfigurationError(
                 f"at_ci_g_per_kwh must be a finite, non-negative number, got {ci!r}"
             )
@@ -237,20 +261,25 @@ class ServiceRouter:
 
     def _sweep(self, params: Mapping) -> dict:
         session = SessionParams.from_mapping(params)
-        spec = None
-        if "spec" in params:
-            spec = SweepSpec.from_canonical(params["spec"])
-        overrides = dict(params.get("overrides", {}))
-        if "ci_scenarios" in overrides:
-            overrides["ci_scenarios"] = tuple(
-                ci if isinstance(ci, CIScenario) else CIScenario.from_canonical(ci)
-                for ci in overrides["ci_scenarios"]
-            )
-        chunk_size = int(params.get("chunk_size", 4096))
-        result = self.core.sweep(
-            session, spec, chunk_size=chunk_size, **overrides
-        )
-        return payload_sweep(result)
+        overrides = _sweep_fields(params.get("overrides", {}), "overrides")
+        if "spec" in params and overrides:
+            raise ConfigurationError("pass either a spec or field overrides, not both")
+        # Building the spec only parses and validates the request, so a
+        # malformed one (an unknown field, an axis that is not a list) is a 400.
+        try:
+            if "spec" in params:
+                spec = SweepSpec.from_canonical(_sweep_fields(params["spec"], "spec"))
+            else:
+                if "ci_scenarios" in overrides:
+                    overrides["ci_scenarios"] = tuple(
+                        ci if isinstance(ci, CIScenario) else CIScenario.from_canonical(ci)
+                        for ci in overrides["ci_scenarios"]
+                    )
+                spec = self.core.default_spec(session, **overrides)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed sweep request: {exc}") from None
+        chunk_size = int(_number(params.get("chunk_size", 4096), "chunk_size"))
+        return payload_sweep(self.core.sweep(session, spec, chunk_size=chunk_size))
 
     def _sched_compare(self, params: Mapping) -> dict:
         # Heavy subsystem: import lazily so the service core stays light.

@@ -22,6 +22,7 @@ vectorisation-friendly.
 
 from __future__ import annotations
 
+from numbers import Real
 from typing import TypeVar
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "energy_j",
     "emissions_g",
     "node_hours",
+    "is_number",
     "ensure_nonnegative",
     "ensure_positive",
     "ensure_fraction",
@@ -223,6 +225,18 @@ def node_hours(n_nodes: _T, duration_s: _T) -> _T:
 
 
 # --- validation -----------------------------------------------------------
+
+def is_number(value: object) -> bool:
+    """Whether ``value`` is a real number: not a bool, a string, None or a container.
+
+    Plain ints and floats, all that a JSON parser yields, pass a type check;
+    anything else falls back to ``numbers.Real`` (numpy scalars included),
+    whose ABC check is several times slower.
+    """
+    return type(value) in (int, float) or (
+        not isinstance(value, bool) and isinstance(value, Real)
+    )
+
 
 def ensure_nonnegative(value: float, name: str) -> float:
     """Return ``value`` unchanged, raising :class:`UnitError` if negative or NaN."""

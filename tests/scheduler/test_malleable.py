@@ -1,12 +1,17 @@
 """Carbon-aware malleable scheduler tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.facility.failures import FailureModel, FaultConfig
 from repro.node.calibration import build_node_model
+from repro.node.pstates import FrequencySetting
 from repro.scheduler.backfill import BackfillScheduler, StaticEnvironment
+from repro.scheduler.frequency_policy import FrequencyPolicy
 from repro.scheduler.malleable import (
+    CarbonAwareEnvironment,
     MalleableScheduler,
     compare_rigid_malleable,
 )
@@ -211,3 +216,24 @@ class TestAccountingIdentities:
         assert comparison.malleable_tco2e < comparison.rigid_tco2e
         assert comparison.emissions_saving_tco2e > 0.0
         assert comparison.energy_saving_kwh > 0.0
+
+
+class TestCarbonAwareResolution:
+    @pytest.mark.parametrize("respect_user_override", [True, False])
+    @pytest.mark.parametrize("ci", [10.0, 60.0, 300.0])
+    @pytest.mark.parametrize("override", [None, FrequencySetting.GHZ_1_5])
+    def test_resolves_the_setting_the_policy_chose(self, ci, respect_user_override, override):
+        """With user overrides ignored, the carbon-aware setting used to be
+        dropped: at 300 gCO2/kWh the job ran at 2.25 GHz + turbo, not 2.0 GHz."""
+        policy = FrequencyPolicy(respect_user_override=respect_user_override)
+        inner = StaticEnvironment(node_model=build_node_model(), policy=policy)
+        job = replace(make_job(0, 4, 0.0, 3600.0), frequency_override=override)
+        chosen = policy.setting_for_ci(job, inner.cpu, inner.mode, ci)
+        resolved = CarbonAwareEnvironment(inner).resolve_at_ci(job, 0.0, ci)
+        assert resolved.setting is chosen
+        if ci > 100.0 and not (respect_user_override and override is not None):
+            assert chosen is FrequencySetting.GHZ_2_0
+        # The physics of that setting: what a user override of it resolves
+        # to under the default policy.
+        forced = replace(job, frequency_override=chosen)
+        assert resolved == StaticEnvironment(node_model=build_node_model()).resolve(forced, 0.0)

@@ -29,6 +29,14 @@ from repro.units import SECONDS_PER_DAY
 from repro.workload import archer2_mix
 
 
+_CI_190 = {
+    "name": "flat-190",
+    "start_ci_g_per_kwh": 190.0,
+    "annual_reduction": 0.0,
+    "floor_ci_g_per_kwh": 15.0,
+}
+
+
 def run(coro):
     return asyncio.run(coro)
 
@@ -311,6 +319,92 @@ class TestErrorsAndAdmission:
             assert response.error["code"] == "bad-request"
             assert response.error["type"] == "ConfigurationError"
             assert service.metrics.failures_by_code == {"bad-request": 1}
+            assert service.metrics.reconciles()
+
+        run(main())
+
+    @pytest.mark.parametrize(
+        "method, params, field",
+        [
+            ("emissions", {"lifetime_years": [6]}, "lifetime_years"),
+            ("emissions", {"compute_activity": [0.3]}, "compute_activity"),
+            ("emissions", {"n_nodes": [4]}, "n_nodes"),
+            ("emissions", {"utilisation": "0.5"}, "utilisation"),
+            ("emissions", {"embodied_per_node_tco2e": True}, "embodied_per_node_tco2e"),
+            ("emissions", {"ci": {**_CI_190, "name": ["a"]}}, "name"),
+            ("emissions", {"ci": {**_CI_190, "start_ci_g_per_kwh": "190"}}, "start_ci_g_per_kwh"),
+            ("classify_regime", {"lifetime_years": "6"}, "lifetime_years"),
+            ("advise", {"ci_g_per_kwh": "x"}, "ci_g_per_kwh"),
+            ("efficiency", {"memory_activity": None}, "memory_activity"),
+            ("sweep", {"chunk_size": "16"}, "chunk_size"),
+            ("sweep", {"overrides": {"utilisations": ["0.5"]}}, "overrides.utilisations"),
+            ("sweep", {"overrides": {"utilisations": [[0.5]]}}, "overrides.utilisations"),
+            ("sweep", {"overrides": {"compute_activity": "0.3"}}, "overrides.compute_activity"),
+            ("sweep", {"spec": {"kind": "sweep-spec", "node_counts": [True]}}, "spec.node_counts"),
+        ],
+        ids=[
+            "lifetime-list",
+            "compute-list",
+            "nodes-list",
+            "utilisation-numeric-string",
+            "embodied-bool",
+            "ci-name-list",
+            "ci-start-string",
+            "regime-lifetime-string",
+            "advise-ci-string",
+            "efficiency-memory-null",
+            "sweep-chunk-string",
+            "sweep-axis-numeric-string",
+            "sweep-axis-nested-list",
+            "sweep-field-numeric-string",
+            "sweep-spec-axis-bool",
+        ],
+    )
+    def test_wrong_typed_params_are_bad_requests_naming_the_field(
+        self, method, params, field
+    ):
+        async def main():
+            service = open_service()
+            response = await service.call(method, params)
+            assert not response.ok
+            assert response.error["code"] == "bad-request"
+            assert response.error["type"] == "ConfigurationError"
+            assert field in response.error["message"]
+            assert service.metrics.reconciles()
+
+        run(main())
+
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            ("emissions", {"ci": "flat-190"}),
+            ("emissions", {"ci": {"name": "a"}}),
+            ("sweep", {"overrides": [1, 2]}),
+            ("sweep", {"overrides": {"bogus": 1}}),
+            ("sweep", {"overrides": {"utilisations": 0.5}}),
+            ("sweep", {"overrides": {"frequencies": ["3GHz"]}}),
+            ("sweep", {"overrides": {"ci_scenarios": 5}}),
+            ("sweep", {"overrides": {"ci_scenarios": ["x"]}}),
+            ("sweep", {"spec": "x"}),
+        ],
+        ids=[
+            "ci-string",
+            "ci-missing-keys",
+            "overrides-list",
+            "overrides-unknown-field",
+            "overrides-axis-scalar",
+            "overrides-unknown-frequency",
+            "overrides-ci-number",
+            "overrides-ci-string",
+            "spec-string",
+        ],
+    )
+    def test_malformed_documents_are_bad_requests(self, method, params):
+        async def main():
+            service = open_service()
+            response = await service.call(method, params)
+            assert not response.ok
+            assert response.error["code"] == "bad-request"
             assert service.metrics.reconciles()
 
         run(main())

@@ -1,7 +1,7 @@
 """The fast experiments still give the answers committed in RECORD.json.
 
 ``tools/record.py`` computes and compares the record; the CI ``record``
-job runs it over all 19 experiments and the four replays. Here the fast
+job runs it over all 19 experiments and the five replays. Here the fast
 set (T1-T4, R1, A1, A2) is recomputed in process: every exported file
 must hash the same, and every headline number must agree within
 ``REL_TOL``.
@@ -48,7 +48,13 @@ def test_record_covers_every_experiment_and_replay(recorded):
     assert sorted(experiments) == sorted(REGISTRY)
     assert sum(len(entry["files"]) for entry in experiments.values()) == 24
     assert all(entry["headline"] for entry in experiments.values())
-    assert sorted(recorded["replays"]) == ["chaos-soak", "monitor-fig2", "sched", "sweep-grid"]
+    assert sorted(recorded["replays"]) == [
+        "chaos-soak",
+        "monitor-fig2",
+        "sched",
+        "sched-feed",
+        "sweep-grid",
+    ]
 
 
 def test_a_moved_number_or_byte_is_named(recorded, fast):

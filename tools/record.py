@@ -2,19 +2,21 @@
 
 Usage (from the repository root)::
 
-    python tools/record.py            # all 19 experiments and the four replays
+    python tools/record.py            # all 19 experiments and the five replays
     python tools/record.py --fast     # the fast experiments only (T1-T4, R1, A1, A2)
     python tools/record.py --write    # rewrite RECORD.json from this tree
 
 The record holds, per experiment, its ``headline`` numbers at full
 precision and the sha256 of every file ``repro run ID --export DIR``
-writes; and sha256 fingerprints of four replays:
+writes; and sha256 fingerprints of five replays:
 
 * ``monitor-fig2``: ``repro monitor --scenario fig2 --days 120
   --checkpoint F --quiet`` (its stdout and the checkpoint bytes), then the
   same command with ``--resume`` (its stdout);
 * ``chaos-soak``: the composed fault-injection soak's stdout;
 * ``sched``: ``repro sched --days 7 --nodes 256`` stdout;
+* ``sched-feed``: the same command with ``--inject-faults
+  --inject-feed-outages`` (its stdout);
 * ``sweep-grid``: the files the sweep grid's ``--export`` writes.
 
 Hashes compare exactly; headline numbers compare at ``HEADLINE_REL_TOL``.
@@ -53,6 +55,7 @@ CHAOS_SOAK = (
 )
 FIG2 = "monitor --scenario fig2 --days 120 --quiet"
 SCHED = "sched --days 7 --nodes 256"
+SCHED_FEED = f"{SCHED} --inject-faults --inject-feed-outages"
 
 
 def _sha256(data: bytes) -> str:
@@ -114,13 +117,14 @@ def experiment_entry(exp_id: str, workdir: Path) -> dict:
 
 
 def replay_entries(workdir: Path) -> dict:
-    """Fingerprints of the four CI replays, each run as a subprocess."""
+    """Fingerprints of the five replays, each run as a subprocess."""
     ckpt = workdir / "fig2.ckpt"
     fig2_stdout = _repro(f"{FIG2} --checkpoint", ckpt)
     fig2_checkpoint = ckpt.read_bytes()
     fig2_resume = _repro(f"{FIG2} --resume --checkpoint", ckpt)
     chaos = _repro(f"{CHAOS_SOAK} --checkpoint", workdir / "chaos.ckpt")
     sched = _repro(SCHED)
+    sched_feed = _repro(SCHED_FEED)
     spec, cache, export = workdir / "sweep-spec.json", workdir / "sweep-cache", workdir / "sweep"
     _repro(f"{SWEEP_PLAN} --spec-out", spec)
     _repro("sweep run --chunk-size 16 --spec", spec, "--cache", cache, "--export", export)
@@ -132,6 +136,7 @@ def replay_entries(workdir: Path) -> dict:
         },
         "chaos-soak": {"stdout": _sha256(chaos)},
         "sched": {"stdout": _sha256(sched)},
+        "sched-feed": {"stdout": _sha256(sched_feed)},
         "sweep-grid": {"files": _file_hashes(export)},
     }
 
