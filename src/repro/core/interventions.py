@@ -24,11 +24,12 @@ from ..errors import ConfigurationError
 from ..node.determinism import DeterminismMode
 from ..node.node_power import NodePowerModel
 from ..node.pstates import FrequencySetting
-from ..scheduler.backfill import ResolvedExecution
+from ..scheduler.backfill import ResolvedExecution, execution_at
 from ..scheduler.frequency_policy import FrequencyPolicy
 from ..telemetry.series import TimeSeries
 from ..telemetry.streaming import OnlineStats
 from ..units import SECONDS_PER_DAY, ensure_nonnegative
+from ..workload.applications import AppProfile
 from ..workload.jobs import Job
 
 __all__ = [
@@ -140,13 +141,31 @@ class InterventionSchedule:
 class ScheduledEnvironment:
     """Execution environment that follows an intervention schedule.
 
-    Jobs resolve against the state at their start time; results are memoised
-    per (state index, app, override) so month-scale simulations stay fast.
+    Jobs resolve against the state at their start time. The policy's choice
+    is memoised per (state index, app, override) and the physics per (BIOS
+    mode, app, setting), so month-scale simulations stay fast.
     """
 
     node_model: NodePowerModel
     schedule: InterventionSchedule
     _cache: dict = field(default_factory=dict, repr=False)
+    _points: dict = field(default_factory=dict, repr=False)
+
+    def _point(
+        self, mode: DeterminismMode, app: AppProfile, setting: FrequencySetting
+    ) -> tuple:
+        """``(setting, effective GHz, time ratio, busy node W)`` of ``app``."""
+        key = (mode, app.name, setting)
+        cached = self._points.get(key)
+        if cached is None:
+            point = self.node_model.cpu.operating_point(setting, mode)
+            profile = app.roofline.at(point.effective_ghz)
+            power = self.node_model.busy_power_w(
+                point, profile.compute_activity, profile.memory_activity
+            )
+            cached = (setting, point.effective_ghz, profile.time_ratio, float(power))
+            self._points[key] = cached
+        return cached
 
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:
         idx = self.schedule.state_index_at(time_s)
@@ -154,22 +173,17 @@ class ScheduledEnvironment:
         cached = self._cache.get(key)
         if cached is None:
             state = self.schedule.states[idx]
-            cpu = self.node_model.cpu
-            setting = state.policy.setting_for(job, cpu, state.mode)
-            point = cpu.operating_point(setting, state.mode)
-            profile = job.app.roofline.at(point.effective_ghz)
-            power = self.node_model.busy_power_w(
-                point, profile.compute_activity, profile.memory_activity
-            )
-            cached = (setting, point.effective_ghz, profile.time_ratio, float(power))
-            self._cache[key] = cached
-        setting, effective_ghz, time_ratio, power_w = cached
-        return ResolvedExecution(
-            setting=setting,
-            effective_ghz=effective_ghz,
-            runtime_s=job.reference_runtime_s * time_ratio,
-            node_power_w=power_w,
-        )
+            setting = state.policy.setting_for(job, self.node_model.cpu, state.mode)
+            cached = self._cache[key] = self._point(state.mode, job.app, setting)
+        return execution_at(job, cached)
+
+    def resolve_setting(
+        self, job: Job, setting: FrequencySetting, time_s: float
+    ) -> ResolvedExecution:
+        """Execution of ``job`` at ``setting`` in the BIOS mode in force at
+        ``time_s``, whatever the policy would choose."""
+        mode = self.schedule.state_at(time_s).mode
+        return execution_at(job, self._point(mode, job.app, setting))
 
 
 @dataclass(frozen=True)

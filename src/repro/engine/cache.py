@@ -17,8 +17,9 @@ and its body holds each column's n raw values, in header order, nothing
 between.
 
 Only numeric dtypes (kinds ``b``/``i``/``u``/``f``) are written or read, so
-loading a chunk can never unpickle anything; the arrays come back as
-read-only views of the bytes read.
+loading a chunk can never unpickle anything. A reader either names the
+arrays each column is read into (a sweep passes the slices of its result)
+or gets new read-only arrays; the file's bytes are never held in between.
 
 Because the key covers every spec field *and* the engine version, a cache
 hit is guaranteed to return exactly the arrays a fresh evaluation would
@@ -29,6 +30,7 @@ existing entry.
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import Hashable, Mapping
@@ -36,7 +38,7 @@ from typing import Hashable, Mapping
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..framing import atomic_write, frame, unframe
+from ..framing import atomic_write, frame, read_frame
 from .plan import ENGINE_VERSION, SweepSpec
 
 __all__ = ["LRUCache", "SweepStore"]
@@ -105,17 +107,16 @@ def _encode_chunk(rows: int, columns: Mapping[str, np.ndarray]) -> list:
     return frame(_MAGIC, json.dumps(header, separators=(",", ":")), arrays.values())
 
 
-def _decode_chunk(
-    data: bytes, rows: int, expected_columns: tuple[str, ...]
-) -> dict[str, np.ndarray]:
-    """Read-only column views of a chunk file's bytes; ValueError if any check fails."""
-    text, body = unframe(data, _MAGIC)
+def _chunk_layout(
+    text: bytes, rows: int, expected_columns: tuple[str, ...]
+) -> list[tuple[str, np.dtype]]:
+    """The (name, dtype) columns a chunk header lists; ValueError if any check fails."""
     try:
         header = json.loads(text)
         header_rows = header["rows"]
         layout = [(name, np.dtype(code)) for name, code in header["columns"]]
         names = {name for name, _ in layout}
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed chunk header: {exc!r}") from None
     if header_rows != rows:
         raise ValueError("row count mismatch")
@@ -123,14 +124,7 @@ def _decode_chunk(
         raise ValueError("column set mismatch")
     if any(dtype.kind not in _NUMERIC_KINDS for _, dtype in layout):
         raise ValueError("non-numeric column")
-    if rows * sum(dtype.itemsize for _, dtype in layout) != len(body):
-        raise ValueError("body length mismatch")
-    columns = {}
-    start = 0
-    for name, dtype in layout:
-        columns[name] = np.frombuffer(body, dtype, rows, start)
-        start += rows * dtype.itemsize
-    return {name: columns[name] for name in expected_columns}
+    return layout
 
 
 class SweepStore:
@@ -195,17 +189,44 @@ class SweepStore:
         return target
 
     def get_chunk(
-        self, spec_hash: str, lo: int, hi: int, expected_columns: tuple[str, ...]
+        self,
+        spec_hash: str,
+        lo: int,
+        hi: int,
+        expected_columns: tuple[str, ...],
+        out: Mapping[str, np.ndarray] | None = None,
     ) -> dict[str, np.ndarray] | None:
         """Load one chunk, or None on miss/corruption (corrupt files are removed).
 
-        The arrays are read-only views of the bytes read from the file.
+        ``out`` maps each expected column to a writable, contiguous array of
+        ``hi - lo`` rows that the column is read straight into; a column
+        whose stored dtype differs from its destination's is a miss, and
+        after any miss the destinations hold unspecified values. A
+        destination of another length raises ``ConfigurationError`` and one
+        that is read-only or strided ``TypeError``; either leaves the file
+        in place. Without ``out`` each column is a new read-only array of
+        its stored dtype.
         """
+        rows = hi - lo
+        columns: dict[str, np.ndarray] = {}
+
+        def place(text: bytes, length: int) -> list:
+            for name, dtype in _chunk_layout(text, rows, expected_columns):
+                if out is None:
+                    columns[name] = np.empty(rows, dtype)
+                    continue
+                dest = columns[name] = out[name]
+                if dest.shape != (rows,):
+                    raise ConfigurationError(
+                        f"destination {name!r} has shape {dest.shape}, not ({rows},)"
+                    )
+                if dest.dtype != dtype:
+                    raise ValueError("column dtype mismatch")
+            return list(columns.values())
+
         path = self.chunk_path(spec_hash, lo, hi)
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-            columns = _decode_chunk(data, hi - lo, expected_columns)
+            read_frame(path, _MAGIC, place)
         except FileNotFoundError:
             self.misses += 1
             return None
@@ -217,21 +238,28 @@ class SweepStore:
             self.misses += 1
             return None
         self.hits += 1
-        return columns
+        if out is None:
+            for arr in columns.values():
+                arr.setflags(write=False)
+        return {name: columns[name] for name in expected_columns}
 
     # -- management ----------------------------------------------------------
 
     def cached_chunks(self, spec_hash: str) -> list[tuple[int, int]]:
-        """Row ranges already on disk for a spec, sorted."""
-        entry = self.entry_dir(spec_hash)
+        """Row ranges already on disk for a spec, sorted, from one directory read."""
+        try:
+            names = os.listdir(self.entry_dir(spec_hash))
+        except OSError:
+            return []
         ranges: list[tuple[int, int]] = []
-        if entry.is_dir():
-            for path in entry.glob(f"rows-*-*{_CHUNK_SUFFIX}"):
-                parts = path.stem.split("-")
-                try:
-                    ranges.append((int(parts[1]), int(parts[2])))
-                except (IndexError, ValueError):
-                    continue
+        for name in names:
+            if not (name.startswith("rows-") and name.endswith(_CHUNK_SUFFIX)):
+                continue
+            parts = name[: -len(_CHUNK_SUFFIX)].split("-")
+            try:
+                ranges.append((int(parts[1]), int(parts[2])))
+            except (IndexError, ValueError):
+                continue
         return sorted(ranges)
 
     def invalidate(self, spec_hash: str) -> int:

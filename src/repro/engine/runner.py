@@ -612,6 +612,34 @@ def _chunk_ranges(n: int, chunk_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
 
 
+def _allocate(n: int) -> dict[str, np.ndarray]:
+    """Uninitialised result columns of ``n`` rows each."""
+    return {name: np.empty(n, dtype) for name, dtype in COLUMN_DTYPES.items()}
+
+
+class _OwnColumns(dict):
+    """A chunk's own result columns, each allocated when a reader first asks
+    for it, so looking up a chunk that is not stored allocates nothing."""
+
+    def __init__(self, rows: int) -> None:
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, name: str) -> np.ndarray:
+        column = self[name] = np.empty(self.rows, COLUMN_DTYPES[name])
+        return column
+
+
+def _destinations(
+    result: dict[str, np.ndarray] | None, lo: int, hi: int
+) -> Mapping[str, np.ndarray]:
+    """Where a stored chunk of rows ``[lo, hi)`` is read: its slices of the
+    result, or arrays of its own while there is no result."""
+    if result is None:
+        return _OwnColumns(hi - lo)
+    return {name: col[lo:hi] for name, col in result.items()}
+
+
 def _freeze(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     for arr in columns.values():
         arr.setflags(write=False)
@@ -658,40 +686,46 @@ def run_sweep(
 
     n = spec.n_scenarios
     ranges = _chunk_ranges(n, chunk_size)
-    chunks: dict[int, dict[str, np.ndarray]] = {}
-    missing: list[tuple[int, int, int]] = []
+    stored = set(store.cached_chunks(spec.spec_hash)) if store else ()
+    # The result is allocated when the first chunk lands in it: at the
+    # first listed chunk, or once every missing chunk has been computed.
+    # Every chunk is still looked up, so one published since the listing
+    # is read, into arrays of its own while the result does not exist.
+    assembled: dict[str, np.ndarray] | None = None
+    pending: list[tuple[int, int, Mapping[str, np.ndarray]]] = []
+    missing: list[tuple[int, int]] = []
     disk_hits = 0
-    done = 0
-    for i, (lo, hi) in enumerate(ranges):
-        cached_chunk = (
-            store.get_chunk(spec.spec_hash, lo, hi, COLUMNS) if store else None
-        )
-        if cached_chunk is not None:
-            chunks[i] = cached_chunk
-            disk_hits += 1
-            done += 1
-            if progress:
-                progress(done, len(ranges), "disk")
-        else:
-            missing.append((i, lo, hi))
+    for lo, hi in ranges:
+        if store:
+            if assembled is None and (lo, hi) in stored:
+                assembled = _allocate(n)
+            chunk = store.get_chunk(
+                spec.spec_hash, lo, hi, COLUMNS, out=_destinations(assembled, lo, hi)
+            )
+            if chunk is not None:
+                if assembled is None:
+                    pending.append((lo, hi, chunk))
+                disk_hits += 1
+                if progress:
+                    progress(disk_hits, len(ranges), "disk")
+                continue
+        missing.append((lo, hi))
 
     if missing:
         ctx = _build_context(spec, node_model)
-        for i, lo, hi in missing:
+        for done, (lo, hi) in enumerate(missing, start=disk_hits + 1):
             columns = _evaluate_chunk(ctx, lo, hi)
-            chunks[i] = columns
+            pending.append((lo, hi, columns))
             if store:
                 store.put_chunk(spec, lo, hi, columns)
-            done += 1
             if progress:
                 progress(done, len(ranges), "computed")
 
-    assembled = {
-        name: np.concatenate([chunks[i][name] for i in range(len(ranges))])
-        if len(ranges) > 1
-        else chunks[0][name]
-        for name in COLUMNS
-    }
+    if assembled is None:
+        assembled = _allocate(n)
+    for lo, hi, columns in pending:
+        for name, col in assembled.items():
+            col[lo:hi] = columns[name]
     assembled = _freeze(assembled)
     if memory_cache is not None:
         memory_cache.put(memory_key, assembled)

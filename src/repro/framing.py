@@ -11,7 +11,9 @@ Sweep chunks (:mod:`repro.engine.cache`) and monitor checkpoints
     body    raw bytes whose layout the header describes
 
 Each caller owns what its header says and how its body is cut up; this
-module owns the byte layout and the checks every reader needs.
+module owns the byte layout and the checks every reader needs. A reader
+names the buffers the body fills once it has seen the header, so the body
+lands where the caller wants it with no intermediate copy.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ import struct
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
-__all__ = ["PREFIX", "atomic_write", "frame", "unframe"]
+__all__ = ["PREFIX", "atomic_write", "frame", "read_frame"]
 
 #: Fixed prefix of a framed file: magic, CRC-32, header length.
 PREFIX = struct.Struct("<8sII")
@@ -72,22 +74,47 @@ def frame(magic: bytes, header: str, body: Iterable) -> list:
     return [magic, struct.pack("<I", crc), *checked]
 
 
-def unframe(data: bytes, magic: bytes) -> tuple[bytes, memoryview]:
-    """The header text and a view of the body of a framed file.
+def read_frame(
+    path: str | Path, magic: bytes, place: Callable[[bytes, int], Sequence]
+) -> tuple[bytes, Sequence]:
+    """Read the framed file at ``path`` into the buffers ``place`` names.
 
-    Raises ``ValueError`` naming the first failed check: ``wrong magic``,
-    ``truncated prefix``, ``header length past end of file`` or
-    ``checksum mismatch``.
+    After the prefix and header are read, ``place(header, body_length)``
+    returns the writable, contiguous buffers the body fills, in order; they
+    are filled with one ``os.readv``. Returns the header text and those
+    buffers. Raises ``ValueError`` naming the first failed check: ``wrong
+    magic``, ``truncated prefix``, ``header length past end of file``,
+    ``body length mismatch`` (the buffers do not hold exactly the body) or
+    ``checksum mismatch``. A buffer that is read-only or not contiguous
+    raises ``TypeError``; anything ``place`` raises propagates, and so does
+    an ``OSError`` from opening or reading the file.
     """
-    if not data.startswith(magic):
-        raise ValueError("wrong magic")
-    if len(data) < PREFIX.size:
-        raise ValueError("truncated prefix")
-    _, crc, hlen = PREFIX.unpack_from(data)
-    start = PREFIX.size + hlen
-    if start > len(data):
-        raise ValueError("header length past end of file")
-    view = memoryview(data)
-    if zlib.crc32(view[_CRC_START:]) != crc:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        prefix = os.read(fd, PREFIX.size)
+        if not prefix.startswith(magic):
+            raise ValueError("wrong magic")
+        if len(prefix) < PREFIX.size:
+            raise ValueError("truncated prefix")
+        _, crc, hlen = PREFIX.unpack(prefix)
+        body_length = size - PREFIX.size - hlen
+        if body_length < 0:
+            raise ValueError("header length past end of file")
+        header = os.read(fd, hlen)
+        buffers = place(header, body_length)
+        views = [memoryview(buf) for buf in buffers]
+        if any(view.readonly or not view.c_contiguous for view in views):
+            raise TypeError("a frame body fills only writable, contiguous buffers")
+        if sum(view.nbytes for view in views) != body_length:
+            raise ValueError("body length mismatch")
+        if os.readv(fd, views) != body_length:
+            raise ValueError("body length mismatch")
+    finally:
+        os.close(fd)
+    check = zlib.crc32(header, zlib.crc32(prefix[_CRC_START:]))
+    for view in views:
+        check = zlib.crc32(view, check)
+    if check != crc:
         raise ValueError("checksum mismatch")
-    return data[PREFIX.size : start], view[start:]
+    return header, buffers

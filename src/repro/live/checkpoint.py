@@ -31,7 +31,7 @@ from pathlib import Path
 
 from ..core.regimes import OptimisationTarget, Regime
 from ..errors import CheckpointError
-from ..framing import atomic_write, frame, unframe
+from ..framing import atomic_write, frame, read_frame
 from .alerts import (
     AdviceAlert,
     Alert,
@@ -172,16 +172,15 @@ def load_checkpoint(path: str | Path) -> dict:
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        header, (data,) = read_frame(path, _MAGIC, lambda _, length: [bytearray(length)])
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    try:
-        header, body = unframe(data, _MAGIC)
     except ValueError as exc:
         raise CheckpointError(
             f"checkpoint {path} is not a readable version-{CHECKPOINT_VERSION} "
             f"checkpoint: {exc}"
         ) from exc
+    body = memoryview(data)
 
     def section(obj: dict):
         if _SECTION not in obj:
@@ -193,7 +192,7 @@ def load_checkpoint(path: str | Path) -> dict:
 
     try:
         document = json.loads(header, object_hook=section)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"checkpoint {path} has a malformed header: {exc}") from exc
     if not isinstance(document, dict) or "version" not in document:
         raise CheckpointError(f"checkpoint {path} has no version header")

@@ -116,6 +116,25 @@ class ExecutionEnvironment(Protocol):
         """Return the execution parameters for ``job`` starting at ``time_s``."""
         ...
 
+    def resolve_setting(
+        self, job: Job, setting: FrequencySetting, time_s: float
+    ) -> ResolvedExecution:  # pragma: no cover
+        """Execution of ``job`` starting at ``time_s`` at ``setting``,
+        whatever the frequency policy would choose."""
+        ...
+
+
+def execution_at(job: Job, point: tuple) -> ResolvedExecution:
+    """``job``'s execution at a memoised ``(setting, effective GHz, time
+    ratio, busy node W)`` point."""
+    setting, effective_ghz, time_ratio, power_w = point
+    return ResolvedExecution(
+        setting=setting,
+        effective_ghz=effective_ghz,
+        runtime_s=job.reference_runtime_s * time_ratio,
+        node_power_w=power_w,
+    )
+
 
 @dataclass(frozen=True)
 class StaticEnvironment:
@@ -159,23 +178,13 @@ class StaticEnvironment:
         if cached is None:
             setting = self.policy.setting_for(job, self.cpu, self.mode)
             cached = self._cache[key] = self._point(job.app, setting)
-        setting, effective_ghz, time_ratio, power_w = cached
-        return ResolvedExecution(
-            setting=setting,
-            effective_ghz=effective_ghz,
-            runtime_s=job.reference_runtime_s * time_ratio,
-            node_power_w=power_w,
-        )
+        return execution_at(job, cached)
 
-    def resolve_setting(self, job: Job, setting: FrequencySetting) -> ResolvedExecution:
+    def resolve_setting(
+        self, job: Job, setting: FrequencySetting, time_s: float
+    ) -> ResolvedExecution:
         """Execution of ``job`` at ``setting``, whatever the policy would choose."""
-        setting, effective_ghz, time_ratio, power_w = self._point(job.app, setting)
-        return ResolvedExecution(
-            setting=setting,
-            effective_ghz=effective_ghz,
-            runtime_s=job.reference_runtime_s * time_ratio,
-            node_power_w=power_w,
-        )
+        return execution_at(job, self._point(job.app, setting))
 
 
 class BackfillScheduler:

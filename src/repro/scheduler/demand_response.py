@@ -76,12 +76,15 @@ class DemandResponseEnvironment:
             return base
         if base.setting is self.response_setting:
             return base
-        # Re-resolve at the response setting through the inner environment's
-        # physics by constructing an override job.
-        from dataclasses import replace
+        # The response setting bypasses the frequency policy, so it holds
+        # whether or not the policy honours user overrides.
+        return self.inner.resolve_setting(job, self.response_setting, time_s)
 
-        forced = replace(job, frequency_override=self.response_setting)
-        return self.inner.resolve(forced, time_s)
+    def resolve_setting(
+        self, job: Job, setting: FrequencySetting, time_s: float
+    ) -> ResolvedExecution:
+        """Execution of ``job`` at ``setting`` in the inner environment."""
+        return self.inner.resolve_setting(job, setting, time_s)
 
 
 def response_latency_estimate(

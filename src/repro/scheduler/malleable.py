@@ -118,11 +118,17 @@ class CarbonAwareEnvironment:
             self.low_g_per_kwh,
             self.high_g_per_kwh,
         )
-        return self.inner.resolve_setting(job, setting)
+        return self.inner.resolve_setting(job, setting, time_s)
 
     def resolve(self, job: Job, time_s: float) -> ResolvedExecution:
         """Plain (carbon-blind) resolution — the rigid comparison path."""
         return self.inner.resolve(job, time_s)
+
+    def resolve_setting(
+        self, job: Job, setting: FrequencySetting, time_s: float
+    ) -> ResolvedExecution:
+        """Execution of ``job`` at ``setting``, whatever the policy would choose."""
+        return self.inner.resolve_setting(job, setting, time_s)
 
 
 @dataclass(frozen=True)

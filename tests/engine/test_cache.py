@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import errno
+import gc
 import json
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from repro.engine import cache as cache_module
 from repro.engine.cache import LRUCache, SweepStore
 from repro.engine.plan import CIScenario, SweepSpec
-from repro.engine.runner import COLUMNS, run_sweep
+from repro.engine.runner import COLUMN_DTYPES, COLUMNS, run_sweep
 from repro.errors import ConfigurationError
 from repro.framing import PREFIX, frame
 from repro.node.determinism import DeterminismMode
@@ -93,6 +95,20 @@ DAMAGE = {
 
 def _first_chunk(result):
     return {name: result.columns[name][:ROWS] for name in COLUMNS}
+
+
+def _destinations(rows=ROWS):
+    """Writable arrays for ``get_chunk(..., out=...)``, one per sweep column."""
+    return {name: np.empty(rows, dtype) for name, dtype in COLUMN_DTYPES.items()}
+
+
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+def _chunk_files(store, spec):
+    return {p.name: p.read_bytes() for p in sorted(store.entry_dir(spec.spec_hash).glob("rows-*"))}
 
 
 def _assert_same_columns(result, reference):
@@ -196,6 +212,36 @@ class TestSweepStoreChunks:
         run_sweep(spec, chunk_size=3, store=store)
         assert store.cached_chunks(spec.spec_hash) == [(0, 3), (3, 6), (6, 8)]
 
+    def test_get_chunk_reads_into_destinations(self, tmp_path):
+        spec = small_spec()
+        store = SweepStore(tmp_path)
+        result = run_sweep(spec, chunk_size=ROWS, store=store)
+        out = _destinations()
+        loaded = store.get_chunk(spec.spec_hash, 0, ROWS, COLUMNS, out=out)
+        assert list(loaded) == list(COLUMNS)
+        for name, arr in _first_chunk(result).items():
+            assert loaded[name] is out[name]
+            assert out[name].tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda: np.empty(ROWS + 1),
+            lambda: np.empty(2 * ROWS)[::2],
+            lambda: _read_only(np.zeros(ROWS)),
+        ],
+        ids=["wrong-length", "strided", "read-only"],
+    )
+    def test_get_chunk_refuses_destinations_it_cannot_fill(self, tmp_path, bad):
+        """A caller's bad destination raises and leaves the chunk in place."""
+        spec = small_spec()
+        store = SweepStore(tmp_path)
+        run_sweep(spec, chunk_size=ROWS, store=store)
+        out = {**_destinations(), "utilisation": bad()}
+        with pytest.raises((ConfigurationError, TypeError)):
+            store.get_chunk(spec.spec_hash, 0, ROWS, COLUMNS, out=out)
+        assert store.chunk_path(spec.spec_hash, 0, ROWS).exists()
+
     def test_get_chunk_returns_read_only_arrays(self, tmp_path):
         spec = small_spec()
         store = SweepStore(tmp_path)
@@ -248,6 +294,134 @@ class TestTornChunks:
         again = run_sweep(spec, chunk_size=ROWS, store=store)
         assert (again.meta.disk_hits, again.meta.computed_chunks) == (1, 1)
         _assert_same_columns(again, clean)
+
+
+    @pytest.mark.parametrize("damage", DAMAGE.values(), ids=DAMAGE.keys())
+    def test_damaged_chunk_read_into_destinations_is_a_miss(self, tmp_path, damage):
+        spec = small_spec()
+        clean = run_sweep(spec, chunk_size=ROWS)
+        store = SweepStore(tmp_path)
+        run_sweep(spec, chunk_size=ROWS, store=store)
+        chunk = store.chunk_path(spec.spec_hash, 0, ROWS)
+        chunk.write_bytes(damage(chunk.read_bytes(), _first_chunk(clean)))
+        misses = store.misses
+        out = _destinations()
+        assert store.get_chunk(spec.spec_hash, 0, ROWS, COLUMNS, out=out) is None
+        assert not chunk.exists()
+        assert store.misses == misses + 1
+
+    @pytest.mark.parametrize("read_into", [False, True], ids=["own-arrays", "destinations"])
+    def test_header_nested_past_the_parser_limit_is_a_miss(self, tmp_path, read_into):
+        """A forged header nested past the JSON decoder's recursion limit is
+        a miss that deletes the file, not a RecursionError."""
+        spec = small_spec()
+        clean = run_sweep(spec, chunk_size=ROWS)
+        store = SweepStore(tmp_path)
+        run_sweep(spec, chunk_size=ROWS, store=store)
+        chunk = store.chunk_path(spec.spec_hash, 0, ROWS)
+        deep = "[" * 100_000 + "]" * 100_000
+        chunk.write_bytes(b"".join(frame(cache_module._MAGIC, deep, _first_chunk(clean).values())))
+        out = _destinations() if read_into else None
+        assert store.get_chunk(spec.spec_hash, 0, ROWS, COLUMNS, out=out) is None
+        assert not chunk.exists()
+
+    @pytest.mark.parametrize("code", ["<f4", ">f8"])
+    def test_stored_dtype_unlike_the_destination_is_a_miss(self, tmp_path, code):
+        """A well-formed chunk whose float64 column is stored as ``code``
+        reads back as stored on its own, but cannot fill a result column."""
+        spec = small_spec()
+        clean = run_sweep(spec, chunk_size=ROWS)
+        store = SweepStore(tmp_path)
+        run_sweep(spec, chunk_size=ROWS, store=store)
+        chunk = store.chunk_path(spec.spec_hash, 0, ROWS)
+        true_bytes = chunk.read_bytes()
+        cols = _first_chunk(clean)
+        forged = _forge({**cols, "utilisation": cols["utilisation"].astype(code)})
+        chunk.write_bytes(forged)
+        loaded = store.get_chunk(spec.spec_hash, 0, ROWS, COLUMNS)
+        assert loaded["utilisation"].dtype == np.dtype(code)
+        out = _destinations()
+        assert store.get_chunk(spec.spec_hash, 0, ROWS, COLUMNS, out=out) is None
+        assert not chunk.exists()
+        chunk.write_bytes(forged)
+        again = run_sweep(spec, chunk_size=ROWS, store=store)
+        assert (again.meta.disk_hits, again.meta.computed_chunks) == (1, 1)
+        _assert_same_columns(again, clean)
+        assert chunk.read_bytes() == true_bytes
+
+    @pytest.mark.parametrize("code", [None, ">f8"], ids=["intact", "big-endian-column"])
+    def test_chunks_published_since_the_listing_are_read(self, tmp_path, monkeypatch, code):
+        """Chunks a concurrent writer published after the entry listing are
+        still read, into arrays of their own, under the same checks."""
+        spec = small_spec()
+        clean = run_sweep(spec, chunk_size=ROWS)
+        store = SweepStore(tmp_path)
+        run_sweep(spec, chunk_size=ROWS, store=store)
+        if code:
+            cols = _first_chunk(clean)
+            forged = _forge({**cols, "utilisation": cols["utilisation"].astype(code)})
+            store.chunk_path(spec.spec_hash, 0, ROWS).write_bytes(forged)
+        monkeypatch.setattr(store, "cached_chunks", lambda spec_hash: [])
+        again = run_sweep(spec, chunk_size=ROWS, store=store)
+        damaged = int(code is not None)
+        assert (again.meta.disk_hits, again.meta.computed_chunks) == (2 - damaged, damaged)
+        _assert_same_columns(again, clean)
+
+    def test_partly_filled_store_with_a_damaged_chunk(self, tmp_path):
+        """Missing and damaged chunks are recomputed into their slices, the
+        rest are read from disk, and the result is a clean run's bytes."""
+        spec = small_spec(utilisations=(0.3, 0.5, 0.7, 0.9))
+        clean = run_sweep(spec, chunk_size=3)
+        store = SweepStore(tmp_path)
+        run_sweep(spec, chunk_size=3, store=store)
+        reference = _chunk_files(store, spec)
+        assert len(reference) == 6
+        store.chunk_path(spec.spec_hash, 0, 3).unlink()
+        store.chunk_path(spec.spec_hash, 9, 12).unlink()
+        damaged = store.chunk_path(spec.spec_hash, 3, 6)
+        damaged.write_bytes(_flip_bit(damaged.read_bytes(), len(reference[damaged.name]) - 3))
+        again = run_sweep(spec, chunk_size=3, store=store)
+        assert (again.meta.disk_hits, again.meta.computed_chunks) == (3, 3)
+        _assert_same_columns(again, clean)
+        assert _chunk_files(store, spec) == reference
+
+
+def _peak_ratio(run) -> tuple[float, object]:
+    """Peak traced allocation while ``run()`` executes, over its result's bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / sum(col.nbytes for col in result.columns.values()), result
+
+
+class TestReplayMemory:
+    """A disk hit lands in its result slice: a replay holds no second copy."""
+
+    def test_warm_replay_peaks_near_its_result(self, tmp_path):
+        spec = small_spec(
+            frequencies=(
+                FrequencySetting.GHZ_1_5,
+                FrequencySetting.GHZ_2_0,
+                FrequencySetting.GHZ_2_25_TURBO,
+            ),
+            ci_scenarios=tuple(CIScenario.flat(c) for c in (25.0, 60.0, 120.0, 190.0)),
+            utilisations=tuple(0.3 + 0.08 * i for i in range(8)),
+            node_counts=(1000, 2000, 4000, 5860),
+            lifetimes_years=tuple(3.0 + 0.5 * i for i in range(20)),
+        )
+        assert spec.n_scenarios == 15_360
+        run_sweep(spec, chunk_size=1024)  # first-call imports and memos
+        store = SweepStore(tmp_path)
+        cold_ratio, cold = _peak_ratio(lambda: run_sweep(spec, store=store))
+        warm_ratio, warm = _peak_ratio(lambda: run_sweep(spec, store=store))
+        assert warm.meta.disk_hits == warm.meta.n_chunks == 4
+        _assert_same_columns(warm, cold)
+        assert warm_ratio <= 1.1
+        assert cold_ratio <= 2.1
 
 
 class TestCrashPoints:

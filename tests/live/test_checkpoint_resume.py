@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.regimes import OptimisationTarget, Regime
 from repro.errors import CheckpointError, MonitoringError
-from repro.framing import PREFIX, frame, unframe
+from repro.framing import PREFIX, frame, read_frame
 from repro.live import checkpoint as checkpoint_module
 from repro.live import monitor as monitor_module
 from repro.live.advisor import InterventionAdvisor
@@ -262,7 +262,9 @@ class TestPipelineSnapshot:
         pipeline, *_ = build_monitor(supervisor_config=SupervisorConfig())
         path = tmp_path / "snapshot.ckpt"
         save_checkpoint(path, pipeline.checkpoint())
-        header, _ = unframe(path.read_bytes(), checkpoint_module._MAGIC)
+        header, _ = read_frame(
+            path, checkpoint_module._MAGIC, lambda _, length: [bytearray(length)]
+        )
         document = json.loads(header)
         assert document["version"] == CHECKPOINT_VERSION
         assert document["payload"].keys() == pipeline.checkpoint().keys()
@@ -604,6 +606,15 @@ class TestDamagedCheckpointFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: checkpoint {path} ")
         assert check in err
+
+    def test_header_nested_past_the_parser_limit_is_refused(self, tmp_path):
+        """A forged header nested past the JSON decoder's recursion limit is
+        a CheckpointError, not a RecursionError."""
+        path = tmp_path / "deep.ckpt"
+        deep = "[" * 100_000 + "]" * 100_000
+        path.write_bytes(b"".join(frame(checkpoint_module._MAGIC, deep, [])))
+        with pytest.raises(CheckpointError, match="has a malformed header"):
+            load_checkpoint(path)
 
 
 class TestCheckpointCrashPoints:

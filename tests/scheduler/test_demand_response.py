@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro.core.interventions import (
+    InterventionSchedule,
+    OperatingState,
+    ScheduledEnvironment,
+)
 from repro.errors import ConfigurationError
 from repro.grid.events import GridStressEvent
 from repro.node.calibration import build_node_model
@@ -12,6 +17,7 @@ from repro.scheduler.demand_response import (
     DemandResponseEnvironment,
     response_latency_estimate,
 )
+from repro.scheduler.frequency_policy import FrequencyPolicy
 from repro.workload.applications import full_catalogue
 from repro.workload.jobs import Job
 
@@ -106,6 +112,51 @@ class TestDemandResponseEnvironment:
         assert shed.trace.energy_j() < normal.trace.energy_j()
         for record in shed.records:
             assert record.setting is FrequencySetting.GHZ_1_5
+
+
+def environment(kind, policy):
+    node_model = build_node_model()
+    if kind == "static":
+        return StaticEnvironment(node_model=node_model, policy=policy)
+    state = OperatingState(mode=DeterminismMode.POWER, policy=policy)
+    return ScheduledEnvironment(node_model=node_model, schedule=InterventionSchedule(state))
+
+
+class TestResponseWhateverThePolicy:
+    """The response setting is forced past the frequency policy, so a policy
+    that ignores user overrides cannot drop it."""
+
+    @pytest.mark.parametrize("respect", [True, False], ids=["respects-users", "ignores-users"])
+    @pytest.mark.parametrize("kind", ["static", "scheduled"])
+    def test_job_inside_event_runs_at_response_setting(self, kind, respect):
+        inner = environment(kind, FrequencyPolicy(respect_user_override=respect))
+        env = DemandResponseEnvironment(inner=inner, events=[make_event()])
+        resolved = env.resolve(make_job(), 1500.0)
+        assert resolved.setting is FrequencySetting.GHZ_1_5
+        assert resolved.node_power_w == pytest.approx(347.9, abs=0.05)
+        assert resolved.node_power_w < inner.resolve(make_job(), 1500.0).node_power_w
+
+    @pytest.mark.parametrize("respect", [True, False], ids=["respects-users", "ignores-users"])
+    @pytest.mark.parametrize("kind", ["static", "scheduled"])
+    def test_job_outside_event_follows_the_policy(self, kind, respect):
+        inner = environment(kind, FrequencyPolicy(respect_user_override=respect))
+        env = DemandResponseEnvironment(inner=inner, events=[make_event()])
+        resolved = env.resolve(make_job(), 100.0)
+        assert resolved == inner.resolve(make_job(), 100.0)
+        assert resolved.setting is FrequencySetting.GHZ_2_25_TURBO
+        assert resolved.node_power_w == pytest.approx(473.7, abs=0.05)
+
+    @pytest.mark.parametrize("kind", ["static", "scheduled"])
+    def test_responses_nest(self, kind):
+        inner = environment(kind, FrequencyPolicy(respect_user_override=False))
+        env = DemandResponseEnvironment(
+            inner=DemandResponseEnvironment(inner=inner, events=[make_event()]),
+            events=[make_event(start=5000.0)],
+            response_setting=FrequencySetting.GHZ_2_0,
+        )
+        assert env.resolve(make_job(), 1500.0).setting is FrequencySetting.GHZ_1_5
+        assert env.resolve(make_job(), 5500.0).setting is FrequencySetting.GHZ_2_0
+        assert env.resolve(make_job(), 100.0).setting is FrequencySetting.GHZ_2_25_TURBO
 
 
 class TestResponseLatency:

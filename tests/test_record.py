@@ -1,7 +1,7 @@
 """The fast experiments still give the answers committed in RECORD.json.
 
 ``tools/record.py`` computes and compares the record; the CI ``record``
-job runs it over all 19 experiments and the five replays. Here the fast
+job runs it over all 19 experiments and the six replays. Here the fast
 set (T1-T4, R1, A1, A2) is recomputed in process: every exported file
 must hash the same, and every headline number must agree within
 ``REL_TOL``.
@@ -54,7 +54,11 @@ def test_record_covers_every_experiment_and_replay(recorded):
         "sched",
         "sched-feed",
         "sweep-grid",
+        "sweep-warm",
     ]
+    # A sweep replayed from its store exports the bytes its first run did.
+    replays = recorded["replays"]
+    assert replays["sweep-warm"]["files"] == replays["sweep-grid"]["files"]
 
 
 def test_a_moved_number_or_byte_is_named(recorded, fast):

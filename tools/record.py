@@ -2,13 +2,13 @@
 
 Usage (from the repository root)::
 
-    python tools/record.py            # all 19 experiments and the five replays
+    python tools/record.py            # all 19 experiments and the six replays
     python tools/record.py --fast     # the fast experiments only (T1-T4, R1, A1, A2)
     python tools/record.py --write    # rewrite RECORD.json from this tree
 
 The record holds, per experiment, its ``headline`` numbers at full
 precision and the sha256 of every file ``repro run ID --export DIR``
-writes; and sha256 fingerprints of five replays:
+writes; and sha256 fingerprints of six replays:
 
 * ``monitor-fig2``: ``repro monitor --scenario fig2 --days 120
   --checkpoint F --quiet`` (its stdout and the checkpoint bytes), then the
@@ -17,7 +17,9 @@ writes; and sha256 fingerprints of five replays:
 * ``sched``: ``repro sched --days 7 --nodes 256`` stdout;
 * ``sched-feed``: the same command with ``--inject-faults
   --inject-feed-outages`` (its stdout);
-* ``sweep-grid``: the files the sweep grid's ``--export`` writes.
+* ``sweep-grid``: the files the sweep grid's ``--export`` writes;
+* ``sweep-warm``: the same sweep run again from the cache the first run
+  filled, into a second export directory (its stdout and the files).
 
 Hashes compare exactly; headline numbers compare at ``HEADLINE_REL_TOL``.
 The comparison exits 1 and names each entry that differs. Experiments run
@@ -49,6 +51,7 @@ HEADLINE_REL_TOL = 1e-9
 
 # The CI replays, as `repro` command lines.
 SWEEP_PLAN = "sweep plan --ci 25,190 --decarb 190:0.07 --utilisations 0.5,0.9 --lifetimes 4,6"
+SWEEP_RUN = "sweep run --chunk-size 16 --spec sweep-spec.json --cache sweep-cache"
 CHAOS_SOAK = (
     "monitor --scenario combined --days 15 --inject-faults all --fault-seed 7 "
     "--checkpoint-every-hours 72 --quiet"
@@ -66,16 +69,20 @@ def _file_hashes(directory: Path) -> dict[str, str]:
     return {p.name: _sha256(p.read_bytes()) for p in sorted(directory.iterdir())}
 
 
-def _repro(command: str, *paths: str | Path) -> bytes:
+def _repro(command: str, *paths: str | Path, cwd: Path | None = None) -> bytes:
     """Stdout of ``python -m repro COMMAND PATHS...`` on this tree.
 
-    ``command`` is split on spaces; ``paths`` are appended as given.
-    Raises ``RuntimeError`` on a non-zero exit.
+    ``command`` is split on spaces; ``paths`` are appended as given and
+    resolve against ``cwd``. Raises ``RuntimeError`` on a non-zero exit.
     """
     args = [*command.split(), *map(str, paths)]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", *args], capture_output=True, env=env, check=False
+        [sys.executable, "-m", "repro", *args],
+        capture_output=True,
+        env=env,
+        cwd=cwd,
+        check=False,
     )
     if proc.returncode != 0:
         raise RuntimeError(
@@ -117,7 +124,7 @@ def experiment_entry(exp_id: str, workdir: Path) -> dict:
 
 
 def replay_entries(workdir: Path) -> dict:
-    """Fingerprints of the five replays, each run as a subprocess."""
+    """Fingerprints of the six replays, each run as a subprocess."""
     ckpt = workdir / "fig2.ckpt"
     fig2_stdout = _repro(f"{FIG2} --checkpoint", ckpt)
     fig2_checkpoint = ckpt.read_bytes()
@@ -125,9 +132,10 @@ def replay_entries(workdir: Path) -> dict:
     chaos = _repro(f"{CHAOS_SOAK} --checkpoint", workdir / "chaos.ckpt")
     sched = _repro(SCHED)
     sched_feed = _repro(SCHED_FEED)
-    spec, cache, export = workdir / "sweep-spec.json", workdir / "sweep-cache", workdir / "sweep"
-    _repro(f"{SWEEP_PLAN} --spec-out", spec)
-    _repro("sweep run --chunk-size 16 --spec", spec, "--cache", cache, "--export", export)
+    # Paths relative to the workdir, so stdout is the same in every workdir.
+    _repro(f"{SWEEP_PLAN} --spec-out sweep-spec.json", cwd=workdir)
+    _repro(f"{SWEEP_RUN} --export sweep", cwd=workdir)
+    warm_stdout = _repro(f"{SWEEP_RUN} --export sweep-warm", cwd=workdir)
     return {
         "monitor-fig2": {
             "stdout": _sha256(fig2_stdout),
@@ -137,7 +145,11 @@ def replay_entries(workdir: Path) -> dict:
         "chaos-soak": {"stdout": _sha256(chaos)},
         "sched": {"stdout": _sha256(sched)},
         "sched-feed": {"stdout": _sha256(sched_feed)},
-        "sweep-grid": {"files": _file_hashes(export)},
+        "sweep-grid": {"files": _file_hashes(workdir / "sweep")},
+        "sweep-warm": {
+            "stdout": _sha256(warm_stdout),
+            "files": _file_hashes(workdir / "sweep-warm"),
+        },
     }
 
 
