@@ -23,7 +23,6 @@ Subpackages
 ``scheduler``     discrete-event EASY-backfill batch simulator
 ``telemetry``     power time series, meters, persistence
 ``grid``          carbon intensity, pricing, demand response
-``interconnect``  switch power
 ``core``          the paper's contribution: emissions, regimes, interventions
 ``engine``        vectorized, cached scenario-sweep engine
 ``analysis``      baselines, change points, segment means

@@ -40,7 +40,6 @@ many sessions in one process::
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 from .core.decision import ARCHER2_WINTER_2022, OperatingPointScore, Priorities
@@ -50,7 +49,6 @@ from .core.efficiency import (
     BenchmarkComparison,
     OperatingConfig,
 )
-from .core.emissions import EmissionsModel
 from .core.regimes import OptimisationTarget, Regime
 from .engine.plan import CIScenario, SweepSpec
 from .engine.runner import SweepResult
@@ -111,66 +109,21 @@ class FacilitySession:
         # The spec validators double as session-parameter validators.
         self._core.point_spec(self._params)
 
-    # -- parameters (kept as live attributes for compatibility) -------------
-
     @property
     def params(self) -> SessionParams:
         """The immutable parameter record this session binds to the core."""
         return self._params
-
-    def _get(name: str):  # noqa: N805 — descriptor factory, not a method
-        def getter(self):
-            return getattr(self._params, name)
-
-        def setter(self, value):
-            self._params = replace(self._params, **{name: value})
-
-        return property(getter, setter, doc=f"Session {name} (see SessionParams).")
-
-    n_nodes = _get("n_nodes")
-    utilisation = _get("utilisation")
-    lifetime_years = _get("lifetime_years")
-    ci = _get("ci")
-    embodied_per_node_tco2e = _get("embodied_per_node_tco2e")
-    embodied_overhead_tco2e = _get("embodied_overhead_tco2e")
-    compute_activity = _get("compute_activity")
-    memory_activity = _get("memory_activity")
-    config = _get("config")
-    del _get
 
     @property
     def core(self) -> FacilityCore:
         """The (possibly shared) core answering this session's questions."""
         return self._core
 
-    @property
-    def node_model(self):
-        """The calibrated node power/performance model (owned by the core)."""
-        return self._core.node_model
-
-    @property
-    def memory_cache(self):
-        """The in-memory sweep cache (owned by the core, maybe shared)."""
-        return self._core.memory_cache
-
-    @property
-    def store(self):
-        """The on-disk sweep store, or ``None`` (owned by the core)."""
-        return self._core.store
-
     # -- §2: emissions and regimes -----------------------------------------
-
-    def mean_ci_g_per_kwh(self) -> float:
-        """Lifetime-average carbon intensity of the session's grid scenario."""
-        return self._core.mean_ci_g_per_kwh(self._params)
 
     def mean_power_kw(self, config: OperatingConfig | None = None) -> float:
         """Mean facility draw (busy/idle blended by utilisation), kW."""
         return self._core.mean_power_kw(self._params, config)
-
-    def emissions_model(self, config: OperatingConfig | None = None) -> EmissionsModel:
-        """The scope-2/scope-3 model at one operating point (session defaults)."""
-        return self._core.emissions_model(self._params, config)
 
     def emissions(self, config: OperatingConfig | None = None) -> dict[str, float]:
         """Lifetime emissions at one operating point (default: the session's).
@@ -239,7 +192,3 @@ class FacilitySession:
             progress=progress,
             **overrides,
         )
-
-    def invalidate_caches(self) -> None:
-        """Drop every cached sweep (memory, and disk when configured)."""
-        self._core.invalidate_caches()

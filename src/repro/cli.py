@@ -14,18 +14,67 @@ Subcommands:
   (:mod:`repro.scheduler.cli`).
 * ``repro serve`` — the multi-tenant facility service over HTTP/JSON, or
   its concurrency selftest (:mod:`repro.service.cli`).
+
+:func:`checked` builds the argparse value checks the subcommands share, so
+a flag out of its range is refused by name before any library code runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
+from collections.abc import Callable
 
 FAST_EXPERIMENTS = ["T1", "T2", "T3", "T4", "R1", "A1", "A2"]
 
 SUBCOMMANDS = ("run", "monitor", "sweep", "lint", "sched", "serve")
 USAGE = f"usage: repro {{{','.join(SUBCOMMANDS)}}} ... (see 'repro <subcommand> --help')"
+
+
+def checked(
+    wanted: str,
+    ok: Callable[[float], bool],
+    convert: Callable[[str], float] = float,
+    scale: float | None = None,
+) -> Callable[[str], float]:
+    """An argparse ``type=``: the flag's value, refused unless ``ok`` holds.
+
+    ``convert`` reads the text (``float``, or ``int`` for a whole number).
+    With ``scale``, the flag's unit in seconds, ``ok`` sees the value in
+    seconds, so a value that overflows once converted is refused here, not
+    in the library; a whole number of any size is never converted.
+    argparse then exits 2 with ``argument --flag: must be <wanted>, got '<text>'``,
+    so the refusal names the flag and the value as typed.
+    """
+
+    def parse(text: str) -> float:
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}") from None
+        if not ok(value if scale is None else value * scale):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
+def finite_non_negative(value: float) -> bool:
+    """Whether ``value`` is a finite number at or above zero."""
+    return math.isfinite(value) and value >= 0.0
+
+
+def finite_positive(value: float) -> bool:
+    """Whether ``value`` is a finite number above zero."""
+    return math.isfinite(value) and value > 0.0
+
+
+NON_NEGATIVE_INT = checked("a non-negative whole number", lambda value: value >= 0, int)
+#: The scale is seconds per hour, written out: repro.units would load numpy
+#: into every ``repro`` start-up.
+POSITIVE_HOURS = checked("a finite positive number of hours", finite_positive, scale=3600.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,9 +22,6 @@ from .efficiency import (
     OperatingConfig,
     compare_app,
     comparison_table,
-    energy_to_solution_kwh,
-    output_per_kwh,
-    output_per_nodeh,
 )
 from .emissions import EmbodiedProfile, EmissionsBreakdown, EmissionsModel
 from .lifetime import LifetimeCostModel, LifetimePosition
@@ -71,9 +68,6 @@ __all__ = [
     "BenchmarkComparison",
     "compare_app",
     "comparison_table",
-    "energy_to_solution_kwh",
-    "output_per_kwh",
-    "output_per_nodeh",
     "OperatingState",
     "Intervention",
     "BiosDeterminismChange",

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..facility.archer2 import archer2_inventory
-from ..facility.failures import FailureModel
 from ..facility.inventory import FacilityInventory
 from ..node.calibration import build_node_model
 from ..node.node_power import NodePowerModel
@@ -61,7 +60,6 @@ class CampaignConfig:
     sample_interval_s: float = 900.0
     meter: MeterSpec = field(default_factory=MeterSpec)
     backfill_depth: int = 30
-    failure_model: FailureModel | None = None
 
     def __post_init__(self) -> None:
         ensure_positive(self.duration_s, "duration_s")
@@ -142,16 +140,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     environment = ScheduledEnvironment(
         node_model=config.node_model, schedule=config.schedule
     )
-    offline = 0
-    if config.failure_model is not None:
-        offline = round(
-            config.inventory.n_nodes
-            * config.failure_model.steady_state_unavailability
-        )
     scheduler = BackfillScheduler(
-        config.inventory.n_nodes,
-        backfill_depth=config.backfill_depth,
-        offline_nodes=offline,
+        config.inventory.n_nodes, backfill_depth=config.backfill_depth
     )
     sim = scheduler.run(jobs, config.duration_s, environment, t_start_s=t_sim_start)
 

@@ -191,8 +191,3 @@ class DecisionEngine:
                 "no operating configuration satisfies the performance floor"
             )
         return max(feasible, key=lambda s: s.score)
-
-    def ranking(self, priorities: Priorities) -> list[OperatingPointScore]:
-        """All candidates, best first (infeasible ones at the end)."""
-        scored = [self.score(c, priorities) for c in self.candidates()]
-        return sorted(scored, key=lambda s: s.score, reverse=True)

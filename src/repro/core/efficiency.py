@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import ConfigurationError
 from ..node.app_energy import compare_points, evaluate_apps
 from ..node.determinism import DeterminismMode
 from ..node.node_power import NodePowerModel
 from ..node.pstates import FrequencySetting
-from ..units import ensure_positive
 from ..workload.applications import AppProfile
 
 __all__ = [
@@ -23,9 +21,6 @@ __all__ = [
     "BenchmarkComparison",
     "compare_app",
     "comparison_table",
-    "energy_to_solution_kwh",
-    "output_per_kwh",
-    "output_per_nodeh",
 ]
 
 
@@ -63,13 +58,6 @@ class BenchmarkComparison:
     energy_ratio: float
     paper_perf_ratio: float | None
     paper_energy_ratio: float | None
-
-    @property
-    def perf_error(self) -> float | None:
-        """Predicted − paper performance ratio (None without a paper value)."""
-        if self.paper_perf_ratio is None:
-            return None
-        return self.perf_ratio - self.paper_perf_ratio
 
     @property
     def energy_error(self) -> float | None:
@@ -117,29 +105,3 @@ def comparison_table(
         )
     return rows
 
-
-# -- scalar metrics ------------------------------------------------------------
-
-
-def energy_to_solution_kwh(
-    node_power_w: float, n_nodes: int, runtime_s: float
-) -> float:
-    """Compute-node energy of one run, kWh."""
-    ensure_positive(runtime_s, "runtime_s")
-    if n_nodes <= 0:
-        raise ConfigurationError("n_nodes must be positive")
-    if node_power_w < 0:
-        raise ConfigurationError("node_power_w must be non-negative")
-    return node_power_w * n_nodes * runtime_s / 3.6e6
-
-
-def output_per_kwh(runs_completed: float, energy_kwh: float) -> float:
-    """Energy efficiency: application output per kWh (§2)."""
-    ensure_positive(energy_kwh, "energy_kwh")
-    return runs_completed / energy_kwh
-
-
-def output_per_nodeh(runs_completed: float, node_hours: float) -> float:
-    """Performance efficiency: application output per node-hour (§2)."""
-    ensure_positive(node_hours, "node_hours")
-    return runs_completed / node_hours

@@ -48,12 +48,6 @@ class EmbodiedProfile:
         """Embodied emissions amortised per service year."""
         return self.total_tco2e / self.lifetime_years
 
-    def amortised_tco2e(self, duration_s: float) -> float:
-        """Embodied share attributed to a span of service time."""
-        if duration_s < 0:
-            raise ConfigurationError("duration_s must be non-negative")
-        return self.total_tco2e * duration_s / (self.lifetime_years * SECONDS_PER_YEAR)
-
 
 @dataclass(frozen=True)
 class EmissionsBreakdown:
@@ -72,13 +66,6 @@ class EmissionsBreakdown:
         """Operational fraction of total emissions."""
         total = self.total_tco2e
         return self.scope2_tco2e / total if total else 0.0
-
-    @property
-    def dominance_ratio(self) -> float:
-        """scope2 / scope3 — the quantity the paper's regimes partition."""
-        if self.scope3_tco2e == 0:
-            return float("inf")
-        return self.scope2_tco2e / self.scope3_tco2e
 
 
 @dataclass(frozen=True)
@@ -152,12 +139,3 @@ class EmissionsModel:
         return (
             self.embodied.annual_rate_tco2e * 1e6 / self.annual_energy_kwh()
         )
-
-    def scope2_share_curve(self, ci_values_g_per_kwh: np.ndarray) -> np.ndarray:
-        """Vectorised scope-2 share of lifetime emissions across CI values."""
-        ci = np.asarray(ci_values_g_per_kwh, dtype=float)
-        if np.any(ci < 0):
-            raise ConfigurationError("carbon intensities must be non-negative")
-        scope2 = self.annual_energy_kwh() * ci / 1e6  # tCO2e / year
-        scope3 = self.embodied.annual_rate_tco2e
-        return scope2 / (scope2 + scope3)

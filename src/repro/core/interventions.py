@@ -122,10 +122,6 @@ class InterventionSchedule:
         """Index of the state in force at ``time_s`` (0 = initial)."""
         return bisect.bisect_right(self._times, time_s)
 
-    def state_at(self, time_s: float) -> OperatingState:
-        """The operating state in force at ``time_s``."""
-        return self._states[self.state_index_at(time_s)]
-
     @property
     def states(self) -> list[OperatingState]:
         """All states in chronological order (initial first)."""
@@ -182,7 +178,7 @@ class ScheduledEnvironment:
     ) -> ResolvedExecution:
         """Execution of ``job`` at ``setting`` in the BIOS mode in force at
         ``time_s``, whatever the policy would choose."""
-        mode = self.schedule.state_at(time_s).mode
+        mode = self.schedule.states[self.schedule.state_index_at(time_s)].mode
         return execution_at(job, self._point(mode, job.app, setting))
 
 

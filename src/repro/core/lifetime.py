@@ -40,11 +40,6 @@ class LifetimePosition:
         total = self.total_cost_gbp
         return self.electricity_gbp / total if total else 0.0
 
-    @property
-    def total_tco2e(self) -> float:
-        """Whole-life emissions, both scopes."""
-        return self.scope2_tco2e + self.scope3_tco2e
-
 
 @dataclass(frozen=True)
 class LifetimeCostModel:

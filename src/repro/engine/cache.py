@@ -60,12 +60,6 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
     def get(self, key: Hashable):
         """The cached value for ``key`` (None on miss); refreshes recency."""
         if key in self._entries:
@@ -81,14 +75,6 @@ class LRUCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; returns whether it existed."""
-        return self._entries.pop(key, None) is not None
-
-    def clear(self) -> None:
-        """Drop every entry (hit/miss counters are kept)."""
-        self._entries.clear()
 
 
 def _encode_chunk(rows: int, columns: Mapping[str, np.ndarray]) -> list:
@@ -151,10 +137,6 @@ class SweepStore:
         return self.entry_dir(spec_hash) / f"rows-{lo:09d}-{hi:09d}{_CHUNK_SUFFIX}"
 
     # -- chunk I/O -----------------------------------------------------------
-
-    def has_chunk(self, spec_hash: str, lo: int, hi: int) -> bool:
-        """Whether the chunk is present on disk."""
-        return self.chunk_path(spec_hash, lo, hi).is_file()
 
     def put_chunk(
         self,
@@ -265,25 +247,6 @@ class SweepStore:
     def invalidate(self, spec_hash: str) -> int:
         """Remove one spec's entry; returns the number of files deleted."""
         return self._remove_entry(self.entry_dir(spec_hash))
-
-    def clear(self) -> int:
-        """Remove every entry under the store root, whatever its engine
-        version; returns files deleted."""
-        return sum(
-            self._remove_entry(entry)
-            for entry in sorted(self.root.iterdir())
-            if entry.is_dir()
-        )
-
-    def stats(self) -> dict[str, int]:
-        """Hit/miss/skip counters plus the number of entries on disk."""
-        n_entries = sum(1 for p in self.root.iterdir() if p.is_dir())
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "skipped_writes": self.skipped_writes,
-            "entries": n_entries,
-        }
 
     @staticmethod
     def _remove_entry(entry: Path) -> int:

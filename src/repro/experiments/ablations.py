@@ -24,8 +24,8 @@ from ..core.interventions import (
 )
 from ..core.reporting import render_table
 from ..facility.archer2 import archer2_inventory
+from ..facility.hardware import ComponentKind
 from ..facility.power import FacilityPowerModel
-from ..interconnect.power import SwitchPowerModel
 from ..node.determinism import DeterminismMode
 from ..scheduler.frequency_policy import FrequencyPolicy
 from ..units import SECONDS_PER_DAY
@@ -40,7 +40,8 @@ def run_a1() -> ExperimentResult:
     """A1: energy per delivered node-hour vs utilisation."""
     inventory = archer2_inventory()
     model = FacilityPowerModel(inventory)
-    switch_model = SwitchPowerModel()
+    (switches,) = inventory.entries_of_kind(ComponentKind.SWITCH)
+    switch_load_invariance = switches.spec.idle_fraction
     utilisations = np.array([0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0])
     rows = []
     energies = []
@@ -60,7 +61,7 @@ def run_a1() -> ExperimentResult:
         rows,
         title=(
             "A1: utilisation sensitivity — switch load-invariance "
-            f"{switch_model.load_invariance() * 100:.0f}%, node idle fraction "
+            f"{switch_load_invariance * 100:.0f}%, node idle fraction "
             f"{default_node_model().idle_fraction() * 100:.0f}%"
         ),
     )
@@ -73,7 +74,7 @@ def run_a1() -> ExperimentResult:
             "kwh_per_nodeh_at_90pct": energies[4],
             "kwh_per_nodeh_at_100pct": energies[-1],
             "overhead_at_50pct": overhead_50,
-            "switch_load_invariance": switch_model.load_invariance(),
+            "switch_load_invariance": switch_load_invariance,
             "node_idle_fraction": default_node_model().idle_fraction(),
         },
     )

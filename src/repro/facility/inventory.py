@@ -82,19 +82,6 @@ class FacilityInventory:
     def __iter__(self) -> Iterator[InventoryEntry]:
         return iter(self._entries.values())
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
-
-    def entry(self, name: str) -> InventoryEntry:
-        """Return the entry registered under ``name``."""
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise ConfigurationError(f"no component named {name!r} in {self.name}") from None
-
     def entries_of_kind(self, kind: ComponentKind) -> list[InventoryEntry]:
         """All entries whose spec is of the given kind, registration order."""
         return [e for e in self if e.spec.kind is kind]
@@ -144,10 +131,6 @@ class FacilityInventory:
     def loaded_power_w(self) -> float:
         """Facility-wide fully loaded power, watts."""
         return sum(e.loaded_power_w for e in self)
-
-    def power_at_load_w(self, load_fraction: float) -> float:
-        """Facility-wide power at a uniform load fraction, watts."""
-        return sum(e.power_at_load_w(load_fraction) for e in self)
 
     def aggregates(self) -> list[ComponentAggregate]:
         """Per-kind aggregate rows in Table 2 order (nodes first, then the rest).

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import ConfigurationError
 from ..units import ensure_fraction
 from .hardware import ComponentKind
@@ -54,10 +52,6 @@ class PowerBreakdown:
         """Whole-facility power."""
         return self.compute_cabinets_w + self.cooling_w + self.storage_w
 
-    def share(self, component_w: float) -> float:
-        """Fraction of the facility total drawn by ``component_w``."""
-        return component_w / self.total_w if self.total_w else 0.0
-
 
 class FacilityPowerModel:
     """Steady-state facility power as a function of the operating point."""
@@ -89,7 +83,6 @@ class FacilityPowerModel:
         self,
         utilisation: float = 1.0,
         busy_node_power_w: float | None = None,
-        fabric_load: float = 1.0,
     ) -> PowerBreakdown:
         """Component-class power at an operating point.
 
@@ -102,13 +95,8 @@ class FacilityPowerModel:
             Mean power of a *busy* node. Defaults to the spec loaded power;
             pass the output of :class:`repro.node.node_power.NodePowerModel`
             to study BIOS/frequency operating points.
-        fabric_load:
-            Load fraction for switches — nearly irrelevant by design, since
-            switch specs are close to load-invariant, but exposed so the
-            ablation benches can demonstrate exactly that.
         """
         ensure_fraction(utilisation, "utilisation")
-        ensure_fraction(fabric_load, "fabric_load")
         n = self.inventory.n_nodes
         idle_w = self._node_idle_w()
         busy_w = self._node_loaded_w() if busy_node_power_w is None else float(busy_node_power_w)
@@ -116,8 +104,9 @@ class FacilityPowerModel:
             raise ConfigurationError(f"busy_node_power_w must be >= 0, got {busy_w}")
         nodes_w = n * (utilisation * busy_w + (1.0 - utilisation) * idle_w)
 
+        # Switches are close to load-invariant (Table 2): charged fully loaded.
         switches_w = sum(
-            e.power_at_load_w(fabric_load)
+            e.power_at_load_w(1.0)
             for e in self.inventory.entries_of_kind(ComponentKind.SWITCH)
         )
         # Cabinet overheads (fans, rectification losses) track node load.
@@ -155,25 +144,6 @@ class FacilityPowerModel:
     ) -> float:
         """Whole-facility power, watts."""
         return self.breakdown(utilisation, busy_node_power_w).total_w
-
-    def utilisation_sweep(
-        self,
-        utilisations: np.ndarray,
-        busy_node_power_w: float | None = None,
-    ) -> np.ndarray:
-        """Vectorised compute-cabinet power over an array of utilisations.
-
-        Exploits the linearity of the node term so the sweep is a single
-        numpy expression rather than a Python loop per point.
-        """
-        u = np.asarray(utilisations, dtype=float)
-        if np.any((u < 0) | (u > 1)):
-            raise ConfigurationError("utilisations must lie within [0, 1]")
-        base = self.breakdown(0.0, busy_node_power_w)
-        full = self.breakdown(1.0, busy_node_power_w)
-        return base.compute_cabinets_w + u * (
-            full.compute_cabinets_w - base.compute_cabinets_w
-        )
 
     def energy_per_nodeh_at(
         self,

@@ -41,10 +41,6 @@ class GridStressEvent:
         """End of the stress window."""
         return self.start_s + self.duration_s
 
-    def contains(self, time_s: float) -> bool:
-        """Whether ``time_s`` falls inside the window."""
-        return self.start_s <= time_s < self.end_s
-
 
 @dataclass(frozen=True)
 class GridStressGenerator:

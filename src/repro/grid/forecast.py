@@ -41,11 +41,6 @@ class ForecastWindow:
     t_end_s: float
     mean_ci_g_per_kwh: float
 
-    @property
-    def duration_s(self) -> float:
-        """Window length, seconds."""
-        return self.t_end_s - self.t_start_s
-
 
 class ForecastIndex:
     """Exact window queries over a step-function carbon-intensity forecast.

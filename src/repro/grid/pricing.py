@@ -50,11 +50,6 @@ class PricingModel:
             prices = prices * rng.lognormal(-sigma**2 / 2.0, sigma, size=prices.shape)
         return TimeSeries(ci_series.times_s, prices, "electricity-price")
 
-    def mean_price_gbp_per_kwh(self, mean_ci_g_per_kwh: float) -> float:
-        """Expected price at a mean carbon intensity (noise-free)."""
-        ensure_nonnegative(mean_ci_g_per_kwh, "mean_ci_g_per_kwh")
-        return self.base_gbp_per_kwh + self.slope_gbp_per_kwh_per_ci * mean_ci_g_per_kwh
-
 
 def energy_cost_gbp(
     power_series_w: TimeSeries, price_series: TimeSeries

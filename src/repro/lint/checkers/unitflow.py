@@ -5,7 +5,7 @@ per-function :class:`~repro.lint.signatures.UnitSignature` table they follow
 a quantity across function (and module) boundaries:
 
 * **REP103** — a call argument's unit conflicts with the callee parameter's
-  unit: ``kw_to_w(power_mw)``, ``accumulate(energy_kwh=node_power_kw(...))``.
+  unit: ``j_to_kwh(energy_kwh)``, ``accumulate(energy_kwh=node_power_kw(...))``.
   The callee may live any number of modules away.
 * **REP104** — a value whose unit is only known through a resolved signature
   is bound to an incompatible slot: assigned to a suffixed name, returned

@@ -52,8 +52,8 @@ EXPLANATIONS: dict[str, Explanation] = {
         ),
         bad="total = power_kw + energy_kwh",
         fix=(
-            "energy_kwh = kw_to_w(power_kw) * duration_s / 3.6e6  # convert "
-            "explicitly via repro.units before combining"
+            "total_kwh = power_kw * duration_s / 3600.0 + energy_kwh  # "
+            "multiply power by time to get energy before adding"
         ),
     ),
     "REP103": Explanation(
@@ -62,8 +62,8 @@ EXPLANATIONS: dict[str, Explanation] = {
             "resolved interprocedurally through the project call graph — "
             "the callee may live in another module."
         ),
-        bad="kw_to_w(power_mw)  # parameter is value_kw",
-        fix="kw_to_w(mw_to_kw(power_mw))  # convert to the parameter's unit",
+        bad="j_to_kwh(energy_kwh)  # parameter is value_j",
+        fix="j_to_kwh(energy_j)  # pass the unit the parameter names",
     ),
     "REP104": Explanation(
         contract=(

@@ -10,7 +10,7 @@ resolves
 * **modules** — root-relative paths to dotted module names
   (``src/repro/node/cpu.py`` → ``repro.node.cpu``);
 * **imports** — per module, local name → fully-qualified target, including
-  relative imports (``from ..units import kw_to_w``);
+  relative imports (``from ..units import j_to_kwh``);
 * **functions and classes** — every ``def``/``class`` under a stable
   qualified name (``repro.service.service.FacilityService.handle``),
   nested definitions included;
@@ -571,13 +571,6 @@ class ProjectGraph:
         sites = self.call_sites.get(qualname, [])
         return [s for s in sites if weak or not s.weak]
 
-    def async_functions(self) -> list[FunctionInfo]:
-        """Every ``async def`` in the project, sorted by qualname."""
-        return sorted(
-            (f for f in self.functions.values() if f.is_async),
-            key=lambda f: f.qualname,
-        )
-
     def sync_reach(
         self, start: str, *, max_depth: int = 10
     ) -> dict[str, list[str]]:
@@ -614,9 +607,6 @@ class ProjectGraph:
                 reached[target] = new_chain
                 stack.append((target, new_chain))
         return reached
-
-    def callee_info(self, site: CallSite) -> FunctionInfo | None:
-        return self.functions.get(site.callee)
 
     def class_has_method(self, cls_qualname: str, method: str) -> bool:
         """Whether a class (or any resolvable base) defines ``method``.

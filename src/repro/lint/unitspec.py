@@ -1,7 +1,7 @@
 """Unit-suffix registry for the units-discipline checker.
 
 The single source of truth for *which units exist* is :mod:`repro.units`: its
-converter names (``kw_to_w``) and parameter conventions (``value_kwh``,
+converter names (``j_to_kwh``) and parameter conventions (``value_kwh``,
 ``duration_s``, ``intensity_gco2_per_kwh``) define the canonical suffix
 vocabulary.  This module derives the token set from that file's AST at lint
 time and validates it against the static dimension table below — if someone

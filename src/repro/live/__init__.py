@@ -33,7 +33,6 @@ from .alerts import (
     DataGapAlert,
     DeadLetterAlert,
     DegradedModeAlert,
-    ListAlertSink,
     ProcessorCrashAlert,
     Recommendation,
     RegimeChangeAlert,
@@ -105,7 +104,6 @@ __all__ = [
     "DeadLetterAlert",
     "DegradedModeAlert",
     "AlertSink",
-    "ListAlertSink",
     "TextAlertSink",
     "format_alert",
     # processors

@@ -5,10 +5,10 @@ mean shift, a regime transition, an operating recommendation — is emitted as
 a typed, frozen alert record rather than a log line, so downstream consumers
 (tests, dashboards, the CLI) can pattern-match on alert classes and fields.
 
-Sinks receive every alert in emission order. :class:`ListAlertSink` collects
-them for programmatic use; :class:`TextAlertSink` renders one human-readable
-line per alert to any writable stream (the ``repro monitor`` CLI's live
-output).
+Sinks receive every alert in emission order. :class:`TextAlertSink` renders
+one human-readable line per alert to any writable stream (the ``repro
+monitor`` CLI's live output); :attr:`MonitorReport.alerts
+<repro.live.pipeline.MonitorReport.alerts>` holds them for programmatic use.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "DeadLetterAlert",
     "DegradedModeAlert",
     "AlertSink",
-    "ListAlertSink",
     "TextAlertSink",
     "format_alert",
 ]
@@ -69,11 +68,6 @@ class ChangePointAlert(Alert):
     level_after_estimate: float
     significance: float
     direction: int  # +1 level rose, -1 level fell
-
-    @property
-    def delta_estimate(self) -> float:
-        """Estimated shift (after − before), stream units."""
-        return self.level_after_estimate - self.level_before
 
 
 @dataclass(frozen=True)
@@ -171,22 +165,6 @@ class AlertSink(Protocol):
     def emit(self, alert: Alert) -> None:
         """Receive one alert, in emission order."""
         ...
-
-
-class ListAlertSink:
-    """Collects every emitted alert into :attr:`alerts`."""
-
-    def __init__(self) -> None:
-        """Start with an empty collection."""
-        self.alerts: list[Alert] = []
-
-    def emit(self, alert: Alert) -> None:
-        """Append the alert."""
-        self.alerts.append(alert)
-
-    def of_type(self, alert_type: type) -> list[Alert]:
-        """All collected alerts of one class, in emission order."""
-        return [a for a in self.alerts if isinstance(a, alert_type)]
 
 
 class TextAlertSink:

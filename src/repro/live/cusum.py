@@ -94,13 +94,13 @@ class CusumConfig:
     min_sigma: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.threshold_sigma <= 0:
-            raise MonitoringError("threshold_sigma must be positive")
-        if self.drift_sigma < 0:
-            raise MonitoringError("drift_sigma must be non-negative")
-        if self.warmup_samples < 4:
+        if not (math.isfinite(self.threshold_sigma) and self.threshold_sigma > 0):
+            raise MonitoringError("threshold_sigma must be a finite positive number")
+        if not (math.isfinite(self.drift_sigma) and self.drift_sigma >= 0):
+            raise MonitoringError("drift_sigma must be a finite non-negative number")
+        if not self.warmup_samples >= 4:
             raise MonitoringError("warmup_samples must be at least 4")
-        if self.min_sigma <= 0:
+        if not self.min_sigma > 0:
             raise MonitoringError("min_sigma must be positive")
 
 
@@ -560,11 +560,6 @@ class OnlineCusum(Processor):
     def segments(self) -> list[Segment]:
         """Closed segments in time order (trailing segment after finish)."""
         return list(self._closed)
-
-    @property
-    def armed(self) -> bool:
-        """Whether the baseline is frozen and detection is active."""
-        return not math.isnan(self._mu)
 
     # -- persistence -----------------------------------------------------------
 

@@ -11,10 +11,9 @@ and accounts for every sample it touches, so tests can reconcile what was
 injected against what the pipeline reports sanitised or dead-lettered.
 
 Injectors are single-use per stream: each carries its own RNG, and a fresh
-instance (or :meth:`FaultInjector.reset`) reproduces the identical fault
-sequence for the same seed. Chain them with :func:`apply_faults`, or build
-the standard named suite with :func:`chaos_chain` (the CLI's
-``--inject-faults`` spellings).
+instance reproduces the identical fault sequence for the same seed. Chain
+them with :func:`apply_faults`, or build the standard named suite with
+:func:`chaos_chain` (the CLI's ``--inject-faults`` spellings).
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class FaultInjector:
 
     def __init__(self, seed: int = 0) -> None:
         """Create the injector with its own deterministic RNG."""
-        self._seed = seed
         self.rng = np.random.default_rng(seed)
         self.batches_seen = 0
         self.batches_affected = 0
@@ -68,24 +66,9 @@ class FaultInjector:
         self.samples_removed = 0
         self.samples_displaced = 0
 
-    def reset(self) -> "FaultInjector":
-        """Rewind the RNG and counters so a re-application is identical."""
-        self.rng = np.random.default_rng(self._seed)
-        self.batches_seen = 0
-        self.batches_affected = 0
-        self.samples_corrupted = 0
-        self.samples_duplicated = 0
-        self.samples_removed = 0
-        self.samples_displaced = 0
-        return self
-
     def apply(self, source: Iterable[StreamBatch]) -> Iterator[StreamBatch]:
         """Yield the faulted view of ``source``."""
         raise NotImplementedError
-
-    def __call__(self, source: Iterable[StreamBatch]) -> Iterator[StreamBatch]:
-        """Alias for :meth:`apply`, so chains read as function composition."""
-        return self.apply(source)
 
     def summary(self) -> dict:
         """The injector's accounting, for reconciliation and reporting."""

@@ -16,6 +16,13 @@ import sys
 from dataclasses import dataclass
 
 from ..analysis.changepoint import segment_means
+from ..cli import (
+    NON_NEGATIVE_INT,
+    POSITIVE_HOURS,
+    checked,
+    finite_non_negative,
+    finite_positive,
+)
 from ..core.reporting import format_kw, render_table
 from ..errors import MonitoringError
 from ..units import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -36,6 +43,10 @@ from .replay import (
 from .supervisor import SupervisedPipeline, SupervisorConfig
 
 __all__ = ["MonitorOutcome", "build_monitor", "run_monitor", "monitor_main"]
+
+#: Longest replay ``repro monitor --days`` accepts: ten years of 15-minute
+#: samples, far past the documented 120-day runs.
+_MAX_DAYS = 3650.0
 
 
 @dataclass(frozen=True)
@@ -222,44 +233,50 @@ def monitor_main(argv: list[str] | None = None) -> int:
         help="telemetry scenario to replay (default: fig2)",
     )
     parser.add_argument(
-        "--days", type=float, default=None, help="override the scenario duration"
+        "--days",
+        type=checked(
+            f"a finite number of days in (0, {_MAX_DAYS:,.0f}]",
+            lambda days: finite_positive(days) and days <= _MAX_DAYS,
+        ),
+        default=None,
+        help=f"override the scenario duration, in days (at most {_MAX_DAYS:,.0f})",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="override the scenario RNG seed"
+        "--seed", type=NON_NEGATIVE_INT, default=None, help="override the scenario RNG seed"
     )
     parser.add_argument(
         "--threshold",
-        type=float,
+        type=checked("a finite positive number of sigmas", finite_positive),
         default=10.0,
         help="CUSUM alarm threshold h, in sigma units (default: 10)",
     )
     parser.add_argument(
         "--drift",
-        type=float,
+        type=checked("a finite non-negative number of sigmas", finite_non_negative),
         default=1.0,
         help="CUSUM drift k, in sigma units (default: 1)",
     )
     parser.add_argument(
         "--warmup",
-        type=int,
+        type=checked("a whole number of at least 4", lambda value: value >= 4, int),
         default=96,
         help="baseline warm-up samples per segment (default: 96)",
     )
     parser.add_argument(
         "--hysteresis",
-        type=float,
+        type=checked("a finite non-negative number of gCO2/kWh", finite_non_negative),
         default=5.0,
         help="regime hysteresis margin, gCO2/kWh (default: 5)",
     )
     parser.add_argument(
         "--dwell",
-        type=int,
+        type=checked("a positive whole number", lambda value: value > 0, int),
         default=3,
         help="consecutive samples to commit a regime change (default: 3)",
     )
     parser.add_argument(
         "--window-hours",
-        type=float,
+        type=POSITIVE_HOURS,
         default=24.0,
         help="rollup window size, hours (default: 24)",
     )
@@ -284,7 +301,7 @@ def monitor_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--fault-seed",
-        type=int,
+        type=NON_NEGATIVE_INT,
         default=0,
         help="seed for the fault injectors (default: 0)",
     )
@@ -296,7 +313,7 @@ def monitor_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--checkpoint-every-hours",
-        type=float,
+        type=POSITIVE_HOURS,
         default=24.0,
         help="stream-time interval between checkpoints (default: 24)",
     )

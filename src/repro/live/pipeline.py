@@ -83,11 +83,6 @@ class PipelineMetrics(Ledger):
         """Samples rejected at admission across all streams."""
         return sum(self.samples_dead_lettered.values())
 
-    @property
-    def total_alerts(self) -> int:
-        """Alerts emitted across all types."""
-        return sum(self.alerts_emitted.values())
-
 
 @dataclass(frozen=True)
 class MonitorReport:
@@ -122,11 +117,6 @@ class MonitorPipeline:
     def set_advisor(self, advisor: InterventionAdvisor) -> "MonitorPipeline":
         """Attach the advisor observing every emitted alert."""
         self._advisor = advisor
-        return self
-
-    def add_sink(self, sink: AlertSink) -> "MonitorPipeline":
-        """Attach an alert sink."""
-        self._sinks.append(sink)
         return self
 
     # -- execution -------------------------------------------------------------

@@ -78,8 +78,8 @@ class WindowedRollup(Processor):
     ) -> None:
         """Roll ``stream`` up into ``window_s`` tumbling windows."""
         super().__init__(stream)
-        if window_s <= 0:
-            raise MonitoringError(f"window_s must be positive, got {window_s}")
+        if not (math.isfinite(window_s) and window_s > 0):
+            raise MonitoringError(f"window_s must be a finite positive number, got {window_s}")
         self.window_s = float(window_s)
         self.quantile_levels = tuple(quantiles)
         self._window_index: int | None = None

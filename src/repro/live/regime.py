@@ -247,11 +247,6 @@ class RegimeTracker(Processor):
         self.transitions.append(alert)
         return alert
 
-    @property
-    def regime_sequence(self) -> list[Regime]:
-        """Committed regimes in order (initial classification first)."""
-        return [t.regime for t in self.transitions]
-
     # -- persistence -----------------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -104,17 +104,17 @@ class SupervisorConfig:
     def __post_init__(self) -> None:
         if self.max_restarts < 0:
             raise MonitoringError("max_restarts must be non-negative")
-        if self.backoff_base_s <= 0:
+        if not self.backoff_base_s > 0:
             raise MonitoringError("backoff_base_s must be positive")
         if self.backoff_multiplier < 1:
             raise MonitoringError("backoff_multiplier must be at least 1")
-        if self.backoff_cap_s < self.backoff_base_s:
+        if not self.backoff_cap_s >= self.backoff_base_s:
             raise MonitoringError("backoff_cap_s must be >= backoff_base_s")
         if not 0 <= self.backoff_jitter_fraction < 1:
             raise MonitoringError("backoff_jitter_fraction must be in [0, 1)")
-        if self.staleness_timeout_s <= 0:
+        if not self.staleness_timeout_s > 0:
             raise MonitoringError("staleness_timeout_s must be positive")
-        if self.checkpoint_every_s <= 0:
+        if not self.checkpoint_every_s > 0:
             raise MonitoringError("checkpoint_every_s must be positive")
         if self.dead_letter_capacity < 1:
             raise MonitoringError("dead_letter_capacity must be at least 1")

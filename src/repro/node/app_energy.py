@@ -50,11 +50,6 @@ class RatioPair:
     perf_ratio: float
     energy_ratio: float
 
-    @property
-    def power_ratio(self) -> float:
-        """Implied mean-power ratio (energy ratio × perf ratio)."""
-        return self.energy_ratio * self.perf_ratio
-
 
 def evaluate_apps(
     apps: Iterable[AppProfile],

@@ -12,16 +12,13 @@ report cited as [4] in the paper):
 
 On ARCHER2 the switch from Power to Performance Determinism cut compute
 cabinet power by ~7 % with a ≤1 % performance effect (paper §4.1, Table 3,
-Figure 2). The model captures this with two calibrated factors plus an
-explicit part-to-part variation distribution for fleet studies.
+Figure 2). The model captures this with two calibrated factors.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-import numpy as np
 
 from ..errors import ConfigurationError
 from ..units import ensure_fraction, ensure_positive
@@ -48,22 +45,16 @@ class DeterminismModel:
     performance_boost_derate:
         Multiplier on the achieved boost frequency in Performance Determinism
         mode — the worst-case-part guarantee costs ~1 % peak performance.
-    part_sigma:
-        Relative standard deviation of per-part performance in Power
-        Determinism mode (silicon lottery). Performance Determinism pins all
-        parts to the derated deterministic level, i.e. zero spread.
     """
 
     performance_power_derate: float = 0.85
     performance_boost_derate: float = 0.99
-    part_sigma: float = 0.01
 
     def __post_init__(self) -> None:
         ensure_fraction(self.performance_power_derate, "performance_power_derate")
         ensure_positive(self.performance_boost_derate, "performance_boost_derate")
         if self.performance_boost_derate > 1.0:
             raise ConfigurationError("performance_boost_derate cannot exceed 1")
-        ensure_fraction(self.part_sigma, "part_sigma")
 
     def dynamic_power_factor(self, mode: DeterminismMode) -> float:
         """Multiplier applied to dynamic node power for the given mode."""
@@ -76,31 +67,3 @@ class DeterminismModel:
         if mode is DeterminismMode.POWER:
             return 1.0
         return self.performance_boost_derate
-
-    def sample_part_performance(
-        self, mode: DeterminismMode, n_parts: int, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Per-part relative performance multipliers for a fleet of CPUs.
-
-        Power Determinism: mean-1.0 Gaussian spread of width ``part_sigma``
-        (clipped at 3σ — silicon bins are screened). Performance Determinism:
-        every part at exactly the derated deterministic level.
-        """
-        if n_parts <= 0:
-            raise ConfigurationError(f"n_parts must be positive, got {n_parts}")
-        if mode is DeterminismMode.PERFORMANCE:
-            return np.full(n_parts, self.performance_boost_derate)
-        spread = rng.normal(0.0, self.part_sigma, size=n_parts)
-        spread = np.clip(spread, -3 * self.part_sigma, 3 * self.part_sigma)
-        return 1.0 + spread
-
-    def fleet_performance_spread(
-        self, mode: DeterminismMode, n_parts: int, rng: np.random.Generator
-    ) -> float:
-        """Max-minus-min relative performance across a sampled fleet.
-
-        In Performance Determinism this is exactly zero — the property the
-        mode's name promises — which the test suite asserts.
-        """
-        parts = self.sample_part_performance(mode, n_parts, rng)
-        return float(parts.max() - parts.min())

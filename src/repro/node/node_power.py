@@ -90,25 +90,6 @@ class NodePowerModel:
         power = c.idle_w + kappa * (c.cpu_dynamic_w * g * a_eff + c.memory_dynamic_w * a_m)
         return float(power) if power.ndim == 0 else power
 
-    def busy_power_at(
-        self,
-        setting: FrequencySetting,
-        mode: DeterminismMode,
-        compute_activity: float | np.ndarray,
-        memory_activity: float | np.ndarray,
-    ) -> float | np.ndarray:
-        """Convenience wrapper resolving the operating point first."""
-        point = self.cpu.operating_point(setting, mode)
-        return self.busy_power_w(point, compute_activity, memory_activity)
-
-    def max_power_w(self) -> float:
-        """Upper bound: fully compute-active at the reference frequency,
-        Power Determinism. Useful for electrical provisioning checks."""
-        point = self.cpu.operating_point(
-            FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER
-        )
-        return float(self.busy_power_w(point, 1.0, 0.0))
-
     def idle_fraction(self) -> float:
         """Idle power as a fraction of a typical loaded node (§5: ~50 %).
 

@@ -122,9 +122,6 @@ class PStateTable:
     def __iter__(self):
         return iter(self._by_setting.values())
 
-    def __len__(self) -> int:
-        return len(self._by_setting)
-
     def get(self, setting: FrequencySetting) -> PState:
         """The P-state for a frequency setting."""
         try:

@@ -66,10 +66,6 @@ class ThermalModel:
         leak = self.leakage_ref_w * np.exp((t - self.t_ref_c) / self.t_slope_c)
         return float(leak) if leak.ndim == 0 else leak
 
-    def within_limits(self, coolant_c: float, node_power_w: float) -> bool:
-        """Whether the junction stays below its throttling limit."""
-        return self.junction_temperature_c(coolant_c, node_power_w) <= self.t_j_max_c
-
     def solve_node_power_w(
         self, coolant_c: float, dynamic_power_w: float, tolerance_w: float = 0.01
     ) -> float:

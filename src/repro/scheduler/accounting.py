@@ -75,10 +75,6 @@ class PowerTrace:
             return float(values[-1])
         return float(np.dot(values, durations) / total)
 
-    def mean_busy_power_w(self) -> float:
-        """Mean power of busy nodes over the span, watts."""
-        return self.time_weighted_mean(self.busy_power_w)
-
     def mean_busy_nodes(self) -> float:
         """Mean number of busy nodes over the span."""
         return self.time_weighted_mean(self.busy_nodes)
@@ -225,10 +221,6 @@ class _RunMetrics:
         """Busy-node energy integrated over the span, kWh."""
         return self.trace.energy_j() / JOULES_PER_KWH
 
-    def emissions_tco2e(self, ci: TimeSeries) -> float:
-        """Scope-2 emissions of the run against a carbon-intensity series."""
-        return trace_emissions_tco2e(self.trace, ci)
-
     def mean_bounded_stretch(self, tau_s: float = 600.0) -> float:
         """Mean bounded slowdown of completed attempts (1.0 when none ran)."""
         completed = [r for r in self.records if not r.interrupted]
@@ -261,11 +253,6 @@ class SimulationResult(_RunMetrics):
     n_running_at_end: int = 0
     faults: FaultAccounting = field(default_factory=FaultAccounting)
 
-    @property
-    def span_s(self) -> float:
-        """Simulated wall-clock span, seconds."""
-        return self.t_end_s - self.t_start_s
-
     def reconciles(self, rel_tol: float = 1e-6) -> bool:
         """Conservation identities of the run (see :func:`reconciles`)."""
         return reconciles(self, self.n_unstarted, rel_tol)
@@ -274,20 +261,6 @@ class SimulationResult(_RunMetrics):
         """Node-hours delivered to jobs within the span (wasted burn excluded)."""
         return sum(r.node_hours for r in self.records if not r.interrupted)
 
-    def mean_wait_s(self) -> float:
-        """Mean queue wait of completed attempts, seconds (0 when none)."""
-        waits = [r.wait_s for r in self.records if not r.interrupted]
-        if not waits:
-            return 0.0
-        return float(np.mean(waits))
-
-    def node_hours_by_app(self) -> dict[str, float]:
-        """Node-hours per application name."""
-        shares: dict[str, float] = {}
-        for r in self.records:
-            shares[r.job.app.name] = shares.get(r.job.app.name, 0.0) + r.node_hours
-        return shares
-
     def node_hours_by_setting(self) -> dict[str, float]:
         """Node-hours per frequency setting actually used (policy audit)."""
         shares: dict[str, float] = {}
@@ -295,13 +268,6 @@ class SimulationResult(_RunMetrics):
             key = r.setting.value
             shares[key] = shares.get(key, 0.0) + r.node_hours
         return shares
-
-    def mean_busy_node_power_w(self) -> float:
-        """Mean per-busy-node power, watts (0 when nothing ran)."""
-        busy_nodes = self.trace.mean_busy_nodes()
-        if busy_nodes == 0:
-            return 0.0
-        return self.trace.mean_busy_power_w() / busy_nodes
 
 
 def trace_emissions_tco2e(trace: PowerTrace, ci: TimeSeries) -> float:

@@ -50,7 +50,6 @@ __all__ = [
 def validate_jobs(
     jobs: list[Job],
     available_nodes: int,
-    offline_nodes: int = 0,
     *,
     elastic: bool = False,
 ) -> None:
@@ -68,9 +67,7 @@ def validate_jobs(
     end events all key on them.
     """
     if available_nodes <= 0:
-        raise SchedulingError(
-            f"facility has no schedulable nodes ({offline_nodes} offline)"
-        )
+        raise SchedulingError("facility has no schedulable nodes")
     seen: set[int] = set()
     for job in jobs:
         if job.job_id in seen:
@@ -95,7 +92,7 @@ def validate_jobs(
             raise SchedulingError(
                 f"job {job.job_id} requests {floor} nodes; "
                 f"facility has {available_nodes} available "
-                f"({offline_nodes} offline; allowed range 1..{available_nodes})"
+                f"(allowed range 1..{available_nodes})"
             )
 
 
@@ -190,11 +187,6 @@ class StaticEnvironment:
 class BackfillScheduler:
     """Rigid EASY-backfill scheduler producing job records and a power trace.
 
-    ``offline_nodes`` models the steady failure/maintenance drain
-    (:class:`repro.facility.failures.FailureModel`): those nodes never host
-    jobs but still draw idle power in the facility roll-up, since the
-    telemetry recorder charges idle power to every non-busy node.
-
     ``fault_config`` switches on *dynamic* faults: seeded node failures
     drain capacity mid-run, kill the jobs they hit (the burned node-hours
     are charged as wasted energy) and requeue them with exponential
@@ -210,18 +202,12 @@ class BackfillScheduler:
         self,
         n_nodes: int,
         backfill_depth: int = 100,
-        offline_nodes: int = 0,
         fault_config: FaultConfig | None = None,
     ) -> None:
         if backfill_depth < 0:
             raise SchedulingError("backfill_depth must be non-negative")
-        if not 0 <= offline_nodes < n_nodes:
-            raise SchedulingError(
-                f"offline_nodes must be in [0, {n_nodes}), got {offline_nodes}"
-            )
         self.n_nodes = n_nodes
         self.backfill_depth = backfill_depth
-        self.offline_nodes = offline_nodes
         self.fault_config = fault_config
 
     # -- public API ---------------------------------------------------------

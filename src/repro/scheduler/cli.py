@@ -24,12 +24,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Callable
 
 import numpy as np
 
+from ..cli import (
+    NON_NEGATIVE_INT,
+    POSITIVE_HOURS,
+    checked,
+    finite_non_negative,
+    finite_positive,
+)
 from ..errors import HpcemError
 from ..facility.failures import FailureModel, FaultConfig
 from ..grid.carbon_intensity import SCENARIOS
@@ -50,51 +56,11 @@ from .malleable import (
 __all__ = ["build_sched_parser", "sched_main"]
 
 
-def _checked(
-    wanted: str,
-    ok: Callable[[float], bool],
-    convert: Callable[[str], float] = float,
-    scale: float | None = None,
-) -> Callable[[str], float]:
-    """An argparse ``type=``: the flag's value, refused unless ``ok`` holds.
-
-    ``convert`` reads the text (``float``, or ``int`` for a whole number).
-    With ``scale``, the flag's unit in seconds, ``ok`` sees the value in
-    seconds, so a value that overflows once converted is refused here, not
-    in the library; a whole number of any size is never converted.
-    argparse then exits 2 with ``argument --flag: must be <wanted>, got '<text>'``,
-    so the refusal names the flag and the value as typed.
-    """
-
-    def parse(text: str) -> float:
-        try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}") from None
-        if not ok(value if scale is None else value * scale):
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
-        return value
-
-    return parse
-
-
-def _finite_non_negative(value: float) -> bool:
-    return math.isfinite(value) and value >= 0.0
-
-
-def _finite_positive(value: float) -> bool:
-    return math.isfinite(value) and value > 0.0
-
-
 def _fraction(value: float) -> bool:
     return 0.0 <= value <= 1.0
 
 
-_POSITIVE_HOURS = _checked(
-    "a finite positive number of hours", _finite_positive, scale=SECONDS_PER_HOUR
-)
-_CI_BOUNDARY = _checked("a finite non-negative number of gCO2/kWh", _finite_non_negative)
-_NON_NEGATIVE_INT = _checked("a non-negative whole number", lambda value: value >= 0, int)
+_CI_BOUNDARY = checked("a finite non-negative number of gCO2/kWh", finite_non_negative)
 
 
 def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
@@ -108,38 +74,38 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--nodes",
-        type=_checked("a positive whole number", lambda value: value > 0, int),
+        type=checked("a positive whole number", lambda value: value > 0, int),
         default=512,
         help="facility size",
     )
     parser.add_argument(
         "--days",
-        type=_checked(
-            "a finite positive number of days", _finite_positive, scale=SECONDS_PER_DAY
+        type=checked(
+            "a finite positive number of days", finite_positive, scale=SECONDS_PER_DAY
         ),
         default=7.0,
         help="simulated span in days",
     )
     parser.add_argument(
-        "--seed", type=_NON_NEGATIVE_INT, default=42, help="trace + scheduler seed"
+        "--seed", type=NON_NEGATIVE_INT, default=42, help="trace + scheduler seed"
     )
     parser.add_argument(
         "--offered-load",
-        type=_checked("a finite positive number", _finite_positive),
+        type=checked("a finite positive number", finite_positive),
         default=0.95,
         help="offered load (keep < 1 so the queue stays bounded)",
     )
     parser.add_argument(
         "--malleable-fraction",
-        type=_checked("a fraction in [0, 1]", _fraction),
+        type=checked("a fraction in [0, 1]", _fraction),
         default=0.5,
         help="fraction of jobs declaring an elastic shape",
     )
     parser.add_argument(
         "--slack-hours",
-        type=_checked(
+        type=checked(
             "a finite non-negative number of hours",
-            _finite_non_negative,
+            finite_non_negative,
             scale=SECONDS_PER_HOUR,
         ),
         default=2.0,
@@ -147,8 +113,8 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tick-minutes",
-        type=_checked(
-            "a finite positive number of minutes", _finite_positive, scale=SECONDS_PER_MINUTE
+        type=checked(
+            "a finite positive number of minutes", finite_positive, scale=SECONDS_PER_MINUTE
         ),
         default=30.0,
         help="carbon re-evaluation cadence, minutes",
@@ -178,27 +144,27 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mtbf-hours",
-        type=_POSITIVE_HOURS,
+        type=POSITIVE_HOURS,
         default=4380.0,
         help="per-node mean time between failures, hours",
     )
     parser.add_argument(
         "--mttr-hours",
-        type=_POSITIVE_HOURS,
+        type=POSITIVE_HOURS,
         default=12.0,
         help="per-node mean time to repair, hours",
     )
     parser.add_argument(
         "--max-retries",
-        type=_NON_NEGATIVE_INT,
+        type=NON_NEGATIVE_INT,
         default=3,
         help="requeue budget before a killed job fails terminally",
     )
     parser.add_argument(
         "--ckpt-minutes",
-        type=_checked(
+        type=checked(
             "a finite non-negative number of minutes",
-            _finite_non_negative,
+            finite_non_negative,
             scale=SECONDS_PER_MINUTE,
         ),
         default=0.0,
@@ -213,7 +179,7 @@ def build_sched_parser(prog: str = "repro sched") -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--stale-after-hours",
-        type=_checked("a positive number of hours", lambda value: value > 0.0),
+        type=checked("a positive number of hours", lambda value: value > 0.0),
         default=2.0,
         help="forecast staleness beyond which malleable degrades, hours",
     )

@@ -71,21 +71,6 @@ class EventQueue:
         self._last_popped_s = time_s
         return event
 
-    def peek_time(self) -> float | None:
-        """Time of the next event, or None when empty."""
-        return self._heap[0][0] if self._heap else None
-
-    @property
-    def now_s(self) -> float:
-        """Simulation time of the most recently popped event."""
-        return self._last_popped_s
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict:

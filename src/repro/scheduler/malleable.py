@@ -286,8 +286,7 @@ class MalleableSimulation:
         self.scheduler = scheduler
         self.t_start_s = t_start_s
         self.t_end_s = t_end_s
-        available = scheduler.n_nodes - scheduler.offline_nodes
-        validate_jobs(jobs, available, scheduler.offline_nodes, elastic=elastic)
+        validate_jobs(jobs, scheduler.n_nodes, elastic=elastic)
         self._jobs = {job.job_id: job for job in jobs}
         self._shapes: dict[int, JobShape] = {}
         widths: dict[int, JobShape] = {}
@@ -304,7 +303,7 @@ class MalleableSimulation:
                     )
             self._shapes[job.job_id] = shape
 
-        self._pool = NodePool(available)
+        self._pool = NodePool(scheduler.n_nodes)
         self._queue = EventQueue()
         self._waiting: deque[int] = deque()
         self._running: dict[int, _ElasticRun] = {}
@@ -720,7 +719,7 @@ class MalleableSimulation:
             return float("inf"), 0
         raise SchedulingError(
             f"job needing {need} nodes can never be scheduled on "
-            f"{self._pool.n_nodes} nodes"
+            f"{self.scheduler.n_nodes} nodes"
         )
 
     def _schedule_pass(self, now_s: float) -> None:
@@ -772,11 +771,6 @@ class MalleableSimulation:
         self._done = True
 
     # -- driving -------------------------------------------------------------
-
-    @property
-    def done(self) -> bool:
-        """Whether the simulation has reached its end event."""
-        return self._done
 
     def step(self) -> bool:
         """Process one event; returns False once the simulation has ended."""
@@ -1013,7 +1007,6 @@ class MalleableScheduler:
         environment: StaticEnvironment | CarbonAwareEnvironment,
         ci: TimeSeries,
         backfill_depth: int = 100,
-        offline_nodes: int = 0,
         carbon_tick_interval_s: float = 1800.0,
         low_g_per_kwh: float = PAPER_LOW_CI_G_PER_KWH,
         high_g_per_kwh: float = PAPER_HIGH_CI_G_PER_KWH,
@@ -1026,10 +1019,6 @@ class MalleableScheduler:
             raise SchedulingError("backfill_depth must be non-negative")
         if not stale_after_s > 0:
             raise SchedulingError("stale_after_s must be positive")
-        if not 0 <= offline_nodes < n_nodes:
-            raise SchedulingError(
-                f"offline_nodes must be in [0, {n_nodes}), got {offline_nodes}"
-            )
         ensure_positive(carbon_tick_interval_s, "carbon_tick_interval_s")
         if not low_g_per_kwh < high_g_per_kwh:
             raise SchedulingError(
@@ -1050,7 +1039,6 @@ class MalleableScheduler:
         self.environment = environment
         self.forecast = ForecastIndex(ci)
         self.backfill_depth = backfill_depth
-        self.offline_nodes = offline_nodes
         self.carbon_tick_interval_s = carbon_tick_interval_s
         self.low_g_per_kwh = low_g_per_kwh
         self.high_g_per_kwh = high_g_per_kwh
@@ -1108,7 +1096,6 @@ def compare_rigid_malleable(
     t_start_s: float = 0.0,
     n_nodes: int | None = None,
     backfill_depth: int = 100,
-    offline_nodes: int = 0,
     carbon_tick_interval_s: float = 1800.0,
     low_g_per_kwh: float = PAPER_LOW_CI_G_PER_KWH,
     high_g_per_kwh: float = PAPER_HIGH_CI_G_PER_KWH,
@@ -1119,24 +1106,22 @@ def compare_rigid_malleable(
 ) -> RigidMalleableComparison:
     """Run the same trace rigidly and malleably; score both against ``ci``.
 
-    ``n_nodes`` defaults to the smallest power of two covering the widest
-    job (plus offline drain), which keeps ad-hoc comparisons runnable
-    without a facility config.
+    ``n_nodes`` defaults to the smallest power of two above the widest
+    job, which keeps ad-hoc comparisons runnable without a facility config.
     """
     if n_nodes is None:
         widest = max(job.n_nodes for job in jobs)
         n_nodes = 1
-        while n_nodes < widest + offline_nodes + 1:
+        while n_nodes <= widest:
             n_nodes *= 2
-    rigid = BackfillScheduler(
-        n_nodes, backfill_depth, offline_nodes, fault_config=fault_config
-    ).run(jobs, t_end_s, environment, t_start_s)
+    rigid = BackfillScheduler(n_nodes, backfill_depth, fault_config=fault_config).run(
+        jobs, t_end_s, environment, t_start_s
+    )
     malleable = MalleableScheduler(
         n_nodes,
         environment,
         ci,
         backfill_depth=backfill_depth,
-        offline_nodes=offline_nodes,
         carbon_tick_interval_s=carbon_tick_interval_s,
         low_g_per_kwh=low_g_per_kwh,
         high_g_per_kwh=high_g_per_kwh,

@@ -25,11 +25,6 @@ class NodePool:
         self._drained = 0
 
     @property
-    def n_nodes(self) -> int:
-        """Total nodes in the pool."""
-        return self._n_nodes
-
-    @property
     def busy(self) -> int:
         """Nodes currently allocated to jobs."""
         return self._busy
@@ -48,11 +43,6 @@ class NodePool:
     def free(self) -> int:
         """Nodes currently idle and in service."""
         return self._n_nodes - self._busy - self._drained
-
-    @property
-    def utilisation(self) -> float:
-        """Busy fraction ∈ [0, 1]."""
-        return self._busy / self._n_nodes
 
     def fits(self, n: int) -> bool:
         """Whether an ``n``-node request can start now."""

@@ -95,10 +95,6 @@ class JobShape:
         """Whether more than one allocation is legal."""
         return self.min_nodes < self.max_nodes
 
-    def clamp(self, n_nodes: int) -> int:
-        """Nearest legal allocation to ``n_nodes``."""
-        return min(max(n_nodes, self.min_nodes), self.max_nodes)
-
     def stretch(self, n_nodes: int) -> float:
         """Runtime multiplier at ``n_nodes`` vs the preferred allocation.
 
@@ -126,11 +122,3 @@ class JobShape:
                 f"job {self.job_id}: preferred_runtime_s must be positive"
             )
         return 1.0 / (preferred_runtime_s * self.stretch(n_nodes))
-
-    def node_seconds_factor(self, n_nodes: int) -> float:
-        """Node-seconds at ``n_nodes`` relative to the preferred allocation.
-
-        ``n · stretch(n) / preferred``; < 1 when shrunk (shrinking sheds
-        both power draw and total node-seconds).
-        """
-        return n_nodes * self.stretch(n_nodes) / self.preferred_nodes

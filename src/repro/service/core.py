@@ -352,9 +352,3 @@ class FacilityCore:
             memory_cache=self.memory_cache,
             progress=progress,
         )
-
-    def invalidate_caches(self) -> None:
-        """Drop every cached sweep (memory, and disk when configured)."""
-        self.memory_cache.clear()
-        if self.store is not None:
-            self.store.clear()

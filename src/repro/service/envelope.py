@@ -12,9 +12,6 @@ Exceptions from :mod:`repro.errors` map to *structured codes* (a
 ``"rate-limited"``/``"overloaded"``…) instead of stringified tracebacks, so
 clients can branch on ``error["code"]`` without parsing prose.
 
-:class:`ServiceResponse` implements the library-wide
-:class:`repro.results.Result` protocol — a response exports through
-:func:`repro.results.write_result` like any experiment artefact — and its
 :meth:`ServiceResponse.wire_json` is canonical (sorted keys, compact
 separators), which is what makes the service-vs-session byte-identity gate
 in ``benchmarks/bench_service.py`` meaningful.
@@ -27,7 +24,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from ..core.reporting import render_table
 from ..errors import (
     AnalysisError,
     CalibrationError,
@@ -164,12 +160,8 @@ class ServiceRequest:
 
 @dataclass(frozen=True)
 class ServiceResponse:
-    """One answered request, in the versioned ``ok/result|error`` envelope.
-
-    Implements the :class:`repro.results.Result` protocol: ``to_dict`` *is*
-    the envelope, ``to_table`` renders it for humans, ``to_csv_rows``
-    flattens it for plotting tools.
-    """
+    """One answered request, in the versioned ``ok/result|error`` envelope;
+    ``to_dict`` *is* the envelope."""
 
     ok: bool
     result: dict | None = None
@@ -208,14 +200,6 @@ class ServiceResponse:
             error["retry_after_s"] = float(retry)
         return cls(ok=False, error=error, request_key=request_key)
 
-    # -- Result protocol ----------------------------------------------------
-
-    @property
-    def result_id(self) -> str:
-        """Stable identifier derived from the request content hash."""
-        suffix = self.request_key[:12] if self.request_key else "unkeyed"
-        return f"RESP-{suffix}"
-
     def to_dict(self) -> dict:
         """The versioned JSON envelope: ``v``, ``ok``, ``result`` | ``error``."""
         envelope: dict = {"v": PROTOCOL_VERSION, "ok": self.ok}
@@ -229,35 +213,3 @@ class ServiceResponse:
         """Canonical JSON of the envelope (sorted keys, compact separators)."""
         return _canonical_json(self.to_dict())
 
-    def to_table(self) -> str:
-        """Rendered key/value table of the envelope."""
-        rows = [[key, value] for key, value in self._flat_items()]
-        status = "ok" if self.ok else f"error:{self.error['code']}"
-        return render_table(
-            ["field", "value"],
-            rows,
-            title=f"[{self.result_id}] service response — {status} (v{PROTOCOL_VERSION})",
-        )
-
-    def to_csv_rows(self) -> dict[str, list[list[str]]]:
-        """One CSV ("response") flattening the envelope to field/value rows."""
-        rows = [["field", "value"]]
-        rows += [[key, value] for key, value in self._flat_items()]
-        return {"response": rows}
-
-    def _flat_items(self) -> list[tuple[str, str]]:
-        items: list[tuple[str, str]] = [("v", str(PROTOCOL_VERSION)), ("ok", str(self.ok).lower())]
-        payload = self.result if self.ok else self.error
-        prefix = "result" if self.ok else "error"
-
-        def walk(prefix: str, value: object) -> None:
-            if isinstance(value, Mapping):
-                for key in sorted(value):
-                    walk(f"{prefix}.{key}", value[key])
-            elif isinstance(value, (list, tuple)):
-                items.append((prefix, _canonical_json(list(value))))
-            else:
-                items.append((prefix, json.dumps(value)))
-
-        walk(prefix, payload)
-        return items

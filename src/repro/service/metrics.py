@@ -85,26 +85,6 @@ class ServiceMetrics(Ledger):
     # -- totals ------------------------------------------------------------
 
     @property
-    def total_requests_in(self) -> int:
-        """Requests arrived across all tenants."""
-        return sum(self.requests_in.values())
-
-    @property
-    def total_served(self) -> int:
-        """Ok responses across all tenants."""
-        return sum(self.served.values())
-
-    @property
-    def total_rejected(self) -> int:
-        """Admission refusals across all tenants."""
-        return sum(self.rejected.values())
-
-    @property
-    def total_failed(self) -> int:
-        """Failed requests across all tenants."""
-        return sum(self.failed.values())
-
-    @property
     def total_coalesced(self) -> int:
         """Requests served by joining another flight, across all tenants."""
         return sum(self.coalesced.values())

@@ -37,31 +37,9 @@ __all__ = [
     "SECONDS_PER_MONTH",
     "SECONDS_PER_YEAR",
     "JOULES_PER_KWH",
-    "kw_to_w",
-    "w_to_kw",
-    "mw_to_w",
-    "w_to_mw",
-    "kwh_to_j",
     "j_to_kwh",
-    "mwh_to_j",
-    "j_to_mwh",
-    "wh_to_j",
-    "j_to_wh",
-    "hours_to_s",
-    "s_to_hours",
-    "days_to_s",
-    "s_to_days",
-    "minutes_to_s",
-    "months_to_s",
-    "years_to_s",
-    "g_to_kg",
-    "kg_to_g",
     "g_to_tonnes",
-    "tonnes_to_g",
-    "kg_to_tonnes",
-    "energy_j",
     "emissions_g",
-    "node_hours",
     "is_number",
     "ensure_nonnegative",
     "ensure_positive",
@@ -81,129 +59,16 @@ SECONDS_PER_YEAR = 365.2425 * SECONDS_PER_DAY
 JOULES_PER_KWH = 3.6e6
 
 
-# --- power ---------------------------------------------------------------
-
-def kw_to_w(value_kw: _T) -> _T:
-    """Convert kilowatts to watts."""
-    return value_kw * 1e3
-
-
-def w_to_kw(value_w: _T) -> _T:
-    """Convert watts to kilowatts."""
-    return value_w / 1e3
-
-
-def mw_to_w(value_mw: _T) -> _T:
-    """Convert megawatts to watts."""
-    return value_mw * 1e6
-
-
-def w_to_mw(value_w: _T) -> _T:
-    """Convert watts to megawatts."""
-    return value_w / 1e6
-
-
-# --- energy --------------------------------------------------------------
-
-def kwh_to_j(value_kwh: _T) -> _T:
-    """Convert kilowatt-hours to joules."""
-    return value_kwh * JOULES_PER_KWH
-
+# --- conversions -----------------------------------------------------------
 
 def j_to_kwh(value_j: _T) -> _T:
     """Convert joules to kilowatt-hours."""
     return value_j / JOULES_PER_KWH
 
 
-def mwh_to_j(value_mwh: _T) -> _T:
-    """Convert megawatt-hours to joules."""
-    return value_mwh * (JOULES_PER_KWH * 1e3)
-
-
-def j_to_mwh(value_j: _T) -> _T:
-    """Convert joules to megawatt-hours."""
-    return value_j / (JOULES_PER_KWH * 1e3)
-
-
-def wh_to_j(value_wh: _T) -> _T:
-    """Convert watt-hours to joules."""
-    return value_wh * 3600.0
-
-
-def j_to_wh(value_j: _T) -> _T:
-    """Convert joules to watt-hours."""
-    return value_j / 3600.0
-
-
-# --- time ----------------------------------------------------------------
-
-def hours_to_s(hours: _T) -> _T:
-    """Convert hours to seconds."""
-    return hours * SECONDS_PER_HOUR
-
-
-def s_to_hours(seconds: _T) -> _T:
-    """Convert seconds to hours."""
-    return seconds / SECONDS_PER_HOUR
-
-
-def days_to_s(days: _T) -> _T:
-    """Convert days to seconds."""
-    return days * SECONDS_PER_DAY
-
-
-def s_to_days(seconds: _T) -> _T:
-    """Convert seconds to days."""
-    return seconds / SECONDS_PER_DAY
-
-
-def minutes_to_s(minutes: _T) -> _T:
-    """Convert minutes to seconds."""
-    return minutes * SECONDS_PER_MINUTE
-
-
-def months_to_s(months: _T) -> _T:
-    """Convert mean Gregorian months to seconds."""
-    return months * SECONDS_PER_MONTH
-
-
-def years_to_s(years: _T) -> _T:
-    """Convert mean Gregorian years to seconds."""
-    return years * SECONDS_PER_YEAR
-
-
-# --- emissions -----------------------------------------------------------
-
-def g_to_kg(grams: _T) -> _T:
-    """Convert grams to kilograms."""
-    return grams / 1e3
-
-
-def kg_to_g(kilograms: _T) -> _T:
-    """Convert kilograms to grams."""
-    return kilograms * 1e3
-
-
 def g_to_tonnes(grams: _T) -> _T:
     """Convert grams to metric tonnes."""
     return grams / 1e6
-
-
-def tonnes_to_g(tonnes: _T) -> _T:
-    """Convert metric tonnes to grams."""
-    return tonnes * 1e6
-
-
-def kg_to_tonnes(kilograms: _T) -> _T:
-    """Convert kilograms to metric tonnes."""
-    return kilograms / 1e3
-
-
-# --- derived quantities ---------------------------------------------------
-
-def energy_j(power_w: _T, duration_s: _T) -> _T:
-    """Energy in joules for a constant power draw over a duration."""
-    return power_w * duration_s
 
 
 def emissions_g(energy_j_: _T, intensity_gco2_per_kwh: _T) -> _T:
@@ -217,11 +82,6 @@ def emissions_g(energy_j_: _T, intensity_gco2_per_kwh: _T) -> _T:
         Grid carbon intensity, in gCO₂e per kWh.
     """
     return j_to_kwh(energy_j_) * intensity_gco2_per_kwh
-
-
-def node_hours(n_nodes: _T, duration_s: _T) -> _T:
-    """Node-hours consumed by ``n_nodes`` over ``duration_s`` seconds."""
-    return n_nodes * s_to_hours(duration_s)
 
 
 # --- validation -----------------------------------------------------------

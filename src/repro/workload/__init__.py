@@ -19,12 +19,10 @@ from .toolchain import (
     REFERENCE_TOOLCHAINS,
     Toolchain,
     apply_toolchain,
-    frequency_sensitivity_shift,
 )
 from .roofline import (
     ExecutionProfile,
     RooflineModel,
-    compute_fraction_from_arithmetic_intensity,
     compute_fraction_from_perf_ratio,
 )
 
@@ -32,7 +30,6 @@ __all__ = [
     "RooflineModel",
     "ExecutionProfile",
     "compute_fraction_from_perf_ratio",
-    "compute_fraction_from_arithmetic_intensity",
     "AppProfile",
     "paper_frequency_benchmarks",
     "paper_bios_benchmarks",
@@ -50,7 +47,6 @@ __all__ = [
     "Toolchain",
     "REFERENCE_TOOLCHAINS",
     "apply_toolchain",
-    "frequency_sensitivity_shift",
     "JobStreamConfig",
     "JobStreamGenerator",
 ]

@@ -78,15 +78,6 @@ class Job:
         """Whether the job declares a malleable/moldable node-count shape."""
         return self.min_nodes is not None
 
-    def runtime_at_s(self, effective_ghz: float) -> float:
-        """Wall time when executed at ``effective_ghz``, seconds."""
-        return self.reference_runtime_s * float(self.app.roofline.time_ratio(effective_ghz))
-
-    @property
-    def reference_node_seconds(self) -> float:
-        """Node-seconds at the reference operating point."""
-        return self.n_nodes * self.reference_runtime_s
-
 
 @dataclass(frozen=True)
 class JobRecord:
@@ -140,13 +131,3 @@ class JobRecord:
     def node_hours(self) -> float:
         """Realised node-hours."""
         return self.node_seconds / 3600.0
-
-    @property
-    def energy_j(self) -> float:
-        """Compute-node energy consumed by the job, joules."""
-        return self.node_power_w * self.node_seconds
-
-    @property
-    def energy_kwh(self) -> float:
-        """Compute-node energy consumed by the job, kWh."""
-        return self.energy_j / 3.6e6

@@ -57,21 +57,6 @@ class WorkloadMix:
         total = sum(weights)
         object.__setattr__(self, "weights", tuple(w / total for w in weights))
 
-    def __len__(self) -> int:
-        return len(self.apps)
-
-    @property
-    def names(self) -> list[str]:
-        """Application names, mix order."""
-        return [a.name for a in self.apps]
-
-    def weight_of(self, name: str) -> float:
-        """Normalised weight of an application by name."""
-        for app, w in zip(self.apps, self.weights):
-            if app.name == name:
-                return w
-        raise ConfigurationError(f"no application named {name!r} in the mix")
-
     def sample_app(self, rng: np.random.Generator) -> AppProfile:
         """Draw one application, weighted by node-hour share."""
         idx = rng.choice(len(self.apps), p=np.asarray(self.weights))

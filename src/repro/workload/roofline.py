@@ -30,7 +30,6 @@ __all__ = [
     "ExecutionProfile",
     "RooflineModel",
     "compute_fraction_from_perf_ratio",
-    "compute_fraction_from_arithmetic_intensity",
 ]
 
 
@@ -42,11 +41,6 @@ class ExecutionProfile:
     time_ratio: float  # wall time relative to the reference frequency
     compute_activity: float  # α_c: fraction of wall time core-rate limited
     memory_activity: float  # α_m: fraction of wall time memory limited
-
-    @property
-    def perf_ratio(self) -> float:
-        """Performance relative to the reference frequency (1/time_ratio)."""
-        return 1.0 / self.time_ratio
 
 
 @dataclass(frozen=True)
@@ -157,24 +151,3 @@ def compute_fraction_from_perf_ratio(
         )
     return min(float(phi), 1.0)
 
-
-def compute_fraction_from_arithmetic_intensity(
-    ai_flops_per_byte: float,
-    peak_gflops_at_ref: float,
-    memory_bandwidth_gbs: float,
-) -> float:
-    """Map an arithmetic intensity onto the model's compute fraction.
-
-    In the classical roofline, a kernel with arithmetic intensity ``AI``
-    against machine balance ``MB = peak/bandwidth`` is compute bound when
-    ``AI >= MB``. The two-component model smears that hard transition:
-    compute time ∝ flops/peak and memory time ∝ bytes/bandwidth, giving
-
-    ``φ = (AI/MB) / (1 + AI/MB)``  — asymptotically 1 for AI ≫ MB.
-    """
-    ensure_positive(ai_flops_per_byte, "ai_flops_per_byte")
-    ensure_positive(peak_gflops_at_ref, "peak_gflops_at_ref")
-    ensure_positive(memory_bandwidth_gbs, "memory_bandwidth_gbs")
-    machine_balance = peak_gflops_at_ref / memory_bandwidth_gbs
-    x = ai_flops_per_byte / machine_balance
-    return x / (1.0 + x)

@@ -13,7 +13,7 @@ machinery: a toolchain transforms an application's roofline components —
 Because frequency scaling only stretches the compute component, a toolchain
 that shrinks ``T_c`` makes an application *less* frequency-sensitive (lower
 effective compute fraction) — so compiler choice and the §4.2 frequency
-policy interact, which :func:`frequency_sensitivity_shift` quantifies.
+policy interact.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "Toolchain",
     "REFERENCE_TOOLCHAINS",
     "apply_toolchain",
-    "frequency_sensitivity_shift",
 ]
 
 
@@ -97,18 +96,3 @@ def apply_toolchain(app: AppProfile, toolchain: Toolchain) -> AppProfile:
         assumed=True,
     )
 
-
-def frequency_sensitivity_shift(
-    app: AppProfile, toolchain: Toolchain, low_ghz: float = 2.0
-) -> float:
-    """Change in performance impact at ``low_ghz`` due to the toolchain.
-
-    Returns ``impact_after − impact_before`` where impact = 1 − perf ratio.
-    Negative values mean the toolchain makes the frequency cap cheaper —
-    e.g. a vectorising compiler can move an app below the §4.2 10 %
-    module-reset threshold, letting it take the efficient default.
-    """
-    before = 1.0 - app.roofline.perf_ratio(low_ghz)
-    after_app = apply_toolchain(app, toolchain)
-    after = 1.0 - after_app.roofline.perf_ratio(low_ghz)
-    return after - before

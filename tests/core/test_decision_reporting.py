@@ -63,11 +63,6 @@ class TestDecisionEngine:
             engine.recommend(unfloored).config.setting is FrequencySetting.GHZ_1_5
         )
 
-    def test_ranking_sorted(self, engine):
-        ranking = engine.ranking(ARCHER2_WINTER_2022)
-        scores = [r.score for r in ranking]
-        assert scores == sorted(scores, reverse=True)
-
     def test_baseline_scores_unity_ratios(self, engine):
         score = engine.score(BASELINE_CONFIG, ARCHER2_WINTER_2022)
         assert score.mean_perf_ratio == pytest.approx(1.0)
@@ -141,7 +136,6 @@ class TestBatchedEngineParity:
         for priorities in PRIORITY_SETS:
             for config in engine.candidates():
                 assert engine.score(config, priorities) == reference.score(config, priorities)
-            assert engine.ranking(priorities) == reference.ranking(priorities)
             assert engine.recommend(priorities) == reference.recommend(priorities)
 
 

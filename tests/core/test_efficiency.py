@@ -10,37 +10,13 @@ from repro.core.efficiency import (
     OperatingConfig,
     compare_app,
     comparison_table,
-    energy_to_solution_kwh,
-    output_per_kwh,
-    output_per_nodeh,
 )
-from repro.errors import ConfigurationError
 from repro.node.app_energy import compare_points
 from repro.node.determinism import DeterminismMode
 from repro.node.pstates import FrequencySetting
 from repro.workload.applications import full_catalogue, paper_frequency_benchmarks
 
 CONFIGS = [OperatingConfig(s, m) for m in DeterminismMode for s in FrequencySetting]
-
-
-class TestScalarMetrics:
-    def test_energy_to_solution(self):
-        # 4 nodes at 500 W for 2 h = 4 kWh.
-        assert energy_to_solution_kwh(500.0, 4, 7200.0) == pytest.approx(4.0)
-
-    def test_output_per_kwh(self):
-        assert output_per_kwh(10.0, 5.0) == 2.0
-
-    def test_output_per_nodeh(self):
-        assert output_per_nodeh(8.0, 16.0) == 0.5
-
-    def test_validation(self):
-        with pytest.raises(Exception):
-            energy_to_solution_kwh(500.0, 0, 100.0)
-        with pytest.raises(Exception):
-            output_per_kwh(1.0, 0.0)
-        with pytest.raises(ConfigurationError):
-            energy_to_solution_kwh(-1.0, 2, 100.0)
 
 
 class TestOperatingConfigs:
@@ -65,7 +41,7 @@ class TestComparisons:
     def test_errors_against_paper_small(self, node_model):
         app = paper_frequency_benchmarks()["VASP CdTe"]
         row = compare_app(app, POST_FREQ_CONFIG, POST_BIOS_CONFIG, node_model)
-        assert abs(row.perf_error) < 0.02
+        assert abs(row.perf_ratio - row.paper_perf_ratio) < 0.02
         assert abs(row.energy_error) < 0.06
 
     def test_errors_none_without_paper_values(self, node_model):
@@ -73,7 +49,7 @@ class TestComparisons:
 
         app = synthetic_archetypes()["Climate/Ocean archetype"]
         row = compare_app(app, POST_FREQ_CONFIG, POST_BIOS_CONFIG, node_model)
-        assert row.perf_error is None
+        assert row.paper_perf_ratio is None
         assert row.energy_error is None
 
     def test_table_covers_all_apps(self, node_model):

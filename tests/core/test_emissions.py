@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.emissions import EmbodiedProfile, EmissionsBreakdown, EmissionsModel
+from repro.core.emissions import EmbodiedProfile, EmissionsModel
 from repro.errors import ConfigurationError
 from repro.telemetry.series import TimeSeries
-from repro.units import SECONDS_PER_YEAR
 
 
 @pytest.fixture(scope="module")
@@ -19,15 +18,6 @@ class TestEmbodiedProfile:
     def test_annual_rate(self):
         profile = EmbodiedProfile(total_tco2e=12_000.0, lifetime_years=6.0)
         assert profile.annual_rate_tco2e == pytest.approx(2000.0)
-
-    def test_amortisation_linear(self):
-        profile = EmbodiedProfile(total_tco2e=6000.0, lifetime_years=6.0)
-        assert profile.amortised_tco2e(SECONDS_PER_YEAR) == pytest.approx(1000.0)
-        assert profile.amortised_tco2e(0.0) == 0.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            EmbodiedProfile().amortised_tco2e(-1.0)
 
     def test_bad_lifetime_rejected(self):
         with pytest.raises(Exception):
@@ -74,14 +64,6 @@ class TestBreakdowns:
             breakdown.scope2_tco2e + breakdown.scope3_tco2e
         )
 
-    def test_dominance_ratio(self):
-        breakdown = EmissionsBreakdown(scope2_tco2e=2000.0, scope3_tco2e=1000.0)
-        assert breakdown.dominance_ratio == 2.0
-
-    def test_dominance_infinite_without_scope3(self):
-        breakdown = EmissionsBreakdown(scope2_tco2e=1.0, scope3_tco2e=0.0)
-        assert breakdown.dominance_ratio == float("inf")
-
 
 class TestCrossover:
     def test_crossover_in_paper_balanced_band(self, model):
@@ -106,11 +88,11 @@ class TestCrossover:
 
     def test_share_curve_monotone(self, model):
         ci = np.linspace(0.0, 500.0, 50)
-        shares = model.scope2_share_curve(ci)
+        shares = np.array([model.annual_breakdown(c).scope2_share for c in ci])
         assert np.all(np.diff(shares) > 0)
         assert shares[0] == 0.0
         assert shares[-1] < 1.0
 
     def test_share_curve_negative_ci_rejected(self, model):
         with pytest.raises(ConfigurationError):
-            model.scope2_share_curve(np.array([-1.0]))
+            model.annual_breakdown(-1.0)

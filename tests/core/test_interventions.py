@@ -44,22 +44,27 @@ def schedule():
     )
 
 
+def state_at(schedule, time_s):
+    """The operating state in force at ``time_s``."""
+    return schedule.states[schedule.state_index_at(time_s)]
+
+
 class TestSchedule:
     def test_state_progression(self, schedule):
-        assert schedule.state_at(0.0).mode is DeterminismMode.POWER
-        assert schedule.state_at(150.0).mode is DeterminismMode.PERFORMANCE
+        assert state_at(schedule, 0.0).mode is DeterminismMode.POWER
+        assert state_at(schedule, 150.0).mode is DeterminismMode.PERFORMANCE
         assert (
-            schedule.state_at(150.0).policy.default_setting
+            state_at(schedule, 150.0).policy.default_setting
             is FrequencySetting.GHZ_2_25_TURBO
         )
         assert (
-            schedule.state_at(250.0).policy.default_setting
+            state_at(schedule, 250.0).policy.default_setting
             is FrequencySetting.GHZ_2_0
         )
 
     def test_change_exactly_at_time(self, schedule):
         # bisect_right: at the change instant the new state is in force.
-        assert schedule.state_at(100.0).mode is DeterminismMode.PERFORMANCE
+        assert state_at(schedule, 100.0).mode is DeterminismMode.PERFORMANCE
 
     def test_interventions_sorted(self):
         sched = InterventionSchedule(
@@ -72,13 +77,13 @@ class TestSchedule:
         assert sched.change_times_s == [100.0, 200.0]
 
     def test_frequency_change_preserves_policy_settings(self, schedule):
-        final = schedule.state_at(1e9).policy
+        final = state_at(schedule, 1e9).policy
         assert final.curated_apps == paper_curated_apps()
         assert final.reset_threshold == 0.10
 
     def test_empty_schedule(self):
         sched = InterventionSchedule(OperatingState())
-        assert sched.state_at(0.0).mode is DeterminismMode.POWER
+        assert state_at(sched, 0.0).mode is DeterminismMode.POWER
         assert sched.change_times_s == []
 
 

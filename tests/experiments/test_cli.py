@@ -102,6 +102,48 @@ class TestMain:
         assert refusal in err
         assert "_s must" not in err  # no library field in seconds
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--window-hours", "nan"], "--window-hours"),
+            (["--threshold", "nan"], "--threshold"),
+            (["--drift", "nan"], "--drift"),
+            (
+                ["--checkpoint-every-hours", "nan", "--checkpoint", "{tmp}/m.ckpt"],
+                "--checkpoint-every-hours",
+            ),
+            (["--seed", "-1"], "--seed"),
+            (["--fault-seed", "-1", "--inject-faults", "dropout"], "--fault-seed"),
+            (["--days", "1e300"], "--days"),
+            (["--days", "0"], "--days"),
+            (["--days", "nan"], "--days"),
+            (["--warmup", "0"], "--warmup"),
+        ],
+        ids=[
+            "window-nan",
+            "threshold-nan",
+            "drift-nan",
+            "checkpoint-every-nan",
+            "seed-negative",
+            "fault-seed-negative",
+            "days-overflow",
+            "days-zero",
+            "days-nan",
+            "warmup-zero",
+        ],
+    )
+    def test_monitor_refuses_out_of_range_flags(self, capsys, time_limit, tmp_path, argv, flag):
+        # Each value once crashed, ran wrongly or was refused in the
+        # library's terms; argparse now refuses it by name and exits 2.
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        try:
+            code = main(["monitor", "--scenario", "fig2", "--days", "10", "--quiet", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert f"error: argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_sched_reads_whole_numbers_of_any_size(self):
         from repro.scheduler.cli import build_sched_parser
 

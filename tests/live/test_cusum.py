@@ -1,5 +1,7 @@
 """Online CUSUM detector unit tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,11 @@ def feed(detector, times, values, chunk=256):
         batch = StreamBatch(POWER_STREAM, times[lo : lo + chunk], values[lo : lo + chunk])
         alerts.extend(detector.process(batch))
     return alerts
+
+
+def armed(detector):
+    """Whether the detector's baseline is frozen and detection is active."""
+    return not math.isnan(detector.state_dict()["mu"])
 
 
 def step_signal(rng, n_before=600, n_after=600, level=3220.0, delta=-210.0, sigma=32.0):
@@ -31,12 +38,14 @@ class TestConfig:
         assert config.drift_sigma >= 0
 
     def test_bad_threshold_rejected(self):
-        with pytest.raises(MonitoringError):
-            CusumConfig(threshold_sigma=0.0)
+        for threshold in (0.0, float("nan"), float("inf")):
+            with pytest.raises(MonitoringError):
+                CusumConfig(threshold_sigma=threshold)
 
     def test_negative_drift_rejected(self):
-        with pytest.raises(MonitoringError):
-            CusumConfig(drift_sigma=-0.1)
+        for drift in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(MonitoringError):
+                CusumConfig(drift_sigma=drift)
 
     def test_tiny_warmup_rejected(self):
         with pytest.raises(MonitoringError):
@@ -49,12 +58,12 @@ class TestDetection:
         times = 900.0 * np.arange(5000)
         values = 3220.0 + 32.0 * rng.standard_normal(5000)
         assert feed(detector, times, values) == []
-        assert detector.armed
+        assert armed(detector)
 
     def test_not_armed_before_warmup(self):
         detector = OnlineCusum(POWER_STREAM, CusumConfig(warmup_samples=50))
         feed(detector, 900.0 * np.arange(10), np.full(10, 3220.0))
-        assert not detector.armed
+        assert not armed(detector)
 
     def test_downward_step_detected(self, rng):
         times, values = step_signal(rng)
@@ -63,7 +72,7 @@ class TestDetection:
         assert len(alerts) == 1
         alert = alerts[0]
         assert alert.direction == -1
-        assert alert.delta_estimate < 0
+        assert alert.level_after_estimate < alert.level_before
         # Onset within a handful of samples of the true step at index 600.
         assert abs(alert.onset_time_s - times[600]) <= 5 * 900.0
         assert alert.level_before == pytest.approx(3220.0, rel=0.01)
@@ -74,7 +83,7 @@ class TestDetection:
         alerts = feed(OnlineCusum(POWER_STREAM), times, values)
         assert len(alerts) == 1
         assert alerts[0].direction == +1
-        assert alerts[0].delta_estimate > 0
+        assert alerts[0].level_after_estimate > alerts[0].level_before
 
     def test_nan_samples_skipped_and_counted(self, rng):
         times, values = step_signal(rng)
@@ -135,7 +144,7 @@ class TestDetection:
             victim.process(
                 StreamBatch(POWER_STREAM, times[i : i + 1], values[i : i + 1])
             )
-            if victim.segments and not victim.armed:
+            if victim.segments and not armed(victim):
                 # Alarmed, new segment still warming up: the window the
                 # whole-pipeline checkpoint tests never hit.
                 snapshot = json.loads(json.dumps(victim.state_dict()))
@@ -145,7 +154,7 @@ class TestDetection:
 
         resumed = OnlineCusum(POWER_STREAM)
         resumed.load_state_dict(snapshot)
-        assert not resumed.armed
+        assert not armed(resumed)
         feed(resumed, times[kill_at:], values[kill_at:])
         resumed.finish()
 

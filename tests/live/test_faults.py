@@ -56,14 +56,6 @@ class TestDropout:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.values, y.values)
 
-    def test_reset_rewinds_rng(self):
-        inj = DropoutInjector(0.3, seed=5)
-        a = list(inj.apply(make_flow()))
-        b = list(inj.reset().apply(make_flow()))
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.values, y.values)
-        assert inj.batches_seen == 10
-
     def test_bad_probability_rejected(self):
         with pytest.raises(MonitoringError):
             DropoutInjector(p_sample=1.5)

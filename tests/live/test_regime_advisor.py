@@ -26,6 +26,11 @@ def track(values, config=None):
     return tracker
 
 
+def regimes(tracker):
+    """The committed regimes in order, initial classification first."""
+    return [t.regime for t in tracker.transitions]
+
+
 def batch_sequence(values):
     """The batch per-sample regime sequence, transitions only."""
     sequence = []
@@ -55,7 +60,7 @@ class TestTrackerConfig:
 class TestTracker:
     def test_initial_classification_emitted(self):
         tracker = track([190.0])
-        assert tracker.regime_sequence == [Regime.SCOPE2_DOMINATED]
+        assert regimes(tracker) == [Regime.SCOPE2_DOMINATED]
         assert tracker.transitions[0].previous is None
 
     def test_nan_skipped(self):
@@ -69,7 +74,7 @@ class TestTracker:
         values = rng.uniform(5.0, 200.0, 500)
         config = RegimeTrackerConfig(hysteresis_g_per_kwh=0.0, min_dwell_samples=1)
         tracker = track(values, config)
-        assert tracker.regime_sequence == batch_sequence(values)
+        assert regimes(tracker) == batch_sequence(values)
 
     def test_boundary_chatter_does_not_flap(self, rng):
         """CI chattering ±2 g around the 30 g boundary flaps the batch rule
@@ -77,18 +82,18 @@ class TestTracker:
         values = 30.0 + rng.normal(0.0, 2.0, 400)
         assert len(batch_sequence(values)) > 2  # the naive rule does flap
         tracker = track(values)  # default 5 g hysteresis, dwell 3
-        assert len(tracker.regime_sequence) == 1
+        assert len(regimes(tracker)) == 1
 
     def test_brief_excursion_debounced(self):
         """A spike shorter than min_dwell_samples never commits."""
         values = [20.0] * 10 + [50.0] * 2 + [20.0] * 10
         tracker = track(values, RegimeTrackerConfig(min_dwell_samples=3))
-        assert tracker.regime_sequence == [Regime.SCOPE3_DOMINATED]
+        assert regimes(tracker) == [Regime.SCOPE3_DOMINATED]
 
     def test_sustained_change_commits_at_dwell(self):
         values = [20.0] * 10 + [65.0] * 10
         tracker = track(values, RegimeTrackerConfig(min_dwell_samples=3))
-        assert tracker.regime_sequence == [Regime.SCOPE3_DOMINATED, Regime.BALANCED]
+        assert regimes(tracker) == [Regime.SCOPE3_DOMINATED, Regime.BALANCED]
         # Committed at the first sample of the dwell run, not the third.
         assert tracker.transitions[1].time_s == 900.0 * 10
         assert tracker.transitions[1].ci_g_per_kwh == 65.0
@@ -96,7 +101,7 @@ class TestTracker:
     def test_full_sweep_sequence(self):
         values = [20.0] * 5 + [65.0] * 5 + [190.0] * 5 + [65.0] * 5 + [20.0] * 5
         tracker = track(values)
-        assert tracker.regime_sequence == [
+        assert regimes(tracker) == [
             Regime.SCOPE3_DOMINATED,
             Regime.BALANCED,
             Regime.SCOPE2_DOMINATED,

@@ -97,7 +97,7 @@ class TestFinishSemantics:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("window_s", [0.0, -1.0])
+    @pytest.mark.parametrize("window_s", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_window_rejected(self, window_s):
         with pytest.raises(MonitoringError):
             WindowedRollup(POWER_STREAM, window_s=window_s)

@@ -119,6 +119,10 @@ class TestAdmissionControl:
             SupervisorConfig(backoff_multiplier=0.5)
         with pytest.raises(MonitoringError):
             SupervisorConfig(dead_letter_capacity=0)
+        durations = ("backoff_base_s", "backoff_cap_s", "staleness_timeout_s", "checkpoint_every_s")
+        for duration in durations:
+            with pytest.raises(MonitoringError, match=duration):
+                SupervisorConfig(**{duration: float("nan")})
 
 
 class TestCrashIsolation:

@@ -47,12 +47,17 @@ class TestEvaluateApp:
         assert run.time_ratio > 1.3  # ~26 % perf loss
 
     def test_power_between_idle_and_max(self, node_model, freq_apps):
+        # Fully compute-active at the reference frequency, Power Determinism.
+        peak = node_model.cpu.operating_point(
+            FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER
+        )
+        max_power_w = node_model.busy_power_w(peak, 1.0, 0.0)
         for app in freq_apps.values():
             for setting in FrequencySetting:
                 run = evaluate_app(
                     app, setting, DeterminismMode.PERFORMANCE, node_model
                 )
-                assert node_model.idle_power_w < run.node_power_w <= node_model.max_power_w()
+                assert node_model.idle_power_w < run.node_power_w <= max_power_w
 
 
 class TestEvaluateAppsParity:
@@ -103,7 +108,7 @@ class TestComparePoints:
             app, FrequencySetting.GHZ_2_0, DeterminismMode.PERFORMANCE, node_model
         )
         pair = compare_points(cand, base)
-        assert pair.power_ratio == pytest.approx(
+        assert pair.energy_ratio * pair.perf_ratio == pytest.approx(
             cand.node_power_w / base.node_power_w
         )
 

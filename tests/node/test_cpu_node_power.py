@@ -10,6 +10,12 @@ from repro.node.node_power import NodePowerConstants, NodePowerModel
 from repro.node.pstates import FrequencySetting
 
 
+def busy_power_at(model, setting, mode, compute_activity, memory_activity):
+    """Busy-node power at a frequency setting and BIOS mode."""
+    point = model.cpu.operating_point(setting, mode)
+    return model.busy_power_w(point, compute_activity, memory_activity)
+
+
 @pytest.fixture(scope="module")
 def cpu():
     return CpuModel()
@@ -80,23 +86,27 @@ class TestNodePowerModel:
         assert compute > memory > power_model.idle_power_w
 
     def test_lower_frequency_lower_power(self, power_model):
-        high = power_model.busy_power_at(
-            FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER, 0.5, 0.5
+        high = busy_power_at(
+            power_model, FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER, 0.5, 0.5
         )
-        low = power_model.busy_power_at(
-            FrequencySetting.GHZ_2_0, DeterminismMode.POWER, 0.5, 0.5
+        low = busy_power_at(
+            power_model, FrequencySetting.GHZ_2_0, DeterminismMode.POWER, 0.5, 0.5
         )
-        lowest = power_model.busy_power_at(
-            FrequencySetting.GHZ_1_5, DeterminismMode.POWER, 0.5, 0.5
+        lowest = busy_power_at(
+            power_model, FrequencySetting.GHZ_1_5, DeterminismMode.POWER, 0.5, 0.5
         )
         assert high > low > lowest > power_model.idle_power_w
 
     def test_performance_determinism_cuts_power(self, power_model):
-        power = power_model.busy_power_at(
-            FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER, 0.3, 0.7
+        power = busy_power_at(
+            power_model, FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER, 0.3, 0.7
         )
-        perf = power_model.busy_power_at(
-            FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.PERFORMANCE, 0.3, 0.7
+        perf = busy_power_at(
+            power_model,
+            FrequencySetting.GHZ_2_25_TURBO,
+            DeterminismMode.PERFORMANCE,
+            0.3,
+            0.7,
         )
         assert 0.90 < perf / power < 0.97
 
@@ -126,7 +136,10 @@ class TestNodePowerModel:
 
     def test_max_power_above_loaded_anchor(self, power_model):
         """Fully compute-active exceeds the mix-typical 510 W figure."""
-        assert power_model.max_power_w() > 510.0
+        point = power_model.cpu.operating_point(
+            FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER
+        )
+        assert power_model.busy_power_w(point, 1.0, 0.0) > 510.0
 
     def test_constants_validation(self):
         with pytest.raises(Exception):

@@ -1,6 +1,5 @@
 """BIOS determinism model tests."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, UnitError
@@ -29,41 +28,6 @@ class TestPowerFactor:
         assert 0.98 <= factor < 1.0
 
 
-class TestPartVariation:
-    def test_performance_mode_is_deterministic(self, model, rng):
-        """The mode's defining property: zero part-to-part spread."""
-        spread = model.fleet_performance_spread(
-            DeterminismMode.PERFORMANCE, 1000, rng
-        )
-        assert spread == 0.0
-
-    def test_power_mode_has_spread(self, model, rng):
-        spread = model.fleet_performance_spread(DeterminismMode.POWER, 1000, rng)
-        assert spread > 0.0
-
-    def test_power_mode_mean_near_one(self, model, rng):
-        parts = model.sample_part_performance(DeterminismMode.POWER, 20_000, rng)
-        assert parts.mean() == pytest.approx(1.0, abs=0.002)
-
-    def test_power_mode_beats_performance_mode_on_average(self, model, rng):
-        """Power determinism lets good parts run faster: fleet mean perf is
-        higher than the derated deterministic level."""
-        power_parts = model.sample_part_performance(DeterminismMode.POWER, 5000, rng)
-        perf_parts = model.sample_part_performance(
-            DeterminismMode.PERFORMANCE, 5000, rng
-        )
-        assert power_parts.mean() > perf_parts.mean()
-
-    def test_spread_clipped_at_three_sigma(self, model, rng):
-        parts = model.sample_part_performance(DeterminismMode.POWER, 50_000, rng)
-        assert np.all(parts >= 1.0 - 3 * model.part_sigma - 1e-12)
-        assert np.all(parts <= 1.0 + 3 * model.part_sigma + 1e-12)
-
-    def test_zero_parts_rejected(self, model, rng):
-        with pytest.raises(ConfigurationError):
-            model.sample_part_performance(DeterminismMode.POWER, 0, rng)
-
-
 class TestValidation:
     def test_boost_derate_above_one_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -72,7 +36,3 @@ class TestValidation:
     def test_power_derate_above_one_rejected(self):
         with pytest.raises(UnitError):
             DeterminismModel(performance_power_derate=1.2)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(UnitError):
-            DeterminismModel(part_sigma=-0.01)

@@ -77,7 +77,7 @@ class TestPState:
 class TestPStateTable:
     def test_archer2_has_three_settings(self):
         table = archer2_pstates()
-        assert len(table) == 3
+        assert len(table.settings) == 3
         assert set(table.settings) == set(FrequencySetting)
 
     def test_max_effective_is_turbo(self):

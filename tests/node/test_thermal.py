@@ -74,8 +74,8 @@ class TestFixedPoint:
             thermal.solve_node_power_w(30.0, -1.0)
 
     def test_limits_check(self, thermal):
-        assert thermal.within_limits(30.0, 500.0)
-        assert not thermal.within_limits(80.0, 500.0)
+        assert thermal.junction_temperature_c(30.0, 500.0) <= thermal.t_j_max_c
+        assert thermal.junction_temperature_c(80.0, 500.0) > thermal.t_j_max_c
 
 
 class TestCoolantSweep:

@@ -16,6 +16,11 @@ ci = st.floats(min_value=0.0, max_value=2000.0, allow_nan=False)
 _MODEL = build_node_model()
 
 
+def _busy_power_at(setting, mode, compute_activity, memory_activity):
+    point = _MODEL.cpu.operating_point(setting, mode)
+    return _MODEL.busy_power_w(point, compute_activity, memory_activity)
+
+
 class TestEmissionsProperties:
     @given(power_kw, embodied, lifetime, ci)
     @settings(max_examples=100)
@@ -76,7 +81,7 @@ class TestNodePowerProperties:
         a_c, a_m = activities
         for setting in FrequencySetting:
             for mode in DeterminismMode:
-                power = _MODEL.busy_power_at(setting, mode, a_c, a_m)
+                power = _busy_power_at(setting, mode, a_c, a_m)
                 assert power >= _MODEL.idle_power_w - 1e-9
 
     @given(activity_pairs)
@@ -84,8 +89,8 @@ class TestNodePowerProperties:
     def test_performance_determinism_never_draws_more(self, activities):
         a_c, a_m = activities
         for setting in FrequencySetting:
-            power = _MODEL.busy_power_at(setting, DeterminismMode.POWER, a_c, a_m)
-            perf = _MODEL.busy_power_at(
+            power = _busy_power_at(setting, DeterminismMode.POWER, a_c, a_m)
+            perf = _busy_power_at(
                 setting, DeterminismMode.PERFORMANCE, a_c, a_m
             )
             assert perf <= power + 1e-9
@@ -94,9 +99,9 @@ class TestNodePowerProperties:
     @settings(max_examples=100)
     def test_frequency_monotone(self, activities):
         a_c, a_m = activities
-        p15 = _MODEL.busy_power_at(FrequencySetting.GHZ_1_5, DeterminismMode.POWER, a_c, a_m)
-        p20 = _MODEL.busy_power_at(FrequencySetting.GHZ_2_0, DeterminismMode.POWER, a_c, a_m)
-        p28 = _MODEL.busy_power_at(
+        p15 = _busy_power_at(FrequencySetting.GHZ_1_5, DeterminismMode.POWER, a_c, a_m)
+        p20 = _busy_power_at(FrequencySetting.GHZ_2_0, DeterminismMode.POWER, a_c, a_m)
+        p28 = _busy_power_at(
             FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER, a_c, a_m
         )
         assert p15 <= p20 + 1e-9
@@ -107,10 +112,10 @@ class TestNodePowerProperties:
     def test_compute_activity_dominates_memory(self, x):
         """Swapping memory activity for compute activity cannot reduce power."""
         within = min(x, 1.0)
-        compute_heavy = _MODEL.busy_power_at(
+        compute_heavy = _busy_power_at(
             FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER, within, 0.0
         )
-        memory_heavy = _MODEL.busy_power_at(
+        memory_heavy = _busy_power_at(
             FrequencySetting.GHZ_2_25_TURBO, DeterminismMode.POWER, 0.0, within
         )
         assert compute_heavy >= memory_heavy - 1e-9

@@ -63,7 +63,7 @@ class TestSchedulerInvariants:
     @settings(max_examples=30, deadline=None)
     def test_energy_trace_matches_records(self, jobs):
         result = BackfillScheduler(64).run(jobs, 200_000.0, _ENV)
-        from_records = sum(r.energy_j for r in result.records)
+        from_records = sum(r.node_power_w * r.node_seconds for r in result.records)
         assert result.trace.energy_j() == np.float64(from_records) or abs(
             result.trace.energy_j() - from_records
         ) <= 1e-6 * max(from_records, 1.0)

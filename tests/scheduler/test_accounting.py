@@ -31,7 +31,7 @@ class TestPowerTrace:
     def test_time_weighted_mean_exact(self):
         trace = step_trace()
         # (100·10 + 300·10 + 0·10) / 30
-        assert trace.mean_busy_power_w() == pytest.approx(4000.0 / 30.0)
+        assert trace.time_weighted_mean(trace.busy_power_w) == pytest.approx(4000.0 / 30.0)
 
     def test_energy_exact(self):
         assert step_trace().energy_j() == pytest.approx(100.0 * 10 + 300.0 * 10)
@@ -100,7 +100,7 @@ class TestTraceBuilder:
 
     def test_empty_builder_yields_zero_trace(self):
         trace = TraceBuilder(2.0).build(10.0)
-        assert trace.mean_busy_power_w() == 0.0
+        assert trace.time_weighted_mean(trace.busy_power_w) == 0.0
         assert trace.t_start_s == 2.0
 
 

@@ -81,19 +81,12 @@ class TestValidateJobs:
 
     def test_no_schedulable_nodes_rejected(self):
         with pytest.raises(SchedulingError, match="no schedulable nodes"):
-            validate_jobs([make_job()], available_nodes=0, offline_nodes=16)
+            validate_jobs([make_job()], available_nodes=0)
 
     def test_scheduler_rejects_oversize_before_simulating(self):
         env = StaticEnvironment(node_model=build_node_model())
         with pytest.raises(SchedulingError, match="job 7"):
             BackfillScheduler(16).run([make_job(n_nodes=32)], 10_000.0, env)
-
-    def test_offline_drain_reduces_admissible_width(self):
-        env = StaticEnvironment(node_model=build_node_model())
-        with pytest.raises(SchedulingError, match="12 available"):
-            BackfillScheduler(16, offline_nodes=4).run(
-                [make_job(n_nodes=16)], 10_000.0, env
-            )
 
     def test_duplicate_job_ids_rejected_naming_the_id(self):
         """A repeated id would overwrite the first job's run and strand its

@@ -108,11 +108,12 @@ class TestConservation:
 
     def test_trace_power_consistent_with_records(self, result):
         """Busy-node energy from the trace equals the per-record sum."""
-        record_energy = sum(r.energy_j for r in result.records)
+        record_energy = sum(r.node_power_w * r.node_seconds for r in result.records)
         assert result.trace.energy_j() == pytest.approx(record_energy, rel=1e-9)
 
     def test_node_hours_consistency(self, result):
-        from_trace = result.trace.mean_busy_nodes() * result.span_s / 3600.0
+        span_s = result.t_end_s - result.t_start_s
+        from_trace = result.trace.mean_busy_nodes() * span_s / 3600.0
         from_records = result.total_node_hours()
         assert from_trace == pytest.approx(from_records, rel=1e-9)
 

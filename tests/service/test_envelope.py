@@ -10,7 +10,6 @@ from repro.errors import (
     SchedulingError,
     ServiceError,
 )
-from repro.results import Result, write_result
 from repro.service.envelope import (
     METHODS,
     PROTOCOL_VERSION,
@@ -114,20 +113,3 @@ class TestServiceResponse:
         )
         assert wire.index('"a"') < wire.index('"b"')
 
-    def test_satisfies_the_result_protocol(self, tmp_path):
-        response = ServiceResponse.success(
-            {"nested": {"x": 1}, "items": [1, 2]}, request_key="f" * 64
-        )
-        assert isinstance(response, Result)
-        assert response.result_id == "RESP-" + "f" * 12
-        assert "service response" in response.to_table()
-        written = write_result(response, tmp_path)
-        assert any(path.suffix == ".txt" for path in written)
-        assert any(path.suffix == ".csv" for path in written)
-
-    def test_csv_rows_flatten_the_envelope(self):
-        response = ServiceResponse.failure(ConfigurationError("bad"), request_key="")
-        rows = response.to_csv_rows()["response"]
-        assert rows[0] == ["field", "value"]
-        fields = {row[0] for row in rows[1:]}
-        assert {"v", "ok", "error.code", "error.message", "error.type"} <= fields

@@ -180,8 +180,8 @@ class TestBounds:
             )
             core.emissions(params)
             core.mean_ci_g_per_kwh(params)
-        assert len(core.tables.operating) == POINT_TABLE_CAPACITY
-        assert len(core.tables.mean_ci) == POINT_TABLE_CAPACITY
+        assert len(core.tables.operating._entries) == POINT_TABLE_CAPACITY
+        assert len(core.tables.mean_ci._entries) == POINT_TABLE_CAPACITY
 
     def test_runs_table_holds_one_entry_per_operating_config(self):
         core = FacilityCore()

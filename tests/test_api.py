@@ -27,12 +27,14 @@ class TestEmissions:
         falling = FacilitySession(
             ci_g_per_kwh=CIScenario.decarbonising(190.0, 0.07)
         )
-        assert falling.mean_ci_g_per_kwh() < flat.mean_ci_g_per_kwh()
+        assert falling.core.mean_ci_g_per_kwh(falling.params) < flat.core.mean_ci_g_per_kwh(
+            flat.params
+        )
         assert falling.emissions()["scope2_tco2e"] < flat.emissions()["scope2_tco2e"]
 
     def test_emissions_model_matches_point_evaluation(self):
         session = FacilitySession()
-        model = session.emissions_model()
+        model = session.core.emissions_model(session.params)
         assert model.annual_energy_kwh() == pytest.approx(
             session.emissions()["annual_energy_kwh"]
         )
@@ -94,14 +96,6 @@ class TestSweep:
         result = FacilitySession().sweep(utilisations=(0.25, 0.5, 0.75))
         assert sorted(set(result.columns["utilisation"])) == [0.25, 0.5, 0.75]
 
-    def test_invalidate_caches_clears_both_layers(self, tmp_path):
-        session = FacilitySession(cache_dir=tmp_path)
-        session.sweep()
-        session.invalidate_caches()
-        rerun = session.sweep()
-        assert not rerun.meta.memory_hit
-        assert rerun.meta.disk_hits == 0
-
 
 def same_row(a: dict, b: dict) -> bool:
     """Scalar-row equality that also equates NaN cells (e.g. perf_ratio)."""
@@ -117,7 +111,6 @@ class TestThinClientOfTheServiceCore:
         session = FacilitySession(ci_g_per_kwh=190.0)
         core = session.core
         assert same_row(session.emissions(), core.emissions(session.params))
-        assert session.mean_ci_g_per_kwh() == core.mean_ci_g_per_kwh(session.params)
         assert session.classify_regime() is core.classify_regime(session.params)
 
     def test_sessions_can_share_one_core_and_its_caches(self):
@@ -126,7 +119,7 @@ class TestThinClientOfTheServiceCore:
         core = FacilityCore()
         a = FacilitySession(core=core)
         b = FacilitySession(core=core)
-        assert a.memory_cache is b.memory_cache
+        assert a.core is b.core
         a.sweep()
         assert b.sweep().meta.memory_hit  # b rides a's cache
 
@@ -135,11 +128,3 @@ class TestThinClientOfTheServiceCore:
 
         with pytest.raises(ConfigurationError):
             FacilitySession(core=FacilityCore(), cache_dir=tmp_path)
-
-    def test_parameter_attributes_remain_readable_and_assignable(self):
-        session = FacilitySession()
-        assert session.n_nodes == 5860
-        baseline = session.emissions()["total_tco2e"]
-        session.n_nodes = 1000
-        assert session.params.n_nodes == 1000
-        assert session.emissions()["total_tco2e"] < baseline

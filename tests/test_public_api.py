@@ -14,7 +14,6 @@ PACKAGES = [
     "repro.scheduler",
     "repro.telemetry",
     "repro.grid",
-    "repro.interconnect",
     "repro.core",
     "repro.analysis",
     "repro.live",

