@@ -8,9 +8,10 @@ Two evaluation backends produce the same columns for a
   in :mod:`repro.core.emissions`, :mod:`repro.core.efficiency`,
   :mod:`repro.core.regimes` and :mod:`repro.grid.trajectory`. Small
   categorical axes (operating points, CI trajectories × lifetimes) are
-  resolved once through the *scalar* core functions and broadcast, and the
-  per-row arithmetic mirrors the scalar expressions operation-for-operation,
-  so both backends agree to ≤1e-9 on every scenario (and in practice
+  resolved once through the scalar oracle's own helpers, or read from a
+  :class:`PointTables` that holds them, and broadcast; the per-row
+  arithmetic mirrors the scalar expressions operation-for-operation, so
+  both backends agree to ≤1e-9 on every scenario (and in practice
   bit-for-bit on all broadcast quantities).
 * :func:`run_sweep_scalar` — the naive loop over
   :func:`evaluate_scenario`, walking the plain ``core.*`` object paths one
@@ -110,8 +111,8 @@ POINT_TABLE_CAPACITY = 1024
 class _Context:
     """Precomputed per-spec lookup tables for the vectorized path.
 
-    Every entry is produced by the *scalar* core functions, so broadcasting
-    from these tables cannot diverge from the scalar oracle.
+    Every entry is produced by the helpers the scalar oracle resolves its
+    own inputs with, so broadcasting from these tables cannot diverge from it.
     """
 
     spec: SweepSpec
@@ -140,8 +141,26 @@ def _resolve_app(spec: SweepSpec):
         ) from None
 
 
-def _build_context(spec: SweepSpec, node_model: NodePowerModel | None = None) -> _Context:
-    node_model = node_model or build_node_model()
+def _build_context(
+    spec: SweepSpec,
+    node_model: NodePowerModel | None = None,
+    tables: PointTables | None = None,
+) -> _Context:
+    """The lookup tables of one spec.
+
+    Each (frequency, BIOS mode) pair resolves through :func:`_operating_point`
+    and each (CI scenario, lifetime) pair through :func:`_lifetime_ci`, the
+    helpers of the scalar oracle: read through ``tables`` when given, whose
+    node model is then the one evaluated, and resolved afresh when not.
+    """
+    if tables is None:
+        node_model = node_model or build_node_model()
+        operating_point = partial(_operating_point, node_model)
+        lifetime_ci = _lifetime_ci
+    else:
+        node_model = tables.node_model
+        operating_point = tables.operating_point
+        lifetime_ci = tables.lifetime_ci
     app = _resolve_app(spec)
     n_f, n_m = len(spec.frequencies), len(spec.bios_modes)
     busy = np.empty((n_f, n_m))
@@ -150,13 +169,9 @@ def _build_context(spec: SweepSpec, node_model: NodePowerModel | None = None) ->
     energy = np.full((n_f, n_m), np.nan)
     for i_f, setting in enumerate(spec.frequencies):
         for i_m, mode in enumerate(spec.bios_modes):
-            point = node_model.cpu.operating_point(setting, mode)
-            busy[i_f, i_m] = float(
-                node_model.busy_power_w(
-                    point, spec.compute_activity, spec.memory_activity
-                )
+            eff[i_f, i_m], busy[i_f, i_m] = operating_point(
+                setting, mode, spec.compute_activity, spec.memory_activity
             )
-            eff[i_f, i_m] = point.effective_ghz
             if app is not None:
                 row = compare_app(
                     app, OperatingConfig(setting, mode), BASELINE_CONFIG, node_model
@@ -167,11 +182,8 @@ def _build_context(spec: SweepSpec, node_model: NodePowerModel | None = None) ->
     n_c, n_l = len(spec.ci_scenarios), len(spec.lifetimes_years)
     mean_ci = np.empty((n_c, n_l))
     for i_c, ci in enumerate(spec.ci_scenarios):
-        trajectory = ci.trajectory()
         for i_l, lifetime in enumerate(spec.lifetimes_years):
-            mean_ci[i_c, i_l] = lifetime_average_ci(
-                trajectory, lifetime, steps=spec.ci_average_steps
-            )
+            mean_ci[i_c, i_l] = lifetime_ci(ci, lifetime, spec.ci_average_steps)
     return _Context(
         spec=spec,
         idle_w=node_model.idle_power_w,
@@ -292,7 +304,7 @@ def _kept(table: LRUCache, key: tuple, resolve: Callable[..., object]):
 
 
 class PointTables:
-    """Categorical inputs of point evaluations, resolved once and kept.
+    """Categorical inputs of point evaluations and sweeps, resolved once and kept.
 
     * ``operating``: (frequency setting, BIOS mode, compute activity,
       memory activity) → (effective GHz, busy-node W);
@@ -301,7 +313,8 @@ class PointTables:
 
     Each value is what the scalar core functions return for its key, so a
     row evaluated through the tables is the same floats as one resolved
-    afresh. The keys hold client-supplied floats, so each map is an
+    afresh. :func:`evaluate_scenario` and :func:`run_sweep` both read and
+    fill them. The keys hold client-supplied floats, so each map is an
     :class:`LRUCache` bounded at :data:`POINT_TABLE_CAPACITY` entries. The
     operating points belong to ``node_model`` alone. The maps are not
     locked: use them from one thread.
@@ -569,9 +582,20 @@ class SweepResult:
 
         Floats are rendered with ``repr`` (shortest round-trip form), so a
         cache replay that reproduces the same float64 values reproduces the
-        same bytes. Each column is rendered once, then the columns are
-        zipped into rows.
+        same bytes. A result whose columns are a memory-cache entry of its
+        own spec renders them once: the entry keeps the rows, and every
+        result served from it returns those same lists, which are shared
+        and read-only, like the columns.
         """
+        cols = self.columns
+        if not isinstance(cols, _CachedColumns) or cols.spec_hash != self.spec.spec_hash:
+            return {"scenarios": self._render_csv()}
+        if cols.csv_rows is None:
+            cols.csv_rows = self._render_csv()
+        return {"scenarios": cols.csv_rows}
+
+    def _render_csv(self) -> list[list[str]]:
+        """The CSV rows: each column rendered once, then zipped into rows."""
         cols = self.columns
         value_names = [name for name in COLUMNS if name not in _CODE_COLUMNS]
         header = [
@@ -600,7 +624,7 @@ class SweepResult:
         for name in value_names:
             render = str if name == "n_nodes" else repr
             rendered.append([render(value) for value in cols[name].tolist()])
-        return {"scenarios": [header, *(list(row) for row in zip(*rendered))]}
+        return [header, *(list(row) for row in zip(*rendered))]
 
 
 # -- runners -------------------------------------------------------------------
@@ -646,10 +670,24 @@ def _freeze(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return columns
 
 
+class _CachedColumns(dict):
+    """A sweep's frozen columns as the memory cache keeps them: tagged with
+    the spec hash they answer, with a slot that :meth:`SweepResult.to_csv_rows`
+    fills with their rendered rows."""
+
+    __slots__ = ("spec_hash", "csv_rows")
+
+    def __init__(self, columns: dict[str, np.ndarray], spec_hash: str) -> None:
+        super().__init__(columns)
+        self.spec_hash = spec_hash
+        self.csv_rows: list[list[str]] | None = None
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
     node_model: NodePowerModel | None = None,
+    tables: PointTables | None = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     store: SweepStore | None = None,
     memory_cache: LRUCache | None = None,
@@ -657,20 +695,32 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate a sweep with the vectorized backend.
 
-    ``store`` enables the on-disk chunk cache (hits skip evaluation and are
-    byte-identical to a fresh run; a partially populated entry resumes from
-    the completed chunks). ``memory_cache`` short-circuits whole repeated
-    sweeps within a session. ``progress`` is called after each chunk as
-    ``progress(done, total, source)`` with source ``"disk"`` or
-    ``"computed"``.
+    ``tables`` lets a sweep read its operating points and lifetime-average
+    CIs from :class:`PointTables` kept elsewhere (and keep the ones it
+    resolves there); their node model is then the one evaluated, so passing
+    ``node_model`` as well is refused. ``store`` enables the on-disk chunk
+    cache (hits skip evaluation and are byte-identical to a fresh run; a
+    partially populated entry resumes from the completed chunks).
+    ``memory_cache`` short-circuits whole repeated sweeps within a session;
+    its entry also keeps the sweep's CSV rows once rendered. ``progress``
+    is called after each chunk as ``progress(done, total, source)`` with
+    source ``"disk"`` or ``"computed"``.
 
-    A custom ``node_model`` is not covered by the spec hash, so caching is
-    refused in that case rather than served wrong.
+    A custom node model, given directly or through ``tables``, is not
+    covered by the spec hash, so caching is refused in that case rather
+    than served wrong.
     """
-    if node_model is not None and (store is not None or memory_cache is not None):
+    if node_model is not None and tables is not None:
         raise ConfigurationError(
-            "caching is keyed by the spec hash only; pass node_model=None "
-            "(the default calibration) when using a cache"
+            "pass node_model or tables, not both: the tables' node model is evaluated"
+        )
+    if (store is not None or memory_cache is not None) and (
+        node_model is not None
+        or (tables is not None and tables.node_model != build_node_model())
+    ):
+        raise ConfigurationError(
+            "caching is keyed by the spec hash only; evaluate the default "
+            "calibration (node_model=None, or tables of it) when using a cache"
         )
     memory_key = f"{spec.spec_hash}-v{ENGINE_VERSION}"
     if memory_cache is not None:
@@ -712,7 +762,7 @@ def run_sweep(
         missing.append((lo, hi))
 
     if missing:
-        ctx = _build_context(spec, node_model)
+        ctx = _build_context(spec, node_model, tables)
         for done, (lo, hi) in enumerate(missing, start=disk_hits + 1):
             columns = _evaluate_chunk(ctx, lo, hi)
             pending.append((lo, hi, columns))
@@ -728,6 +778,7 @@ def run_sweep(
             col[lo:hi] = columns[name]
     assembled = _freeze(assembled)
     if memory_cache is not None:
+        assembled = _CachedColumns(assembled, spec.spec_hash)
         memory_cache.put(memory_key, assembled)
     meta = SweepMeta(
         backend="vectorized",

@@ -23,6 +23,7 @@ from ..cli import (
     finite_non_negative,
     finite_positive,
 )
+from ..core.regimes import PAPER_HIGH_CI, PAPER_LOW_CI
 from ..core.reporting import format_kw, render_table
 from ..errors import MonitoringError
 from ..units import SECONDS_PER_DAY, SECONDS_PER_HOUR
@@ -47,6 +48,9 @@ __all__ = ["MonitorOutcome", "build_monitor", "run_monitor", "monitor_main"]
 #: Longest replay ``repro monitor --days`` accepts: ten years of 15-minute
 #: samples, far past the documented 120-day runs.
 _MAX_DAYS = 3650.0
+#: ``--hysteresis`` stays below half the paper's 30–100 gCO2/kWh band, the
+#: bound :class:`RegimeTrackerConfig` holds the margin to.
+_MAX_HYSTERESIS = (PAPER_HIGH_CI - PAPER_LOW_CI) / 2
 
 
 @dataclass(frozen=True)
@@ -264,9 +268,12 @@ def monitor_main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--hysteresis",
-        type=checked("a finite non-negative number of gCO2/kWh", finite_non_negative),
+        type=checked(
+            f"a finite number of gCO2/kWh in [0, {_MAX_HYSTERESIS:g})",
+            lambda margin: finite_non_negative(margin) and margin < _MAX_HYSTERESIS,
+        ),
         default=5.0,
-        help="regime hysteresis margin, gCO2/kWh (default: 5)",
+        help=f"regime hysteresis margin, gCO2/kWh, below {_MAX_HYSTERESIS:g} (default: 5)",
     )
     parser.add_argument(
         "--dwell",

@@ -122,6 +122,15 @@ class PStateTable:
     def __iter__(self):
         return iter(self._by_setting.values())
 
+    def __eq__(self, other: object) -> bool:
+        # By value, so node models built alike compare equal.
+        if not isinstance(other, PStateTable):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
     def get(self, setting: FrequencySetting) -> PState:
         """The P-state for a frequency setting."""
         try:

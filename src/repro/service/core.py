@@ -163,8 +163,10 @@ class FacilityCore:
     core's lifetime: ``tables`` (a :class:`~repro.engine.runner.PointTables`:
     operating points and lifetime-average CIs, each bounded) and ``runs``
     (the mix evaluated at each operating config, at most one entry per
-    frequency setting × BIOS mode). An answer read from them is the same
-    bytes as one resolved afresh.
+    frequency setting × BIOS mode). A sweep that misses the memory cache
+    resolves its operating points and lifetime-average CIs through
+    ``tables`` too. An answer read from them is the same bytes as one
+    resolved afresh.
 
     ``runner`` is the sweep entry point (default
     :func:`repro.engine.runner.run_sweep`); tests substitute an
@@ -347,6 +349,7 @@ class FacilityCore:
             spec = self.default_spec(params, **overrides)
         return self.runner(
             spec,
+            tables=self.tables,
             chunk_size=chunk_size,
             store=self.store,
             memory_cache=self.memory_cache,

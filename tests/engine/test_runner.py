@@ -9,6 +9,7 @@ from repro.engine.plan import CIScenario, SweepSpec
 from repro.engine.runner import (
     COLUMNS,
     REGIME_ORDER,
+    PointTables,
     SweepResult,
     evaluate_scenario,
     run_sweep,
@@ -17,6 +18,7 @@ from repro.engine.runner import (
 from repro.errors import ConfigurationError
 from repro.node.calibration import build_node_model
 from repro.node.determinism import DeterminismMode
+from repro.node.node_power import NodePowerConstants
 from repro.node.pstates import FrequencySetting
 from repro.results import Result
 
@@ -138,6 +140,28 @@ class TestRunnerPlumbing:
         with pytest.raises(ConfigurationError):
             run_sweep(spec, node_model=build_node_model(), memory_cache=LRUCache())
 
+    def test_rejects_tables_of_a_custom_node_model_with_cache(self, tmp_path):
+        spec = rich_spec(app_name=None)
+        custom = build_node_model(NodePowerConstants(idle_w=200.0))
+        with pytest.raises(ConfigurationError, match="keyed by the spec hash"):
+            run_sweep(spec, tables=PointTables(custom), store=SweepStore(tmp_path))
+        with pytest.raises(ConfigurationError, match="keyed by the spec hash"):
+            run_sweep(spec, tables=PointTables(custom), memory_cache=LRUCache())
+        # Uncached, the tables' node model is the one evaluated.
+        through_tables = run_sweep(spec, tables=PointTables(custom))
+        direct = run_sweep(spec, node_model=custom)
+        assert through_tables.columns["mean_power_kw"].tobytes() == (
+            direct.columns["mean_power_kw"].tobytes()
+        )
+        assert through_tables.to_csv_rows() != run_sweep(spec).to_csv_rows()
+        # Tables of the default calibration may be cached, built apart or not.
+        run_sweep(spec, tables=PointTables(build_node_model()), memory_cache=LRUCache())
+
+    def test_rejects_node_model_and_tables_together(self):
+        model = build_node_model()
+        with pytest.raises(ConfigurationError, match="not both"):
+            run_sweep(rich_spec(app_name=None), node_model=model, tables=PointTables(model))
+
     def test_progress_reports_every_chunk_with_source(self, tmp_path):
         spec = rich_spec(app_name=None)
         store = SweepStore(tmp_path)
@@ -217,6 +241,27 @@ class TestSweepResult:
         crossing = result.columns["crossing_year"]
         assert np.isnan(crossing).any() and not np.isnan(crossing).all()
         assert result.to_csv_rows() == {"scenarios": row_wise_csv(result)}
+
+    def test_only_a_cache_entry_of_its_own_spec_keeps_its_rows(self):
+        spec = rich_spec(app_name=None)
+        cached = run_sweep(spec, memory_cache=LRUCache())
+        rows = cached.to_csv_rows()["scenarios"]
+        assert cached.to_csv_rows()["scenarios"] is rows
+        # Built by hand, on plain columns or under another spec with the
+        # same number of rows, a result renders its own.
+        by_hand = SweepResult(spec=spec, columns=dict(cached.columns))
+        assert by_hand.to_csv_rows()["scenarios"] is not by_hand.to_csv_rows()["scenarios"]
+        assert by_hand.to_csv_rows() == {"scenarios": rows}
+        other = rich_spec(
+            app_name=None,
+            ci_scenarios=tuple(CIScenario.flat(ci) for ci in (20.0, 40.0, 80.0, 160.0)),
+        )
+        relabelled = SweepResult(spec=other, columns=cached.columns)
+        assert relabelled.to_csv_rows() == {"scenarios": row_wise_csv(relabelled)}
+        assert relabelled.to_csv_rows() != {"scenarios": rows}
+        # An uncached sweep renders on every call.
+        uncached = run_sweep(spec)
+        assert uncached.to_csv_rows()["scenarios"] is not uncached.to_csv_rows()["scenarios"]
 
     def test_truncation_note_on_large_grids(self):
         result = run_sweep(rich_spec(app_name=None))

@@ -118,6 +118,9 @@ class TestMain:
             (["--days", "0"], "--days"),
             (["--days", "nan"], "--days"),
             (["--warmup", "0"], "--warmup"),
+            (["--hysteresis", "35"], "--hysteresis"),
+            (["--hysteresis", "40"], "--hysteresis"),
+            (["--hysteresis", "nan"], "--hysteresis"),
         ],
         ids=[
             "window-nan",
@@ -130,6 +133,9 @@ class TestMain:
             "days-zero",
             "days-nan",
             "warmup-zero",
+            "hysteresis-half-band",
+            "hysteresis-past-half-band",
+            "hysteresis-nan",
         ],
     )
     def test_monitor_refuses_out_of_range_flags(self, capsys, time_limit, tmp_path, argv, flag):

@@ -19,7 +19,7 @@ from repro.live.events import CI_STREAM, POWER_STREAM, StreamBatch
 from repro.live.faults import FAULT_NAMES
 from repro.live.monitor import build_monitor, run_monitor
 from repro.live.processors import Processor
-from repro.live.replay import build_scenario, scenario_sources
+from repro.live.replay import build_scenario
 from repro.live.supervisor import (
     DeadLetterStore,
     SupervisedPipeline,

@@ -108,3 +108,13 @@ class TestPStateTable:
     def test_custom_turbo_target(self):
         table = archer2_pstates(turbo_ghz=3.0)
         assert table.max_effective_ghz == 3.0
+
+    def test_tables_compare_and_hash_by_value(self):
+        # A node model built twice is then one calibration, which is what
+        # lets a sweep cache accept point tables of the default model.
+        assert archer2_pstates() == archer2_pstates()
+        assert hash(archer2_pstates()) == hash(archer2_pstates())
+        assert archer2_pstates() != archer2_pstates(turbo_ghz=3.0)
+        fixed = [PState(FrequencySetting.GHZ_1_5, 1.5), PState(FrequencySetting.GHZ_2_0, 2.0)]
+        assert PStateTable(fixed) != PStateTable(fixed[::-1])  # registration order counts
+        assert archer2_pstates() != list(archer2_pstates())

@@ -3,12 +3,13 @@
 The record's CLI replays never run the point path, and perfbench builds
 its expected bodies through the same core, so these tests are what holds
 the tables to the fresh scalar path. Cells are compared by ``repr``, which
-matches NaN with NaN and tells -0.0 from 0.0.
+matches NaN with NaN and tells -0.0 from 0.0; sweep maps by their bytes.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
@@ -16,13 +17,21 @@ from repro.core.decision import ARCHER2_WINTER_2022, DecisionEngine, Priorities
 from repro.core.efficiency import OperatingConfig
 from repro.core.emissions import EmbodiedProfile, EmissionsModel
 from repro.engine.plan import CIScenario, SweepSpec
-from repro.engine.runner import POINT_TABLE_CAPACITY, PointTables, evaluate_scenario
+from repro.engine.runner import (
+    POINT_TABLE_CAPACITY,
+    PointTables,
+    SweepResult,
+    _build_context,
+    evaluate_scenario,
+    run_sweep,
+)
 from repro.errors import ConfigurationError
 from repro.grid.trajectory import lifetime_average_ci
 from repro.node.calibration import build_node_model
 from repro.node.determinism import DeterminismMode
 from repro.node.pstates import FrequencySetting
 from repro.service import FacilityCore, SessionParams
+from repro.service.router import payload_sweep
 from repro.workload.mix import archer2_mix
 
 CONFIGS = [
@@ -43,6 +52,25 @@ PRIORITIES = [
     Priorities(),
     Priorities(performance=5.0, min_performance_ratio=0.5),
 ]
+#: Sweeps whose contexts must not depend on where their inputs were read.
+CONTEXT_SPECS = {
+    "app": SweepSpec(ci_scenarios=tuple(CIS), lifetimes_years=(4.0, 6.0), app_name="VASP TiO2"),
+    "no-app": SweepSpec(ci_scenarios=tuple(CIS), compute_activity=0.55, memory_activity=0.25),
+    "zip": SweepSpec(
+        combine="zip",
+        frequencies=(FrequencySetting.GHZ_1_5, FrequencySetting.GHZ_2_0),
+        bios_modes=(DeterminismMode.POWER,),
+        ci_scenarios=(CIS[0], CIS[2]),
+        utilisations=(0.5, 0.9),
+        node_counts=(1000,),
+        lifetimes_years=(6.0,),
+    ),
+    "decarbonising": SweepSpec(ci_scenarios=(CIS[3],), lifetimes_years=(0.5, 6.0, 13.0)),
+}
+CONTEXT_MAPS = (
+    "busy_map", "eff_map", "perf_map", "energy_map",
+    "mean_ci_map", "ci_start", "ci_rate", "ci_floor",
+)
 
 
 def cells(row: dict) -> dict[str, str]:
@@ -195,3 +223,88 @@ class TestBounds:
         tables = PointTables(build_node_model())
         with pytest.raises(ConfigurationError, match="another node model"):
             evaluate_scenario(spec, next(spec.scenarios()), build_node_model(), tables)
+
+
+class TestSweepsReadTheTables:
+    """A sweep resolves its categorical inputs through the same tables."""
+
+    @staticmethod
+    def assert_same_context(context, reference) -> None:
+        assert repr(context.idle_w) == repr(reference.idle_w)
+        for name in CONTEXT_MAPS:
+            got, want = getattr(context, name), getattr(reference, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("spec", CONTEXT_SPECS.values(), ids=CONTEXT_SPECS.keys())
+    def test_context_is_bit_identical_through_cold_and_warm_tables(self, spec):
+        reference = _build_context(spec)
+        tables = PointTables(build_node_model())
+        self.assert_same_context(_build_context(spec, tables=tables), reference)
+        misses = (tables.operating.misses, tables.mean_ci.misses)
+        self.assert_same_context(_build_context(spec, tables=tables), reference)
+        # The second context read every input from the tables.
+        assert (tables.operating.misses, tables.mean_ci.misses) == misses
+        assert tables.operating.hits == len(spec.frequencies) * len(spec.bios_modes)
+        assert tables.mean_ci.hits == len(spec.ci_scenarios) * len(spec.lifetimes_years)
+
+    def test_context_reads_what_point_answers_kept(self):
+        spec = CONTEXT_SPECS["decarbonising"]
+        tables = PointTables(build_node_model())
+        for scenario in spec.scenarios():
+            evaluate_scenario(spec, scenario, tables.node_model, tables)
+        misses = (tables.operating.misses, tables.mean_ci.misses)
+        self.assert_same_context(_build_context(spec, tables=tables), _build_context(spec))
+        assert (tables.operating.misses, tables.mean_ci.misses) == misses
+
+    def test_a_core_sweep_fills_the_core_tables(self):
+        core = FacilityCore()
+        params = SessionParams(ci=CIS[3])
+        spec = core.default_spec(params, ci_scenarios=(CIS[3],))
+        core.sweep(params, spec)
+        assert len(core.tables.operating._entries) == 6
+        assert len(core.tables.mean_ci._entries) == 1
+        hits = core.tables.mean_ci.hits
+        core.mean_ci_g_per_kwh(params)  # a point answer reads the sweep's entry
+        assert core.tables.mean_ci.hits == hits + 1
+
+    def test_hit_miss_and_tables_free_sweeps_give_the_same_payload(self):
+        core = FacilityCore()
+        params = SessionParams()
+        spec = core.default_spec(
+            params, ci_scenarios=tuple(CIS), utilisations=(0.5, 0.9), lifetimes_years=(4.0, 13.0)
+        )
+        miss = core.sweep(params, spec, chunk_size=7)
+        hit = core.sweep(params, spec, chunk_size=7)
+        assert not miss.meta.memory_hit and hit.meta.memory_hit
+        fresh = run_sweep(spec, chunk_size=7)
+
+        def body(result: SweepResult) -> str:
+            return json.dumps(payload_sweep(result), sort_keys=True, separators=(",", ":"))
+
+        # The hit is serialised first, so it renders the entry's rows.
+        assert body(hit) == body(miss) == body(fresh)
+
+    def test_a_memory_hit_does_not_render_again(self, monkeypatch):
+        renders = []
+        render = SweepResult._render_csv
+
+        def spy(result):
+            renders.append(result.spec.spec_hash)
+            return render(result)
+
+        monkeypatch.setattr(SweepResult, "_render_csv", spy)
+        core = FacilityCore()
+        params = SessionParams()
+        first = payload_sweep(core.sweep(params, chunk_size=16))
+        assert len(renders) == 1
+        second = payload_sweep(core.sweep(params, chunk_size=16))
+        third = payload_sweep(core.sweep(params, chunk_size=16))
+        assert len(renders) == 1
+        # One list of rows, shared by every answer served from the entry.
+        assert second["csv"]["scenarios"] is first["csv"]["scenarios"]
+        assert third["csv"] == first["csv"]
+        # Another sweep has an entry of its own, rendered once.
+        other = payload_sweep(core.sweep(params, chunk_size=16, utilisations=(0.5,)))
+        payload_sweep(core.sweep(params, chunk_size=16, utilisations=(0.5,)))
+        assert len(renders) == 2 and other["csv"] != first["csv"]

@@ -38,16 +38,58 @@ def canned_stdout(secondary: float, speed: float = 1.0, correct: bool = True) ->
     )
 
 
+def canned_traced_stdout(busy_s: float) -> str:
+    """A traced run's stdout: its last line holds per-layer metrics."""
+    result = {
+        "correct": True,
+        "attempted": 4,
+        "failed": 0,
+        "metrics": {
+            "router.dispatch.sweep.busy_s": {"value": busy_s, "unit": "s"},
+            "trace.throughput_ratio": {"value": 0.9, "unit": "ratio"},
+        },
+    }
+    return (
+        "workload service-mix, seed 3, traced\n"
+        "  machine_speed = 1.02 x nominal  (median over passes)\n"
+        f"{json.dumps(result)}\n"
+    )
+
+
+def canned_layer_table(self_s: float) -> dict:
+    """The layer table ``perfbench/run.py --trace 1`` writes to ``--trace-out``."""
+    return {
+        "workload": "service-mix",
+        "seed": 3,
+        "units": 4000,
+        "unit": "requests",
+        "elapsed_s": 2.5,
+        "speed": 1.02,
+        "layers": {"service.run_sweep": {"count": 180, "busy_s": self_s, "self_s": self_s}},
+        "metrics": {"router.dispatch.sweep.busy_s": 2 * self_s},
+    }
+
+
 class FakeRunner:
-    """Answers each run from a table keyed by (checkout, seed), logging the order."""
+    """Answers each run from a table keyed by (checkout, seed), logging the order.
 
-    def __init__(self, answers: dict) -> None:
+    A traced run also writes the checkout's layer table from ``tables``.
+    """
+
+    def __init__(self, answers: dict, tables: dict | None = None) -> None:
         self.answers = answers
-        self.calls: list[tuple[str, int, float]] = []
+        self.tables = tables or {}
+        self.calls: list[tuple] = []
 
-    def __call__(self, checkout: Path, workload: str, seed: int, seconds: float) -> str:
-        self.calls.append((checkout.name, seed, seconds))
-        return self.answers[checkout.name, seed]
+    def __call__(
+        self, checkout: Path, workload: str, seed: int, seconds: float, trace_out=None
+    ) -> str:
+        if trace_out is None:
+            self.calls.append((checkout.name, seed, seconds))
+            return self.answers[checkout.name, seed]
+        self.calls.append((checkout.name, seed, seconds, trace_out.name))
+        trace_out.write_text(json.dumps(self.tables[checkout.name]))
+        return self.answers[checkout.name, seed, "traced"]
 
 
 def test_seed_lists_and_ranges():
@@ -155,3 +197,33 @@ def test_a_parent_spread_wider_than_the_bound_leaves_the_bound_unresolved():
         Path("parent"), Path("change"), "sched-trace", seeds, ("a", "b"), FakeRunner(answers)
     )
     assert doc["verdict"]["secondary_per_s"]["bound_verdict"] == "within"
+
+
+def test_one_traced_run_per_side_keeps_its_layer_metrics_and_table(tmp_path):
+    answers = {
+        ("parent", 3, "traced"): canned_traced_stdout(0.40),
+        ("change", 3, "traced"): canned_traced_stdout(0.25),
+    }
+    tables = {"parent": canned_layer_table(0.20), "change": canned_layer_table(0.12)}
+    runner = FakeRunner(answers, tables)
+    checkouts = {"parent": Path("parent"), "change": Path("change")}
+    traced = bench_pairs.traced_runs(
+        checkouts, "service-mix", 3, 20.0, tmp_path / "traces", runner
+    )
+    assert runner.calls == [
+        ("parent", 3, 20.0, "trace-service-mix-parent.json"),
+        ("change", 3, 20.0, "trace-service-mix-change.json"),
+    ]
+    assert traced["parent"]["seed"] == 3 and traced["change"]["correct"]
+    assert traced["parent"]["metrics"]["router.dispatch.sweep.busy_s"] == 0.40
+    assert traced["change"]["metrics"]["router.dispatch.sweep.busy_s"] == 0.25
+    assert traced["change"]["machine_speed"] == 1.02
+    # The layer table is kept whole but for its copy of the metrics, and
+    # the file trace_diff reads stays where it was written.
+    table = traced["change"]["layer_table"]
+    assert table["layers"]["service.run_sweep"]["self_s"] == 0.12
+    assert (table["units"], table["unit"], table["elapsed_s"]) == (4000, "requests", 2.5)
+    assert "metrics" not in table
+    written = json.loads((tmp_path / "traces" / "trace-service-mix-parent.json").read_text())
+    assert written == tables["parent"]
+    json.dumps(traced)

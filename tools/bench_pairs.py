@@ -27,6 +27,12 @@ end-to-end metric, and per metric the pair rule's verdict:
   every parent run: such runs cannot tell a regression from noise.
 
 A run whose checks fail is kept and counted in ``failed_runs``.
+
+After the pairs, each checkout makes one ``--trace 1`` run on the first
+seed. Its layer table goes to ``--trace-dir`` (default ``.perfbench/``) as
+``trace-<workload>-parent.json`` and ``trace-<workload>-change.json``, for
+``perfbench/trace_diff.py``, and ``traced`` in the BENCH file holds, per
+side, that run's per-layer metrics and its layer table.
 """
 
 from __future__ import annotations
@@ -81,11 +87,19 @@ def parse_run(stdout: str) -> dict:
     }
 
 
-def run_perfbench(checkout: Path, workload: str, seed: int, seconds: float) -> str:
-    """The stdout of one untraced benchmark run in ``checkout``."""
+def run_perfbench(
+    checkout: Path, workload: str, seed: int, seconds: float, trace_out: Path | None = None
+) -> str:
+    """The stdout of one benchmark run in ``checkout``: untraced, or traced
+    with its layer table written to ``trace_out``."""
     command = ["perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    command += ["--seconds", str(seconds)]
+    if trace_out is None:
+        command += ["--trace", "0"]
+    else:
+        command += ["--trace", "1", "--trace-out", str(trace_out.resolve())]
     proc = subprocess.run(
-        [sys.executable, *command, "--seconds", str(seconds), "--trace", "0"],
+        [sys.executable, *command],
         cwd=checkout,
         capture_output=True,
         text=True,
@@ -160,6 +174,27 @@ def benchmark() -> dict:
     return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
+def traced_runs(
+    checkouts: dict[str, Path],
+    workload: str,
+    seed: int,
+    seconds: float,
+    trace_dir: Path,
+    runner: Callable[..., str] = run_perfbench,
+) -> dict:
+    """One traced run per side: its per-layer metrics and its layer table."""
+    trace_dir.mkdir(parents=True, exist_ok=True)
+    traced = {}
+    for side, checkout in checkouts.items():
+        path = trace_dir / f"trace-{workload}-{side}.json"
+        run = parse_run(runner(checkout, workload, seed, seconds, trace_out=path))
+        table = json.loads(path.read_text())
+        # The table's own copy of the metrics is the run's, kept once above it.
+        table.pop("metrics", None)
+        traced[side] = {"seed": seed, **run, "layer_table": table}
+    return traced
+
+
 def record(
     parent: Path,
     change: Path,
@@ -214,12 +249,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent-commit", help="the parent's commit, if DIR is not a git checkout")
     parser.add_argument("--change-commit", help="the change's commit, if DIR is not a git checkout")
     parser.add_argument("--claim", help="the metric whose gain is claimed; exit 1 unless it holds")
+    parser.add_argument(
+        "--trace-dir",
+        type=Path,
+        default=ROOT / ".perfbench",
+        help="where each side's traced layer table is written (default: .perfbench/)",
+    )
     args = parser.parse_args(argv)
     commits = (
         args.parent_commit or commit_of(args.parent),
         args.change_commit or commit_of(args.change),
     )
     document = record(args.parent, args.change, args.workload, args.seeds, commits)
+    document["traced"] = traced_runs(
+        {"parent": args.parent, "change": args.change},
+        args.workload,
+        args.seeds[0],
+        document["seconds"],
+        args.trace_dir,
+    )
     if args.claim is not None:
         document["claim"] = args.claim
     out = ROOT / f"BENCH_{args.workload}.json"
@@ -233,8 +281,14 @@ def main(argv: list[str] | None = None) -> int:
             f"wins {v['wins']}/{v['pairs']}  gain {'holds' if v['gain_holds'] else 'no'}  "
             f"bound {v['bound_verdict']}"
         )
+    names = [args.trace_dir / f"trace-{args.workload}-{side}.json" for side in document["traced"]]
+    print(f"  traced layer tables: python perfbench/trace_diff.py {names[0]} {names[1]}")
+    failed_traced = [side for side, run in document["traced"].items() if not run["correct"]]
+    if failed_traced:
+        print(f"  the traced run of {' and '.join(failed_traced)} failed its checks")
     if document["failed_runs"]:
         print(f"  {document['failed_runs']} run(s) failed their checks")
+    if document["failed_runs"] or failed_traced:
         return 1
     if args.claim is not None and not document["verdict"][args.claim]["gain_holds"]:
         return 1

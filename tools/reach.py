@@ -125,6 +125,9 @@ KEPT = {
     "node/calibration.py::_energy_ratio_bios": _CALIBRATION,
     "node/calibration.py::_anchor_power_w": _CALIBRATION,
     "node/calibration.py::CalibrationResult.max_abs_residual": _CALIBRATION,
+    "node/pstates.py::PStateTable.__hash__": (
+        "keeps node models hashable now that their P-state tables compare by value"
+    ),
     "results.py::Result.result_id": _PROTOCOL,
     "results.py::Result.to_dict": _PROTOCOL,
     "results.py::Result.to_table": _PROTOCOL,
