@@ -1,13 +1,14 @@
-"""Bench L2 — resilience-layer overhead and chaos-soak reconciliation.
+"""Bench L2 — checkpoint overhead and chaos-soak reconciliation.
 
-The same 1M-sample synthetic day as Bench L1 is replayed twice: once
-through the plain strict pipeline and once through the fault-tolerant
-:class:`~repro.live.supervisor.SupervisedPipeline` with admission control,
-staleness watchdogs and periodic checkpointing active. On clean input the
-supervisor must be invisible — identical CUSUM segments, nothing
-dead-lettered — and its wall-clock overhead must stay within 10 % of the
-plain pipeline. A third pass injects the full seeded chaos suite and
-asserts the run survives with the accounting identity intact:
+The same 1M-sample synthetic day as Bench L1 is replayed twice through
+the one monitor pipeline, :class:`~repro.live.supervisor.SupervisedPipeline`
+with admission control and staleness watchdogs: once without checkpoints
+(what ``build_monitor()`` returns) and once writing a checkpoint every two
+hours of stream time. On clean input checkpointing must be invisible —
+identical CUSUM segments, nothing dead-lettered — and its wall-clock
+overhead must stay within 10 % of the run without checkpoints. A third
+pass injects the full seeded chaos suite and asserts the run survives with
+the accounting identity intact:
 ``samples_in == samples_processed + samples_dropped + samples_dead_lettered``
 per stream.
 """
@@ -32,7 +33,7 @@ LEVEL_BEFORE_KW = 3220.0
 LEVEL_AFTER_KW = 3010.0
 NOISE_KW = 32.0
 CHECKPOINT_EVERY_S = 2.0 * 3600.0  # ~11 checkpoints across the day
-TIMING_REPEATS = 3  # plain/supervised runs interleaved; min-of-N per side
+TIMING_REPEATS = 3  # runs without/with checkpoints interleaved; min-of-N per side
 
 
 def _make_day() -> tuple[TimeSeries, TimeSeries]:
@@ -60,22 +61,22 @@ def _one_run(power, ci, supervisor_config=None):
 def _run(checkpoint_path) -> dict:
     power, ci = _make_day()
 
-    # Plain and supervised runs alternate so slow clock drift (thermal
-    # throttling, background load) hits both sides equally; min-of-N damps
-    # the remaining scheduler noise.
+    # Runs without and with checkpoints alternate so slow clock drift
+    # (thermal throttling, background load) hits both sides equally;
+    # min-of-N damps the remaining scheduler noise.
     cfg = SupervisorConfig(
         checkpoint_path=checkpoint_path, checkpoint_every_s=CHECKPOINT_EVERY_S
     )
-    plain = sup = None
+    base = ckpt = None
     for _ in range(TIMING_REPEATS):
         candidate = _one_run(power, ci)
-        if plain is None or candidate[0] < plain[0]:
-            plain = candidate
+        if base is None or candidate[0] < base[0]:
+            base = candidate
         candidate = _one_run(power, ci, supervisor_config=cfg)
-        if sup is None or candidate[0] < sup[0]:
-            sup = candidate
-    plain_s, plain_report, plain_detector = plain
-    sup_s, sup_report, sup_detector = sup
+        if ckpt is None or candidate[0] < ckpt[0]:
+            ckpt = candidate
+    base_s, base_report, base_detector = base
+    ckpt_s, ckpt_report, ckpt_detector = ckpt
 
     # Chaos pass: full fault suite, independently seeded per stream. The
     # watchdog timeout is tightened below the injected stall so the gap is
@@ -97,31 +98,31 @@ def _run(checkpoint_path) -> dict:
     chaos_s = time.perf_counter() - chaos_t0
 
     return {
-        "plain_s": plain_s,
-        "sup_s": sup_s,
+        "base_s": base_s,
+        "ckpt_s": ckpt_s,
         "chaos_s": chaos_s,
-        "plain_report": plain_report,
-        "sup_report": sup_report,
+        "base_report": base_report,
+        "ckpt_report": ckpt_report,
         "chaos_report": chaos_report,
-        "plain_segments": tuple(plain_detector.segments),
-        "sup_segments": tuple(sup_detector.segments),
+        "base_segments": tuple(base_detector.segments),
+        "ckpt_segments": tuple(ckpt_detector.segments),
         "n_samples": len(power) + len(ci),
     }
 
 
 def test_resilience_overhead_and_soak(once, tmp_path):
     result = once(_run, tmp_path / "bench.ckpt")
-    overhead = result["sup_s"] / result["plain_s"] - 1.0
+    overhead = result["ckpt_s"] / result["base_s"] - 1.0
 
-    # On clean input the supervisor must be invisible…
-    sup_metrics = result["sup_report"].metrics
-    assert result["sup_segments"] == result["plain_segments"]
-    assert sup_metrics.total_samples_dead_lettered == 0
-    assert sup_metrics.checkpoints_written >= 5
-    assert sup_metrics.reconciles()
+    # On clean input checkpointing must be invisible…
+    ckpt_metrics = result["ckpt_report"].metrics
+    assert result["ckpt_segments"] == result["base_segments"]
+    assert ckpt_metrics.total_samples_dead_lettered == 0
+    assert ckpt_metrics.checkpoints_written >= 5
+    assert ckpt_metrics.reconciles()
     # …and nearly free.
     assert overhead <= 0.10, (
-        f"supervision + checkpointing overhead {overhead:.1%} exceeds 10%"
+        f"checkpointing overhead {overhead:.1%} exceeds 10%"
     )
 
     # Under the full chaos suite the run completes and the books balance.
@@ -138,11 +139,11 @@ def test_resilience_overhead_and_soak(once, tmp_path):
             ["Quantity", "Value"],
             [
                 ["Samples replayed", f"{result['n_samples']:,} per pass"],
-                ["Plain pipeline", f"{result['plain_s']:.2f} s"],
+                ["Without checkpoints", f"{result['base_s']:.2f} s"],
                 [
-                    "Supervised + checkpoints",
-                    f"{result['sup_s']:.2f} s "
-                    f"({sup_metrics.checkpoints_written} checkpoints)",
+                    "With checkpoints",
+                    f"{result['ckpt_s']:.2f} s "
+                    f"({ckpt_metrics.checkpoints_written} checkpoints)",
                 ],
                 ["Overhead", f"{overhead:+.1%} (budget +10%)"],
                 [
@@ -156,6 +157,6 @@ def test_resilience_overhead_and_soak(once, tmp_path):
                     "reconciles" if chaos_metrics.reconciles() else "BROKEN",
                 ],
             ],
-            title="Bench L2: resilience layer on a 1M-sample day",
+            title="Bench L2: checkpoints and chaos on a 1M-sample day",
         )
     )

@@ -12,12 +12,12 @@ series, this package runs the paper's operational loop continuously over
 * :mod:`~repro.live.regime` — §2 regime tracking with hysteresis/debounce;
 * :mod:`~repro.live.advisor` — §4/§5 intervention advice from regime +
   detected power level;
-* :mod:`~repro.live.pipeline` — the event loop tying them together;
+* :mod:`~repro.live.pipeline` — the run loop tying them together;
 * :mod:`~repro.live.faults` — seeded chaos injection (dropouts, stalls,
   duplicates, reordering, clock skew, spikes, truncation) for resilience
   testing;
 * :mod:`~repro.live.supervisor` / :mod:`~repro.live.checkpoint` — the
-  fault-tolerant supervised pipeline: dead-lettering, crash isolation with
+  one pipeline, fault-tolerant: dead-lettering, crash isolation with
   backoff and quarantine, staleness watchdogs with degraded-mode advice,
   and bit-identical checkpoint/resume;
 * :mod:`~repro.live.replay` / :mod:`~repro.live.monitor` — Figure 1–3

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..errors import MonitoringError, SeriesShapeError
+from ..errors import SeriesShapeError
 from ..telemetry.series import TimeSeries
 from ..telemetry.streaming import ChunkedSeriesReader, as_chunk_reader
 
@@ -121,26 +121,19 @@ def series_batches(
         yield StreamBatch.trusted(stream, chunk.times_s, chunk.values)
 
 
-def merge_batches(
-    *sources: Iterable[StreamBatch], strict: bool = True
-) -> Iterator[StreamBatch]:
+def merge_batches(*sources: Iterable[StreamBatch]) -> Iterator[StreamBatch]:
     """Interleave per-stream batch iterators into one time-ordered flow.
 
     A k-way heap merge on batch start time: batches are emitted in
     non-decreasing ``t_start_s`` order, which bounds how far apart the
     pipeline's per-stream watermarks can drift (one batch span). Within a
-    stream the input order is preserved and must already be time-ordered.
+    stream the input order is preserved.
 
-    Boundary semantics: within one stream, consecutive batches must be
-    strictly disjoint in time — a batch whose ``t_start_s`` *equals* the
-    previous batch's ``t_end_s`` would silently duplicate that timestamp in
-    the stream (timestamps within a batch are strictly increasing, so the
-    seam is the only place a duplicate can hide). In strict mode (the
-    default) both overlap and boundary duplication raise
-    :class:`~repro.errors.MonitoringError`. With ``strict=False`` the merge
-    passes every batch through unchecked — the mode the fault-tolerant
-    supervisor uses, where mis-ordered telemetry is dead-lettered and
-    accounted instead of aborting the run.
+    The merge checks no ordering within a stream: a batch that starts at or
+    before the end of its stream's previous one (a rewind, or a redelivery
+    starting exactly where the previous batch ended) passes through, and
+    the pipeline's admission dead-letters it (see
+    :class:`~repro.live.supervisor.SupervisedPipeline`).
     """
     heap: list[tuple[float, int, StreamBatch, Iterator[StreamBatch]]] = []
     for seq, source in enumerate(sources):
@@ -149,22 +142,8 @@ def merge_batches(
         if first is not None:
             heap.append((first.t_start_s, seq, first, iterator))
     heapq.heapify(heap)
-    last_end = {}
     while heap:
-        t_start, seq, batch, iterator = heapq.heappop(heap)
-        previous = last_end.get(batch.stream)
-        if strict and previous is not None and t_start <= previous:
-            if t_start == previous:
-                raise MonitoringError(
-                    f"stream {batch.stream!r} duplicates timestamp {t_start} "
-                    "at a batch boundary (batch starts exactly where the "
-                    "previous one ended)"
-                )
-            raise MonitoringError(
-                f"stream {batch.stream!r} went backwards in time "
-                f"({t_start} after {previous})"
-            )
-        last_end[batch.stream] = batch.t_end_s
+        _, seq, batch, iterator = heapq.heappop(heap)
         yield batch
         following = next(iterator, None)
         if following is not None:

@@ -160,8 +160,8 @@ class DuplicateInjector(FaultInjector):
     """At-least-once transport: some batches are delivered twice.
 
     The duplicate starts exactly where the original ended in stream time,
-    which is precisely the boundary case :func:`~repro.live.events.
-    merge_batches` rejects in strict mode and a supervisor must dead-letter.
+    which is precisely the boundary case the pipeline's admission
+    dead-letters: a batch must start after its stream's last one ended.
     """
 
     name = "duplicate"

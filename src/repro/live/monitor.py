@@ -32,7 +32,7 @@ from .alerts import AdviceAlert, ChangePointAlert, RegimeChangeAlert, TextAlertS
 from .cusum import CusumConfig, OnlineCusum
 from .events import CI_STREAM, POWER_STREAM
 from .faults import FAULT_NAMES
-from .pipeline import MonitorPipeline, MonitorReport
+from .pipeline import MonitorReport
 from .processors import WindowedRollup
 from .regime import RegimeTracker, RegimeTrackerConfig
 from .replay import (
@@ -62,7 +62,7 @@ class MonitorOutcome:
     detector: OnlineCusum
     tracker: RegimeTracker
     advisor: InterventionAdvisor
-    pipeline: MonitorPipeline
+    pipeline: SupervisedPipeline
 
 
 def build_monitor(
@@ -72,22 +72,20 @@ def build_monitor(
     rollup_window_s: float = SECONDS_PER_DAY,
     sinks: tuple = (),
     supervisor_config: SupervisorConfig | None = None,
-) -> tuple[MonitorPipeline, OnlineCusum, RegimeTracker, InterventionAdvisor]:
+) -> tuple[SupervisedPipeline, OnlineCusum, RegimeTracker, InterventionAdvisor]:
     """Assemble the standard monitoring pipeline; returns its stages.
 
-    With ``supervisor_config`` the pipeline is the fault-tolerant
-    :class:`~repro.live.supervisor.SupervisedPipeline`; otherwise the plain
-    strict pipeline. Every processor runs its vectorised hot path, which
+    The pipeline is the fault-tolerant
+    :class:`~repro.live.supervisor.SupervisedPipeline`, tuned by
+    ``supervisor_config`` (defaults: :class:`SupervisorConfig`, no
+    checkpoints). Every processor runs its vectorised hot path, which
     is bit-identical to the per-sample oracle the tests keep (see
     docs/operations.md, "Hot path and scalar oracle").
     """
     detector = OnlineCusum(POWER_STREAM, cusum_config)
     tracker = RegimeTracker(CI_STREAM, tracker_config)
     advisor = InterventionAdvisor(config=advisor_config or AdvisorConfig())
-    if supervisor_config is not None:
-        pipeline: MonitorPipeline = SupervisedPipeline(supervisor_config, sinks=sinks)
-    else:
-        pipeline = MonitorPipeline(sinks=sinks)
+    pipeline = SupervisedPipeline(supervisor_config, sinks=sinks)
     pipeline.add_processor(detector)
     pipeline.add_processor(WindowedRollup(POWER_STREAM, window_s=rollup_window_s))
     pipeline.add_processor(tracker)
@@ -108,16 +106,11 @@ def run_monitor(
 
     ``faults`` injects the named chaos suite into the replayed sources (see
     :func:`~repro.live.replay.scenario_sources`); ``resume_from`` loads a
-    checkpoint file before running, continuing an interrupted run. Both
-    require the supervised pipeline — pass ``supervisor_config`` (one is
-    created with defaults if omitted).
+    checkpoint file before running, continuing an interrupted run. The
+    other keyword arguments go to :func:`build_monitor`.
     """
-    if (faults or resume_from) and monitor_kwargs.get("supervisor_config") is None:
-        monitor_kwargs["supervisor_config"] = SupervisorConfig()
     pipeline, detector, tracker, advisor = build_monitor(**monitor_kwargs)
     if resume_from is not None:
-        if not isinstance(pipeline, SupervisedPipeline):
-            raise MonitoringError("resume requires the supervised pipeline")
         pipeline.resume_from(resume_from)
     power, ci = scenario_sources(
         scenario, batch_size, faults=faults, fault_seed=fault_seed
@@ -185,29 +178,28 @@ def _summary_table(outcome: MonitorOutcome) -> str:
             " -> ".join(a.regime.value for a in regimes) or "none observed",
         ]
     )
-    if isinstance(outcome.pipeline, SupervisedPipeline):
-        crashes = sum(metrics.processor_crashes.values())
-        rows.extend(
+    crashes = sum(metrics.processor_crashes.values())
+    rows.extend(
+        [
             [
-                [
-                    "Dead-lettered",
-                    f"{metrics.total_samples_dead_lettered:,} samples in "
-                    f"{sum(metrics.batches_dead_lettered.values()):,} batches",
-                ],
-                ["Sanitised", f"{sum(metrics.samples_sanitised.values()):,} samples"],
-                [
-                    "Crashes",
-                    f"{crashes} ({sum(metrics.processor_restarts.values())} restarts, "
-                    f"{len(metrics.processors_quarantined)} quarantined)",
-                ],
-                ["Data gaps", f"{sum(metrics.data_gaps_detected.values())}"],
-                ["Checkpoints", f"{metrics.checkpoints_written}"],
-                [
-                    "Accounting",
-                    "reconciles" if metrics.reconciles() else "DOES NOT RECONCILE",
-                ],
-            ]
-        )
+                "Dead-lettered",
+                f"{metrics.total_samples_dead_lettered:,} samples in "
+                f"{sum(metrics.batches_dead_lettered.values()):,} batches",
+            ],
+            ["Sanitised", f"{sum(metrics.samples_sanitised.values()):,} samples"],
+            [
+                "Crashes",
+                f"{crashes} ({sum(metrics.processor_restarts.values())} restarts, "
+                f"{len(metrics.processors_quarantined)} quarantined)",
+            ],
+            ["Data gaps", f"{sum(metrics.data_gaps_detected.values())}"],
+            ["Checkpoints", f"{metrics.checkpoints_written}"],
+            [
+                "Accounting",
+                "reconciles" if metrics.reconciles() else "DOES NOT RECONCILE",
+            ],
+        ]
+    )
     if advice_alerts:
         last = advice_alerts[-1]
         actions = (
@@ -293,11 +285,6 @@ def monitor_main(argv: list[str] | None = None) -> int:
         help="suppress the live alert feed, print only the summary",
     )
     parser.add_argument(
-        "--supervised",
-        action="store_true",
-        help="run under the fault-tolerant supervisor (implied by the flags below)",
-    )
-    parser.add_argument(
         "--inject-faults",
         metavar="NAMES",
         default=None,
@@ -339,16 +326,11 @@ def monitor_main(argv: list[str] | None = None) -> int:
             faults = list(FAULT_NAMES)
         else:
             faults = [s.strip() for s in args.inject_faults.split(",") if s.strip()]
-    supervised = bool(args.supervised or faults or args.checkpoint)
     sinks = () if args.quiet else (TextAlertSink(sys.stdout),)
     try:
-        supervisor_config = (
-            SupervisorConfig(
-                checkpoint_path=args.checkpoint,
-                checkpoint_every_s=args.checkpoint_every_hours * SECONDS_PER_HOUR,
-            )
-            if supervised
-            else None
+        supervisor_config = SupervisorConfig(
+            checkpoint_path=args.checkpoint,
+            checkpoint_every_s=args.checkpoint_every_hours * SECONDS_PER_HOUR,
         )
         scenario = build_scenario(args.scenario, args.days, args.seed)
         outcome = run_monitor(
@@ -374,8 +356,7 @@ def monitor_main(argv: list[str] | None = None) -> int:
     if not args.quiet:
         print()
     print(_summary_table(outcome))
-    if isinstance(outcome.pipeline, SupervisedPipeline):
-        if not outcome.report.metrics.reconciles():
-            print("error: sample accounting does not reconcile", file=sys.stderr)
-            return 1
+    if not outcome.report.metrics.reconciles():
+        print("error: sample accounting does not reconcile", file=sys.stderr)
+        return 1
     return 0

@@ -4,13 +4,19 @@ Wiring: interleaved sources → subscribed processors → alerts → advisor + s
 
 The pipeline is single-threaded and pull-based: sources are merged into one
 time-ordered flow (:func:`~repro.live.events.merge_batches`), and each batch
-is handed straight to the processors subscribed to its stream before the
-next batch is pulled. Nothing is queued between ingest and processing, so
-memory is bounded by the caller's batch size and no sample is shed.
+is admitted and handed straight to the processors subscribed to its stream
+before the next batch is pulled. Nothing is queued between ingest and
+processing, so memory is bounded by the caller's batch size and no sample
+is shed.
 
 Every alert a processor emits is fanned out to the registered sinks and to
 the :class:`~repro.live.advisor.InterventionAdvisor` (if attached), whose
 own advice alerts are fanned out in turn.
+
+This module holds the wiring and the run loop; the loop's steps —
+admission, crash-isolated processing, staleness watchdogs and checkpoints —
+are :class:`~repro.live.supervisor.SupervisedPipeline`'s, the one pipeline
+to construct (or let :func:`~repro.live.monitor.build_monitor` build).
 """
 
 from __future__ import annotations
@@ -18,13 +24,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from ..errors import MonitoringError
 from ..ledger import Ledger
 from .advisor import InterventionAdvisor
 from .alerts import Alert, AlertSink
-from .events import StreamBatch, merge_batches
+from .events import StreamBatch
 from .processors import Processor
 
 __all__ = ["PipelineMetrics", "MonitorReport", "MonitorPipeline"]
@@ -42,11 +48,8 @@ class PipelineMetrics(Ledger):
 
     Nothing sheds samples between ingest and processing, so
     ``samples_dropped`` reads zero; it keeps its place in the identity and
-    in checkpoints.
-
-    The dead-letter, sanitise, crash, gap and checkpoint counters are only
-    advanced by the fault-tolerant :class:`~repro.live.supervisor.
-    SupervisedPipeline`; under the plain pipeline they stay zero.
+    in checkpoints. On clean telemetry the dead-letter, sanitise, crash and
+    gap counters stay zero too.
     """
 
     IDENTITIES = (
@@ -97,10 +100,30 @@ class MonitorReport:
 
 
 class MonitorPipeline:
-    """Routes interleaved telemetry through processors to alert sinks."""
+    """Wiring and the run loop of :class:`~repro.live.supervisor.SupervisedPipeline`.
+
+    The loop's steps are the supervised pipeline's, so this class is only
+    its base: construct that one, or call
+    :func:`~repro.live.monitor.build_monitor`. The two classes keep apart
+    the names perfbench traces: ``MonitorPipeline.run`` and
+    ``SupervisedPipeline.checkpoint``.
+    """
+
+    # The run loop's steps, each defined once, by SupervisedPipeline.
+    _merged: Callable[[tuple[Iterable[StreamBatch], ...]], Iterable[StreamBatch]]
+    _admit: Callable[[StreamBatch], StreamBatch | None]
+    _invoke: Callable[[Processor, StreamBatch], None]
+    _after_ingest: Callable[[StreamBatch], None]
+    _before_finish: Callable[[], None]
+    _finish_processor: Callable[[Processor], None]
 
     def __init__(self, sinks: Iterable[AlertSink] = ()) -> None:
         """Create an empty pipeline; attach processors before :meth:`run`."""
+        if type(self) is MonitorPipeline:
+            raise TypeError(
+                "MonitorPipeline is the base of SupervisedPipeline; "
+                "construct that, or call build_monitor()"
+            )
         self._processors: dict[str, list[Processor]] = {}
         self._sinks: list[AlertSink] = list(sinks)
         self._advisor: InterventionAdvisor | None = None
@@ -126,7 +149,8 @@ class MonitorPipeline:
 
         Sources are per-stream batch iterators (see
         :func:`~repro.live.events.series_batches`); they are merged into
-        one time-ordered flow before routing.
+        one time-ordered flow before routing. A batch that admission
+        rejects is dead-lettered and counted, never routed.
         """
         if not self._processors:
             raise MonitoringError("pipeline has no processors attached")
@@ -138,15 +162,9 @@ class MonitorPipeline:
             batch = self._admit(batch)
             if batch is None:
                 continue
-            processors = self._processors.get(stream)
-            if processors is None:
-                raise MonitoringError(
-                    f"no processor subscribed to stream {stream!r}; "
-                    f"known streams: {sorted(self._processors)}"
-                )
             metrics.samples_processed[stream] += len(batch)
             metrics.watermark_time_s = max(metrics.watermark_time_s, batch.t_end_s)
-            for processor in processors:
+            for processor in self._processors[stream]:
                 self._invoke(processor, batch)
             self._after_ingest(batch)
         self._before_finish()
@@ -154,35 +172,6 @@ class MonitorPipeline:
             for processor in processors:
                 self._finish_processor(processor)
         return MonitorReport(metrics=metrics, alerts=tuple(self._alerts))
-
-    # -- supervision hooks (overridden by SupervisedPipeline) ------------------
-
-    def _merged(self, sources: tuple[Iterable[StreamBatch], ...]) -> Iterable[StreamBatch]:
-        """The merged event flow; strict ordering under the plain pipeline."""
-        return merge_batches(*sources)
-
-    def _admit(self, batch: StreamBatch) -> StreamBatch | None:
-        """Validate one ingested batch; ``None`` means it was rejected.
-
-        The plain pipeline admits everything (the strict merge already
-        enforces ordering); the supervisor overrides this with dead-letter
-        validation and value sanitisation.
-        """
-        return batch
-
-    def _invoke(self, processor: Processor, batch: StreamBatch) -> None:
-        """Feed one batch to one processor (supervisor adds crash isolation)."""
-        self._dispatch(processor.process(batch))
-
-    def _finish_processor(self, processor: Processor) -> None:
-        """Flush one processor at end of stream."""
-        self._dispatch(processor.finish())
-
-    def _after_ingest(self, batch: StreamBatch) -> None:
-        """Post-ingest hook (supervisor: watchdogs + periodic checkpoints)."""
-
-    def _before_finish(self) -> None:
-        """Pre-finish hook (supervisor: trailing-gap detection)."""
 
     def _dispatch(self, alerts: list[Alert]) -> None:
         for alert in alerts:

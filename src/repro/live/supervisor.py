@@ -1,11 +1,9 @@
-"""Fault-tolerant supervision of the live monitoring pipeline.
+"""Fault-tolerant supervision: the steps of the live monitoring pipeline.
 
-The plain :class:`~repro.live.pipeline.MonitorPipeline` assumes clean
-telemetry and well-behaved processors: mis-ordered batches abort the merge,
-a raising processor aborts the run, and a killed process loses everything.
-None of that is acceptable for an always-on facility monitor.
-:class:`SupervisedPipeline` subclasses the pipeline's supervision hooks to
-add, without touching the data path itself:
+A facility monitor is always on, and its telemetry and processors fail in
+mundane ways. :class:`SupervisedPipeline` supplies the steps of the run
+loop in :class:`~repro.live.pipeline.MonitorPipeline`, and is the one
+pipeline :func:`~repro.live.monitor.build_monitor` builds:
 
 * **admission control** — out-of-order/duplicate batches and batches for
   unknown streams are *dead-lettered* (recorded in a bounded
@@ -27,6 +25,9 @@ add, without touching the data path itself:
   :mod:`~repro.live.checkpoint`; a new pipeline can load the file and
   continue *bit-identically*, re-skipping the already-processed prefix
   of a replayed source.
+
+On clean telemetry admission, crash isolation and the watchdogs stay
+silent: they add no alert and move no counter.
 
 Throughout, the per-stream accounting identity holds:
 ``samples_in == samples_processed + samples_dropped + samples_dead_lettered``.
@@ -175,7 +176,7 @@ class DeadLetterStore:
 
 
 class SupervisedPipeline(MonitorPipeline):
-    """A :class:`MonitorPipeline` hardened against faulty telemetry,
+    """The live monitoring pipeline, hardened against faulty telemetry,
     crashing processors and process death. See the module docstring for the
     full fault model."""
 
@@ -198,9 +199,9 @@ class SupervisedPipeline(MonitorPipeline):
     # -- admission control -----------------------------------------------------
 
     def _merged(self, sources: tuple[Iterable[StreamBatch], ...]) -> Iterable[StreamBatch]:
-        """Non-strict merge (faults are dead-lettered, not fatal), minus any
-        already-processed prefix when resuming from a checkpoint."""
-        flow = merge_batches(*sources, strict=False)
+        """The merged flow, minus any already-processed prefix when resuming
+        from a checkpoint."""
+        flow = merge_batches(*sources)
         if any(self._resume_skip.values()):
             return self._skip_replayed(flow)
         return flow
@@ -227,7 +228,13 @@ class SupervisedPipeline(MonitorPipeline):
                 )
 
     def _admit(self, batch: StreamBatch) -> StreamBatch | None:
-        """Dead-letter unroutable or time-travelling batches; sanitise ±inf."""
+        """Dead-letter unroutable or time-travelling batches; sanitise ±inf.
+
+        Returns ``None`` for a dead-lettered batch. The per-stream watermark
+        is the one ordering check: a batch must start after the last
+        admitted batch of its stream ended, so a rewind and a redelivery
+        starting exactly at that end are both dead-lettered.
+        """
         stream = batch.stream
         if stream not in self._processors:
             self._dead_letter(batch, "no processor subscribed to stream")

@@ -90,16 +90,12 @@ def saved_checkpoint(pipeline):
 
 
 def replay(scenario, batch_size, oracle, faults=None):
-    """Replay a scenario; chaos runs are supervised. Returns the run's
-    fingerprint plus, when supervised, its full saved checkpoint."""
-    supervised = faults is not None
-    pipeline, detector, tracker, _ = monitor(
-        oracle, supervisor_config=SupervisorConfig(seed=5) if supervised else None
-    )
+    """Replay a scenario. Returns the run's fingerprint plus its full saved
+    checkpoint."""
+    pipeline, detector, tracker, _ = monitor(oracle, supervisor_config=SupervisorConfig(seed=5))
     power, ci = scenario_sources(scenario, batch_size, faults=faults, fault_seed=7)
     report = pipeline.run(power, ci)
-    payload = saved_checkpoint(pipeline) if supervised else None
-    return fingerprint(report, detector, tracker), payload
+    return fingerprint(report, detector, tracker), saved_checkpoint(pipeline)
 
 
 def dense_scenario():

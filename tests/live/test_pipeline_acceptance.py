@@ -9,6 +9,7 @@ flapping.
 """
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -24,12 +25,11 @@ from repro.live.alerts import (
     TextAlertSink,
     format_alert,
 )
-from repro.live.cusum import OnlineCusum
 from repro.live.events import POWER_STREAM, series_batches
 from repro.live.monitor import build_monitor, monitor_main, run_monitor
 from repro.live.pipeline import MonitorPipeline
 from repro.live.replay import build_scenario, figure2_scenario, figure3_scenario
-from repro.live.supervisor import SupervisorConfig
+from repro.live.supervisor import SupervisedPipeline
 from repro.telemetry.series import TimeSeries
 from repro.units import SECONDS_PER_DAY
 
@@ -136,16 +136,14 @@ class TestRegimeSweepScenario:
 
 
 class TestBackpressure:
-    def test_unknown_stream_rejected(self):
-        pipeline = MonitorPipeline()
-        pipeline.add_processor(OnlineCusum(POWER_STREAM))
-        series = figure2_scenario(duration_days=2.0).ci_g_per_kwh
-        with pytest.raises(MonitoringError):
-            pipeline.run(series_batches("mystery", series))
-
     def test_empty_pipeline_rejected(self):
         with pytest.raises(MonitoringError):
-            MonitorPipeline().run(iter(()))
+            SupervisedPipeline().run(iter(()))
+
+    def test_base_pipeline_is_not_constructed(self):
+        """The run loop's steps are the supervised pipeline's alone."""
+        with pytest.raises(TypeError, match="SupervisedPipeline"):
+            MonitorPipeline()
 
 
 class TestLargeBatches:
@@ -156,12 +154,11 @@ class TestLargeBatches:
         rng = np.random.default_rng(7)
         levels = np.where(np.arange(n) < n // 2, 3220.0, 3010.0)
         power = TimeSeries(0.2 * np.arange(n), levels + rng.normal(0.0, 30.0, n))
-        for supervisor_config in (None, SupervisorConfig()):
-            pipeline, detector, _, _ = build_monitor(supervisor_config=supervisor_config)
-            metrics = pipeline.run(series_batches(POWER_STREAM, power, 1 << 19)).metrics
-            assert metrics.samples_processed[POWER_STREAM] == n
-            assert metrics.total_samples_dropped == 0
-            assert [round(s.mean) for s in detector.segments] == [3220, 3010]
+        pipeline, detector, _, _ = build_monitor()
+        metrics = pipeline.run(series_batches(POWER_STREAM, power, 1 << 19)).metrics
+        assert metrics.samples_processed[POWER_STREAM] == n
+        assert metrics.total_samples_dropped == 0
+        assert [round(s.mean) for s in detector.segments] == [3220, 3010]
 
 
 class TestAlertPlumbing:
@@ -187,6 +184,13 @@ class TestMonitorCli:
         assert monitor_main(["--scenario", "regimes", "--days", "4", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "Live facility monitor summary" in out
+        assert re.search(r"\| Accounting +\| reconciles +\|", out)
+
+    def test_supervised_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            monitor_main(["--scenario", "regimes", "--days", "4", "--quiet", "--supervised"])
+        assert excinfo.value.code == 2
+        assert "--supervised" in capsys.readouterr().err
 
     def test_live_feed_prints_alerts(self, capsys):
         assert monitor_main(["--scenario", "regimes", "--days", "4"]) == 0

@@ -1,12 +1,14 @@
 """``tools/bench_pairs.py`` turns paired benchmark runs into a BENCH file.
 
-Canned run lines stand in for perfbench: no benchmark process starts.
+Canned run lines stand in for perfbench, and a fake ``subprocess.run``
+for the bytecode step: no process starts.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -90,6 +92,38 @@ class FakeRunner:
         self.calls.append((checkout.name, seed, seconds, trace_out.name))
         trace_out.write_text(json.dumps(self.tables[checkout.name]))
         return self.answers[checkout.name, seed, "traced"]
+
+
+@pytest.fixture(autouse=True)
+def no_subprocess(monkeypatch):
+    """The tool's own subprocesses (the bytecode step) start nothing."""
+    monkeypatch.setattr(
+        bench_pairs.subprocess, "run", lambda argv, **kwargs: subprocess.CompletedProcess(argv, 0)
+    )
+
+
+def test_both_checkouts_get_fresh_bytecode_before_any_run(monkeypatch):
+    """Each side compiles ``src`` and ``perfbench`` before the first pair, so
+    neither side's ``setup_s`` includes compiling the modules it imports."""
+    answers = {
+        (side, seed): canned_stdout(8000.0) for side in ("parent", "change") for seed in (1, 2)
+    }
+    runner = FakeRunner(answers)
+
+    def fake_run(argv, cwd=None, check=False, **kwargs):
+        runner.calls.append((Path(cwd).name, argv[1:], check))
+        return subprocess.CompletedProcess(argv, 0)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    bench_pairs.record(Path("parent"), Path("change"), "sched-trace", [1, 2], ("a", "b"), runner)
+    compile_step = ["-m", "compileall", "-q", "src", "perfbench"]
+    assert runner.calls[:2] == [("parent", compile_step, True), ("change", compile_step, True)]
+    assert [call[:2] for call in runner.calls[2:]] == [
+        ("parent", 1),
+        ("change", 1),
+        ("change", 2),
+        ("parent", 2),
+    ]
 
 
 def test_seed_lists_and_ranges():

@@ -5,6 +5,13 @@ Usage (from the repository root)::
     python tools/bench_pairs.py --parent DIR --change DIR --workload sched-trace \\
         --seeds 1-10,1009 --claim secondary_per_s
 
+Before the first pair, ``python -m compileall -q src perfbench`` runs in
+each checkout, so both import from up-to-date bytecode. Without it a fresh
+copy, which has no ``__pycache__`` and never writes one where
+``PYTHONDONTWRITEBYTECODE`` is set, compiles every module it imports on
+every run, and its ``setup_s`` does not compare with a tree that holds
+``.pyc`` files.
+
 Each seed is one pair: ``perfbench/run.py --workload W --seed N --seconds S
 --trace 0`` runs once in each checkout, the parent first in odd-numbered
 pairs and the change first in even-numbered ones, so an even number of
@@ -85,6 +92,17 @@ def parse_run(stdout: str) -> dict:
         "machine_speed": speed,
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def compile_bytecode(checkout: Path) -> None:
+    """Write up-to-date ``.pyc`` files for ``src`` and ``perfbench`` in
+    ``checkout`` (compileall writes them even under
+    ``PYTHONDONTWRITEBYTECODE``)."""
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
+        cwd=checkout,
+        check=True,
+    )
 
 
 def run_perfbench(
@@ -206,6 +224,8 @@ def record(
     """Run the pairs and build the ``BENCH_<workload>.json`` document."""
     declared = benchmark()
     seconds = declared["run_seconds"]
+    for checkout in (parent, change):
+        compile_bytecode(checkout)
     runs = []
     for pair, seed in enumerate(seeds, start=1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
