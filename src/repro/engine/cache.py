@@ -124,6 +124,8 @@ class SweepStore:
         #: Writes skipped because an identical chunk was already published
         #: (concurrent writers deduplicating against each other).
         self.skipped_writes = 0
+        #: Spec hashes whose entry directory and ``spec.json`` a put has made.
+        self._prepared: set[str] = set()
         self.root.mkdir(parents=True, exist_ok=True)
 
     # -- paths ---------------------------------------------------------------
@@ -139,36 +141,42 @@ class SweepStore:
     # -- chunk I/O -----------------------------------------------------------
 
     def put_chunk(
-        self,
-        spec: SweepSpec,
-        lo: int,
-        hi: int,
-        columns: Mapping[str, np.ndarray],
-        *,
-        overwrite: bool = False,
+        self, spec: SweepSpec, lo: int, hi: int, columns: Mapping[str, np.ndarray]
     ) -> Path:
         """Atomically persist one chunk's column arrays (ignore-if-exists).
 
         The write goes to a unique temp file in the entry directory and is
         published with ``os.replace``, so readers never observe a partial
         file. The store is content-addressed and evaluation deterministic,
-        so an already-published chunk is already *this* chunk: by default a
-        racing second writer skips the publish (and, if it loses the
-        existence race inside the syscall window, the replace is still
-        byte-equivalent). Pass ``overwrite=True`` to republish anyway —
-        that is how corruption repair paths force a clean copy.
+        so an already-published chunk is already *this* chunk: a racing
+        second writer skips the publish (and, if it loses the existence
+        race inside the syscall window, the replace is still
+        byte-equivalent). The entry directory and its ``spec.json`` are
+        made by the first put of an entry, and made again by the next put
+        after the entry was removed (``invalidate``, from any process).
         """
+        target = self.chunk_path(spec.spec_hash, lo, hi)
+        if target.is_file():
+            self.skipped_writes += 1
+            return target
+        buffers = _encode_chunk(hi - lo, columns)
+        if spec.spec_hash not in self._prepared:
+            self._prepare(spec)
+        try:
+            atomic_write(target, buffers)
+        except FileNotFoundError:
+            self._prepare(spec)
+            atomic_write(target, buffers)
+        return target
+
+    def _prepare(self, spec: SweepSpec) -> None:
+        """Make the entry directory of ``spec`` and its ``spec.json``."""
         entry = self.entry_dir(spec.spec_hash)
         entry.mkdir(parents=True, exist_ok=True)
         meta = entry / "spec.json"
         if not meta.exists():
             atomic_write(meta, [spec.canonical_json().encode()])
-        target = self.chunk_path(spec.spec_hash, lo, hi)
-        if not overwrite and target.is_file():
-            self.skipped_writes += 1
-            return target
-        atomic_write(target, _encode_chunk(hi - lo, columns))
-        return target
+        self._prepared.add(spec.spec_hash)
 
     def get_chunk(
         self,

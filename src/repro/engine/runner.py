@@ -636,32 +636,19 @@ def _chunk_ranges(n: int, chunk_size: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
 
 
-def _allocate(n: int) -> dict[str, np.ndarray]:
-    """Uninitialised result columns of ``n`` rows each."""
-    return {name: np.empty(n, dtype) for name, dtype in COLUMN_DTYPES.items()}
+class _Slices(dict):
+    """Rows ``[lo, hi)`` of each result column, sliced when a reader asks
+    for the column, so looking up a chunk that is not stored builds no view."""
 
+    __slots__ = ("columns", "rows")
 
-class _OwnColumns(dict):
-    """A chunk's own result columns, each allocated when a reader first asks
-    for it, so looking up a chunk that is not stored allocates nothing."""
-
-    def __init__(self, rows: int) -> None:
+    def __init__(self, columns: dict[str, np.ndarray], lo: int, hi: int) -> None:
         super().__init__()
-        self.rows = rows
+        self.columns = columns
+        self.rows = slice(lo, hi)
 
     def __missing__(self, name: str) -> np.ndarray:
-        column = self[name] = np.empty(self.rows, COLUMN_DTYPES[name])
-        return column
-
-
-def _destinations(
-    result: dict[str, np.ndarray] | None, lo: int, hi: int
-) -> Mapping[str, np.ndarray]:
-    """Where a stored chunk of rows ``[lo, hi)`` is read: its slices of the
-    result, or arrays of its own while there is no result."""
-    if result is None:
-        return _OwnColumns(hi - lo)
-    return {name: col[lo:hi] for name, col in result.items()}
+        return self.columns[name][self.rows]
 
 
 def _freeze(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -736,46 +723,31 @@ def run_sweep(
 
     n = spec.n_scenarios
     ranges = _chunk_ranges(n, chunk_size)
-    stored = set(store.cached_chunks(spec.spec_hash)) if store else ()
-    # The result is allocated when the first chunk lands in it: at the
-    # first listed chunk, or once every missing chunk has been computed.
-    # Every chunk is still looked up, so one published since the listing
-    # is read, into arrays of its own while the result does not exist.
-    assembled: dict[str, np.ndarray] | None = None
-    pending: list[tuple[int, int, Mapping[str, np.ndarray]]] = []
+    # np.empty touches no page: each chunk fills its slice as it lands.
+    assembled = {name: np.empty(n, dtype) for name, dtype in COLUMN_DTYPES.items()}
     missing: list[tuple[int, int]] = []
     disk_hits = 0
     for lo, hi in ranges:
-        if store:
-            if assembled is None and (lo, hi) in stored:
-                assembled = _allocate(n)
-            chunk = store.get_chunk(
-                spec.spec_hash, lo, hi, COLUMNS, out=_destinations(assembled, lo, hi)
-            )
-            if chunk is not None:
-                if assembled is None:
-                    pending.append((lo, hi, chunk))
-                disk_hits += 1
-                if progress:
-                    progress(disk_hits, len(ranges), "disk")
-                continue
-        missing.append((lo, hi))
+        if store and store.get_chunk(
+            spec.spec_hash, lo, hi, COLUMNS, out=_Slices(assembled, lo, hi)
+        ) is not None:
+            disk_hits += 1
+            if progress:
+                progress(disk_hits, len(ranges), "disk")
+        else:
+            missing.append((lo, hi))
 
     if missing:
         ctx = _build_context(spec, node_model, tables)
         for done, (lo, hi) in enumerate(missing, start=disk_hits + 1):
             columns = _evaluate_chunk(ctx, lo, hi)
-            pending.append((lo, hi, columns))
+            for name, col in assembled.items():
+                col[lo:hi] = columns[name]
             if store:
                 store.put_chunk(spec, lo, hi, columns)
             if progress:
                 progress(done, len(ranges), "computed")
 
-    if assembled is None:
-        assembled = _allocate(n)
-    for lo, hi, columns in pending:
-        for name, col in assembled.items():
-            col[lo:hi] = columns[name]
     assembled = _freeze(assembled)
     if memory_cache is not None:
         assembled = _CachedColumns(assembled, spec.spec_hash)

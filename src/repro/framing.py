@@ -32,24 +32,42 @@ PREFIX = struct.Struct("<8sII")
 #: The checksum covers every byte after the magic and the CRC field itself.
 _CRC_START = 12
 _BODY_ALIGN = 64
+#: The most buffers one ``os.writev`` call may take.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+
+def _write_all(fd: int, buffers: Iterable) -> None:
+    """Write ``buffers`` to ``fd`` in order: one ``os.writev`` call, and
+    more for whatever a short write left or one call cannot take."""
+    views = [memoryview(buf).cast("B") for buf in buffers]
+    while views:
+        written = os.writev(fd, views[:_IOV_MAX])
+        done = 0
+        while done < len(views) and written >= len(views[done]):
+            written -= len(views[done])
+            done += 1
+        views = views[done:]
+        if views:
+            views[0] = views[0][written:]
 
 
 def atomic_write(path: Path, buffers: Iterable) -> None:
     """Publish the concatenated ``buffers`` as ``path`` via a temp file.
 
-    The temp file is created beside ``path`` with a unique name (mode 0600)
-    and moved over it with ``os.replace``, so readers see the old file or
-    the whole new one, never a partial write, and concurrent writers of one
-    path never share a temp file. If writing fails, the temp file is
-    removed and the error propagates unchanged.
+    The temp file is created beside ``path`` with a unique name (mode 0600),
+    filled by :func:`os.writev` and moved over it with ``os.replace``, so
+    readers see the old file or the whole new one, never a partial write,
+    and concurrent writers of one path never share a temp file. If writing
+    fails, the temp file is removed and the error propagates unchanged.
     """
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for buf in buffers:
-                fh.write(buf)
+        try:
+            _write_all(fd, buffers)
+        finally:
+            os.close(fd)
         os.replace(tmp_name, path)
     except BaseException:
         try:

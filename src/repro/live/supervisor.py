@@ -195,6 +195,9 @@ class SupervisedPipeline(MonitorPipeline):
         self._keys: dict[int, str] = {}
         self._resume_skip: dict[str, int] = {}
         self._last_checkpoint_s: float | None = None
+        #: ``alert_to_dict`` of the first alerts of the append-only history,
+        #: kept from earlier checkpoints so each alert is encoded once.
+        self._alert_dicts: list[dict] = []
 
     # -- admission control -----------------------------------------------------
 
@@ -464,11 +467,13 @@ class SupervisedPipeline(MonitorPipeline):
             for processor in group
         ]
         advisor = self._advisor
+        encoded = self._alert_dicts
+        encoded.extend(alert_to_dict(a) for a in self._alerts[len(encoded) :])
         return {
             "processors": processors,
             "advisor": advisor.state_dict() if advisor is not None else None,
             "metrics": self.metrics.state_dict(),
-            "alerts": [alert_to_dict(a) for a in self._alerts],
+            "alerts": list(encoded),
             "dead_letters": self.dead_letters.state_dict(),
             "admit_watermark": dict(self._admit_watermark),
             "last_seen": dict(self._last_seen),
@@ -524,6 +529,7 @@ class SupervisedPipeline(MonitorPipeline):
             self.metrics.load_state_dict(payload["metrics"])
         with _restoring("alerts"):
             self._alerts = [alert_from_dict(d) for d in payload["alerts"]]
+        self._alert_dicts = []
         with _restoring("dead_letters"):
             self.dead_letters.load_state_dict(payload["dead_letters"])
         with _restoring("supervision state"):

@@ -7,6 +7,7 @@ import json
 import os
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +242,38 @@ class TestSweepStoreChunks:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    def test_put_chunk_writes_the_encoded_chunk(self, tmp_path):
+        spec = small_spec()
+        store = SweepStore(tmp_path)
+        columns = _first_chunk(run_sweep(spec, chunk_size=ROWS))
+        path = store.put_chunk(spec, 0, ROWS, columns)
+        assert path.read_bytes() == b"".join(cache_module._encode_chunk(ROWS, columns))
+
+    def test_entry_is_made_once_and_again_after_removal(self, tmp_path, monkeypatch):
+        """The first put of an entry makes its directory and ``spec.json``;
+        later puts do not, until another store removes the entry."""
+        spec = small_spec()
+        entry = SweepStore(tmp_path).entry_dir(spec.spec_hash)
+        other, store = SweepStore(tmp_path), SweepStore(tmp_path)
+        made = []
+        real_mkdir = Path.mkdir
+
+        def mkdir(path, *args, **kwargs):
+            made.append(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        first = run_sweep(spec, chunk_size=2, store=store)
+        assert (first.meta.computed_chunks, made) == (4, [entry])
+        assert other.invalidate(spec.spec_hash) == 5
+        store.put_chunk(spec, 0, 2, {name: first.columns[name][:2] for name in COLUMNS})
+        assert made == [entry, entry]
+        assert sorted(p.name for p in entry.iterdir()) == [
+            store.chunk_path(spec.spec_hash, 0, 2).name,
+            "spec.json",
+        ]
+        assert (entry / "spec.json").read_text() == spec.canonical_json()
+
     @pytest.mark.parametrize(
         "bad",
         [np.array([None] * ROWS, dtype=object), np.zeros(ROWS + 1), np.zeros((ROWS, 1))],
@@ -339,8 +372,9 @@ class TestTornChunks:
 
     @pytest.mark.parametrize("code", [None, ">f8"], ids=["intact", "big-endian-column"])
     def test_chunks_published_since_the_listing_are_read(self, tmp_path, monkeypatch, code):
-        """Chunks a concurrent writer published after the entry listing are
-        still read, into arrays of their own, under the same checks."""
+        """A sweep looks up every chunk whatever the entry listing says, so
+        chunks a concurrent writer published after a listing are read into
+        their slices of the result, under the same checks."""
         spec = small_spec()
         clean = run_sweep(spec, chunk_size=ROWS)
         store = SweepStore(tmp_path)
@@ -386,23 +420,28 @@ def _peak_ratio(run) -> tuple[float, object]:
     return peak / sum(col.nbytes for col in result.columns.values()), result
 
 
+def _replay_spec():
+    spec = small_spec(
+        frequencies=(
+            FrequencySetting.GHZ_1_5,
+            FrequencySetting.GHZ_2_0,
+            FrequencySetting.GHZ_2_25_TURBO,
+        ),
+        ci_scenarios=tuple(CIScenario.flat(c) for c in (25.0, 60.0, 120.0, 190.0)),
+        utilisations=tuple(0.3 + 0.08 * i for i in range(8)),
+        node_counts=(1000, 2000, 4000, 5860),
+        lifetimes_years=tuple(3.0 + 0.5 * i for i in range(20)),
+    )
+    assert spec.n_scenarios == 15_360
+    run_sweep(spec, chunk_size=1024)  # first-call imports and memos
+    return spec
+
+
 class TestReplayMemory:
-    """A disk hit lands in its result slice: a replay holds no second copy."""
+    """Every chunk lands in its result slice: a sweep holds no second copy."""
 
     def test_warm_replay_peaks_near_its_result(self, tmp_path):
-        spec = small_spec(
-            frequencies=(
-                FrequencySetting.GHZ_1_5,
-                FrequencySetting.GHZ_2_0,
-                FrequencySetting.GHZ_2_25_TURBO,
-            ),
-            ci_scenarios=tuple(CIScenario.flat(c) for c in (25.0, 60.0, 120.0, 190.0)),
-            utilisations=tuple(0.3 + 0.08 * i for i in range(8)),
-            node_counts=(1000, 2000, 4000, 5860),
-            lifetimes_years=tuple(3.0 + 0.5 * i for i in range(20)),
-        )
-        assert spec.n_scenarios == 15_360
-        run_sweep(spec, chunk_size=1024)  # first-call imports and memos
+        spec = _replay_spec()
         store = SweepStore(tmp_path)
         cold_ratio, cold = _peak_ratio(lambda: run_sweep(spec, store=store))
         warm_ratio, warm = _peak_ratio(lambda: run_sweep(spec, store=store))
@@ -410,6 +449,18 @@ class TestReplayMemory:
         _assert_same_columns(warm, cold)
         assert warm_ratio <= 1.1
         assert cold_ratio <= 2.1
+
+    def test_cold_sweep_peaks_near_its_result(self, tmp_path):
+        """A computed chunk is copied into its slice as soon as it is
+        evaluated, so a cold sweep of many chunks holds one chunk beside
+        its result, not every chunk until the end."""
+        spec = _replay_spec()
+        cold_ratio, cold = _peak_ratio(
+            lambda: run_sweep(spec, chunk_size=1024, store=SweepStore(tmp_path))
+        )
+        assert cold.meta.computed_chunks == cold.meta.n_chunks == 15
+        _assert_same_columns(cold, run_sweep(spec, chunk_size=1024))
+        assert cold_ratio <= 1.3
 
 
 class TestCrashPoints:
@@ -444,22 +495,11 @@ class TestCrashPoints:
         for chunk in entry.glob("rows-*"):
             chunk.unlink()
         full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        real_fdopen = os.fdopen
 
-        class FullDisk:
-            def __init__(self, fh):
-                self.fh = fh
+        def full_disk(fd, buffers):
+            raise full
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.fh.close()
-
-            def write(self, buf):
-                raise full
-
-        monkeypatch.setattr(os, "fdopen", lambda fd, *a, **kw: FullDisk(real_fdopen(fd, *a, **kw)))
+        monkeypatch.setattr(os, "writev", full_disk)
         with pytest.raises(OSError) as excinfo:
             run_sweep(spec, chunk_size=ROWS, store=store)
         monkeypatch.undo()
@@ -537,17 +577,6 @@ class TestConcurrentWriters:
         assert path == target
         assert store.skipped_writes == 1
         assert target.stat().st_mtime_ns == before  # untouched, not rewritten
-
-    def test_put_chunk_overwrite_republishes(self, tmp_path):
-        spec = small_spec()
-        store = SweepStore(tmp_path)
-        result = run_sweep(spec, chunk_size=8, store=store)
-        columns = {name: result.columns[name][:8] for name in COLUMNS}
-        target = store.chunk_path(spec.spec_hash, 0, 8)
-        target.write_bytes(b"corrupted")
-        store.put_chunk(spec, 0, 8, columns, overwrite=True)
-        assert store.skipped_writes == 0
-        assert store.get_chunk(spec.spec_hash, 0, 8, COLUMNS) is not None
 
     def test_two_writers_racing_one_chunk(self, tmp_path):
         """Regression: two threads publishing the same chunk concurrently

@@ -22,6 +22,7 @@ from repro.errors import CheckpointError, MonitoringError
 from repro.framing import PREFIX, frame, read_frame
 from repro.live import checkpoint as checkpoint_module
 from repro.live import monitor as monitor_module
+from repro.live import supervisor as supervisor_module
 from repro.live.advisor import InterventionAdvisor
 from repro.live.alerts import (
     AdviceAlert,
@@ -268,6 +269,30 @@ class TestPipelineSnapshot:
         document = json.loads(header)
         assert document["version"] == CHECKPOINT_VERSION
         assert document["payload"].keys() == pipeline.checkpoint().keys()
+
+    def test_two_checkpoints_encode_each_alert_once(self, tmp_path, monkeypatch):
+        """The alert history only grows, so each checkpoint encodes only the
+        alerts recorded since the last one; loading a checkpoint replaces
+        the history, which the next checkpoint encodes afresh. The saved
+        bytes do not change."""
+        pipeline, *_ = build_monitor(supervisor_config=SupervisorConfig())
+        scenario = build_scenario("fig2", duration_days=30.0)
+        report = pipeline.run(*scenario_sources(scenario, 256))
+        assert report.alerts
+        encoded = []
+
+        def encode(alert):
+            encoded.append(alert)
+            return alert_to_dict(alert)
+
+        monkeypatch.setattr(supervisor_module, "alert_to_dict", encode)
+        first = saved_bytes(tmp_path / "first.ckpt", pipeline.checkpoint())
+        assert saved_bytes(tmp_path / "second.ckpt", pipeline.checkpoint()) == first
+        assert len(encoded) == len(report.alerts)
+        assert all(a is b for a, b in zip(encoded, report.alerts))
+        pipeline.resume_from(tmp_path / "first.ckpt")
+        assert saved_bytes(tmp_path / "third.ckpt", pipeline.checkpoint()) == first
+        assert len(encoded) == 2 * len(report.alerts)
 
     def test_processor_mismatch_rejected(self):
         payload = assemble_supervised().checkpoint()
@@ -636,22 +661,11 @@ class TestCheckpointCrashPoints:
         ckpt = tmp_path / "monitor.ckpt"
         before = saved_bytes(ckpt, {"generation": 1})
         full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        real_fdopen = os.fdopen
 
-        class FullDisk:
-            def __init__(self, fh):
-                self.fh = fh
+        def full_disk(fd, buffers):
+            raise full
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.fh.close()
-
-            def write(self, buf):
-                raise full
-
-        monkeypatch.setattr(os, "fdopen", lambda fd, *a, **kw: FullDisk(real_fdopen(fd, *a, **kw)))
+        monkeypatch.setattr(os, "writev", full_disk)
         with pytest.raises(CheckpointError, match="cannot write checkpoint") as info:
             save_checkpoint(ckpt, {"generation": 2})
         monkeypatch.undo()

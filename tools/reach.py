@@ -15,7 +15,9 @@ command reaches it.
 The report lists two things, per file, with each function's length from
 ``def`` to its last line: the outermost unreached functions missing from
 ``KEPT`` (an unreached function's nested helpers count in its lines), and
-the ``KEPT`` entries that ran. It exits 1 if either list is non-empty.
+the ``KEPT`` entries that ran. Then it lists the ``KEPT`` keys that name no
+function, such as a deleted function's entry left behind. It exits 1 if
+any of the three lists is non-empty.
 Command output goes to a null stream; the whole run takes several minutes.
 """
 
@@ -97,7 +99,6 @@ KEPT = {
     "core/validation.py::ValidationReport.failures": _ON_FAULT,
     "engine/plan.py::SweepSpec.scenario": "perfbench/sweep_grid.py calls it",
     "engine/runner.py::run_sweep_scalar": _ORACLE,
-    "engine/runner.py::_OwnColumns.__missing__": _ON_FAULT,
     "experiments/common.py::ExperimentResult.to_dict": "Result protocol",
     "facility/failures.py::FailureModel.steady_state_unavailability": (
         "benchmarks/bench_scheduler.py compares the simulated drain against it"
@@ -244,9 +245,10 @@ def defined_functions():
             yield f"{rel}::{name}", node, outer, path
 
 
-def audit(reached: set[tuple[str, int]]) -> tuple[int, list, list, list]:
-    """Def count, outermost unreached defs, those outside ``KEPT``, and
-    ``KEPT`` entries that ran, each entry as ``(key, lines)``.
+def audit(reached: set[tuple[str, int]]) -> tuple[int, list, list, list, list]:
+    """Def count, outermost unreached defs, those outside ``KEPT``, ``KEPT``
+    entries that ran, each entry as ``(key, lines)``, and the ``KEPT`` keys
+    that name no function.
 
     An outermost unreached def is one that never ran while every function
     enclosing it did.
@@ -259,8 +261,10 @@ def audit(reached: set[tuple[str, int]]) -> tuple[int, list, list, list]:
     total = 0
     unreached: list[tuple[str, int]] = []
     kept_but_ran: list[tuple[str, int]] = []
+    defined: set[str] = set()
     for key, node, outer, path in defined_functions():
         total += 1
+        defined.add(key)
         lines = node.end_lineno - node.lineno + 1
         if ran(path, node):
             if key in KEPT:
@@ -268,7 +272,8 @@ def audit(reached: set[tuple[str, int]]) -> tuple[int, list, list, list]:
         elif all(ran(path, o) for o in outer):
             unreached.append((key, lines))
     missing = [(key, lines) for key, lines in unreached if key not in KEPT]
-    return total, unreached, missing, kept_but_ran
+    stale = sorted(set(KEPT) - defined)
+    return total, unreached, missing, kept_but_ran, stale
 
 
 def _print_by_file(heading: str, entries: list[tuple[str, int]]) -> None:
@@ -285,17 +290,21 @@ def _print_by_file(heading: str, entries: list[tuple[str, int]]) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__.split("\n")[0]).parse_args(argv)
-    total, unreached, missing, kept_but_ran = audit(trace_commands())
+    total, unreached, missing, kept_but_ran, stale = audit(trace_commands())
     if missing:
         _print_by_file("Unreached and not in KEPT (delete it, or keep it with a reason):", missing)
     if kept_but_ran:
         _print_by_file("In KEPT but reached (take it out of KEPT):", kept_but_ran)
+    if stale:
+        print("In KEPT but no such function (take it out of KEPT):")
+        for key in stale:
+            print(f"  {key}")
     print(
         f"{total:,} functions; {len(unreached):,} unreached (outermost), "
         f"{sum(n for _, n in unreached):,} lines; {len(missing)} of them outside KEPT; "
-        f"{len(kept_but_ran)} KEPT entries ran"
+        f"{len(kept_but_ran)} KEPT entries ran; {len(stale)} name no function"
     )
-    return 1 if missing or kept_but_ran else 0
+    return 1 if missing or kept_but_ran or stale else 0
 
 
 if __name__ == "__main__":
