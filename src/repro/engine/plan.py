@@ -45,6 +45,8 @@ ENGINE_VERSION = "1"
 #: Default floor for decarbonising trajectories, gCO₂/kWh (residual gas
 #: peaking plus the embodied emissions of renewables themselves).
 _DEFAULT_FLOOR = 15.0
+#: Largest node count: the sweep engine holds node counts as int64.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 #: Axis fields of a spec, in canonical (and cartesian nesting) order.
 AXIS_FIELDS = (
@@ -280,8 +282,10 @@ class SweepSpec:
         for u in self.utilisations:
             ensure_fraction(u, "utilisation")
         for n in self.node_counts:
-            if n <= 0:
-                raise ConfigurationError(f"node count must be positive, got {n}")
+            if not 0 < n <= _INT64_MAX:
+                raise ConfigurationError(
+                    f"node count must be positive and fit int64 (at most {_INT64_MAX}), got {n}"
+                )
         for y in self.lifetimes_years:
             ensure_positive(y, "lifetime_years")
         if self.combine not in ("cartesian", "zip"):

@@ -1,4 +1,4 @@
-"""One on-disk frame and one atomic writer for every file the program persists.
+"""One on-disk frame, and its two writers, for every file the program persists.
 
 Sweep chunks (:mod:`repro.engine.cache`) and monitor checkpoints
 (:mod:`repro.live.checkpoint`) are both one checksummed frame::
@@ -14,10 +14,23 @@ Each caller owns what its header says and how its body is cut up; this
 module owns the byte layout and the checks every reader needs. A reader
 names the buffers the body fills once it has seen the header, so the body
 lands where the caller wants it with no intermediate copy.
+
+The two writers differ in what a reader may see during a write:
+
+* :func:`atomic_write` publishes a file once under its name (a sweep chunk,
+  a store's ``spec.json``): a temp file beside it, then a rename, so a
+  reader sees the whole file or none.
+* :func:`write_in_place` rewrites one file over and over (a checkpoint
+  slot): no temp file and no rename. On ext4 a rename over an existing
+  file makes the kernel allocate and start writing back the new data at
+  once, about half the cost of a small write. A reader can see a torn
+  frame mid-write, so the caller keeps a second file with the previous
+  frame and reads the newer one that passes every check.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import struct
 import tempfile
@@ -25,7 +38,7 @@ import zlib
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-__all__ = ["PREFIX", "atomic_write", "frame", "read_frame"]
+__all__ = ["PREFIX", "atomic_write", "frame", "read_frame", "write_in_place"]
 
 #: Fixed prefix of a framed file: magic, CRC-32, header length.
 PREFIX = struct.Struct("<8sII")
@@ -36,10 +49,12 @@ _BODY_ALIGN = 64
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
-def _write_all(fd: int, buffers: Iterable) -> None:
+def _write_all(fd: int, buffers: Iterable) -> int:
     """Write ``buffers`` to ``fd`` in order: one ``os.writev`` call, and
-    more for whatever a short write left or one call cannot take."""
+    more for whatever a short write left or one call cannot take. Returns
+    the number of bytes written."""
     views = [memoryview(buf).cast("B") for buf in buffers]
+    total = sum(len(view) for view in views)
     while views:
         written = os.writev(fd, views[:_IOV_MAX])
         done = 0
@@ -49,6 +64,7 @@ def _write_all(fd: int, buffers: Iterable) -> None:
         views = views[done:]
         if views:
             views[0] = views[0][written:]
+    return total
 
 
 def atomic_write(path: Path, buffers: Iterable) -> None:
@@ -75,6 +91,25 @@ def atomic_write(path: Path, buffers: Iterable) -> None:
         except OSError:
             pass
         raise
+
+
+def write_in_place(path: Path, buffers: Iterable) -> None:
+    """Overwrite ``path`` with the concatenated ``buffers``, in place.
+
+    The file is opened (created with mode 0600 if missing) without
+    truncation, which on ext4 would force the same flush a rename does,
+    locked with ``flock`` so writers of one path take turns, written from
+    offset 0 and then cut to the new length, so racing writers leave one
+    whole file. A reader racing a writer, or a writer
+    killed or failing mid-write, can see a torn file; nothing else is
+    touched. An ``OSError`` propagates unchanged.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o600)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        os.ftruncate(fd, _write_all(fd, buffers))
+    finally:
+        os.close(fd)
 
 
 def frame(magic: bytes, header: str, body: Iterable) -> list:

@@ -42,9 +42,12 @@ from .alerts import (
 )
 from .checkpoint import (
     CHECKPOINT_VERSION,
+    LoadedCheckpoint,
     alert_from_dict,
     alert_to_dict,
+    checkpoint_slots,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
 )
 from .cusum import CusumConfig, OnlineCusum, Segment
@@ -139,10 +142,13 @@ __all__ = [
     "chaos_chain",
     # checkpoint
     "CHECKPOINT_VERSION",
+    "LoadedCheckpoint",
     "alert_to_dict",
     "alert_from_dict",
+    "checkpoint_slots",
     "save_checkpoint",
     "load_checkpoint",
+    "read_checkpoint",
     # supervisor
     "SupervisorConfig",
     "DeadLetterStore",

@@ -7,20 +7,27 @@ rollup windows, advisor dedup state, metrics and the full alert history.
 Every stateful stage already exposes ``state_dict()`` /
 ``load_state_dict()``; this module is the file format around them.
 
-A checkpoint (version 4) is one :mod:`repro.framing` frame with magic
-``b"RMONCKPT"`` and the JSON header ``{"version": 4, "payload": …}``.
-Every ``bytes`` value in the payload — each rollup's quantile-sketch
-``pending`` and ``summary`` arrays of little-endian float64 — is stored
-raw in the body and referenced from the header as
-``{"$section": [offset, length]}``. Python's ``json`` round-trips
-IEEE-754 doubles exactly and writes NaN/±inf natively, so a restored
-pipeline is *bit-identical* to the one that wrote the file — the
-kill-and-resume tests assert exact equality of segment means and alert
-sequences, not approximate agreement. Writes are atomic
-(:func:`repro.framing.atomic_write`); a file that fails any check on read
-— torn, bit-flipped, forged or an older JSON checkpoint — raises a
-:class:`~repro.errors.CheckpointError` naming the file and the check,
-never a raw Python error.
+A checkpoint (version 5) is one :mod:`repro.framing` frame with magic
+``b"RMONCKPT"`` and the JSON header ``{"version": 5, "sequence": n,
+"payload": …}``. Every ``bytes`` value in the payload — each rollup's
+quantile-sketch ``pending`` and ``summary`` arrays of little-endian
+float64, and the alert history as one JSON array — is stored raw in the
+body and referenced from the header as ``{"$section": [offset, length]}``.
+Python's ``json`` round-trips IEEE-754 doubles exactly and writes
+NaN/±inf natively, so a restored pipeline is *bit-identical* to the one
+that wrote the file — the kill-and-resume tests assert exact equality of
+segment means and alert sequences, not approximate agreement.
+
+A checkpoint path ``P`` names two slot files, ``P`` and ``P.1``.
+Checkpoint *n* of a run is written over ``P`` when *n* is odd and over
+``P.1`` when it is even, in place (:func:`repro.framing.write_in_place`:
+no temp file, no rename), so a killed or failed write can tear only the
+slot holding the older checkpoint. Checkpoint 1 removes ``P.1`` first, so
+a slot left by an older run cannot outrank it. A read loads the slot with
+the higher sequence number among those that pass every check; a slot
+that fails any check — torn, bit-flipped, forged or an older version —
+is refused with a :class:`~repro.errors.CheckpointError` naming the file
+and the check, never a raw Python error, and the other slot is used.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from pathlib import Path
 
 from ..core.regimes import OptimisationTarget, Regime
 from ..errors import CheckpointError
-from ..framing import atomic_write, frame, read_frame
+from ..framing import frame, read_frame, write_in_place
 from .alerts import (
     AdviceAlert,
     Alert,
@@ -47,10 +54,13 @@ from .alerts import (
 
 __all__ = [
     "CHECKPOINT_VERSION",
+    "LoadedCheckpoint",
     "alert_to_dict",
     "alert_from_dict",
+    "checkpoint_slots",
     "save_checkpoint",
     "load_checkpoint",
+    "read_checkpoint",
 ]
 
 #: Bump on any incompatible change to the checkpoint payload layout.
@@ -59,7 +69,9 @@ __all__ = [
 #: v3: the sketch's "pending" and "summary" arrays are base64 strings of
 #: little-endian float64 in place of JSON float lists.
 #: v4: one checksummed frame; ``bytes`` values are raw body sections.
-CHECKPOINT_VERSION = 4
+#: v5: two slot files written in place; the header carries the
+#: checkpoint's sequence number; the alert history is one body section.
+CHECKPOINT_VERSION = 5
 
 _MAGIC = b"RMONCKPT"
 _SECTION = "$section"
@@ -129,17 +141,25 @@ def alert_from_dict(payload: dict) -> Alert:
         raise CheckpointError(f"malformed {name} record in checkpoint: {exc}") from exc
 
 
-def save_checkpoint(path: str | Path, payload: dict) -> None:
-    """Write a checkpoint atomically (unique temp file, then rename).
-
-    The version header is added here; ``payload`` is whatever the
-    supervisor's ``checkpoint()`` assembled: JSON values plus ``bytes``,
-    which are stored raw as body sections. Raises
-    :class:`~repro.errors.CheckpointError` if the payload cannot be
-    serialised or the file cannot be written; a failed write leaves any
-    previous checkpoint at ``path`` untouched and no temp file behind.
-    """
+def checkpoint_slots(path: str | Path) -> tuple[Path, Path]:
+    """The two slot files of checkpoint path ``path``: ``path`` itself,
+    which holds the odd-numbered checkpoints, and ``path.1``."""
     path = Path(path)
+    return path, path.with_name(path.name + ".1")
+
+
+def save_checkpoint(path: str | Path, payload: dict, sequence: int = 1) -> None:
+    """Write checkpoint number ``sequence`` in place over its slot file.
+
+    Odd numbers go to ``path`` and even ones to ``path.1`` (see
+    :func:`checkpoint_slots`); checkpoint 1 removes ``path.1`` first. The
+    header is added here; ``payload`` is whatever the supervisor's
+    ``checkpoint()`` assembled: JSON values plus ``bytes``, which are
+    stored raw as body sections. Raises
+    :class:`~repro.errors.CheckpointError` if the payload cannot be
+    serialised or the file cannot be written; a failed write can tear only
+    the slot it was writing, and the other slot stays loadable.
+    """
     sections: list[bytes] = []
     offset = 0
 
@@ -151,26 +171,72 @@ def save_checkpoint(path: str | Path, payload: dict) -> None:
         offset += len(value)
         return {_SECTION: [offset - len(value), len(value)]}
 
-    document = {"version": CHECKPOINT_VERSION, "payload": payload}
+    document = {"version": CHECKPOINT_VERSION, "sequence": sequence, "payload": payload}
     try:
         header = json.dumps(document, separators=(",", ":"), default=section)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"checkpoint payload is not serialisable: {exc}") from exc
+    odd, even = checkpoint_slots(path)
+    target = odd if sequence % 2 else even
     try:
-        atomic_write(path, frame(_MAGIC, header, sections))
+        if sequence == 1:
+            even.unlink(missing_ok=True)
+        write_in_place(target, frame(_MAGIC, header, sections))
     except OSError as exc:
-        raise CheckpointError(f"cannot write checkpoint {path}: {exc}") from exc
+        raise CheckpointError(f"cannot write checkpoint {target}: {exc}") from exc
+
+
+@dataclasses.dataclass(frozen=True)
+class LoadedCheckpoint:
+    """What :func:`read_checkpoint` found: the payload of the newest slot
+    that passed every check, that slot's file and sequence number, and the
+    refusal of each other slot file that exists but failed a check."""
+
+    payload: dict
+    path: Path
+    sequence: int
+    refused: tuple[CheckpointError, ...] = ()
+
+
+def read_checkpoint(path: str | Path) -> LoadedCheckpoint:
+    """Read the newest valid slot of checkpoint path ``path``.
+
+    Each slot file that exists is read with every check of one file (see
+    :func:`_read_slot`). If no slot passes, raises the
+    :class:`~repro.errors.CheckpointError` of the one slot file that
+    exists (of ``path`` itself when neither does), or one naming each file
+    and its failed check.
+    """
+    loaded: list[LoadedCheckpoint] = []
+    errors: list[CheckpointError] = []
+    for slot in checkpoint_slots(path):
+        try:
+            loaded.append(_read_slot(slot))
+        except CheckpointError as exc:
+            errors.append(exc)
+    refused = tuple(e for e in errors if not isinstance(e.__cause__, FileNotFoundError))
+    if loaded:
+        # On equal sequence numbers ``path`` itself wins.
+        return dataclasses.replace(max(loaded, key=lambda c: c.sequence), refused=refused)
+    if len(refused) > 1:
+        raise CheckpointError("no checkpoint slot is readable: " + "; ".join(map(str, refused)))
+    raise (refused or errors)[0]
 
 
 def load_checkpoint(path: str | Path) -> dict:
-    """Read a checkpoint written by :func:`save_checkpoint`; returns the payload.
+    """The payload of the newest valid slot of checkpoint path ``path``
+    (see :func:`read_checkpoint`)."""
+    return read_checkpoint(path).payload
+
+
+def _read_slot(path: Path) -> LoadedCheckpoint:
+    """One slot file's payload and sequence number.
 
     Raises :class:`~repro.errors.CheckpointError` naming the file and the
     failed check on a missing/unreadable file, a wrong magic or checksum,
-    a malformed header, a version this code does not read, or a section
-    reference outside the body.
+    a malformed header, a version this code does not read, a missing
+    payload or sequence number, or a section reference outside the body.
     """
-    path = Path(path)
     try:
         header, (data,) = read_frame(path, _MAGIC, lambda _, length: [bytearray(length)])
     except OSError as exc:
@@ -205,4 +271,7 @@ def load_checkpoint(path: str | Path) -> dict:
     payload = document.get("payload")
     if not isinstance(payload, dict):
         raise CheckpointError(f"checkpoint {path} has no payload")
-    return payload
+    sequence = document.get("sequence")
+    if type(sequence) is not int or sequence < 1:
+        raise CheckpointError(f"checkpoint {path} has no sequence number")
+    return LoadedCheckpoint(payload, path, sequence)

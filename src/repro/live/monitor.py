@@ -29,6 +29,7 @@ from ..errors import MonitoringError
 from ..units import SECONDS_PER_DAY, SECONDS_PER_HOUR
 from .advisor import AdvisorConfig, InterventionAdvisor
 from .alerts import AdviceAlert, ChangePointAlert, RegimeChangeAlert, TextAlertSink
+from .checkpoint import LoadedCheckpoint
 from .cusum import CusumConfig, OnlineCusum
 from .events import CI_STREAM, POWER_STREAM
 from .faults import FAULT_NAMES
@@ -63,6 +64,8 @@ class MonitorOutcome:
     tracker: RegimeTracker
     advisor: InterventionAdvisor
     pipeline: SupervisedPipeline
+    #: The checkpoint slot the run resumed from, if it resumed.
+    resumed: LoadedCheckpoint | None = None
 
 
 def build_monitor(
@@ -110,8 +113,7 @@ def run_monitor(
     other keyword arguments go to :func:`build_monitor`.
     """
     pipeline, detector, tracker, advisor = build_monitor(**monitor_kwargs)
-    if resume_from is not None:
-        pipeline.resume_from(resume_from)
+    resumed = pipeline.resume_from(resume_from) if resume_from is not None else None
     power, ci = scenario_sources(
         scenario, batch_size, faults=faults, fault_seed=fault_seed
     )
@@ -122,6 +124,7 @@ def run_monitor(
         tracker=tracker,
         advisor=advisor,
         pipeline=pipeline,
+        resumed=resumed,
     )
 
 
@@ -353,6 +356,13 @@ def monitor_main(argv: list[str] | None = None) -> int:
     except MonitoringError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    resumed = outcome.resumed
+    for refusal in resumed.refused if resumed is not None else ():
+        print(
+            f"note: resumed from {resumed.path} at checkpoint {resumed.sequence}; "
+            f"refused {refusal}",
+            file=sys.stderr,
+        )
     if not args.quiet:
         print()
     print(_summary_table(outcome))

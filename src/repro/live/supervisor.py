@@ -35,6 +35,7 @@ Throughout, the per-stream accounting identity holds:
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter, deque
 from contextlib import contextmanager
@@ -46,7 +47,13 @@ import numpy as np
 
 from ..errors import CheckpointError, HpcemError, MonitoringError
 from .alerts import DataGapAlert, DeadLetterAlert, DegradedModeAlert, ProcessorCrashAlert
-from .checkpoint import alert_from_dict, alert_to_dict, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    LoadedCheckpoint,
+    alert_from_dict,
+    alert_to_dict,
+    read_checkpoint,
+    save_checkpoint,
+)
 from .events import StreamBatch, merge_batches
 from .pipeline import MonitorPipeline
 from .processors import Processor
@@ -62,7 +69,7 @@ def _restoring(component: str) -> Iterator[None]:
     naming the component."""
     try:
         yield
-    except (LookupError, TypeError, ValueError, HpcemError) as exc:
+    except (LookupError, TypeError, ValueError, RecursionError, HpcemError) as exc:
         raise CheckpointError(
             f"checkpoint component {component!r} is malformed: "
             f"{type(exc).__name__}: {exc}"
@@ -88,7 +95,8 @@ class SupervisorConfig:
     a bad path fails before any data is ingested), enables periodic
     checkpoints roughly every ``checkpoint_every_s`` of stream time, each
     written after a batch is processed, so the snapshot is at a batch
-    boundary.
+    boundary. The checkpoints alternate between two slot files, the path
+    and the path with ``.1`` appended (see :mod:`~repro.live.checkpoint`).
     """
 
     max_restarts: int = 3
@@ -195,9 +203,9 @@ class SupervisedPipeline(MonitorPipeline):
         self._keys: dict[int, str] = {}
         self._resume_skip: dict[str, int] = {}
         self._last_checkpoint_s: float | None = None
-        #: ``alert_to_dict`` of the first alerts of the append-only history,
-        #: kept from earlier checkpoints so each alert is encoded once.
-        self._alert_dicts: list[dict] = []
+        #: JSON text of the first alerts of the append-only history, kept
+        #: from earlier checkpoints so each alert is encoded once.
+        self._alert_json: list[bytes] = []
 
     # -- admission control -----------------------------------------------------
 
@@ -448,14 +456,22 @@ class SupervisedPipeline(MonitorPipeline):
             return
         if now_s - self._last_checkpoint_s < cfg.checkpoint_every_s:
             return
-        save_checkpoint(cfg.checkpoint_path, self.checkpoint())
-        self.metrics.checkpoints_written += 1
+        # The file holds this checkpoint's own count and time, so a run
+        # resumed from it checkpoints where the uninterrupted run does; the
+        # pipeline commits both once the file is written.
+        sequence = self.metrics.checkpoints_written + 1
+        payload = self.checkpoint()
+        payload["metrics"]["checkpoints_written"] = sequence
+        payload["last_checkpoint_s"] = now_s
+        save_checkpoint(cfg.checkpoint_path, payload, sequence)
+        self.metrics.checkpoints_written = sequence
         self._last_checkpoint_s = now_s
 
     def checkpoint(self) -> dict:
-        """Snapshot the complete pipeline state: JSON values plus the rollup
-        sketches' float64 ``bytes``, which
-        :func:`~repro.live.checkpoint.save_checkpoint` stores as raw sections.
+        """Snapshot the complete pipeline state: JSON values plus ``bytes``
+        — the rollup sketches' float64 arrays and the alert history as one
+        JSON array — which :func:`~repro.live.checkpoint.save_checkpoint`
+        stores as raw sections.
         """
         processors = [
             {
@@ -467,13 +483,16 @@ class SupervisedPipeline(MonitorPipeline):
             for processor in group
         ]
         advisor = self._advisor
-        encoded = self._alert_dicts
-        encoded.extend(alert_to_dict(a) for a in self._alerts[len(encoded) :])
+        encoded = self._alert_json
+        encoded.extend(
+            json.dumps(alert_to_dict(a), separators=(",", ":")).encode()
+            for a in self._alerts[len(encoded) :]
+        )
         return {
             "processors": processors,
             "advisor": advisor.state_dict() if advisor is not None else None,
             "metrics": self.metrics.state_dict(),
-            "alerts": list(encoded),
+            "alerts": b"[" + b",".join(encoded) + b"]",
             "dead_letters": self.dead_letters.state_dict(),
             "admit_watermark": dict(self._admit_watermark),
             "last_seen": dict(self._last_seen),
@@ -528,8 +547,8 @@ class SupervisedPipeline(MonitorPipeline):
         with _restoring("metrics"):
             self.metrics.load_state_dict(payload["metrics"])
         with _restoring("alerts"):
-            self._alerts = [alert_from_dict(d) for d in payload["alerts"]]
-        self._alert_dicts = []
+            self._alerts = [alert_from_dict(d) for d in json.loads(payload["alerts"])]
+        self._alert_json = []
         with _restoring("dead_letters"):
             self.dead_letters.load_state_dict(payload["dead_letters"])
         with _restoring("supervision state"):
@@ -545,6 +564,10 @@ class SupervisedPipeline(MonitorPipeline):
             self._rng.bit_generator.state = payload["rng_state"]
         self._resume_skip = dict(self.metrics.samples_in)
 
-    def resume_from(self, path: str | Path) -> None:
-        """Load a checkpoint file written by this pipeline shape."""
-        self.load_checkpoint_payload(load_checkpoint(path))
+    def resume_from(self, path: str | Path) -> LoadedCheckpoint:
+        """Load the newest valid slot of a checkpoint written by this
+        pipeline shape; returns what was read (see
+        :func:`~repro.live.checkpoint.read_checkpoint`)."""
+        loaded = read_checkpoint(path)
+        self.load_checkpoint_payload(loaded.payload)
+        return loaded

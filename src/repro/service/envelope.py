@@ -90,8 +90,8 @@ def error_code(exc: BaseException) -> str:
     return "internal-error"
 
 
-def _canonical_json(data: object) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+def _canonical_json(data: object, allow_nan: bool = False) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=allow_nan)
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,11 @@ class ServiceRequest:
     @property
     def request_key(self) -> str:
         """Content address of the question (tenant-independent)."""
+        # Params built in process may hold NaN or ±inf, which the router
+        # refuses by name; the key only has to exist until then.
         payload = _canonical_json(
-            {"v": PROTOCOL_VERSION, "method": self.method, "params": self.params}
+            {"v": PROTOCOL_VERSION, "method": self.method, "params": self.params},
+            allow_nan=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 

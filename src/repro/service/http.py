@@ -244,7 +244,9 @@ class ServiceHTTPServer:
     ) -> None:
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                    429: "Too Many Requests", 500: "Internal Server Error"}
-        body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        body = json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), allow_nan=False
+        ).encode()
         head = [
             f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
             "Content-Type: application/json",

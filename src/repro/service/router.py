@@ -105,6 +105,24 @@ def _sweep_fields(value: object, where: str) -> dict:
     return dict(value)
 
 
+def _finite(payload: dict, params: Mapping) -> dict:
+    """``payload``, once each of its top-level numbers is finite.
+
+    A finite input can still overflow on the way to an answer: a carbon
+    intensity near the float64 limit makes lifetime emissions infinite and
+    their ratios NaN. RFC 8259 carries neither, so such a request is a
+    :class:`ConfigurationError` naming the answer field and the params,
+    not an answer.
+    """
+    for name, value in payload.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(
+                f"{name} comes out {value} for params {dict(params)!r}: "
+                "a number is out of range"
+            )
+    return payload
+
+
 # -- payload builders (shared with the parity benchmark) -----------------------
 
 
@@ -219,10 +237,13 @@ class ServiceRouter:
             )
         else:
             ci = float(ci)
-        return payload_regime(
-            self.core.classify_regime(session, ci),
-            self.core.optimisation_target(session, ci),
-            ci,
+        return _finite(
+            payload_regime(
+                self.core.classify_regime(session, ci),
+                self.core.optimisation_target(session, ci),
+                ci,
+            ),
+            params,
         )
 
     def _efficiency(self, params: Mapping) -> dict:
@@ -257,7 +278,7 @@ class ServiceRouter:
                 priorities = Priorities(**dict(spec))
             except TypeError as exc:
                 raise ConfigurationError(f"bad priorities: {exc}") from None
-        return payload_advice(self.core.advise(session, priorities))
+        return _finite(payload_advice(self.core.advise(session, priorities)), params)
 
     def _sweep(self, params: Mapping) -> dict:
         session = SessionParams.from_mapping(params)

@@ -12,6 +12,7 @@ import os
 import re
 import stat
 import sys
+import tempfile
 import threading
 
 import numpy as np
@@ -22,7 +23,6 @@ from repro.errors import CheckpointError, MonitoringError
 from repro.framing import PREFIX, frame, read_frame
 from repro.live import checkpoint as checkpoint_module
 from repro.live import monitor as monitor_module
-from repro.live import supervisor as supervisor_module
 from repro.live.advisor import InterventionAdvisor
 from repro.live.alerts import (
     AdviceAlert,
@@ -40,7 +40,9 @@ from repro.live.checkpoint import (
     CHECKPOINT_VERSION,
     alert_from_dict,
     alert_to_dict,
+    checkpoint_slots,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
 )
 from repro.live.cusum import OnlineCusum
@@ -190,7 +192,7 @@ class TestCheckpointFile:
         assert loaded["retry_at"]["p"] == math.inf
         assert loaded["mean"] == 3219.25
         assert math.isnan(loaded["gap"])
-        assert list(tmp_path.glob("*.tmp")) == []  # atomic write
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.ckpt"]
 
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="cannot read"):
@@ -271,28 +273,39 @@ class TestPipelineSnapshot:
         assert document["payload"].keys() == pipeline.checkpoint().keys()
 
     def test_two_checkpoints_encode_each_alert_once(self, tmp_path, monkeypatch):
-        """The alert history only grows, so each checkpoint encodes only the
-        alerts recorded since the last one; loading a checkpoint replaces
-        the history, which the next checkpoint encodes afresh. The saved
-        bytes do not change."""
+        """The alert history only grows, so each snapshot encodes as JSON
+        only the alerts recorded since the last one; loading a checkpoint
+        replaces the history, which the next snapshot encodes afresh. The
+        saved bytes do not change."""
         pipeline, *_ = build_monitor(supervisor_config=SupervisorConfig())
         scenario = build_scenario("fig2", duration_days=30.0)
         report = pipeline.run(*scenario_sources(scenario, 256))
         assert report.alerts
-        encoded = []
+        encodings = []
+        real_dumps = json.dumps
 
-        def encode(alert):
-            encoded.append(alert)
-            return alert_to_dict(alert)
+        def dumps(obj, **kwargs):
+            encodings.append(obj)
+            return real_dumps(obj, **kwargs)
 
-        monkeypatch.setattr(supervisor_module, "alert_to_dict", encode)
-        first = saved_bytes(tmp_path / "first.ckpt", pipeline.checkpoint())
-        assert saved_bytes(tmp_path / "second.ckpt", pipeline.checkpoint()) == first
-        assert len(encoded) == len(report.alerts)
-        assert all(a is b for a, b in zip(encoded, report.alerts))
+        monkeypatch.setattr(json, "dumps", dumps)
+
+        def snapshot():
+            """A snapshot and the objects JSON-encoded while taking it."""
+            encodings.clear()
+            payload = pipeline.checkpoint()
+            return payload, list(encodings)
+
+        payload, encoded = snapshot()
+        assert encoded == [alert_to_dict(a) for a in report.alerts]
+        first = saved_bytes(tmp_path / "first.ckpt", payload)
+        payload, encoded = snapshot()
+        assert encoded == []
+        assert saved_bytes(tmp_path / "second.ckpt", payload) == first
         pipeline.resume_from(tmp_path / "first.ckpt")
-        assert saved_bytes(tmp_path / "third.ckpt", pipeline.checkpoint()) == first
-        assert len(encoded) == 2 * len(report.alerts)
+        payload, encoded = snapshot()
+        assert len(encoded) == len(report.alerts)
+        assert saved_bytes(tmp_path / "third.ckpt", payload) == first
 
     def test_processor_mismatch_rejected(self):
         payload = assemble_supervised().checkpoint()
@@ -387,11 +400,41 @@ class TestKillAndResume:
         assert report.alerts == full_report.alerts
         resumed_state = report.metrics.state_dict()
         full_state = full_report.metrics.state_dict()
-        # The loaded checkpoint does not count itself on the resumed side.
+        # The reference run writes no checkpoints.
         resumed_state.pop("checkpoints_written")
         full_state.pop("checkpoints_written")
         assert resumed_state == full_state
         assert report.metrics.reconciles()
+
+    def test_resumed_run_leaves_the_uninterrupted_runs_slot_files(self, tmp_path):
+        """A checkpoint records its own count and time, so the resumed run
+        checkpoints at the uninterrupted run's stream positions and both
+        slot files end byte-identical to that run's."""
+        scenario = build_scenario("fig2", duration_days=30.0)
+
+        def config(name):
+            return SupervisorConfig(
+                seed=3, checkpoint_path=tmp_path / name, checkpoint_every_s=2 * 86400.0
+            )
+
+        full, full_detector, full_tracker, _ = build_monitor(supervisor_config=config("full.ckpt"))
+        full_report, *_ = self.outcome(full, full_detector, full_tracker, scenario)
+        assert full_report.metrics.checkpoints_written >= 2
+        victim, v_detector, v_tracker, _ = build_monitor(supervisor_config=config("killed.ckpt"))
+        with pytest.raises(Killed):
+            self.outcome(victim, v_detector, v_tracker, scenario, killed_after=7)
+        written = victim.metrics.checkpoints_written
+        assert 1 <= written < full_report.metrics.checkpoints_written
+
+        resumed, r_detector, r_tracker, _ = build_monitor(supervisor_config=config("killed.ckpt"))
+        loaded = resumed.resume_from(tmp_path / "killed.ckpt")
+        assert loaded.sequence == written
+        report, *_ = self.outcome(resumed, r_detector, r_tracker, scenario)
+        assert report.metrics.state_dict() == full_report.metrics.state_dict()
+        for full_slot, resumed_slot in zip(
+            checkpoint_slots(tmp_path / "full.ckpt"), checkpoint_slots(tmp_path / "killed.ckpt")
+        ):
+            assert resumed_slot.read_bytes() == full_slot.read_bytes()
 
     def test_checkpoint_with_channel_counters_resumes(self, tmp_path, mid_run_payload):
         """A checkpoint written while the monitor had channels holds
@@ -512,6 +555,13 @@ class TestTornCheckpoint:
                 "metrics",
                 "'checkpoints_written'",
             ),
+            (lambda p: p.update(alerts=b"[{"), "alerts", "JSONDecodeError"),
+            (
+                lambda p: p.update(alerts=b"[" * 100_000 + b"]" * 100_000),
+                "alerts",
+                "RecursionError",
+            ),
+            (lambda p: p.update(alerts=[]), "alerts", "TypeError"),
         ],
         ids=[
             "processor-key-missing",
@@ -527,6 +577,9 @@ class TestTornCheckpoint:
             "metrics-count-negative",
             "metrics-name-list-a-string",
             "metrics-scalar-a-string",
+            "alerts-cut-mid-json",
+            "alerts-nested-past-the-parser-limit",
+            "alerts-a-list-not-bytes",
         ],
     )
     def test_names_the_component(self, tmp_path, mid_run_payload, tear, component, cause):
@@ -595,9 +648,17 @@ DAMAGE = {
         "wrong magic",
     ),
     "header-length-past-eof": (past_eof, "header length past end of file"),
-    "forged-version-5": (
-        lambda data: reframed(data, lambda d: d.update(version=5)),
-        f"has version 5; this build reads version {CHECKPOINT_VERSION}",
+    "forged-version-newer": (
+        lambda data: reframed(data, lambda d: d.update(version=CHECKPOINT_VERSION + 1)),
+        f"has version {CHECKPOINT_VERSION + 1}; this build reads version {CHECKPOINT_VERSION}",
+    ),
+    "v4-checkpoint": (
+        lambda data: reframed(data, lambda d: (d.update(version=4), d.pop("sequence"))),
+        f"has version 4; this build reads version {CHECKPOINT_VERSION}",
+    ),
+    "forged-without-sequence": (
+        lambda data: reframed(data, lambda d: d.pop("sequence")),
+        "has no sequence number",
     ),
     "forged-section-past-body": (
         lambda data: reframed(data, section_past_body),
@@ -645,19 +706,100 @@ class TestDamagedCheckpointFile:
 class TestCheckpointCrashPoints:
     """What a killed, failing or racing writer leaves behind."""
 
-    def test_temp_file_of_a_killed_writer_is_ignored(self, tmp_path, mid_run_payload):
-        """A writer killed between its temp write and ``os.replace`` leaves
-        a stray temp file beside the last good checkpoint."""
+    def test_torn_newer_slot_loads_older_one(self, tmp_path):
+        """A writer killed mid-write tears the slot it was writing; the
+        other slot, one checkpoint older, loads, and the refusal names the
+        torn file and its failed check."""
         ckpt = tmp_path / "monitor.ckpt"
-        data = saved_bytes(ckpt, mid_run_payload)
-        stray = ckpt.with_name(ckpt.name + ".x1_k2q9z.tmp")
-        stray.write_bytes(data[: len(data) // 2])
-        pipeline, *_ = build_monitor(supervisor_config=SupervisorConfig())
-        pipeline.resume_from(ckpt)
-        assert saved_bytes(ckpt, pipeline.checkpoint()) == data
-        assert stray.read_bytes() == data[: len(data) // 2]
+        save_checkpoint(ckpt, {"generation": 1}, 1)
+        save_checkpoint(ckpt, {"generation": 2}, 2)
+        newer = ckpt.with_name("monitor.ckpt.1")
+        newer.write_bytes(newer.read_bytes()[:-7])
+        loaded = read_checkpoint(ckpt)
+        assert (loaded.payload, loaded.path, loaded.sequence) == ({"generation": 1}, ckpt, 1)
+        assert [str(e) for e in loaded.refused] == [
+            f"checkpoint {newer} is not a readable version-{CHECKPOINT_VERSION} "
+            "checkpoint: header length past end of file"
+        ]
+
+    def test_two_torn_slots_name_both_files(self, tmp_path):
+        ckpt = tmp_path / "monitor.ckpt"
+        for sequence in (1, 2):
+            save_checkpoint(ckpt, {"generation": sequence}, sequence)
+        odd, even = checkpoint_slots(ckpt)
+        odd.write_bytes(odd.read_bytes()[:5])
+        even.write_bytes(flip_bit(even.read_bytes(), PREFIX.size + 3))
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(ckpt)
+        assert str(info.value) == (
+            f"no checkpoint slot is readable: checkpoint {odd} is not a readable "
+            f"version-{CHECKPOINT_VERSION} checkpoint: wrong magic; checkpoint {even} "
+            f"is not a readable version-{CHECKPOINT_VERSION} checkpoint: checksum mismatch"
+        )
+
+    def test_slots_alternate_from_the_configured_path(self, tmp_path, monkeypatch):
+        """Checkpoint 1 of a run lands at the configured path, and each
+        later one in the slot that does not hold the newest checkpoint."""
+        ckpt = tmp_path / "monitor.ckpt"
+        targets = []
+        real_write = checkpoint_module.write_in_place
+
+        def write(path, buffers):
+            targets.append(path)
+            real_write(path, buffers)
+
+        monkeypatch.setattr(checkpoint_module, "write_in_place", write)
+        cfg = SupervisorConfig(checkpoint_path=ckpt, checkpoint_every_s=2 * 86400.0)
+        pipeline, *_ = build_monitor(supervisor_config=cfg)
+        pipeline.run(*scenario_sources(build_scenario("fig2", duration_days=30.0), 256))
+        n = pipeline.metrics.checkpoints_written
+        assert n >= 3
+        assert targets == [checkpoint_slots(ckpt)[i % 2] for i in range(n)]
+        loaded = read_checkpoint(ckpt)
+        assert (loaded.path, loaded.sequence, loaded.refused) == (targets[-1], n, ())
+
+    def test_no_temp_file_and_no_rename(self, tmp_path, monkeypatch):
+        """A checkpoint is written in place: it makes no temp file and
+        renames nothing."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a checkpoint made a temp file or renamed one")
+
+        for owner, name in [(os, "replace"), (os, "rename"), (tempfile, "mkstemp")]:
+            monkeypatch.setattr(owner, name, forbidden)
+        ckpt = tmp_path / "monitor.ckpt"
+        cfg = SupervisorConfig(checkpoint_path=ckpt, checkpoint_every_s=2 * 86400.0)
+        pipeline, *_ = build_monitor(supervisor_config=cfg)
+        pipeline.run(*scenario_sources(build_scenario("fig2", duration_days=30.0), 256))
+        assert pipeline.metrics.checkpoints_written >= 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.ckpt", "monitor.ckpt.1"]
+
+    def test_fresh_run_over_older_slots_resumes_to_its_own_state(self, tmp_path):
+        """A run that did not resume drops the slot an older run left, so
+        its own first checkpoint is the one a resume loads."""
+        ckpt = tmp_path / "monitor.ckpt"
+        cfg = SupervisorConfig(checkpoint_path=ckpt, checkpoint_every_s=2 * 86400.0)
+        scenario = build_scenario("fig2", duration_days=30.0)
+        older, *_ = build_monitor(supervisor_config=cfg)
+        older.run(*scenario_sources(scenario, 256))
+        assert older.metrics.checkpoints_written >= 2
+        assert read_checkpoint(ckpt).sequence == older.metrics.checkpoints_written
+
+        fresh, *_ = build_monitor(supervisor_config=cfg)
+        power, ci = scenario_sources(scenario, 256)
+        with pytest.raises(Killed):
+            fresh.run(kill_after(power, 2), ci)
+        assert fresh.metrics.checkpoints_written == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.ckpt"]
+        resumed, *_ = build_monitor(supervisor_config=cfg)
+        loaded = resumed.resume_from(ckpt)
+        assert (loaded.path, loaded.sequence) == (ckpt, 1)
+        assert resumed.metrics.checkpoints_written == 1
+        assert resumed.metrics.samples_in < older.metrics.samples_in
 
     def test_disk_full_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """Disk full on the second save can tear only the second slot;
+        generation 1 stays loadable, byte for byte."""
         ckpt = tmp_path / "monitor.ckpt"
         before = saved_bytes(ckpt, {"generation": 1})
         full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -666,12 +808,15 @@ class TestCheckpointCrashPoints:
             raise full
 
         monkeypatch.setattr(os, "writev", full_disk)
-        with pytest.raises(CheckpointError, match="cannot write checkpoint") as info:
-            save_checkpoint(ckpt, {"generation": 2})
+        with pytest.raises(
+            CheckpointError, match=f"cannot write checkpoint {ckpt}.1: "
+        ) as info:
+            save_checkpoint(ckpt, {"generation": 2}, 2)
         monkeypatch.undo()
         assert info.value.__cause__ is full
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.ckpt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["monitor.ckpt", "monitor.ckpt.1"]
         assert ckpt.read_bytes() == before
+        assert load_checkpoint(ckpt) == {"generation": 1}
 
     def test_directory_target_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "monitor.ckpt"
@@ -682,11 +827,13 @@ class TestCheckpointCrashPoints:
         assert list(target.iterdir()) == []
 
     def test_writers_racing_one_path(self, tmp_path):
-        """Threads saving different payloads to one path, round after
-        round, leave a file that loads as exactly one of them, and no
+        """Threads saving payloads of different sizes to one slot, round
+        after round, leave a file that loads as exactly one of them, and no
         temp file."""
         ckpt = tmp_path / "monitor.ckpt"
-        payloads = [{"writer": i, "sketch": bytes([i]) * (1 << 18)} for i in range(4)]
+        payloads = [
+            {"writer": i, "sketch": bytes([i]) * ((1 << 18) + 4099 * i)} for i in range(4)
+        ]
         barrier = threading.Barrier(len(payloads))
 
         def racer(payload):
@@ -743,6 +890,24 @@ class TestCheckpointPath:
 
 
 class TestMonitorCliErrors:
+    def test_resume_from_the_older_slot_when_the_newer_is_torn(self, tmp_path, capsys):
+        """The resumed run prints the uninterrupted run's summary, and says
+        on stderr which slot it resumed from and why it refused the other."""
+        ckpt = tmp_path / "fig2.ckpt"
+        argv = ["--scenario", "fig2", "--days", "120", "--quiet", "--checkpoint", str(ckpt)]
+        assert monitor_main(argv) == 0
+        summary = capsys.readouterr().out
+        odd, even = checkpoint_slots(ckpt)
+        assert read_checkpoint(ckpt).path == even
+        even.write_bytes(even.read_bytes()[: even.stat().st_size // 2])
+        assert monitor_main([*argv, "--resume"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == summary
+        assert captured.err == (
+            f"note: resumed from {odd} at checkpoint 1; refused checkpoint {even} "
+            f"is not a readable version-{CHECKPOINT_VERSION} checkpoint: checksum mismatch\n"
+        )
+
     def test_resume_from_missing_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.ckpt"
         argv = ["--scenario", "fig2", "--days", "2", "--quiet"]

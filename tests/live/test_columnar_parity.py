@@ -335,7 +335,7 @@ class TestCheckpointInterchangeability:
         assert report.alerts == full_report.alerts
         resumed_state = report.metrics.state_dict()
         full_state = full_report.metrics.state_dict()
-        # The loaded checkpoint does not count itself on the resumed side.
+        # The reference run writes no checkpoints.
         resumed_state.pop("checkpoints_written")
         full_state.pop("checkpoints_written")
         assert resumed_state == full_state

@@ -113,3 +113,15 @@ class TestServiceResponse:
         )
         assert wire.index('"a"') < wire.index('"b"')
 
+
+    def test_wire_json_is_strict(self):
+        """RFC 8259 has no NaN or infinity: a payload holding one is refused
+        at encoding, never put on the wire."""
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                ServiceResponse.success({"x": value}).wire_json()
+
+    def test_request_key_exists_for_non_finite_params(self):
+        """In process, params may hold NaN; the key exists so the router can
+        refuse the request by name."""
+        assert ServiceRequest("classify_regime", {"at_ci_g_per_kwh": float("nan")}).request_key

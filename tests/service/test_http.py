@@ -3,6 +3,8 @@
 import asyncio
 import json
 
+import pytest
+
 from repro.service import AdmissionController, FacilityService
 from repro.service.http import MAX_BODY_BYTES, ServiceHTTPServer
 
@@ -28,8 +30,14 @@ async def http(port, method, path, body=None, length=None):
     return await exchange(port, head.encode() + payload)
 
 
+def _refuse_non_finite(token):
+    raise ValueError(f"non-JSON number {token} on the wire")
+
+
 async def exchange(port, request):
-    """Send raw request bytes; returns the reply's (status, headers, json_body)."""
+    """Send raw request bytes; returns the reply's (status, headers, json_body).
+
+    The body must parse as RFC 8259 JSON: no NaN or infinity."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     writer.write(request)
     await writer.drain()
@@ -45,7 +53,7 @@ async def exchange(port, request):
     body_bytes = await reader.readexactly(int(headers["content-length"]))
     writer.close()
     await writer.wait_closed()
-    return status, headers, json.loads(body_bytes)
+    return status, headers, json.loads(body_bytes, parse_constant=_refuse_non_finite)
 
 
 async def with_server(service, fn):
@@ -197,6 +205,33 @@ class TestRoutes:
             head + b"".join(b"X-H%d: v\r\n" % i for i in range(5_000)) + b"\r\n",
         ):
             run(main(request))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_out_of_range_numbers_are_counted_400s(self):
+        """Finite numbers whose answer is not finite, or a node count past
+        int64, get a 400 in strict JSON, each counted as failed."""
+        cases = [
+            ("advise", {"ci_g_per_kwh": 1e308}),
+            ("classify_regime", {"ci_g_per_kwh": 1e308}),
+            ("sweep", {"overrides": {"node_counts": [2**63]}}),
+        ]
+
+        async def main():
+            service = FacilityService()
+
+            async def scenario(port):
+                for method, params in cases:
+                    envelope = {"v": 1, "method": method, "params": params}
+                    status, _, body = await http(port, "POST", "/v1/request", envelope)
+                    assert status == 400, method
+                    assert body["error"]["code"] == "bad-request", method
+
+            await with_server(service, scenario)
+            metrics = service.metrics
+            assert metrics.requests_in == metrics.failed == {"default": len(cases)}
+            assert metrics.reconciles()
+
+        run(main())
 
     def test_rate_limited_requests_carry_retry_after(self):
         async def main():

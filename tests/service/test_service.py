@@ -218,7 +218,40 @@ class TestParityWithDirectSession:
         assert result["energy_saving_kwh"] == float(comparison.energy_saving_kwh)
 
 
+#: Finite numbers whose answer would not be finite, or that do not fit
+#: int64, each with the text its 400 must name.
+OUT_OF_RANGE = {
+    "advise-ci-overflows": ("advise", {"ci_g_per_kwh": 1e308}, "emissions_ratio"),
+    "advise-emissions-overflow": ("advise", {"ci_g_per_kwh": 1e306}, "'ci_g_per_kwh': 1e+306"),
+    "regime-ci-overflows": ("classify_regime", {"ci_g_per_kwh": 1e308}, "ci_g_per_kwh"),
+    "sweep-node-count-past-int64": (
+        "sweep",
+        {"overrides": {"node_counts": [2**63]}},
+        "node count must be positive and fit int64",
+    ),
+    "emissions-node-count-past-int64": ("emissions", {"n_nodes": 2**63}, "fit int64"),
+}
+
+
 class TestErrorsAndAdmission:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "method, params, named", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys()
+    )
+    def test_out_of_range_numbers_are_counted_bad_requests(self, method, params, named):
+        async def main():
+            service = open_service()
+            response = await service.call(method, params)
+            assert not response.ok
+            assert response.error["code"] == "bad-request"
+            assert response.error["type"] == "ConfigurationError"
+            assert named in response.error["message"]
+            json.loads(response.wire_json())
+            assert service.metrics.failed == {"default": 1}
+            assert service.metrics.reconciles()
+
+        run(main())
+
     def test_unknown_method_is_a_structured_failure(self):
         async def main():
             service = open_service()

@@ -1,11 +1,11 @@
-"""The atomic writer publishes every byte of its buffers, whatever the
-kernel takes per ``os.writev`` call."""
+"""Both writers put every byte of their buffers in the file, whatever the
+kernel takes per ``os.writev`` call; the in-place writer keeps the file."""
 
 import os
 
 import numpy as np
 
-from repro.framing import atomic_write
+from repro.framing import atomic_write, write_in_place
 
 
 def _buffers():
@@ -41,3 +41,27 @@ def test_more_buffers_than_one_call_takes(tmp_path):
     atomic_write(path, buffers)
     assert path.read_bytes() == b"".join(buffers)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+
+def test_in_place_write_cuts_a_longer_file_and_keeps_it(tmp_path, monkeypatch):
+    """Short writes fill the file from offset 0, the old tail is cut off,
+    and the file is the same file: no temp file, no rename."""
+    real_writev = os.writev
+
+    def at_most_777_bytes(fd, buffers):
+        room, taken = 777, []
+        for buf in buffers:
+            view = memoryview(buf).cast("B")[:room]
+            taken.append(view)
+            room -= len(view)
+        return real_writev(fd, taken)
+
+    path = tmp_path / "slot.bin"
+    path.write_bytes(b"\xff" * 10_000)
+    inode = path.stat().st_ino
+    monkeypatch.setattr(os, "writev", at_most_777_bytes)
+    write_in_place(path, _buffers())
+    expected = b"".join(bytes(memoryview(buf).cast("B")) for buf in _buffers())
+    assert path.read_bytes() == expected
+    assert path.stat().st_ino == inode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["slot.bin"]

@@ -111,6 +111,9 @@ KEPT = {
     "lint/registry.py::Checker.check_project": _PROTOCOL,
     "lint/sarif.py::_result": _ON_FAULT,
     "live/alerts.py::AlertSink.emit": _PROTOCOL,
+    "live/checkpoint.py::load_checkpoint": (
+        "public payload reader of repro.live; a resume needs read_checkpoint's slot and refusals"
+    ),
     "live/cusum.py::OnlineCusum._process_scalar": _ORACLE,
     "live/faults.py::FaultInjector.apply": _PROTOCOL,
     "live/faults.py::FaultInjector.summary": _RECONCILE,

@@ -11,8 +11,9 @@ precision and the sha256 of every file ``repro run ID --export DIR``
 writes; and sha256 fingerprints of six replays:
 
 * ``monitor-fig2``: ``repro monitor --scenario fig2 --days 120
-  --checkpoint F --quiet`` (its stdout and the checkpoint bytes), then the
-  same command with ``--resume`` (its stdout);
+  --checkpoint F --quiet`` (its stdout and the bytes of both checkpoint
+  slot files, ``F`` then ``F.1``), then the same command with
+  ``--resume`` (its stdout);
 * ``chaos-soak``: the composed fault-injection soak's stdout;
 * ``sched``: ``repro sched --days 7 --nodes 256`` stdout;
 * ``sched-feed``: the same command with ``--inject-faults
@@ -127,7 +128,7 @@ def replay_entries(workdir: Path) -> dict:
     """Fingerprints of the six replays, each run as a subprocess."""
     ckpt = workdir / "fig2.ckpt"
     fig2_stdout = _repro(f"{FIG2} --checkpoint", ckpt)
-    fig2_checkpoint = ckpt.read_bytes()
+    fig2_checkpoint = ckpt.read_bytes() + ckpt.with_name(ckpt.name + ".1").read_bytes()
     fig2_resume = _repro(f"{FIG2} --resume --checkpoint", ckpt)
     chaos = _repro(f"{CHAOS_SOAK} --checkpoint", workdir / "chaos.ckpt")
     sched = _repro(SCHED)
